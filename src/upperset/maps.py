@@ -19,6 +19,7 @@ upper-closedness of values is a spot-checkable invariant.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -320,13 +321,9 @@ class SamplePlan:
         rng = random.Random(self.seed)
         out = []
         denom = 8
+        bound = math.floor(denom * self.radius)
         for _ in range(self.count):
-            out.append(
-                tuple(
-                    Fraction(rng.randint(-denom * int(self.radius), denom * int(self.radius)), denom)
-                    for _ in range(dim)
-                )
-            )
+            out.append(tuple(Fraction(rng.randint(-bound, bound), denom) for _ in range(dim)))
         return out
 
     def weights(self) -> list[Fraction]:
@@ -558,6 +555,12 @@ def body_to_json(body: Body):
         return out
     if isinstance(body, ScaledBody):
         if not body.base.is_polyhedral:
+            from .corpus import ParabolaOracle
+
+            if not isinstance(body.base.oracle, ParabolaOracle):
+                raise MapError(
+                    f"no JSON form for oracle {type(body.base.oracle).__name__}"
+                )
             base = {"kind": "parabola"}
         else:
             base = {

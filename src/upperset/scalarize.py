@@ -149,13 +149,32 @@ def certify_base(base: DirectionBase, window_radius=Fraction(1)) -> dict:
     evaluates inf over B of sup over the unit ball of -z*.z, which equals
     the minimum Euclidean norm over B; the exact squared value is reported
     together with a float reading.  ``generates_dual`` certifies
-    cone(B) = C^- by separation LPs against each extreme ray.
+    cone(B) = C^- by separation LPs against each extreme ray; it depends on
+    the base alone, so it is computed once per base object and stored on it.
     """
-    dual = dual_cone(base.cone)
-    dim = base.cone.dim
     min_norm_sq = min(norm2_sq(d) for d in base.directions)
+    radius = frac(window_radius)
+    return {
+        "finite": True,
+        "sup_finite": True,
+        "generates_dual": _generates_dual(base),
+        "inf_sup_positive": min_norm_sq > 0,
+        "inf_sup_value_sq": radius * radius * min_norm_sq,
+        "inf_sup_value": float(radius) * math.sqrt(float(min_norm_sq)),
+        "unit_normalized": all(norm2_sq(d) == 1 for d in base.directions),
+        "size": len(base.directions),
+    }
+
+
+def _generates_dual(base: DirectionBase) -> bool:
+    """cone(B) = C^-: no extreme ray r of C^- separates from B, that is,
+    max r.y over {y : d.y <= 0 for d in B, |y_i| <= 1} is zero."""
+    cached = base.__dict__.get("_generates_dual")
+    if cached is not None:
+        return cached
+    dim = base.cone.dim
     generates = True
-    for r in dual.generators:
+    for r in dual_cone(base.cone).generators:
         rows: list[Constraint] = [(tuple(-c for c in d), ZERO) for d in base.directions]
         for i in range(dim):
             e = [ZERO] * dim
@@ -167,17 +186,7 @@ def certify_base(base: DirectionBase, window_radius=Fraction(1)) -> dict:
         if res.status is not LPStatus.OPTIMAL or res.value > 0:
             generates = False
             break
-    radius = frac(window_radius)
-    return {
-        "finite": True,
-        "sup_finite": True,
-        "generates_dual": generates,
-        "inf_sup_positive": min_norm_sq > 0,
-        "inf_sup_value_sq": radius * radius * min_norm_sq,
-        "inf_sup_value": float(radius) * math.sqrt(float(min_norm_sq)),
-        "unit_normalized": all(norm2_sq(d) == 1 for d in base.directions),
-        "size": len(base.directions),
-    }
+    return base.__dict__.setdefault("_generates_dual", generates)
 
 
 # -- evaluation ------------------------------------------------------------------

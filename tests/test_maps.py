@@ -1,17 +1,21 @@
 """Set-valued map constructors: evaluation, convexity, graph interior, JSON."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from upperset.corpus import parabola_dilation_fixture
 from upperset.geometry import Cone, Polyhedron
+from upperset.linalg import POS_INF
 from upperset.maps import (
     AffineBody,
     AffineForm,
     MapError,
     PiecewiseBody,
     SamplePlan,
+    ScaledBody,
     SetValuedMap,
     constant_cone_body,
     constant_empty_body,
@@ -21,7 +25,7 @@ from upperset.maps import (
     map_to_json,
     upper_closedness_spotcheck,
 )
-from upperset.sets import member
+from upperset.sets import SupportOracle, UpperSet, member
 from upperset.verdict import Status
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -186,6 +190,32 @@ class TestConvexity:
         assert verdict.witness.x is not None
 
 
+class TestSamplePlan:
+    @staticmethod
+    def integer_radius_draw(plan: SamplePlan, dim: int):
+        # Reference draw for integer radii: numerators in [-8 r, 8 r] over 8.
+        rng = random.Random(plan.seed)
+        r = int(plan.radius)
+        return [
+            tuple(Fraction(rng.randint(-8 * r, 8 * r), 8) for _ in range(dim))
+            for _ in range(plan.count)
+        ]
+
+    @pytest.mark.parametrize(
+        "plan", [SamplePlan(), SamplePlan(seed=11, count=12, radius=Fraction(3))]
+    )
+    def test_integer_radius_points_unchanged(self, plan):
+        for dim in (1, 2):
+            assert plan.points(dim) == self.integer_radius_draw(plan, dim)
+
+    def test_fractional_radius_is_not_truncated(self):
+        radius = Fraction(1, 2)
+        pts = SamplePlan(radius=radius, count=40).points(2)
+        assert any(any(c != 0 for c in p) for p in pts)
+        assert all(abs(c) <= radius and (8 * c).denominator == 1 for p in pts for c in p)
+        assert max(abs(c) for p in pts for c in p) == radius
+
+
 class TestGraphInterior:
     def test_halfline_map_fails_at_boundary(self):
         v = graph_interior_witness(halfline_domain_map(), [0])
@@ -228,6 +258,27 @@ class TestJsonSchema:
         data = map_to_json(base)
         g = map_from_json(data)
         assert not g.evaluate([2]).is_empty
+
+    def test_parabola_base_round_trip(self):
+        f = parabola_dilation_fixture().map
+        data = json.loads(json.dumps(map_to_json(f)))
+        assert data["body"]["when_true"]["base"] == {"kind": "parabola"}
+        g = map_from_json(data)
+        assert map_to_json(g) == data
+        for x in ([F(0)], [F(1)], [Fraction(3, 2)]):
+            for u in ([F(-1), F(-1)], [F(-2), F(-1)], [F(0), F(-1)]):
+                assert g.evaluate(x).support(u) == f.evaluate(x).support(u)
+        assert g.evaluate([F(-1)]).is_empty
+
+    def test_unknown_oracle_rejected(self):
+        class OrthantOracle(SupportOracle):
+            def support(self, u):
+                return F(0) if all(c <= 0 for c in u) else POS_INF
+
+        base = UpperSet.from_oracle(ORTHANT, OrthantOracle())
+        f = SetValuedMap(1, ORTHANT, ScaledBody(base, AffineForm.of([1], 0)))
+        with pytest.raises(ValueError):
+            map_to_json(f)
 
 
 def ScaledBody_fixture():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from upperset import scalarize
 from upperset.conjugate import PiecewiseLinearFn
-from upperset.geometry import Cone, Polyhedron
+from upperset.continuity import default_config, verdict_matrix
+from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import NEG_INF, POS_INF, dot, norm2_sq, vec
 from upperset.maps import SamplePlan
 from upperset.scalarize import (
@@ -173,6 +175,53 @@ class TestCertifyBase:
     def test_single_ray_does_not_generate(self):
         base = DirectionBase(ORTHANT, ((F(-1), F(0)),))
         assert not certify_base(base)["generates_dual"]
+
+
+@pytest.fixture
+def certification_lps(monkeypatch) -> list:
+    """Arguments of every LP that scalarize solves (only certify_base does)."""
+    calls = []
+    real = scalarize.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scalarize, "solve_lp", counting)
+    return calls
+
+
+class TestCertifyBaseCache:
+    def test_second_call_solves_no_lp(self, certification_lps):
+        calls = certification_lps
+        base = DirectionBase.default(ORTHANT, 4)
+        first = certify_base(base)
+        solved = len(calls)
+        assert solved == len(dual_cone(ORTHANT).generators)
+        assert certify_base(base) == first
+        assert certify_base(base, Fraction(3)) != first
+        assert len(calls) == solved
+
+    def test_failed_certification_is_cached(self, certification_lps):
+        calls = certification_lps
+        base = DirectionBase(ORTHANT, ((F(-1), F(0)),))
+        assert not certify_base(base)["generates_dual"]
+        solved = len(calls)
+        assert not certify_base(base)["generates_dual"]
+        assert len(calls) == solved > 0
+
+    @pytest.mark.parametrize("radius", [Fraction(1), Fraction(5, 2)])
+    def test_cached_equals_fresh(self, radius):
+        for cone, fan, tails in ((ORTHANT, 4, 2), (RAY, 4, 0)):
+            base = DirectionBase.default(cone, fan, tails)
+            certify_base(base)
+            fresh = DirectionBase(cone, base.directions)
+            assert fresh == base and "_generates_dual" not in fresh.__dict__
+            assert certify_base(base, radius) == certify_base(fresh, radius)
+
+    def test_one_lp_per_extreme_ray_per_matrix(self, certification_lps):
+        verdict_matrix(halfline_domain_map(), [0], default_config().light())
+        assert len(certification_lps) == len(dual_cone(ORTHANT).generators)
 
 
 class TestReconstruct:
