@@ -459,9 +459,17 @@ def outer_polyhedron(a: UpperSet, directions: Sequence[Vec]) -> Polyhedron:
 
 def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
     """sup over z in (a cut to window) of squared distance to b; exact for
-    polyhedral representations."""
+    polyhedral representations with a convex ``b``.
+
+    The distance to a convex ``b`` is convex, so its sup over each cut piece
+    of ``a`` is attained at a vertex.  The distance to a union is a min of
+    convex functions and may peak inside a piece, so ``b`` with several
+    pieces is rejected.
+    """
     if a.pieces is None or b.pieces is None:
         raise ValueError("window Hausdorff requires polyhedral representations")
+    if len(b.pieces) > 1:
+        raise ValueError("window Hausdorff restricted to a convex target")
     if not a.pieces:
         return ZERO
     if not b.pieces:

@@ -1,10 +1,18 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over ``fractions.Fraction`` with Bland's pivoting
-rule throughout, so runs terminate and are deterministic: the same instance
-always yields the same optimal vertex, which makes every downstream witness
-reproducible.  Problem sizes here are desk scale (a handful of variables and
-constraints), where exact dense pivoting is entirely adequate.
+A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
+pivoting rule throughout, so runs terminate and are deterministic: the same
+instance always yields the same optimal vertex, which makes every downstream
+witness reproducible.  Problem sizes here are desk scale (a handful of
+variables, a few dozen constraints).
+
+The tableau is updated sparsely and in place: a pivot divides only the
+pivot row's nonzeros and updates the other rows over those columns alone.
+The reduced-cost row is computed once per phase and carried through each
+pivot as one more row.  Both skip only arithmetic whose exact result is
+already known, so every reduced cost and ratio equals the dense Bland
+tableau's, and the pivot sequence, vertex, ray and dual are exactly those a
+dense tableau would produce.
 
 The public entry point solves
 
@@ -54,38 +62,42 @@ Constraint = tuple[Vec, Fraction]  # (normal n, offset b) meaning n.z >= b
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    """Pivot on (row, col) in place, touching only the pivot row's nonzeros.
+
+    ``tableau`` may carry the reduced-cost row after the constraint rows; it
+    is updated like any other row.  Zeros of the pivot row leave every other
+    row unchanged, so skipping them yields the same Fractions as a dense
+    pivot.
+    """
     pr = tableau[row]
     pv = pr[col]
-    tableau[row] = [x / pv for x in pr]
-    pr = tableau[row]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tableau[i] = [x - f * y for x, y in zip(r, pr)]
+    nz = [j for j, x in enumerate(pr) if x]
+    if pv != 1:
+        for j in nz:
+            pr[j] /= pv
+    for r in tableau:
+        f = r[col]
+        if f and r is not pr:
+            for j in nz:
+                r[j] -= f * pr[j]
     basis[row] = col
 
 
-def _bland_step(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    reduced: list[Fraction],
-    ncols: int,
-) -> int | None:
-    """One simplex step under Bland's rule.
+def _bland_step(tableau: list[list[Fraction]], basis: list[int]) -> int | None:
+    """One simplex step under Bland's rule on a tableau whose last row holds
+    the reduced costs.
 
     Returns the entering column when the step is unbounded (no leaving row),
     ``None`` after a successful pivot; raises StopIteration at optimality.
     """
-    enter = None
-    for j in range(ncols):
-        if reduced[j] < 0:
-            enter = j
-            break
+    reduced = tableau[-1]
+    enter = next((j for j in range(len(reduced) - 1) if reduced[j] < 0), None)
     if enter is None:
         raise StopIteration
     leave = None
     best: Fraction | None = None
-    for i, r in enumerate(tableau):
+    for i in range(len(basis)):
+        r = tableau[i]
         a = r[enter]
         if a > 0:
             ratio = r[-1] / a
@@ -99,16 +111,17 @@ def _bland_step(
 
 
 def _reduced_costs(
-    tableau: list[list[Fraction]], basis: list[int], c: list[Fraction], ncols: int
+    tableau: list[list[Fraction]], basis: list[int], c: list[Fraction]
 ) -> list[Fraction]:
-    red = list(c)
+    """The reduced-cost row ``c - c_B B^-1 A`` with ``-c_B x_B`` in the
+    right-hand-side slot, for a tableau in canonical form over ``basis``."""
+    red = list(c) + [ZERO]
     for i, bi in enumerate(basis):
         cb = c[bi]
         if cb != 0:
-            row = tableau[i]
-            for j in range(ncols):
-                if row[j] != 0:
-                    red[j] -= cb * row[j]
+            for j, x in enumerate(tableau[i]):
+                if x:
+                    red[j] -= cb * x
     return red
 
 
@@ -129,18 +142,16 @@ def _simplex_standard(
     for i in range(m):
         rows[i][n + i] = ONE
     basis = [n + i for i in range(m)]
-    ncols = n + m
 
-    phase1 = [ZERO] * n + [ONE] * m
+    rows.append(_reduced_costs(rows, basis, [ZERO] * n + [ONE] * m))
     while True:
-        red = _reduced_costs(rows, basis, phase1, ncols)
         try:
-            if _bland_step(rows, basis, red, ncols) is not None:
+            if _bland_step(rows, basis) is not None:
                 raise AssertionError("phase-1 objective is bounded below by zero")
         except StopIteration:
             break
-    infeas = sum((phase1[basis[i]] * rows[i][-1] for i in range(m)), ZERO)
-    if infeas > 0:
+    # The phase-1 row's right-hand side is minus the total infeasibility.
+    if rows.pop()[-1] < 0:
         return LPStatus.INFEASIBLE, None
     # Drive artificials out of the basis, then drop rows still pinned to one
     # (those rows are redundant).  Basis columns stay unit columns across all
@@ -157,13 +168,11 @@ def _simplex_standard(
     keep = [i for i in range(m) if basis[i] < n]
     rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    ncols = n
 
-    cost = list(c)
+    rows.append(_reduced_costs(rows, basis, c))
     while True:
-        red = _reduced_costs(rows, basis, cost, ncols)
         try:
-            enter = _bland_step(rows, basis, red, ncols)
+            enter = _bland_step(rows, basis)
         except StopIteration:
             break
         if enter is not None:

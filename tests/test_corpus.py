@@ -14,7 +14,12 @@ from upperset.corpus import fixture_by_id
 from upperset.duality import DualityError, fundamental_duality
 from upperset.linalg import ZERO
 
-MATRIX_FIXTURES = ("orthant-halfline", "tilted-halfplane")
+MATRIX_FIXTURES = (
+    "orthant-halfline",
+    "tilted-halfplane",
+    "ray-translate",
+    "parabola-dilation",
+)
 
 KNOWN_DEFECTS = {
     ("tilted-halfplane", 0, "lc"): "two verdicts depend on config depth: under light() "

@@ -13,7 +13,9 @@ from upperset.sets import (
     CallableOracle,
     UpperSet,
     check_upper_closed,
+    directed_hausdorff_sq,
     embed_point,
+    hausdorff_sq_window,
     lattice_inf,
     lattice_sup,
     member,
@@ -145,6 +147,29 @@ class TestLattice:
             # The componentwise max is exactly the supremum.
             high = (max(p[0] for p in pts), max(p[1] for p in pts))
             assert sets_equal(translate_of_cone(high), sup_set)
+
+
+class TestHausdorff:
+    WINDOW = Polyhedron.box([(-4, 4)] * 2)
+
+    def test_convex_operands(self):
+        a = translate_of_cone([0, 0])
+        b = translate_of_cone([2, -1])
+        assert directed_hausdorff_sq(a, b, self.WINDOW) == 4
+        assert directed_hausdorff_sq(b, a, self.WINDOW) == 1
+        assert hausdorff_sq_window(a, b, self.WINDOW) == 4
+
+    def test_union_target_rejected(self):
+        # The distance to a union can peak inside a piece, so vertices alone
+        # do not give the sup.
+        a = translate_of_cone([0, 0])
+        union = lattice_inf([translate_of_cone([2, 0]), translate_of_cone([0, 2])])
+        assert len(union.pieces) == 2
+        with pytest.raises(ValueError):
+            directed_hausdorff_sq(a, union, self.WINDOW)
+        with pytest.raises(ValueError):
+            hausdorff_sq_window(union, a, self.WINDOW)
+        assert directed_hausdorff_sq(union, a, self.WINDOW) == 0
 
 
 class TestMember:

@@ -3,7 +3,12 @@
 import random
 from fractions import Fraction
 
-from upperset.linalg import NEG_INF, POS_INF, dot, vec
+import pytest
+
+from upperset import simplex
+from upperset.geometry import Cone, dual_cone
+from upperset.linalg import NEG_INF, ONE, POS_INF, ZERO, dot, vec
+from upperset.scalarize import direction_fan
 from upperset.simplex import LPStatus, lp_support, solve_lp
 
 
@@ -138,3 +143,203 @@ class TestSupport:
 
     def test_support_bounded(self):
         assert lp_support(vec([1, 0]), [(vec([-1, 0]), F(-7)), (vec([0, 1]), F(0))]) == 7
+
+
+# -- reference oracle: the dense Bland tableau ------------------------------------
+#
+# The solver's kernel pivots sparsely and carries the reduced-cost row through
+# each pivot.  The functions below are the dense kernel it replaced: every row
+# rebuilt on each pivot and the reduced costs recomputed before every step.
+# Exact arithmetic makes both kernels choose the same pivots, so solve_lp must
+# give an identical LPResult on either one.
+
+
+def _dense_pivot(tableau, basis, row, col, log):
+    log.append((row, col))
+    pr = tableau[row]
+    pv = pr[col]
+    tableau[row] = [x / pv for x in pr]
+    pr = tableau[row]
+    for i, r in enumerate(tableau):
+        if i != row and r[col] != 0:
+            f = r[col]
+            tableau[i] = [x - f * y for x, y in zip(r, pr)]
+    basis[row] = col
+
+
+def _dense_reduced_costs(tableau, basis, c, ncols):
+    red = list(c)
+    for i, bi in enumerate(basis):
+        cb = c[bi]
+        if cb != 0:
+            row = tableau[i]
+            for j in range(ncols):
+                if row[j] != 0:
+                    red[j] -= cb * row[j]
+    return red
+
+
+def _dense_bland_step(tableau, basis, c, ncols, log):
+    reduced = _dense_reduced_costs(tableau, basis, c, ncols)
+    enter = next((j for j in range(ncols) if reduced[j] < 0), None)
+    if enter is None:
+        raise StopIteration
+    leave = None
+    best = None
+    for i, r in enumerate(tableau):
+        a = r[enter]
+        if a > 0:
+            ratio = r[-1] / a
+            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                best = ratio
+                leave = i
+    if leave is None:
+        return enter
+    _dense_pivot(tableau, basis, leave, enter, log)
+    return None
+
+
+def _dense_simplex_standard(c, a, b, log):
+    m = len(a)
+    n = len(c)
+    rows = []
+    for i in range(m):
+        r = list(a[i])
+        rhs = b[i]
+        if rhs < 0:
+            r = [-x for x in r]
+            rhs = -rhs
+        rows.append(r + [ZERO] * m + [rhs])
+    for i in range(m):
+        rows[i][n + i] = ONE
+    basis = [n + i for i in range(m)]
+    phase1 = [ZERO] * n + [ONE] * m
+    while True:
+        try:
+            if _dense_bland_step(rows, basis, phase1, n + m, log) is not None:
+                raise AssertionError("phase-1 objective is bounded below by zero")
+        except StopIteration:
+            break
+    if sum((phase1[basis[i]] * rows[i][-1] for i in range(m)), ZERO) > 0:
+        return LPStatus.INFEASIBLE, None
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if rows[i][j] != 0), None)
+            if pivot_col is not None:
+                _dense_pivot(rows, basis, i, pivot_col, log)
+    keep = [i for i in range(m) if basis[i] < n]
+    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    while True:
+        try:
+            enter = _dense_bland_step(rows, basis, c, n, log)
+        except StopIteration:
+            break
+        if enter is not None:
+            ray = [ZERO] * n
+            ray[enter] = ONE
+            for i, bi in enumerate(basis):
+                ray[bi] = -rows[i][enter]
+            return LPStatus.UNBOUNDED, ray
+    x = [ZERO] * n
+    for i, bi in enumerate(basis):
+        x[bi] = rows[i][-1]
+    return LPStatus.OPTIMAL, x
+
+
+def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
+    """solve_lp on the sparse kernel and on the dense reference, with the
+    (row, column) of every pivot each one made, the dual's solve included."""
+    sparse_log, dense_log = [], []
+    sparse_pivot = simplex._pivot
+
+    def logged_pivot(tableau, basis, row, col):
+        sparse_log.append((row, col))
+        sparse_pivot(tableau, basis, row, col)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "_pivot", logged_pivot)
+        sparse = solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            simplex,
+            "_simplex_standard",
+            lambda c, a, b: _dense_simplex_standard(c, a, b, dense_log),
+        )
+        dense = solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+    return sparse, dense, sparse_log, dense_log
+
+
+def _tall_instances():
+    """Separation LPs shaped like certify_base's: 2 variables, one row
+    -d.y >= 0 per direction of a light()-sized fan, and the box |y_i| <= 1."""
+    for gens, want_dual in (([[1, 0], [0, 1]], False), ([[2, 1], [-1, 3]], True)):
+        cone = Cone.from_generators(gens)
+        rows = [(tuple(-c for c in d), ZERO) for d in direction_fan(cone, 8, 10)]
+        for i in range(2):
+            for s in (1, -1):
+                e = [ZERO, ZERO]
+                e[i] = Fraction(s)
+                rows.append((tuple(e), -ONE))
+        yield dual_cone(cone).generators[0], rows, "max", want_dual
+
+
+def _small_instances():
+    """Random programs in 2 and 3 variables: feasible, infeasible and
+    unbounded ones, with duals requested on about half of them."""
+    rng = random.Random(20261018)
+    for _ in range(80):
+        dim = rng.choice([2, 3])
+        cons = []
+        for _ in range(rng.randint(1, dim + 4)):
+            n = vec([rng.randint(-3, 3) for _ in range(dim)])
+            b = Fraction(0) if rng.random() < 0.4 else Fraction(rng.randint(-4, 3), rng.randint(1, 3))
+            cons.append((n, b))
+        if rng.random() < 0.5:
+            for j in range(dim):
+                for s in (1, -1):
+                    e = [0] * dim
+                    e[j] = s
+                    cons.append((vec(e), Fraction(-6)))
+        c = vec([rng.randint(-3, 3) for _ in range(dim)])
+        yield c, cons, rng.choice(["max", "min"]), rng.random() < 0.5
+
+
+class TestDenseReference:
+    def test_tall_degenerate_instances_match(self, monkeypatch):
+        for objective, rows, sense, want_dual in _tall_instances():
+            assert len(rows) >= 30 and sum(b == 0 for _, b in rows) >= 26
+            sparse, dense, sparse_log, dense_log = _solve_both(
+                monkeypatch, objective, rows, sense, want_dual
+            )
+            assert sparse == dense
+            assert sparse_log == dense_log
+            assert sparse.status is LPStatus.OPTIMAL
+            assert (sparse.dual is not None) == want_dual
+
+    def test_small_instances_match(self, monkeypatch):
+        seen = set()
+        for objective, cons, sense, want_dual in _small_instances():
+            sparse, dense, sparse_log, dense_log = _solve_both(
+                monkeypatch, objective, cons, sense, want_dual
+            )
+            assert sparse == dense
+            assert sparse_log == dense_log
+            seen.add((len(objective), sparse.status, sparse.dual is not None))
+        for dim in (2, 3):
+            for status in LPStatus:
+                assert (dim, status, False) in seen
+            assert (dim, LPStatus.OPTIMAL, True) in seen
+
+    @pytest.mark.parametrize(
+        "cons, sense, status",
+        [
+            ([(vec([1, 0]), Fraction(1)), (vec([-1, 0]), Fraction(0))], "max", LPStatus.INFEASIBLE),
+            ([(vec([1, 1]), Fraction(0)), (vec([0, 1]), Fraction(0))], "max", LPStatus.UNBOUNDED),
+            ([(vec([1, 1]), Fraction(0)), (vec([0, 1]), Fraction(0))], "min", LPStatus.OPTIMAL),
+        ],
+    )
+    def test_status_cases_match(self, monkeypatch, cons, sense, status):
+        sparse, dense, sparse_log, dense_log = _solve_both(monkeypatch, vec([1, 2]), cons, sense, True)
+        assert sparse.status is status
+        assert sparse == dense and sparse_log == dense_log
