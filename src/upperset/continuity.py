@@ -23,16 +23,28 @@ The epsilon grid is shallower than the x-radius grid by default (headroom):
 with equal depths any map whose modulus exceeds one would be misclassified,
 since no x-radius below the finest epsilon would remain to certify the
 exists-delta side.
+
+All sampled checkers share one scan.  ``_Scan.level`` reads one x-radius
+level, ``_Scan.classify`` turns the level flags into persistent, clean or
+mixed, and ``_Scan.sweep`` runs ``classify`` down the epsilon grid to the
+first epsilon that is not clean.  The usc/lsc threshold of a scalarization
+is ``_scalar_violated``; the per-direction and the uniform scalar checks
+run the same multi-direction scan (``_scalar_scan``).
+
+The side condition (BN) of the implication diagram, some bounded B and
+neighborhood V of zero with V <= B - C, holds in every finite-dimensional
+space (such spaces are locally bounded), so the matrix records it as the
+constant True.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import Cone, Polyhedron, dual_cone
+from .geometry import Cone, Polyhedron
 from .linalg import (
     NEG_INF,
     POS_INF,
@@ -40,15 +52,13 @@ from .linalg import (
     Ext,
     Vec,
     dot,
-    frac,
-    norm1,
     norm2_sq,
     vec,
 )
 from .maps import SetValuedMap, graph_interior_witness
 from .scalarize import DirectionBase, certify_base, direction_fan, scalarize_eval
 from .sets import UpperSet, member, outer_polyhedron
-from .simplex import Constraint, LPStatus, lp_feasible_point, solve_lp
+from .simplex import Constraint, lp_feasible_point
 from .verdict import Status, Verdict, Witness
 
 
@@ -59,6 +69,10 @@ class Grid:
     start: Fraction = Fraction(1)
     ratio: Fraction = Fraction(1, 2)
     levels: int = 12
+
+    def __post_init__(self):
+        if not (self.start > 0 and 0 < self.ratio < 1 and self.levels >= 0):
+            raise ValueError("a radius grid needs start > 0, 0 < ratio < 1 and levels >= 0")
 
     def values(self, extra: int = 0) -> list[Fraction]:
         return [self.start * self.ratio**k for k in range(self.levels + 1 + extra)]
@@ -74,6 +88,10 @@ class CheckerConfig:
     window: Fraction = Fraction(10)
     confirm_levels: int = 4
     descent_levels: int = 12
+
+    def __post_init__(self):
+        if self.window <= 0:
+            raise ValueError("the value window must be positive")
 
     def light(self) -> "CheckerConfig":
         """Coarser settings for large sweeps."""
@@ -117,15 +135,24 @@ class _Scan:
     """Violation bookkeeping across grid levels for one quantifier pair."""
 
     def __init__(self, f: SetValuedMap, x0: Vec, cfg: CheckerConfig):
-        self.f = f
         self.x0 = x0
         self.cfg = cfg
         self.dirs = _x_dirs(f.domain_dim)
-        self.base_levels = cfg.radii.values()
 
-    def samples(self, level: int) -> list[Vec]:
-        delta = self.cfg.radii.start * self.cfg.radii.ratio**level
-        return _level_samples(self.x0, delta, self.dirs)
+    def level(
+        self, k: int, violated: Callable[[Vec], Optional[bool]]
+    ) -> tuple[Optional[bool], Optional[Witness]]:
+        """Flag of x-radius level k: True with a witness at the first violated
+        sample, otherwise None if some sample was undecidable, else False."""
+        delta = self.cfg.radii.start * self.cfg.radii.ratio**k
+        flag: Optional[bool] = False
+        for x in _level_samples(self.x0, delta, self.dirs):
+            r = violated(x)
+            if r is True:
+                return True, Witness(x=x, radius=delta)
+            if r is None:
+                flag = None
+        return flag, None
 
     def classify(self, violated: Callable[[Vec], Optional[bool]]) -> tuple[str, Optional[Witness], int]:
         """Returns (kind, witness, levels examined).
@@ -137,67 +164,55 @@ class _Scan:
         blocks both decisive outcomes at its level.
         """
         K = self.cfg.radii.levels
-        last_witness: Optional[Witness] = None
-        level_flags: list[Optional[bool]] = []
+        flags: list[Optional[bool]] = []
+        witness: Optional[Witness] = None
         for k in range(K + 1):
-            flag: Optional[bool] = False
-            for x in self.samples(k):
-                r = violated(x)
-                if r is True:
-                    flag = True
-                    last_witness = Witness(x=x, radius=self.cfg.radii.start * self.cfg.radii.ratio**k)
-                    break
-                if r is None:
-                    flag = None
-            level_flags.append(flag)
+            flag, hit = self.level(k, violated)
+            flags.append(flag)
+            witness = hit or witness
         examined = K + 1
-        if all(fl is True for fl in level_flags):
-            # Confirm below the grid before claiming persistence.
-            confirmed = True
+        if all(fl is True for fl in flags):
+            # Confirm below the grid before claiming persistence; violations
+            # that vanish below the grid let the exists-delta side win.
             for k in range(K + 1, K + 1 + self.cfg.confirm_levels):
                 examined += 1
-                hit = None
-                for x in self.samples(k):
-                    r = violated(x)
-                    if r is True:
-                        hit = Witness(x=x, radius=self.cfg.radii.start * self.cfg.radii.ratio**k)
-                        break
-                if hit is None:
-                    confirmed = False
-                    break
-                last_witness = hit
-            if confirmed:
-                return "persistent", last_witness, examined
-            # Violations vanish below the grid: exists-delta side wins.
-            return "clean", None, examined
-        if level_flags[-1] is False:
+                flag, witness = self.level(k, violated)
+                if flag is not True:
+                    return "clean", None, examined
+            return "persistent", witness, examined
+        if flags[-1] is False:
             return "clean", None, examined
         # The finest base level is violated or undecided; descend to see
         # whether a smaller radius clears it.
         for k in range(K + 1, K + 1 + self.cfg.descent_levels):
             examined += 1
-            flag = False
-            for x in self.samples(k):
-                r = violated(x)
-                if r is True:
-                    flag = True
-                    break
-                if r is None:
-                    flag = None
-            if flag is False:
+            if self.level(k, violated)[0] is False:
                 return "clean", None, examined
-        return "mixed", last_witness, examined
+        return "mixed", witness, examined
 
+    def sweep(
+        self, violated_at: Callable[[Fraction], Callable[[Vec], Optional[bool]]]
+    ) -> tuple[str, Optional[Witness], Optional[Fraction], int]:
+        """Classifies violated_at(eps) for each eps of the epsilon grid.
 
-def _window_polyhedron(cone: Cone, w: Fraction) -> Polyhedron:
-    return Polyhedron.box([(-w, w)] * cone.dim)
+        Returns (kind, witness, eps, examined) at the first eps that is not
+        clean, or ('clean', None, None, examined) when every eps is clean;
+        examined is the largest level count of the classifications run.
+        """
+        examined = 0
+        for eps in self.cfg.z_radii.values():
+            kind, witness, levels = self.classify(violated_at(eps))
+            examined = max(examined, levels)
+            if kind != "clean":
+                return kind, witness, eps, examined
+        return "clean", None, None, examined
 
 
 def _value_sample_points(v: UpperSet, cone: Cone, w: Fraction) -> list[Vec]:
     """Representative points of a value, clipped to the window."""
     pts: list[Vec] = []
     if v.is_polyhedral:
-        win = _window_polyhedron(cone, w)
+        win = Polyhedron.box([(-w, w)] * cone.dim)
         for p in v.pieces:
             pts.extend(p.minimal_face_points)
             cut = p.intersect(win)
@@ -218,7 +233,9 @@ def _value_sample_points(v: UpperSet, cone: Cone, w: Fraction) -> list[Vec]:
 # -- enlargement containment ------------------------------------------------------
 
 
-def _support_gap_sq(a: UpperSet, b: UpperSet, fan: Sequence[Vec]) -> tuple[Ext, Optional[Vec]]:
+def _support_gap_sq(
+    support_a: Callable[[Vec], Ext], support_b: Callable[[Vec], Ext], fan: Sequence[Vec]
+) -> tuple[Ext, Optional[Vec]]:
     """Worst squared normalized support excess of a over b on fan directions.
 
     For convex upper closed sets, a <= b + eps*Ball holds exactly when the
@@ -229,14 +246,12 @@ def _support_gap_sq(a: UpperSet, b: UpperSet, fan: Sequence[Vec]) -> tuple[Ext, 
     worst: Ext = ZERO
     direction: Optional[Vec] = None
     for u in fan:
-        sa, sb = a.support(u), b.support(u)
+        sa, sb = support_a(u), support_b(u)
         if sa == NEG_INF:
             return ZERO, None
-        if sb == POS_INF or sa == NEG_INF:
+        if sb == POS_INF:
             continue
-        if sa == POS_INF:
-            return POS_INF, u
-        if sb == NEG_INF:
+        if sa == POS_INF or sb == NEG_INF:
             return POS_INF, u
         gap = sa - sb
         if gap <= 0:
@@ -278,7 +293,7 @@ def _enlargement_gap_sq(
                     worst = d
                     wit = Witness(z=p)
         return worst, wit
-    gap, u = _support_gap_sq(a, b, fan)
+    gap, u = _support_gap_sq(a.support, b.support, fan)
     return gap, (Witness(direction=u, detail="support separation") if u is not None else None)
 
 
@@ -291,70 +306,48 @@ def _fan(f: SetValuedMap, cfg: CheckerConfig) -> tuple[Vec, ...]:
 
 def check_huc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Hausdorff upper continuity: f(x) inside f(x0) + eps Ball near x0."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    fan = _fan(f, cfg)
-    v0 = f.evaluate(x0)
-    gaps: dict[Vec, tuple[Ext, Optional[Witness]]] = {}
-
-    def gap_at(x: Vec) -> tuple[Ext, Optional[Witness]]:
-        if x not in gaps:
-            gaps[x] = _enlargement_gap_sq(f.evaluate(x), v0, fan)
-        return gaps[x]
-
-    return _epsilon_family_verdict(f, x0, cfg, gap_at, "f(x) escapes the enlargement of f(x0)")
+    return _hausdorff_check(f, x0, cfg, upper=True)
 
 
 def check_hlc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Hausdorff lower continuity: f(x0) inside f(x) + eps Ball near x0."""
+    return _hausdorff_check(f, x0, cfg, upper=False)
+
+
+def _hausdorff_check(f: SetValuedMap, x0, cfg: CheckerConfig | None, upper: bool) -> Verdict:
+    """The enlargement test of huc (f(x) against f(x0)) and, with the pair in
+    the other order, of hlc."""
     cfg = cfg or default_config()
     x0 = vec(x0)
     fan = _fan(f, cfg)
     v0 = f.evaluate(x0)
-    gaps: dict[Vec, tuple[Ext, Optional[Witness]]] = {}
+    inner, outer = ("f(x)", "f(x0)") if upper else ("f(x0)", "f(x)")
 
+    @cache
     def gap_at(x: Vec) -> tuple[Ext, Optional[Witness]]:
-        if x not in gaps:
-            gaps[x] = _enlargement_gap_sq(v0, f.evaluate(x), fan)
-        return gaps[x]
+        pair = (f.evaluate(x), v0) if upper else (v0, f.evaluate(x))
+        return _enlargement_gap_sq(*pair, fan)
 
-    return _epsilon_family_verdict(f, x0, cfg, gap_at, "f(x0) escapes the enlargement of f(x)")
-
-
-def _epsilon_family_verdict(
-    f: SetValuedMap,
-    x0: Vec,
-    cfg: CheckerConfig,
-    gap_at: Callable[[Vec], tuple[Ext, Optional[Witness]]],
-    fail_note: str,
-) -> Verdict:
-    scan = _Scan(f, x0, cfg)
-    examined = 0
-    for eps in cfg.z_radii.values():
-        eps_sq = eps * eps
-
-        def violated(x: Vec, _e=eps_sq) -> Optional[bool]:
-            g, _ = gap_at(x)
-            return g > _e
-
-        kind, wit, levels = scan.classify(violated)
-        examined = max(examined, levels)
-        if kind == "persistent":
-            assert wit is not None
-            g, detail = gap_at(wit.x)
-            merged = Witness(
-                x=wit.x,
-                z=detail.z if detail else None,
+    kind, wit, eps, examined = _Scan(f, x0, cfg).sweep(
+        lambda eps: lambda x, _e=eps * eps: gap_at(x)[0] > _e
+    )
+    if kind == "persistent":
+        detail = gap_at(wit.x)[1] or Witness()
+        return Verdict.fails(
+            replace(
+                wit,
+                z=detail.z,
                 radius=eps,
-                direction=detail.direction if detail else None,
-                detail=fail_note,
-            )
-            return Verdict.fails(merged, resolution=examined)
-        if kind == "mixed":
-            return Verdict.inconclusive(
-                note=f"violations at radius {eps} neither persist nor vanish",
-                resolution=examined,
-            )
+                direction=detail.direction,
+                detail=f"{inner} escapes the enlargement of {outer}",
+            ),
+            resolution=examined,
+        )
+    if kind == "mixed":
+        return Verdict.inconclusive(
+            note=f"violations at radius {eps} neither persist nor vanish",
+            resolution=examined,
+        )
     return Verdict.holds(resolution=examined)
 
 
@@ -386,9 +379,8 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     empty_interior = v0.is_polyhedral and max(p.affine_dim for p in v0.pieces) < f.cone.dim
     if empty_interior:
         scan = _Scan(f, x0, cfg)
-        probes = _complement_probes(f, x0, v0, cfg)
-        for p in probes:
-            kind, wit, levels = scan.classify(lambda x, _p=p: member(f.evaluate(x), _p))
+        for p in _complement_probes(f, x0, v0, cfg):
+            kind, wit, levels = scan.classify(lambda x: member(f.evaluate(x), p))
             if kind == "persistent":
                 return Verdict.fails(
                     replace(wit, z=p, detail="a fixed outside point is hit arbitrarily close"),
@@ -426,28 +418,18 @@ def check_lc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     scan = _Scan(f, x0, cfg)
     examined = 0
     for z0 in _value_sample_points(v0, f.cone, cfg.window):
-        dist_cache: dict[Vec, Ext] = {}
-
-        def dist_sq_at(x: Vec, _z0=z0) -> Ext:
-            if x not in dist_cache:
-                dist_cache[x] = _point_gap_sq(f.evaluate(x), _z0, fan)
-            return dist_cache[x]
-
-        for eps in cfg.z_radii.values():
-            eps_sq = eps * eps
-
-            def violated(x: Vec, _e=eps_sq, _d=dist_sq_at) -> Optional[bool]:
-                return _d(x) > _e
-
-            kind, wit, levels = scan.classify(violated)
-            examined = max(examined, levels)
-            if kind == "persistent":
-                return Verdict.fails(
-                    replace(wit, z=z0, radius=eps, detail="values miss a ball around z0"),
-                    resolution=examined,
-                )
-            if kind == "mixed":
-                return Verdict.inconclusive(resolution=examined, note="undecided ball test")
+        dist_sq_at = cache(lambda x: _point_gap_sq(f.evaluate(x), z0, fan))
+        kind, wit, eps, levels = scan.sweep(
+            lambda eps: lambda x, _e=eps * eps: dist_sq_at(x) > _e
+        )
+        examined = max(examined, levels)
+        if kind == "persistent":
+            return Verdict.fails(
+                replace(wit, z=z0, radius=eps, detail="values miss a ball around z0"),
+                resolution=examined,
+            )
+        if kind == "mixed":
+            return Verdict.inconclusive(resolution=examined, note="undecided ball test")
     return Verdict.holds(resolution=examined)
 
 
@@ -461,17 +443,8 @@ def _point_gap_sq(v: UpperSet, z0: Vec, fan: Sequence[Vec]) -> Ext:
         return v.dist_sq(z0)
     if member(v, z0):
         return ZERO
-    worst: Ext = ZERO
-    for u in fan:
-        s = v.support(u)
-        if isinstance(s, float):
-            continue
-        gap = dot(u, z0) - s
-        if gap > 0:
-            g = gap * gap / norm2_sq(u)
-            if g > worst:
-                worst = g
-    return worst
+    # On C^- the support of the upper set z0 + C is u . z0.
+    return _support_gap_sq(partial(dot, z0), v.support, fan)[0]
 
 
 def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
@@ -491,11 +464,7 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     for anchor in anchors:
         for size in sizes:
             box = Polyhedron.box([(a - size, a + size) for a in anchor])
-
-            def missed(x: Vec, _b=box) -> Optional[bool]:
-                return _box_misses_value(f.evaluate(x), _b, fan)
-
-            kind, _, levels = scan.classify(missed)
+            kind, _, levels = scan.classify(lambda x: _box_misses_value(f.evaluate(x), box, fan))
             examined = max(examined, levels)
             if kind == "clean":
                 return Verdict.holds(
@@ -522,13 +491,10 @@ def _box_misses_value(v: UpperSet, box: Polyhedron, fan: Sequence[Vec]) -> Optio
         return True
     if v.is_polyhedral:
         return all(p.intersect(box).is_empty for p in v.pieces)
-    mids = box.minimal_face_points
-    center = tuple(
-        sum(p[i] for p in mids) / len(mids) for i in range(box.dim)
-    ) if mids else None
-    probes = list(mids)
-    if center is not None:
-        probes.append(center)
+    # The box's vertices and their centroid.
+    probes = list(box.minimal_face_points)
+    if probes:
+        probes.append(tuple(sum(p[i] for p in probes) / len(probes) for i in range(box.dim)))
     for p in probes:
         if member(v, p):
             return False
@@ -538,9 +504,7 @@ def _box_misses_value(v: UpperSet, box: Polyhedron, fan: Sequence[Vec]) -> Optio
         if isinstance(s, float):
             continue
         if all(dot(u, p) > s for p in probes):
-            box_min = min(dot(u, p) for p in probes)
-            if box_min > s:
-                return True
+            return True
     return None
 
 
@@ -554,38 +518,24 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     # Exists-a-neighborhood search, descending through the radius grid.
     for k, delta in enumerate(levels):
         certified = f.box_value_intersection(x0, delta)
-        if certified is not None:
-            if certified.is_empty:
-                continue
-            a = lp_feasible_point(list(certified.rows), f.cone.dim)
-            if a is not None:
-                return Verdict.holds(
-                    witness=Witness(z=a, radius=delta),
-                    note="row-wise box certificate",
-                    resolution=k,
-                )
-        else:
+        if certified is None:
             a = _sampled_common_point(f, x0, delta, dirs, fan, cfg)
-            if a is not None:
-                return Verdict.holds(
-                    witness=Witness(z=a, radius=delta),
-                    note="common point verified at sampled x",
-                    resolution=k,
-                )
+            note = "common point verified at sampled x"
+        else:
+            a = None if certified.is_empty else lp_feasible_point(list(certified.rows), f.cone.dim)
+            note = "row-wise box certificate"
+        if a is not None:
+            return Verdict.holds(witness=Witness(z=a, radius=delta), note=note, resolution=k)
     # Failure side: sampled intersections stay empty at the finest level and
     # at every confirmation level below it.
-    empty_everywhere = True
     for delta in levels[cfg.radii.levels :]:
-        stacked = _stacked_outer_rows(f, x0, delta, dirs, fan)
-        if stacked is None or lp_feasible_point(stacked, f.cone.dim) is not None:
-            empty_everywhere = False
-            break
-    if empty_everywhere:
-        return Verdict.fails(
-            Witness(x=x0, radius=levels[-1], detail="sampled values share no point"),
-            resolution=len(levels),
-        )
-    return Verdict.inconclusive(note="no common point found, emptiness not certified")
+        rows = _stacked_rows(map(f.evaluate, _sampled_xs(x0, delta, dirs)), fan)
+        if rows is not None and lp_feasible_point(rows, f.cone.dim) is not None:
+            return Verdict.inconclusive(note="no common point found, emptiness not certified")
+    return Verdict.fails(
+        Witness(x=x0, radius=levels[-1], detail="sampled values share no point"),
+        resolution=len(levels),
+    )
 
 
 def _sampled_xs(x0: Vec, delta: Fraction, dirs: Sequence[Vec], inner: int = 3) -> list[Vec]:
@@ -605,18 +555,11 @@ def _sampled_common_point(
     fan: Sequence[Vec],
     cfg: CheckerConfig,
 ) -> Optional[Vec]:
-    xs = _sampled_xs(x0, delta, dirs)
-    values = [f.evaluate(x) for x in xs]
+    values = [f.evaluate(x) for x in _sampled_xs(x0, delta, dirs)]
     if any(v.is_empty for v in values):
         return None
-    rows: list[Constraint] = []
     candidates: list[Vec] = []
-    for v in values:
-        if v.is_polyhedral and len(v.pieces) == 1:
-            rows.extend(v.pieces[0].rows)
-        else:
-            rows.extend(outer_polyhedron(v, fan).rows)
-    a = lp_feasible_point(rows, f.cone.dim)
+    a = lp_feasible_point(_stacked_rows(values, fan), f.cone.dim)
     if a is not None:
         candidates.append(a)
     candidates.extend(_value_sample_points(values[0], f.cone, cfg.window))
@@ -626,14 +569,15 @@ def _sampled_common_point(
     return None
 
 
-def _stacked_outer_rows(
-    f: SetValuedMap, x0: Vec, delta: Fraction, dirs: Sequence[Vec], fan: Sequence[Vec]
-) -> Optional[list[Constraint]]:
+def _stacked_rows(values: Iterable[UpperSet], fan: Sequence[Vec]) -> Optional[list[Constraint]]:
+    """Rows of a polyhedron containing the intersection of the values: a
+    one-piece value gives its own rows, any other its outer approximation on
+    the fan.  None at the first empty value, since then the values share no
+    point."""
     rows: list[Constraint] = []
-    for x in _sampled_xs(x0, delta, dirs):
-        v = f.evaluate(x)
+    for v in values:
         if v.is_empty:
-            return [((ZERO,) * f.cone.dim, Fraction(1))]
+            return None
         if v.is_polyhedral and len(v.pieces) == 1:
             rows.extend(v.pieces[0].rows)
         else:
@@ -660,12 +604,16 @@ def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 continue
             # Failure side at this (z0, eps): the sampled common set stays
             # farther than eps from z0 at every level plus confirmation.
-            if _uls_fails_everywhere(f, x0, z0, eps, dirs, fan, cfg):
-                return Verdict.fails(
-                    Witness(x=x0, z=z0, radius=eps, detail="no common point near z0"),
-                    resolution=examined,
-                )
-            return Verdict.inconclusive(resolution=examined, note="common-point search undecided")
+            for delta in cfg.radii.values(cfg.confirm_levels):
+                rows = _stacked_rows(map(f.evaluate, _sampled_xs(x0, delta, dirs)), fan)
+                if rows is not None and Polyhedron(f.cone.dim, rows).dist_sq(z0) <= eps * eps:
+                    return Verdict.inconclusive(
+                        resolution=examined, note="common-point search undecided"
+                    )
+            return Verdict.fails(
+                Witness(x=x0, z=z0, radius=eps, detail="no common point near z0"),
+                resolution=examined,
+            )
     return Verdict.holds(resolution=examined)
 
 
@@ -685,8 +633,7 @@ def _uls_search(
             if certified.dist_sq(z0) <= eps * eps:
                 return True, k
             continue
-        xs = _sampled_xs(x0, delta, dirs)
-        values = [f.evaluate(x) for x in xs]
+        values = [f.evaluate(x) for x in _sampled_xs(x0, delta, dirs)]
         if any(v.is_empty for v in values):
             continue
         for cand in _ball_candidates(z0, eps, f.cone):
@@ -710,25 +657,6 @@ def _ball_candidates(z0: Vec, eps: Fraction, cone: Cone) -> list[Vec]:
     return list(dict.fromkeys(out))
 
 
-def _uls_fails_everywhere(
-    f: SetValuedMap,
-    x0: Vec,
-    z0: Vec,
-    eps: Fraction,
-    dirs: Sequence[Vec],
-    fan: Sequence[Vec],
-    cfg: CheckerConfig,
-) -> bool:
-    for delta in cfg.radii.values(cfg.confirm_levels):
-        rows = _stacked_outer_rows(f, x0, delta, dirs, fan)
-        if rows is None:
-            return False
-        common = Polyhedron(f.cone.dim, rows)
-        if common.dist_sq(z0) <= eps * eps:
-            return False
-    return True
-
-
 def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Lower lattice semicontinuity: no point outside f(x0) is approached by
     nearby values arbitrarily closely."""
@@ -741,7 +669,7 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     for z0 in _outside_probes(f, x0, v0, cfg):
         # Failure side first: exact membership of z0 in values arbitrarily
         # close to x0 (persistence plus confirmation).
-        kind, wit, levels = scan.classify(lambda x, _z=z0: member(f.evaluate(x), _z))
+        kind, wit, levels = scan.classify(lambda x: member(f.evaluate(x), z0))
         examined = max(examined, levels)
         if kind == "persistent":
             return Verdict.fails(
@@ -749,19 +677,14 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 resolution=examined,
             )
         # Holds side: some (delta, eps) separates z0 from all nearby values.
-        separated = False
         for eps in cfg.z_radii.values():
-            eps_sq = eps * eps
-
-            def not_separated(x: Vec, _z=z0, _e=eps_sq) -> Optional[bool]:
-                return _point_gap_sq(f.evaluate(x), _z, fan) <= _e
-
-            kind2, _, levels2 = scan.classify(not_separated)
-            examined = max(examined, levels2)
-            if kind2 == "clean":
-                separated = True
+            kind, _, levels = scan.classify(
+                lambda x, _e=eps * eps: _point_gap_sq(f.evaluate(x), z0, fan) <= _e
+            )
+            examined = max(examined, levels)
+            if kind == "clean":
                 break
-        if not separated:
+        else:
             return Verdict.inconclusive(resolution=examined, note=f"probe {z0} undecided")
     return Verdict.holds(resolution=examined)
 
@@ -805,58 +728,20 @@ def check_scalar_semicontinuity(
     scan = _Scan(f, x0, cfg)
     examined = 0
     for zs in base.directions:
-        phi_cache: dict[Vec, Ext] = {}
-
-        def phi(x: Vec, _zs=zs) -> Ext:
-            if x not in phi_cache:
-                phi_cache[x] = scalarize_eval(f, _zs, x)
-            return phi_cache[x]
-
-        v0 = phi(x0)
-        verdict = _scalar_semicontinuity_for_direction(scan, phi, v0, mode, cfg)
-        examined = max(examined, verdict.resolution or 0)
-        if verdict.status is Status.FAILS:
-            return Verdict.fails(
-                replace(verdict.witness, direction=zs),
-                resolution=examined,
-                note=f"direction {zs}",
-            )
-        if verdict.status is Status.INCONCLUSIVE:
-            return Verdict.inconclusive(resolution=examined, note=f"direction {zs} undecided")
-    return Verdict.holds(resolution=examined)
-
-
-def _scalar_semicontinuity_for_direction(
-    scan: _Scan, phi: Callable[[Vec], Ext], v0: Ext, mode: str, cfg: CheckerConfig
-) -> Verdict:
-    if mode == "usc" and v0 == POS_INF:
-        return Verdict.holds(note="value +inf: automatically usc", resolution=0)
-    if mode == "lsc" and v0 == NEG_INF:
-        return Verdict.holds(note="value -inf: automatically lsc", resolution=0)
-    examined = 0
-    for eps in cfg.z_radii.values():
-        threshold: Ext
-        if mode == "usc":
-            threshold = -1 / eps if v0 == NEG_INF else v0 + eps
-
-            def violated(x: Vec, _t=threshold) -> Optional[bool]:
-                return phi(x) >= _t
-
-        else:
-            threshold = 1 / eps if v0 == POS_INF else v0 - eps
-
-            def violated(x: Vec, _t=threshold) -> Optional[bool]:
-                return phi(x) <= _t
-
-        kind, wit, levels = scan.classify(violated)
+        phi = cache(partial(scalarize_eval, f, zs))
+        # A value of +inf is automatically usc, one of -inf automatically lsc.
+        if phi(x0) == (POS_INF if mode == "usc" else NEG_INF):
+            continue
+        kind, wit, eps, levels = _scalar_scan(scan, {zs: phi}, mode)
         examined = max(examined, levels)
         if kind == "persistent":
             return Verdict.fails(
                 replace(wit, detail=f"{mode} gap of at least {eps} persists"),
                 resolution=examined,
+                note=f"direction {zs}",
             )
         if kind == "mixed":
-            return Verdict.inconclusive(resolution=examined)
+            return Verdict.inconclusive(resolution=examined, note=f"direction {zs} undecided")
     return Verdict.holds(resolution=examined)
 
 
@@ -876,96 +761,47 @@ def check_uniform(
     flags = certify_base(base)
     if not (flags["generates_dual"] and flags["inf_sup_positive"]):
         return Verdict.inconclusive(note="direction base failed certification")
-    phi0: dict[Vec, Ext] = {}
-    caches: dict[Vec, dict[Vec, Ext]] = {zs: {} for zs in base.directions}
-
-    def phi(zs: Vec, x: Vec) -> Ext:
-        c = caches[zs]
-        if x not in c:
-            c[x] = scalarize_eval(f, zs, x)
-        return c[x]
-
-    for zs in base.directions:
-        phi0[zs] = phi(zs, x0)
-    scan = _Scan(f, x0, cfg)
-    examined = 0
-    for eps in cfg.z_radii.values():
-
-        def violated(x: Vec, _e=eps) -> Optional[bool]:
-            for zs in base.directions:
-                v0 = phi0[zs]
-                vx = phi(zs, x)
-                if mode == "usc":
-                    if v0 == POS_INF:
-                        continue
-                    bound = -1 / _e if v0 == NEG_INF else v0 + _e
-                    if vx >= bound:
-                        return True
-                else:
-                    if v0 == NEG_INF:
-                        continue
-                    bound = 1 / _e if v0 == POS_INF else v0 - _e
-                    if vx <= bound:
-                        return True
-            return False
-
-        kind, wit, levels = scan.classify(violated)
-        examined = max(examined, levels)
-        if kind == "persistent":
-            assert wit is not None
-            bad = _uniform_witness_direction(f, base, phi, phi0, wit.x, eps, mode)
-            return Verdict.fails(
-                replace(wit, radius=eps, direction=bad, detail="no shared radius serves the base"),
-                resolution=examined,
-            )
-        if kind == "mixed":
-            return Verdict.inconclusive(resolution=examined, note="uniform condition undecided")
+    phis = {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
+    kind, wit, eps, examined = _scalar_scan(_Scan(f, x0, cfg), phis, mode)
+    if kind == "persistent":
+        return Verdict.fails(
+            replace(wit, radius=eps, detail="no shared radius serves the base"),
+            resolution=examined,
+        )
+    if kind == "mixed":
+        return Verdict.inconclusive(resolution=examined, note="uniform condition undecided")
     return Verdict.holds(resolution=examined)
 
 
-def _uniform_witness_direction(f, base, phi, phi0, x, eps, mode):
-    for zs in base.directions:
-        v0 = phi0[zs]
-        vx = phi(zs, x)
-        if mode == "usc":
-            if v0 == POS_INF:
-                continue
-            bound = -1 / eps if v0 == NEG_INF else v0 + eps
-            if vx >= bound:
-                return zs
-        else:
-            if v0 == NEG_INF:
-                continue
-            bound = 1 / eps if v0 == POS_INF else v0 - eps
-            if vx <= bound:
-                return zs
-    return None
+def _scalar_scan(
+    scan: _Scan, phis: dict[Vec, Callable[[Vec], Ext]], mode: str
+) -> tuple[str, Optional[Witness], Optional[Fraction], int]:
+    """Sweeps the scalar threshold of mode over the scalarizations phis (one
+    per direction) at once: x is violated at eps when some direction is.
+    Returns the sweep's (kind, witness, eps, examined); a persistent witness
+    names the first direction violated at its x."""
+    scalars = [(zs, phi, phi(scan.x0)) for zs, phi in phis.items()]
+
+    def violated_at(eps: Fraction) -> Callable[[Vec], bool]:
+        return lambda x: any(_scalar_violated(mode, v0, phi(x), eps) for _, phi, v0 in scalars)
+
+    kind, wit, eps, examined = scan.sweep(violated_at)
+    if kind == "persistent":
+        bad = next(zs for zs, phi, v0 in scalars if _scalar_violated(mode, v0, phi(wit.x), eps))
+        wit = replace(wit, direction=bad)
+    return kind, wit, eps, examined
 
 
-def check_bn(cone: Cone, window=Fraction(1)) -> Verdict:
-    """Condition: some bounded set B and neighborhood V satisfy V <= B - C.
+def _scalar_violated(mode: str, v0: Ext, vx: Ext, eps: Fraction) -> bool:
+    """Whether phi(x) = vx breaks the eps threshold around phi(x0) = v0.
 
-    The candidate pair is the window-scaled unit box B and unit ball V.
-    The inclusion reduces to a support comparison: on directions u in the
-    positive dual cone (where the support of -C vanishes) the ball support
-    w |u|_2 must stay below the box support w |u|_1; other directions are
-    unconstrained because the support of -C is +inf there.  The comparison
-    is verified exactly on the generators of the positive dual, and holds in
-    any finite-dimensional space (they are locally bounded).  A degenerate
-    window is flagged instead of decided.
+    usc breaks at vx >= v0 + eps (vx >= -1/eps when v0 = -inf) and lsc at
+    vx <= v0 - eps (vx <= 1/eps when v0 = +inf); v0 = +inf never breaks usc
+    and v0 = -inf never breaks lsc.
     """
-    w = frac(window)
-    if w <= 0:
-        return Verdict.inconclusive(note="degenerate window")
-    # Generators of the positive dual cone C* = -(C^-).
-    pd_gens = [tuple(-c for c in g) for g in dual_cone(cone).generators]
-    for u in pd_gens:
-        if norm2_sq(u) > norm1(u) * norm1(u):
-            return Verdict.inconclusive(note="support comparison failed unexpectedly")
-    return Verdict.holds(
-        witness=Witness(radius=w, detail="window box against window ball certificate"),
-        note="finite-dimensional spaces are locally bounded",
-    )
+    if mode == "usc":
+        return v0 != POS_INF and vx >= (-1 / eps if v0 == NEG_INF else v0 + eps)
+    return v0 != NEG_INF and vx <= (1 / eps if v0 == POS_INF else v0 - eps)
 
 
 # -- the matrix -------------------------------------------------------------------
@@ -1055,9 +891,10 @@ def verdict_matrix(
     }
     side = {
         "convex": bool(f.convex),
-        "convex_valued": True,
+        "convex_valued": f.convex_valued,
         "int_c": f.cone.has_interior,
-        "bn": check_bn(f.cone, cfg.window).is_holds,
+        # (BN) holds in every finite-dimensional space; see the module docstring.
+        "bn": True,
         "in_dom": not f.evaluate(x0).is_empty,
         "base_certified": bool(flags["generates_dual"] and flags["inf_sup_positive"]),
     }
@@ -1066,33 +903,34 @@ def verdict_matrix(
     return matrix
 
 
+def _implication_violated(matrix: VerdictMatrix, implication) -> bool:
+    _, guard, ante, cons = implication
+    return guard(matrix.side) and matrix.entries[ante].is_holds and matrix.entries[cons].is_fails
+
+
 def enforce_diagram(matrix: VerdictMatrix) -> list[str]:
-    """Downgrades verdict pairs that contradict a proven implication."""
+    """Downgrades verdict pairs that contradict a proven implication.
+
+    Implications are applied in IMPLICATIONS order, each to the entries as
+    the earlier ones left them, so a pair downgraded early can keep a later
+    implication from firing.
+    """
     violations: list[str] = []
-    for name, guard, ante, cons in IMPLICATIONS:
-        if not guard(matrix.side):
+    for implication in IMPLICATIONS:
+        if not _implication_violated(matrix, implication):
             continue
-        va, vc = matrix.entries[ante], matrix.entries[cons]
-        if va.is_holds and vc.is_fails:
-            violations.append(name)
-            matrix.artifacts.append(
-                f"implication violated at resolution: {name}; both entries downgraded"
-            )
-            matrix.entries[ante] = Verdict.inconclusive(
-                note=f"downgraded: {name}", resolution=va.resolution
-            )
-            matrix.entries[cons] = Verdict.inconclusive(
-                note=f"downgraded: {name}", resolution=vc.resolution
+        name, _, ante, cons = implication
+        violations.append(name)
+        matrix.artifacts.append(
+            f"implication violated at resolution: {name}; both entries downgraded"
+        )
+        for key in (ante, cons):
+            matrix.entries[key] = Verdict.inconclusive(
+                note=f"downgraded: {name}", resolution=matrix.entries[key].resolution
             )
     return violations
 
 
 def diagram_violations(matrix: VerdictMatrix) -> list[str]:
     """Names of implications violated by decisive entries (no downgrading)."""
-    out = []
-    for name, guard, ante, cons in IMPLICATIONS:
-        if not guard(matrix.side):
-            continue
-        if matrix.entries[ante].is_holds and matrix.entries[cons].is_fails:
-            out.append(name)
-    return out
+    return [imp[0] for imp in IMPLICATIONS if _implication_violated(matrix, imp)]

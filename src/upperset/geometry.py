@@ -40,7 +40,7 @@ from .linalg import (
     vsub,
     zeros,
 )
-from .simplex import Constraint, LPResult, LPStatus, lp_feasible_point, lp_support, solve_lp
+from .simplex import Constraint, LPStatus, lp_feasible_point, lp_support, solve_lp
 
 
 class DimensionMismatch(ValueError):
@@ -181,10 +181,6 @@ def dual_cone(c: Cone) -> Cone:
     normals = [tuple(-x for x in g) for g in c.generators]
     gens = tuple(_cone_rays(list(normals), c.dim))
     return Cone._build(c.dim, gens, tuple(n for n in normals if not is_zero(n)), False)
-
-
-def cone_contains(c: Cone, z) -> bool:
-    return c.contains(z)
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:
@@ -524,16 +520,6 @@ class Polyhedron:
             if res.status is LPStatus.OPTIMAL and res.value < b:
                 return res.point
         return None
-
-
-def lp_solve(objective, p: Polyhedron, sense: str = "max") -> LPResult:
-    """Optimize an exact linear objective over a polyhedron."""
-    return solve_lp(vec(objective), list(p.rows), sense=sense)
-
-
-def support_value(p: Polyhedron, zstar) -> Ext:
-    """sup { z*.z : z in p }: -inf for empty p, +inf when unbounded."""
-    return p.support(zstar)
 
 
 def fourier_motzkin(rows: list[tuple[Vec, Fraction]], eliminate: int) -> list[tuple[Vec, Fraction]]:

@@ -46,10 +46,6 @@ def vec(values: Iterable) -> Vec:
     return tuple(frac(v) for v in values)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 
@@ -70,10 +66,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
 
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
 
 
 def vscale(t: Fraction, a: Vec) -> Vec:

@@ -145,6 +145,16 @@ def _body_convex(body: Body) -> bool:
     return False
 
 
+def _body_convex_valued(body: Body) -> bool:
+    """Affine values are single polyhedra and scaled values are copies of the
+    base; only a polyhedral base with several pieces can be non-convex."""
+    if isinstance(body, AffineBody):
+        return True
+    if isinstance(body, ScaledBody):
+        return body.base.is_convex
+    return _body_convex_valued(body.when_true) and _body_convex_valued(body.when_false)
+
+
 def _is_constant_empty(body: Body) -> bool:
     if not isinstance(body, AffineBody):
         return False
@@ -193,6 +203,7 @@ class SetValuedMap:
         self.declared_domain = declared_domain
         self.name = name
         self.convex = _body_convex(body) if convex is None else convex
+        self.convex_valued = _body_convex_valued(body)
         self._value_cache: dict[Vec, UpperSet] = {}
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -12,16 +12,13 @@ from upperset.geometry import (
     DualPair,
     OrderConeError,
     Polyhedron,
-    cone_contains,
     cones_equal,
     dual_cone,
     fourier_motzkin,
-    lp_solve,
     project_out,
-    support_value,
 )
 from upperset.linalg import NEG_INF, POS_INF, dot, vec
-from upperset.simplex import LPStatus
+from upperset.simplex import LPStatus, solve_lp
 
 
 def F(x):
@@ -89,23 +86,23 @@ class TestDualCone:
 
 class TestConeContains:
     def test_origin(self):
-        assert cone_contains(ORTHANT_2D, [0, 0])
+        assert ORTHANT_2D.contains([0, 0])
 
     def test_ray_cone_member(self):
-        assert cone_contains(RAY_CONE, [0, 3])
+        assert RAY_CONE.contains([0, 3])
 
     def test_ray_cone_nonmember(self):
-        assert not cone_contains(RAY_CONE, [1, 0])
+        assert not RAY_CONE.contains([1, 0])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            cone_contains(ORTHANT_2D, [1, 2, 3])
+            ORTHANT_2D.contains([1, 2, 3])
 
 
 class TestSupportValue:
     def test_orthant(self):
         p = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])
-        assert support_value(p, [-1, -1]) == 0
+        assert p.support([-1, -1]) == 0
 
     def test_shifted_halfplane(self):
         p = Polyhedron(2, [([1, 1], 2)])
@@ -117,14 +114,14 @@ class TestSupportValue:
             if a + b >= 2
         )
         assert best == -2
-        assert support_value(p, [-1, -1]) == -2
+        assert p.support([-1, -1]) == -2
 
     def test_empty(self):
-        assert support_value(Polyhedron.empty(2), [1, 0]) == NEG_INF
+        assert Polyhedron.empty(2).support([1, 0]) == NEG_INF
 
     def test_unbounded(self):
         p = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])
-        assert support_value(p, [1, 0]) == POS_INF
+        assert p.support([1, 0]) == POS_INF
 
     def test_sublinearity_random(self):
         rng = random.Random(7)
@@ -145,16 +142,16 @@ class TestSupportValue:
 class TestLpSolve:
     def test_optimal(self):
         p = Polyhedron(1, [([1], 0), ([-1], -1)])
-        res = lp_solve([1], p)
+        res = solve_lp(vec([1]), list(p.rows))
         assert res.status is LPStatus.OPTIMAL
         assert res.value == 1 and res.point == (F(1),)
 
     def test_unbounded(self):
-        res = lp_solve([1], Polyhedron(1, [([1], 0)]))
+        res = solve_lp(vec([1]), list(Polyhedron(1, [([1], 0)]).rows))
         assert res.status is LPStatus.UNBOUNDED
 
     def test_infeasible(self):
-        res = lp_solve([1], Polyhedron(1, [([1], 1), ([-1], 0)]))
+        res = solve_lp(vec([1]), list(Polyhedron(1, [([1], 1), ([-1], 0)]).rows))
         assert res.status is LPStatus.INFEASIBLE
 
 
