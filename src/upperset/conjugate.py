@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import Cone, DualPair, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, frac, vec
+from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
 from .sets import UpperSet
 from .simplex import LPStatus, solve_lp
 
@@ -71,19 +71,12 @@ class PiecewiseLinearFn:
         return POS_INF
 
     @property
-    def is_proper(self) -> bool:
-        return not self.minus_inf_regions and bool(self.pieces)
-
-    @property
     def improper_below(self) -> bool:
         return bool(self.minus_inf_regions)
 
     @property
     def never_finite(self) -> bool:
         return not self.pieces
-
-    def domain_regions(self) -> list[Polyhedron]:
-        return [p.region for p in self.pieces]
 
     def kinks_1d(self) -> list[Fraction]:
         """Breakpoint/endpoint candidates of a univariate instance."""
@@ -95,23 +88,6 @@ class PiecewiseLinearFn:
                 if n[0] != 0:
                     pts.add(b / n[0])
         return sorted(pts)
-
-    def infimum(self) -> Ext:
-        """inf over R^dim, exactly (per-piece LPs)."""
-        if self.minus_inf_regions:
-            return NEG_INF
-        if not self.pieces:
-            return POS_INF
-        best: Ext = POS_INF
-        for p in self.pieces:
-            res = solve_lp(p.coeffs, list(p.region.rows), sense="min")
-            if res.status is LPStatus.UNBOUNDED:
-                return NEG_INF
-            if res.status is LPStatus.OPTIMAL:
-                v = res.value + p.const
-                if v < best:
-                    best = v
-        return best
 
 
 def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:

@@ -1,4 +1,4 @@
-"""Ground-truth-labeled fixture maps and their certificates.
+"""Ground-truth-labeled fixture maps and seeded random inputs.
 
 Four classical counterexample maps, three bivariate duality fixtures, and
 seeded random-map generators.  Each fixture carries partial expected
@@ -22,15 +22,14 @@ continuity behavior each map is known for:
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .duality import BivariateMap
-from .geometry import Cone, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, frac, vec
+from .geometry import Cone
+from .linalg import POS_INF, ZERO, Ext, Vec, frac
 from .maps import (
     AffineBody,
     AffineForm,
@@ -290,18 +289,6 @@ def fixture_by_id(fixture_id: str) -> Fixture:
     raise KeyError(f"unknown builtin fixture {fixture_id!r}")
 
 
-def pl_fixtures() -> list[Fixture]:
-    """Fixtures whose scalarizations admit exact piecewise-linear closed
-    forms (constant-normal affine bodies throughout)."""
-    return [
-        ray_translate_fixture(),
-        orthant_halfline_fixture(),
-        abs_bivariate_fixture(),
-        pl_profile_fixture(),
-        abs_pair_fixture(),
-    ]
-
-
 # -- random generators ---------------------------------------------------------
 
 
@@ -356,75 +343,3 @@ def random_dual_pairs(seed: int, count: int, cone: Cone, ystar_dim: int) -> list
         ys = tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(ystar_dim))
         pairs.append((ys, zs))
     return pairs
-
-
-# -- the separation certificate ---------------------------------------------------
-
-
-def parabola_separation_certificate(epsilon) -> dict:
-    """A dilation-escape certificate for the parabola-bounded set.
-
-    Returns the smallest positive integer t for which the tangent-distance
-    value eps t^2 / sqrt(1 + 4 t^2) exceeds 1, verified exactly through the
-    squared comparison (eps t^2)^2 > 1 + 4 t^2, plus a numerically computed
-    distance of the dilated point (1 + eps)(-t, t^2) to the base set, which
-    must also exceed 1.  The tangent distance underestimates the true
-    distance, and grows without bound in t.
-    """
-    eps = frac(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    t = 1
-    while (eps * t * t) ** 2 <= 1 + 4 * t * t:
-        t += 1
-        if t > 10**6:
-            raise AssertionError("certificate search runaway")
-    tf = Fraction(t)
-    point = ((1 + eps) * (-tf), (1 + eps) * tf * tf)
-    tangent_sq = (eps * tf * tf) ** 2 / (1 + 4 * tf * tf)
-    dist = _distance_to_parabola_set(float(point[0]), float(point[1]))
-    return {
-        "epsilon": eps,
-        "t": t,
-        "tangent_value_sq": tangent_sq,
-        "tangent_value": math.sqrt(float(tangent_sq)),
-        "point": point,
-        "distance": dist,
-        "certified": tangent_sq > 1 and dist > 1,
-    }
-
-
-def _distance_to_parabola_set(p: float, q: float) -> float:
-    """Euclidean distance from (p, q) to {z2 >= z1^2} + orthant, numerically.
-
-    The boundary consists of the parabola arc on z1 <= 0 and the two orthant
-    edges; a dense scan plus ternary refinement over the arc parameter is
-    accurate far beyond the certificate's 1e-6 tolerance.
-    """
-    if (p >= 0 and q >= 0) or (p < 0 and q >= p * p):
-        return 0.0
-
-    def arc_dist(s: float) -> float:
-        return math.hypot(p - s, q - s * s)
-
-    lo, hi = -abs(p) - abs(q) - 2.0, 0.0
-    best = min(arc_dist(lo + (hi - lo) * k / 400) for k in range(401))
-    width = (hi - lo) / 400
-    center = min(
-        (lo + (hi - lo) * k / 400 for k in range(401)), key=arc_dist
-    )
-    a, b = center - width, center + width
-    for _ in range(200):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        if arc_dist(m1) <= arc_dist(m2):
-            b = m2
-        else:
-            a = m1
-    best = min(best, arc_dist((a + b) / 2))
-    # Orthant edges: {z1 >= 0, z2 = 0} and {z1 = 0, z2 >= 0}.
-    best = min(best, math.hypot(max(0.0, -p) if p < 0 else 0.0, q) if q < 0 else best)
-    if q < 0:
-        edge1 = math.hypot(0.0, q) if p >= 0 else math.hypot(p, q)
-        best = min(best, edge1)
-    return best

@@ -15,7 +15,9 @@ Everything here runs on exact piecewise-linear closed forms: the per
 direction scalar problems are linear programs, the attained dual vector is
 read off the exact LP dual and re-verified against the conjugate identity,
 and equality of the two sides is certified by support values on the
-direction base.
+direction base.  There is no sampled fallback: a map whose scalarizations
+have no closed form (a tilting normal or a scaled base) is refused with
+DualityError, by ``marginal`` as by every other entry point here.
 """
 
 from __future__ import annotations
@@ -24,34 +26,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conjugate import (
-    NegConjugateValue,
-    PiecewiseLinearFn,
-    neg_conjugate_scalar_route,
-    scalar_conjugate,
-)
+from .conjugate import PiecewiseLinearFn, neg_conjugate_scalar_route, scalar_conjugate
 from .geometry import Cone, DualPair, Polyhedron
-from .linalg import (
-    NEG_INF,
-    POS_INF,
-    ZERO,
-    Ext,
-    Vec,
-    dot,
-    format_scalar,
-    frac,
-    vec,
-)
-from .maps import SetValuedMap
+from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, format_scalar, vec
+from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
-from .sets import (
-    UpperSet,
-    hausdorff_sq_window,
-    lattice_inf,
-    lattice_sup,
-    member,
-    set_order_leq,
-)
+from .sets import UpperSet, hausdorff_sq_window, lattice_sup
 from .simplex import Constraint, LPStatus, lp_feasible_point, solve_lp
 from .verdict import Status, Verdict, Witness
 
@@ -81,8 +61,6 @@ class BivariateMap:
 
     def slice_at(self, x0) -> SetValuedMap:
         """The map y -> f(x0, y) for constant-normal affine bodies."""
-        from .maps import AffineBody
-
         body = self.map.body
         if not isinstance(body, AffineBody) or not body.fixed_normals:
             raise DualityError("slices require a constant-normal affine body")
@@ -104,18 +82,6 @@ class BivariateMap:
             ),
             name=f"{self.map.name or 'bivariate'}-slice",
         )
-
-
-def dyadic_grid(dim: int, splits: int, radius: Fraction = Fraction(8)) -> list[Vec]:
-    """Uniform dyadic grid on [-radius, radius]^dim with 2^splits steps per
-    axis; nested across refinements, so grid suprema grow monotonically."""
-    steps = 2**splits
-    axis = [(-radius) + Fraction(2 * radius * k, steps) for k in range(steps + 1)]
-    if dim == 1:
-        return [(a,) for a in axis]
-    if dim == 2:
-        return [(a, b) for a in axis for b in axis]
-    raise ValueError("dyadic grids are supported up to two dimensions")
 
 
 def marginal_scalarization(f: BivariateMap, zstar, y) -> Ext:
@@ -163,59 +129,22 @@ def _fix_tail(rows: Sequence[Constraint], n_free: int, fixed: Vec) -> list[Const
     return out
 
 
-def marginal(
-    f: BivariateMap,
-    y,
-    x_grid: Sequence[Vec] | None = None,
-    base: DirectionBase | None = None,
-) -> UpperSet:
-    """The marginal value f_X(y).
+def marginal(f: BivariateMap, y, base: DirectionBase | None = None) -> UpperSet:
+    """The marginal value f_X(y), assembled from the marginal scalarization
+    offsets over the base.
 
-    For constant-normal affine bodies the exact set is assembled from the
-    marginal scalarization offsets over the base (exact whenever the base
-    contains the facet normals, which holds for every packaged fixture);
-    otherwise the closed union over the sample grid is returned as an inner
-    approximation.
+    Exact whenever the base contains the facet normals, which holds for
+    every packaged fixture.  Raises DualityError, as marginal_scalarization
+    does, for a map with no closed-form scalarization.
     """
     yv = vec(y)
     base = base or DirectionBase.default(f.cone, 16)
-    try:
-        rows: list[Constraint] = []
-        empty = False
-        for u in base.directions:
-            v = marginal_scalarization(f, u, yv)
-            if v == POS_INF:
-                empty = True
-                break
-            if v == NEG_INF:
-                continue
-            rows.append((tuple(-c for c in u), v))
-        if empty:
-            return UpperSet.empty(f.cone)
-        return UpperSet(f.cone, pieces=[Polyhedron(f.cone.dim, rows)])
-    except DualityError:
-        if x_grid is None:
-            x_grid = dyadic_grid(f.n, 5)
-        return marginal_inner_union(f, yv, x_grid)
+    return UpperSet.from_supports(
+        f.cone, ((u, -marginal_scalarization(f, u, yv)) for u in base.directions)
+    )
 
 
-def marginal_inner_union(f: BivariateMap, y, x_grid: Sequence[Vec]) -> UpperSet:
-    values = []
-    yv = vec(y)
-    for x in x_grid:
-        v = f.evaluate(x, yv)
-        if not v.is_empty:
-            values.append(v)
-    if not values:
-        return UpperSet.empty(f.cone)
-    return lattice_inf(values)
-
-
-def weak_duality_check(
-    f: BivariateMap,
-    pairs: Sequence[tuple[Vec, Vec]],
-    samples: Sequence[Vec] | None = None,
-) -> Verdict:
+def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Verdict:
     """f_X(0) inside (-f*)((0, y*), z*) for every pair, exactly.
 
     A failure here indicates an implementation bug, not a mathematical
@@ -250,16 +179,6 @@ def weak_duality_check(
                 resolution=checked,
             )
         checked += 1
-        if samples:
-            lhs_inner = marginal_inner_union(f, y0, samples)
-            if lhs_inner.is_polyhedral:
-                for piece in lhs_inner.pieces:
-                    for pt in piece.minimal_face_points:
-                        if not member(conj.value, pt):
-                            return Verdict.fails(
-                                Witness(z=pt, direction=zs, detail="inner point escapes"),
-                                resolution=checked,
-                            )
     return Verdict.holds(resolution=checked, note="inclusion exact on all pairs")
 
 
@@ -355,8 +274,8 @@ def fundamental_duality(
     family = DualFamily()
     halfspaces: list[UpperSet] = []
     support_table: list[dict] = []
-    lhs_rows: list[Constraint] = []
-    lhs_empty = False
+    # Support values of f_X(0) in the directions that bound it; -inf makes it empty.
+    supports: list[tuple[Vec, Ext]] = []
     for zs in base.directions:
         phi = piecewise_scalarization(f.map, zs)
         if phi is None:
@@ -371,7 +290,7 @@ def fundamental_duality(
             family.properness[zs] = "degenerate"
             row["status"] = "degenerate"
             support_table.append(row)
-            lhs_empty = True
+            supports.append((zs, NEG_INF))
             continue
         v = _pl_partial_infimum(phi, f.n, (ZERO,) * f.p)
         if v == NEG_INF:
@@ -383,7 +302,7 @@ def fundamental_duality(
             family.properness[zs] = "infeasible-at-0"
             row["status"] = "infeasible-at-0"
             support_table.append(row)
-            lhs_empty = True
+            supports.append((zs, NEG_INF))
             continue
         family.properness[zs] = "proper"
         ystar = _attained_dual_vector(phi, f.n, f.p, v)
@@ -401,7 +320,7 @@ def fundamental_duality(
                 f"{format_scalar(conj.offset)} vs {format_scalar(-v)}"
             )
         halfspaces.append(conj.value)
-        lhs_rows.append((tuple(-c for c in zs), v))
+        supports.append((zs, -v))
         row.update(
             {
                 "status": "proper",
@@ -412,13 +331,12 @@ def fundamental_duality(
         )
         support_table.append(row)
 
-    if lhs_empty:
-        lhs: UpperSet = UpperSet.empty(f.cone)
-    else:
-        lhs = UpperSet(f.cone, pieces=[Polyhedron(f.cone.dim, lhs_rows)])
+    lhs = UpperSet.from_supports(f.cone, supports)
     rhs = lattice_sup(halfspaces) if halfspaces else UpperSet.universal(f.cone)
     win = Polyhedron.box([(-window, window)] * f.cone.dim)
-    gap_sq = hausdorff_sq_window(lhs, rhs, win) if not lhs_empty else ZERO
+    # The gap is zero when a direction certified f_X(0) empty.
+    lhs_empty = any(s == NEG_INF for _, s in supports)
+    gap_sq = ZERO if lhs_empty else hausdorff_sq_window(lhs, rhs, win)
     return DualityReport(
         x0=x0,
         lhs=lhs,
@@ -489,36 +407,3 @@ def _dual_probes(candidate: Sequence[Fraction]) -> list[Vec]:
         probes.append(tuple(candidate))
         probes.append(tuple(ZERO for _ in candidate))
     return probes
-
-
-def marginal_convexity(f: BivariateMap, plan=None) -> Verdict:
-    """Convexity transfer: the marginal of a convex bivariate map is convex.
-
-    Verified through the underlying map's convexity flag plus a sampled
-    midpoint test of the marginal values (exact comparisons on the exact
-    marginal representation).
-    """
-    from .maps import SamplePlan
-
-    plan = plan or SamplePlan(seed=11, count=12, radius=Fraction(3))
-    pts = plan.points(f.p)
-    ts = plan.weights()
-    from .sets import minkowski_sum, scale
-
-    examined = 0
-    for i in range(0, len(pts) - 1, 2):
-        y1, y2 = pts[i], pts[i + 1]
-        t = ts[i // 2] if i // 2 < len(ts) else Fraction(1, 2)
-        m1, m2 = marginal(f, y1), marginal(f, y2)
-        if m1.is_empty or m2.is_empty:
-            continue
-        mid = tuple(t * a + (1 - t) * b for a, b in zip(y1, y2))
-        rhs = minkowski_sum(scale(m1, t), scale(m2, 1 - t))
-        cmpres = set_order_leq(marginal(f, mid), rhs)
-        examined += 1
-        if not cmpres.value:
-            return Verdict.fails(
-                Witness(x=mid, detail=f"marginal midpoint violation for {y1}, {y2}, t={t}"),
-                resolution=examined,
-            )
-    return Verdict.holds(resolution=examined)

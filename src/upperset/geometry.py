@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (
-    NEG_INF,
     POS_INF,
     ZERO,
     Ext,
@@ -165,13 +164,6 @@ class Cone:
         _check_dim(self.dim, v)
         return all(dot(n, v) >= 0 for n in self.halfspaces)
 
-    def dual(self) -> "Cone":
-        return dual_cone(self)
-
-    def dual_generators(self) -> Mat:
-        """Generators of C^- = {u : u.g <= 0 for all g in C}."""
-        return self.dual().generators
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Cone(dim={self.dim}, generators={len(self.generators)})"
 
@@ -300,10 +292,6 @@ class Polyhedron:
         if d not in cache:
             cache[d] = lp_support(d, list(self.rows))
         return cache[d]
-
-    def maximizer(self, direction) -> Vec | None:
-        res = solve_lp(vec(direction), list(self.rows), sense="max")
-        return res.point if res.status is LPStatus.OPTIMAL else None
 
     @cached_property
     def lineality(self) -> list[Vec]:

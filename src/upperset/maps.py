@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import Cone, Polyhedron, project_out
 from .linalg import (
@@ -110,6 +110,14 @@ class AffineBody:
             for i in range(len(self.normals))
         ]
 
+    def graph_rows(self) -> list[Constraint]:
+        """The graph {(x, z) : N z >= q + L x} of a constant-normal body, as
+        rows (-l_i, n_i) . (x, z) >= q_i."""
+        return [
+            (tuple(-c for c in l) + tuple(n), q)
+            for n, q, l in zip(self.normals, self.offsets, self.x_coeffs)
+        ]
+
 
 @dataclass(frozen=True)
 class ScaledBody:
@@ -127,11 +135,38 @@ class PiecewiseBody:
 Body = AffineBody | ScaledBody | PiecewiseBody
 
 
+def _body_leaves(
+    body: Body, region_rows: Sequence[Constraint] = ()
+) -> Iterator[tuple[list[Constraint], Body]]:
+    """(region rows, leaf body) for every leaf of the guard tree, true branch
+    first: the true branch's region gains the guard row, the false
+    branch's its negation."""
+    if isinstance(body, PiecewiseBody):
+        g, h = body.guard
+        yield from _body_leaves(body.when_true, [*region_rows, (g, h)])
+        yield from _body_leaves(body.when_false, [*region_rows, (tuple(-c for c in g), -h)])
+    else:
+        yield list(region_rows), body
+
+
+def _guard_side(guard: Constraint, x0: Vec, r: Fraction) -> Optional[bool]:
+    """The guard's value on the whole l-inf box of radius r around x0, or
+    None when the box straddles the guard."""
+    g, h = guard
+    center, reach = dot(g, x0), r * norm1(g)
+    if center - reach >= h:
+        return True
+    if center + reach < h:
+        return False
+    return None
+
+
 def _body_convex(body: Body) -> bool:
     if isinstance(body, AffineBody):
         return body.fixed_normals
     if isinstance(body, ScaledBody):
-        return True
+        # alpha(x) A has a convex graph exactly when the base A is convex.
+        return body.base.is_convex
     # A piecewise map with one constant-empty branch is convex exactly when
     # the other branch is: empty values make the convexity condition vacuous.
     t_empty = _is_constant_empty(body.when_true)
@@ -240,46 +275,28 @@ class SetValuedMap:
         branch = body.when_true if dot(n, x) >= b else body.when_false
         return self._evaluate_body(branch, x)
 
-    def active_affine_body(self, x: Vec) -> Optional[AffineBody]:
-        """The affine body governing f at x, when there is one."""
-        body = self.body
-        while isinstance(body, PiecewiseBody):
-            n, b = body.guard
-            body = body.when_true if dot(n, x) >= b else body.when_false
-        return body if isinstance(body, AffineBody) else None
-
     # -- domain --------------------------------------------------------------
 
     def domain_pieces(self) -> list[Polyhedron]:
-        """Polyhedra whose union is dom f = {x : f(x) nonempty}."""
-        return self._domain_of(self.body, [])
+        """Nonempty polyhedra whose union is dom f = {x : f(x) nonempty}."""
+        pieces = [self._domain_of(leaf, rows) for rows, leaf in _body_leaves(self.body)]
+        return [p for p in pieces if p is not None and not p.is_empty]
 
-    def _domain_of(self, body: Body, region_rows: list[Constraint]) -> list[Polyhedron]:
+    def _domain_of(self, body: Body, region_rows: list[Constraint]) -> Optional[Polyhedron]:
+        """Where a leaf's value is nonempty within its region; None when the
+        leaf is empty throughout."""
         n = self.domain_dim
-        if isinstance(body, AffineBody):
-            if _is_constant_empty(body):
-                return []
-            if not body.fixed_normals:
-                if self.declared_domain is not None:
-                    return [self.declared_domain.intersect(Polyhedron(n, region_rows))]
-                return [Polyhedron(n, region_rows)]
-            m = self.cone.dim
-            lifted = [
-                (tuple(list(tuple(-c for c in body.x_coeffs[i])) + list(body.normals[i])), body.offsets[i])
-                for i in range(len(body.normals))
-            ]
-            lifted += [(tuple(list(r) + [ZERO] * m), b) for r, b in region_rows]
-            proj = project_out(Polyhedron(n + m, lifted), list(range(n, n + m)))
-            return [] if proj.is_empty else [proj]
         if isinstance(body, ScaledBody):
-            rows = region_rows + [(body.alpha.coeffs, -body.alpha.const)]
-            p = Polyhedron(n, rows)
-            return [] if p.is_empty or body.base.is_empty else [p]
-        g, h = body.guard
-        true_side = self._domain_of(body.when_true, region_rows + [(g, h)])
-        neg = (tuple(-c for c in g), -h)
-        false_side = self._domain_of(body.when_false, region_rows + [neg])
-        return [p for p in true_side + false_side if not p.is_empty]
+            p = Polyhedron(n, region_rows + [(body.alpha.coeffs, -body.alpha.const)])
+            return None if p.is_empty or body.base.is_empty else p
+        if _is_constant_empty(body):
+            return None
+        if not body.fixed_normals:
+            region = Polyhedron(n, region_rows)
+            return region if self.declared_domain is None else self.declared_domain.intersect(region)
+        pad = (ZERO,) * self.cone.dim
+        lifted = body.graph_rows() + [(tuple(r) + pad, b) for r, b in region_rows]
+        return project_out(Polyhedron(n + self.cone.dim, lifted), list(range(n, n + self.cone.dim)))
 
     def in_domain(self, x) -> bool:
         return not self.evaluate(x).is_empty
@@ -295,17 +312,11 @@ class SetValuedMap:
         falls back to sampled intersections).
         """
         body = self.body
-        rows_region: list[Constraint] = []
         while isinstance(body, PiecewiseBody):
-            g, h = body.guard
-            m1 = dot(g, x0) - radius * norm1(g)
-            m2 = dot(g, x0) + radius * norm1(g)
-            if m1 >= h:
-                body = body.when_true
-            elif m2 < h:
-                body = body.when_false
-            else:
+            side = _guard_side(body.guard, x0, radius)
+            if side is None:
                 return None
+            body = body.when_true if side else body.when_false
         if not isinstance(body, AffineBody) or not body.fixed_normals:
             return None
         if _is_constant_empty(body):
@@ -385,30 +396,17 @@ def convexity_check(f: SetValuedMap, plan: SamplePlan | None = None) -> Verdict:
     return Verdict.holds(resolution=examined, note="sampled midpoint grid")
 
 
-def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
-    """Exact check that box(x0, r) x box(z0, r) lies inside the graph."""
-    body = f.body
-    while isinstance(body, PiecewiseBody):
-        g, h = body.guard
-        lo = dot(g, x0) - r * norm1(g)
-        hi = dot(g, x0) + r * norm1(g)
-        if lo >= h:
-            body = body.when_true
-        elif hi < h:
-            body = body.when_false
-        else:
-            # The box straddles the guard: both branches must contain it.
-            return _branch_box_in_graph(f, body.when_true, x0, z0, r) and _branch_box_in_graph(
-                f, body.when_false, x0, z0, r
-            )
-    return _branch_box_in_graph(f, body, x0, z0, r)
-
-
-def _branch_box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fraction) -> bool:
+def _box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fraction) -> bool:
+    """Exact check that box(x0, r) x box(z0, r) lies inside the graph of
+    ``body``.  A guard the x-box lies on one side of selects that branch;
+    a straddled guard needs both branches to contain the box."""
     if isinstance(body, PiecewiseBody):
-        return _branch_box_in_graph(f, body.when_true, x0, z0, r) and _branch_box_in_graph(
-            f, body.when_false, x0, z0, r
-        )
+        side = _guard_side(body.guard, x0, r)
+        if side is None:
+            branches = (body.when_true, body.when_false)
+        else:
+            branches = (body.when_true if side else body.when_false,)
+        return all(_box_in_graph(f, b, x0, z0, r) for b in branches)
     if isinstance(body, AffineBody):
         if _is_constant_empty(body):
             return False
@@ -484,7 +482,7 @@ def graph_interior_witness(
     candidates = _interior_candidates(f, x0, radii[0])
     for z0 in candidates:
         for r in radii:
-            if _box_in_graph(f, x0, z0, r):
+            if _box_in_graph(f, f.body, x0, z0, r):
                 return Verdict.holds(
                     witness=Witness(x=x0, z=z0, radius=r),
                     note="product box certified inside the graph",

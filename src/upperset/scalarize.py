@@ -7,7 +7,11 @@ The scalarization of a map f in a dual direction z* is
 the negative support value of f(x); it is +inf exactly where f(x) is empty
 and -inf where the support is unbounded.  A convex-valued map is recovered
 from its scalarizations as an intersection of halfspaces, which this module
-realizes over finite direction bases.
+realizes over finite direction bases: ``reconstruct`` intersects the
+halfspaces {z : u.z <= -phi_u(x)} over the base, an outer approximation of
+f(x) that is exact once the base holds the value's facet normals.  Maps
+built from constant-normal affine branches also get exact piecewise-linear
+closed forms of their scalarizations (``piecewise_scalarization``).
 
 Direction bases are rational vectors spanning the negative dual cone of the
 ordering cone: convex blends between consecutive extreme rays (a uniform
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .conjugate import AffinePiece, PiecewiseLinearFn
 from .geometry import Cone, Polyhedron, dual_cone, project_out
@@ -39,7 +43,7 @@ from .linalg import (
     scale_to_canonical,
     vec,
 )
-from .maps import AffineBody, PiecewiseBody, ScaledBody, SetValuedMap, _is_constant_empty
+from .maps import AffineBody, SetValuedMap, _body_leaves, _is_constant_empty
 from .sets import UpperSet
 from .simplex import Constraint, LPStatus, solve_lp
 
@@ -223,48 +227,19 @@ def s_map(xstar, zstar, x, cone: Cone) -> UpperSet:
     return UpperSet(cone, pieces=[Polyhedron(cone.dim, [row])])
 
 
-def reconstruct(
-    f: SetValuedMap, x, base: DirectionBase, window: Optional[Polyhedron] = None
-) -> UpperSet:
-    """Outer reconstruction of f(x) from its scalarizations over the base.
+def reconstruct(f: SetValuedMap, x, base: DirectionBase) -> UpperSet:
+    """Outer reconstruction of f(x) from its scalarizations over the base:
+    the intersection of the halfspaces {z : u.z <= -phi_u(x)}.
 
     Always contains f(x); exact for polyhedral values once the base contains
-    the value's facet normals (up to positive scaling).  The window argument
-    only matters to callers measuring the Hausdorff defect of a truncation.
+    the value's facet normals (up to positive scaling).
     """
-    del window
-    rows: list[Constraint] = []
-    for u in base.directions:
-        phi = scalarize_eval(f, u, x)
-        if phi == POS_INF:
-            return UpperSet.empty(f.cone)
-        if phi == NEG_INF:
-            continue
-        rows.append((tuple(-c for c in u), phi))
-    return UpperSet(f.cone, pieces=[Polyhedron(f.cone.dim, rows)])
+    return UpperSet.from_supports(
+        f.cone, ((u, -scalarize_eval(f, u, x)) for u in base.directions)
+    )
 
 
 # -- closed forms ----------------------------------------------------------------
-
-
-def _affine_branches(
-    body, region_rows: list[Constraint], out: list[tuple[list[Constraint], AffineBody]]
-) -> bool:
-    """Collects (region, constant-normal affine body) branches; False when a
-    branch admits no closed form."""
-    if isinstance(body, AffineBody):
-        if not body.fixed_normals:
-            return False
-        out.append((list(region_rows), body))
-        return True
-    if isinstance(body, ScaledBody):
-        return False
-    if isinstance(body, PiecewiseBody):
-        g, h = body.guard
-        ok = _affine_branches(body.when_true, region_rows + [(g, h)], out)
-        neg = (tuple(-c for c in g), -h)
-        return ok and _affine_branches(body.when_false, region_rows + [neg], out)
-    return False
 
 
 def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearFn]:
@@ -280,8 +255,8 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     """
     zs = vec(zstar)
     _require_dual_direction(f.cone, zs)
-    branches: list[tuple[list[Constraint], AffineBody]] = []
-    if not _affine_branches(f.body, [], branches):
+    branches = list(_body_leaves(f.body))
+    if not all(isinstance(b, AffineBody) and b.fixed_normals for _, b in branches):
         return None
     n = f.domain_dim
     m = f.cone.dim
@@ -290,12 +265,7 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     for region_rows, body in branches:
         if _is_constant_empty(body):
             continue
-        lifted: list[Constraint] = []
-        for i in range(len(body.normals)):
-            normal = tuple(
-                list(tuple(-c for c in body.x_coeffs[i])) + list(body.normals[i]) + [ZERO]
-            )
-            lifted.append((normal, body.offsets[i]))
+        lifted = [(row + (ZERO,), q) for row, q in body.graph_rows()]
         lifted.append((tuple([ZERO] * n + list(zs) + [Fraction(1)]), ZERO))
         projected = project_out(Polyhedron(n + m + 1, lifted), list(range(n, n + m)))
         dom_rows: list[Constraint] = list(region_rows)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import Cone, DimensionMismatch, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, frac, vec, vsub
+from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, frac, vec
 from .simplex import Constraint
 
 
@@ -161,6 +161,15 @@ class UpperSet:
     def from_oracle(cone, oracle, grid=None) -> "UpperSet":
         return UpperSet(cone, oracle=oracle, grid=grid)
 
+    @staticmethod
+    def from_supports(cone: Cone, supports: Iterable[tuple[Vec, Ext]]) -> "UpperSet":
+        """The intersection of the halfspaces {z : u.z <= s} over the
+        (direction u, support value s) pairs; see ``_support_rows``."""
+        rows = _support_rows(supports)
+        if rows is None:
+            return UpperSet.empty(cone)
+        return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+
     # -- structure -----------------------------------------------------------
 
     @property
@@ -182,11 +191,6 @@ class UpperSet:
     @property
     def is_convex(self) -> bool:
         return self.pieces is None or len(self.pieces) <= 1
-
-    def single_piece(self) -> Polyhedron:
-        if self.pieces is None or len(self.pieces) != 1:
-            raise ValueError("not a single-piece polyhedral set")
-        return self.pieces[0]
 
     def support(self, u) -> Ext:
         uv = vec(u)
@@ -444,17 +448,24 @@ def sets_equal(a: UpperSet, b: UpperSet) -> bool:
     return bool(lhs) and bool(rhs) and lhs.exact and rhs.exact
 
 
+def _support_rows(supports: Iterable[tuple[Vec, Ext]]) -> Optional[list[Constraint]]:
+    """Rows (-u, -s), meaning u.z <= s, one per (direction u, support value s)
+    pair: s = +inf drops the direction, and s = -inf means the set is empty
+    and gives None.  ``supports`` is read lazily and no further than its
+    first -inf, so an iterator computes no support value past that one."""
+    rows: list[Constraint] = []
+    for u, s in supports:
+        if s == NEG_INF:
+            return None
+        if s != POS_INF:
+            rows.append((tuple(-x for x in u), -s))
+    return rows
+
+
 def outer_polyhedron(a: UpperSet, directions: Sequence[Vec]) -> Polyhedron:
     """Outer polyhedral approximation from support values on directions."""
-    rows: list[Constraint] = []
-    for u in directions:
-        s = a.support(u)
-        if isinstance(s, float):
-            if s == NEG_INF:
-                return Polyhedron.empty(a.cone.dim)
-            continue
-        rows.append((tuple(-x for x in u), -s))
-    return Polyhedron(a.cone.dim, rows)
+    rows = _support_rows((u, a.support(u)) for u in directions)
+    return Polyhedron.empty(a.cone.dim) if rows is None else Polyhedron(a.cone.dim, rows)
 
 
 def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:

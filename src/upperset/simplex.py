@@ -128,7 +128,8 @@ def _reduced_costs(
 def _simplex_standard(
     c: list[Fraction], a: list[list[Fraction]], b: list[Fraction]
 ) -> tuple[LPStatus, list[Fraction] | None]:
-    """min c.x s.t. A x = b, x >= 0.  Returns (status, x or improving ray)."""
+    """min c.x s.t. A x = b, x >= 0, for A of full row rank.  Returns
+    (status, x or improving ray)."""
     m = len(a)
     n = len(c)
     rows = []
@@ -153,21 +154,14 @@ def _simplex_standard(
     # The phase-1 row's right-hand side is minus the total infeasibility.
     if rows.pop()[-1] < 0:
         return LPStatus.INFEASIBLE, None
-    # Drive artificials out of the basis, then drop rows still pinned to one
-    # (those rows are redundant).  Basis columns stay unit columns across all
-    # rows, so removing rows preserves canonical form.
+    # Drive artificials out of the basis, then drop the artificial columns.
+    # A has full row rank (solve_lp's standard form carries a -I slack
+    # block), so the row of a basic artificial always has a nonzero original
+    # entry to pivot on, and no row is redundant.
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = None
-            for j in range(n):
-                if rows[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col is not None:
-                _pivot(rows, basis, i, pivot_col)
-    keep = [i for i in range(m) if basis[i] < n]
-    rows = [rows[i][:n] + [rows[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+            _pivot(rows, basis, i, next(j for j in range(n) if rows[i][j]))
+    rows = [r[:n] + [r[-1]] for r in rows]
 
     rows.append(_reduced_costs(rows, basis, c))
     while True:

@@ -6,7 +6,9 @@ so a fix shows up as an unexpected pass.
 
 The whole JSON of each light() matrix is also pinned by a digest, so a
 refactor of the checkers must keep every witness, radius, note and
-resolution, not only the statuses the labels name.
+resolution, not only the statuses the labels name.  The closed-form layer is
+pinned the same way: duality reports, the exact piecewise-linear
+scalarizations and the domain pieces of every fixture.
 """
 
 import hashlib
@@ -16,9 +18,13 @@ from functools import lru_cache
 import pytest
 
 from upperset.continuity import default_config, verdict_matrix
-from upperset.corpus import fixture_by_id, random_convex_affine_maps
-from upperset.duality import DualityError, fundamental_duality
+from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
+from upperset.duality import BivariateMap, DualityError, fundamental_duality, marginal
+from upperset.geometry import Cone
 from upperset.linalg import ZERO
+from upperset.maps import AffineForm, ScaledBody, SetValuedMap
+from upperset.scalarize import DirectionBase, piecewise_scalarization
+from upperset.sets import embed_point
 
 MATRIX_FIXTURES = (
     "orthant-halfline",
@@ -49,6 +55,43 @@ LIGHT_DIGESTS = {
     ("rand-affine-2", 0): "4e566bb75724f9cc",
     ("rand-affine-3", 0): "734c6b6fad99dab7",
 }
+
+
+# Digests of the closed-form layer's outputs, same hash as above.
+DUALITY_DIGESTS = {"abs-bivariate": "45ec622e5df82c8a", "abs-pair-2d": "22c13b6ce2e364fe"}
+SCALARIZATION_DIGESTS = {
+    "ray-translate": "6626901fe61157d4",
+    "orthant-halfline": "10035efe338a1c04",
+    # No closed form for the oracle and tilting maps: every entry is None.
+    "parabola-dilation": "17e71049fd76b89c",
+    "tilted-halfplane": "17e71049fd76b89c",
+    "abs-bivariate": "a96b7e748225d653",
+    "pl-profile": "0edc22d317bf6ac3",
+    "abs-pair-2d": "1583f38cd5319bc0",
+}
+# Maps whose domain is the whole line or plane share the digest of [[]].
+DOMAIN_DIGESTS = {
+    "ray-translate": "cf1cbb66a638b486",
+    "orthant-halfline": "f4eae960c2d60853",
+    "parabola-dilation": "44e03847959fa5db",
+    "tilted-halfplane": "40a9090a7d2dc287",
+    "abs-bivariate": "cf1cbb66a638b486",
+    "pl-profile": "cf1cbb66a638b486",
+    "abs-pair-2d": "cf1cbb66a638b486",
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _rows(p):
+    return [[[str(c) for c in n], str(b)] for n, b in p.rows]
+
+
+def _underlying_map(fixture_id):
+    f = fixture_by_id(fixture_id).map
+    return f.map if isinstance(f, BivariateMap) else f
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +128,54 @@ def test_light_matrix_matches_label(fixture_id, index, key, expected):
 def test_light_matrix_json_is_pinned(fixture_id, index, digest):
     text = json.dumps(_light_matrix(fixture_id, index).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_fixture_ids_are_pinned():
+    ids = {fx.id for fx in builtin_fixtures()}
+    assert ids == set(SCALARIZATION_DIGESTS) == set(DOMAIN_DIGESTS)
+
+
+@pytest.mark.parametrize("fixture_id", sorted(DUALITY_DIGESTS))
+def test_duality_report_json_is_pinned(fixture_id):
+    f = fixture_by_id(fixture_id).map
+    base = DirectionBase.default(f.cone, 2) if fixture_id == "abs-pair-2d" else None
+    report = fundamental_duality(f, (ZERO,), base)
+    assert _digest(report.to_json()) == DUALITY_DIGESTS[fixture_id]
+
+
+@pytest.mark.parametrize("fixture_id", sorted(SCALARIZATION_DIGESTS))
+def test_closed_form_scalarizations_are_pinned(fixture_id):
+    f = _underlying_map(fixture_id)
+    out = []
+    for u in DirectionBase.default(f.cone, 4).directions:
+        phi = piecewise_scalarization(f, u)
+        if phi is None:
+            out.append(None)
+            continue
+        pieces = [[_rows(p.region), [str(c) for c in p.coeffs], str(p.const)] for p in phi.pieces]
+        out.append([pieces, [_rows(r) for r in phi.minus_inf_regions]])
+    assert _digest(out) == SCALARIZATION_DIGESTS[fixture_id]
+
+
+@pytest.mark.parametrize("fixture_id", sorted(DOMAIN_DIGESTS))
+def test_domain_pieces_are_pinned(fixture_id):
+    pieces = _underlying_map(fixture_id).domain_pieces()
+    assert _digest([_rows(p) for p in pieces]) == DOMAIN_DIGESTS[fixture_id]
+
+
+def test_marginal_at_zero_is_the_duality_lhs():
+    f = fixture_by_id("abs-bivariate").map
+    lhs = fundamental_duality(f, (ZERO,)).lhs
+    assert marginal(f, (ZERO,)).pieces == lhs.pieces
+    assert len(lhs.pieces) == 1
+
+
+def test_marginal_without_closed_form_raises():
+    orthant = Cone.from_generators([[1, 0], [0, 1]])
+    scaled = ScaledBody(embed_point([1, 1], orthant), AffineForm.of([1, 1], 1))
+    f = BivariateMap(SetValuedMap(2, orthant, scaled, name="scaled-bivariate"), 1, 1)
+    with pytest.raises(DualityError):
+        marginal(f, (ZERO,))
 
 
 def test_abs_bivariate_duality_has_no_gap():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from upperset.continuity import IMPLICATIONS
 from upperset.corpus import parabola_dilation_fixture
 from upperset.geometry import Cone, Polyhedron
 from upperset.linalg import POS_INF
@@ -25,7 +26,7 @@ from upperset.maps import (
     map_to_json,
     upper_closedness_spotcheck,
 )
-from upperset.sets import SupportOracle, UpperSet, member
+from upperset.sets import SupportOracle, UpperSet, embed_point, member
 from upperset.verdict import Status
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -189,6 +190,36 @@ class TestConvexity:
         # Witness re-check by hand: the recorded midpoint must violate.
         assert verdict.witness.x is not None
 
+    def test_scaled_union_base_is_not_convex(self):
+        # (x + 1) A for A the union of two shifted orthants: the values are
+        # unions, so the graph is not convex either.
+        union = UpperSet(
+            ORTHANT,
+            pieces=[embed_point([1, 0], ORTHANT).pieces[0], embed_point([0, 1], ORTHANT).pieces[0]],
+        )
+        f = SetValuedMap(1, ORTHANT, ScaledBody(union, AffineForm.of([1], 1)), name="scaled-union")
+        assert (f.convex, f.convex_valued) == (False, False)
+        side = {
+            "convex": f.convex,
+            "convex_valued": f.convex_valued,
+            "int_c": True,
+            "bn": True,
+            "in_dom": True,
+            "base_certified": True,
+        }
+        guarded = {
+            "lba implies uls for convex maps",
+            "eff implies lc for convex maps",
+            "lc implies lls for convex maps on dom",
+        }
+        fired = {name for name, guard, _, _ in IMPLICATIONS if guard(side)}
+        assert guarded <= {name for name, _, _, _ in IMPLICATIONS}
+        assert not guarded & fired
+
+    def test_scaled_convex_base_is_convex(self):
+        f = SetValuedMap(1, ORTHANT, ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], 1)))
+        assert (f.convex, f.convex_valued) == (True, True)
+
 
 class TestSamplePlan:
     @staticmethod
@@ -233,6 +264,28 @@ class TestGraphInterior:
     def test_empty_value_fails(self):
         v = graph_interior_witness(halfline_domain_map(), [-2])
         assert v.status is Status.FAILS
+
+    def test_nested_guard_prunes_the_empty_branch(self):
+        # C for x >= 0; for x < 0, C again when x >= -10 and empty below.
+        # The box around 0 straddles the outer guard but lies on the true
+        # side of the inner one, so the empty branch never matters.
+        f = SetValuedMap(
+            1,
+            ORTHANT,
+            PiecewiseBody(
+                guard=((F(1),), F(0)),
+                when_true=constant_cone_body(ORTHANT, 1),
+                when_false=PiecewiseBody(
+                    guard=((F(1),), F(-10)),
+                    when_true=constant_cone_body(ORTHANT, 1),
+                    when_false=constant_empty_body(1, 2),
+                ),
+            ),
+            name="nested-guards",
+        )
+        v = graph_interior_witness(f, [0])
+        assert v.status is Status.HOLDS
+        assert v.witness is not None and v.witness.radius is not None
 
 
 class TestJsonSchema:
