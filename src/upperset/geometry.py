@@ -1,10 +1,15 @@
 """Exact polyhedral geometry: cones, halfspaces, polyhedra, dual cones.
 
 Everything here is carried out over the rationals.  Polyhedra are stored in
-H-representation ``{z : n_i . z >= b_i}`` (accepted unreduced), cones carry
-both generators and halfspaces.  Conversions between the two cone
-representations run by active-subset ray enumeration, which is exact and
-entirely adequate at desk scale; the documented dimension cap is m <= 4.
+H-representation ``{z : n_i . z >= b_i}`` (accepted unreduced) and carry a
+V-form -- points, rays and a lineality basis -- built lazily, once per
+polyhedron, by the double description method.  ``is_empty``, ``support``,
+``contained_in``, ``minimal_face_points`` (hence ``vertices``) and
+``affine_dim`` read the V-form and solve no LP.  Cones carry both generators
+and halfspaces; conversions between the two cone representations, and a
+polyhedron's ``recession_generators``, run by active-subset ray
+enumeration, which is exact and entirely adequate at desk scale; the
+documented dimension cap is m <= 4.
 
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
@@ -13,11 +18,15 @@ comparison against a rational tolerance stays exact.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import (
+    NEG_INF,
     POS_INF,
     ZERO,
     Ext,
@@ -39,7 +48,7 @@ from .linalg import (
     vsub,
     zeros,
 )
-from .simplex import Constraint, LPStatus, lp_feasible_point, lp_support, solve_lp
+from .simplex import Constraint, LPStatus, solve_lp
 
 
 class DimensionMismatch(ValueError):
@@ -94,6 +103,115 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
 
 def _identity(dim: int) -> list[list[Fraction]]:
     return [[Fraction(1) if i == j else ZERO for j in range(dim)] for i in range(dim)]
+
+
+class VForm(NamedTuple):
+    """P = conv(points) + cone(rays) + span(lineality); no points iff P is empty."""
+
+    points: list[Vec]
+    rays: list[Vec]
+    lineality: list[Vec]
+
+
+def _double_description(rows: Sequence[Constraint], dim: int) -> VForm:
+    """The V-form of ``{z : n.z >= b for (n, b) in rows}``, exactly.
+
+    The double description method (Motzkin, Raiffa, Thompson & Thrall 1953;
+    Fukuda & Prodon 1996) on the homogenized cone
+    K = {(z, t) : n.z - b t >= 0, t >= 0}, kept as span(lin) + cone(rays).
+    It starts from lin = the unit basis and no rays, and adds t >= 0 and then
+    the rows in order.  A row nonzero on some lineality vector pivots it out:
+    that vector, oriented into the row, becomes a ray, and the other
+    lineality vectors and the rays are shifted onto the row's hyperplane.
+    Any other row keeps the rays it does not cut off and adds one ray on its
+    hyperplane for each adjacent pair of a ray it keeps strictly and one it
+    cuts off.  Adjacency is combinatorial: no third ray is tight on every row
+    that both rays are tight on.  Rays with t > 0, scaled to t = 1, are the
+    points; rays with t = 0 are recession rays.
+
+    Rows are scaled to integers and every vector is kept primitive (its
+    entries divided by their gcd), which changes no ray's direction and
+    keeps the arithmetic in Python ints.
+    """
+    hom = [(0,) * dim + (1,)] + [_integer_row(tuple(n) + (-b,)) for n, b in rows]
+    lin = [(0,) * i + (1,) + (0,) * (dim - i) for i in range(dim + 1)]
+    rays: list[tuple[int, ...]] = []
+    tight: list[int] = []  # bitmask of the rows tight on each ray
+    for i, a in enumerate(hom):
+        bit = 1 << i
+        k = next((j for j, l in enumerate(lin) if _idot(a, l)), None)
+        if k is not None:
+            r0 = lin.pop(k)
+            v0 = _idot(a, r0)
+            if v0 < 0:
+                r0, v0 = tuple(-x for x in r0), -v0
+
+            def shift(v: tuple[int, ...]) -> tuple[int, ...]:
+                c = _idot(a, v)
+                return _primitive([v0 * x - c * y for x, y in zip(v, r0)]) if c else v
+
+            lin = [shift(l) for l in lin]
+            rays = [shift(r) for r in rays] + [r0]
+            tight = [m | bit for m in tight] + [bit - 1]
+            continue
+        vals = [_idot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            tight = [m | bit if v == 0 else m for m, v in zip(tight, vals)]
+            continue
+        # Two rays are adjacent only if they share enough tight rows for
+        # their common face to be 2-dimensional modulo the lineality.
+        need = dim - 1 - len(lin)
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_tight = [m | bit if v == 0 else m for m, v in zip(tight, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if common.bit_count() < need or any(
+                    m & common == common for j, m in enumerate(tight) if j != p and j != q
+                ):
+                    continue
+                new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+        if all(r[-1] == 0 for r in rays):
+            # K lies in t = 0 from here on: P is empty.
+            return VForm([], [], [])
+    return VForm(
+        [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0],
+        [vec(r[:-1]) for r in rays if r[-1] == 0],
+        [vec(l[:-1]) for l in lin],
+    )
+
+
+def _integer_row(a: Vec) -> tuple[int, ...]:
+    """A positive multiple of a rational vector with integer entries."""
+    m = math.lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (m // x.denominator) for x in a)
+
+
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _first_basis(normals: Sequence[Vec], indices: Iterable[int], rank: int) -> tuple[int, ...]:
+    """The lexicographically least subset of ``indices`` whose normals are
+    ``rank`` independent vectors: greedy in index order."""
+    chosen: list[int] = []
+    for i in indices:
+        if matrix_rank([normals[j] for j in chosen] + [normals[i]]) > len(chosen):
+            chosen.append(i)
+            if len(chosen) == rank:
+                break
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -273,11 +391,13 @@ class Polyhedron:
     # -- queries ------------------------------------------------------------
 
     @cached_property
+    def vform(self) -> VForm:
+        """Points, rays and lineality, by one double-description pass."""
+        return _double_description(self.rows, self.dim)
+
+    @property
     def is_empty(self) -> bool:
-        return (
-            solve_lp(zeros(self.dim), list(self.rows), sense="max").status
-            is LPStatus.INFEASIBLE
-        )
+        return not self.vform.points
 
     def contains(self, z) -> bool:
         v = vec(z)
@@ -288,10 +408,12 @@ class Polyhedron:
         """sup { d.z : z in P }: -inf when empty, +inf when unbounded."""
         d = vec(direction)
         _check_dim(self.dim, d)
-        cache = self.__dict__.setdefault("_support_cache", {})
-        if d not in cache:
-            cache[d] = lp_support(d, list(self.rows))
-        return cache[d]
+        points, rays, lineality = self.vform
+        if not points:
+            return NEG_INF
+        if any(dot(d, l) for l in lineality) or any(dot(d, r) > 0 for r in rays):
+            return POS_INF
+        return max(dot(d, p) for p in points)
 
     @cached_property
     def lineality(self) -> list[Vec]:
@@ -314,31 +436,29 @@ class Polyhedron:
 
     @cached_property
     def minimal_face_points(self) -> list[Vec]:
-        """One representative point per minimal face (vertices when pointed)."""
-        if self.is_empty:
+        """One representative point per minimal face (vertices when pointed).
+
+        Each face's point solves its lexicographically least basis of tight
+        rows, and the faces come in the order of those bases: the first
+        solution in P met by a scan of the row subsets of full rank in
+        ``itertools.combinations`` order.
+        """
+        points, _, lineality = self.vform
+        if not points:
             return []
+        rank = self.dim - len(lineality)
+        if rank == 0:
+            # Every normal is zero and every offset <= 0, so P holds the origin.
+            return [zeros(self.dim)]
         normals = [n for n, _ in self.rows]
-        target = matrix_rank(normals) if normals else 0
-        found: list[Vec] = []
-        seen: set[Vec] = set()
-        if target == 0:
-            origin = zeros(self.dim)
-            pt = origin if self.contains(origin) else None
-            if pt is None:
-                pt = lp_feasible_point(list(self.rows), self.dim)
-            return [pt] if pt is not None else []
-        for subset in itertools.combinations(range(len(self.rows)), target):
-            sub_n = [self.rows[i][0] for i in subset]
-            sub_b = [self.rows[i][1] for i in subset]
-            if matrix_rank(sub_n) != target:
-                continue
-            sol, _ = solve_affine(sub_n, sub_b)
-            if sol is None or sol in seen:
-                continue
-            if self.contains(sol):
-                seen.add(sol)
-                found.append(sol)
-        return found
+        faces = []
+        for p in points:
+            tight = (i for i, (n, b) in enumerate(self.rows) if dot(n, p) == b)
+            basis = _first_basis(normals, tight, rank)
+            sol, _ = solve_affine([normals[i] for i in basis], [self.rows[i][1] for i in basis])
+            faces.append((basis, sol))
+        faces.sort(key=lambda face: face[0])
+        return [sol for _, sol in faces]
 
     @cached_property
     def vertices(self) -> list[Vec]:
@@ -482,13 +602,7 @@ class Polyhedron:
             raise DimensionMismatch("containment of unequal dimensions")
         if self.is_empty:
             return True
-        for n, b in other.rows:
-            res = solve_lp(n, list(self.rows), sense="min")
-            if res.status is LPStatus.UNBOUNDED:
-                return False
-            if res.status is LPStatus.OPTIMAL and res.value < b:
-                return False
-        return True
+        return all(-self.support(tuple(-x for x in n)) >= b for n, b in other.rows)
 
     def violation_witness(self, other: "Polyhedron") -> Vec | None:
         """A point of self outside other, or None when self <= other."""

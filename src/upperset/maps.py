@@ -27,6 +27,7 @@ from typing import Iterator, Optional, Sequence
 
 from .geometry import Cone, Polyhedron, project_out
 from .linalg import (
+    ONE,
     ZERO,
     Mat,
     Vec,
@@ -46,7 +47,7 @@ from .sets import (
     set_order_leq,
     check_upper_closed,
 )
-from .simplex import Constraint
+from .simplex import Constraint, LPStatus, solve_lp
 from .verdict import Verdict, Witness
 
 
@@ -136,17 +137,28 @@ Body = AffineBody | ScaledBody | PiecewiseBody
 
 
 def _body_leaves(
-    body: Body, region_rows: Sequence[Constraint] = ()
-) -> Iterator[tuple[list[Constraint], Body]]:
-    """(region rows, leaf body) for every leaf of the guard tree, true branch
-    first: the true branch's region gains the guard row, the false
-    branch's its negation."""
+    body: Body, region_rows: Sequence[Constraint] = (), strict: tuple[bool, ...] = ()
+) -> Iterator[tuple[list[Constraint], tuple[bool, ...], Body]]:
+    """(region rows, strictness, leaf body) for every leaf of the guard tree,
+    true branch first: the true branch's region gains the guard row, the
+    false branch's its negation, which holds strictly there (g.x < h)."""
     if isinstance(body, PiecewiseBody):
         g, h = body.guard
-        yield from _body_leaves(body.when_true, [*region_rows, (g, h)])
-        yield from _body_leaves(body.when_false, [*region_rows, (tuple(-c for c in g), -h)])
+        yield from _body_leaves(body.when_true, [*region_rows, (g, h)], (*strict, False))
+        yield from _body_leaves(
+            body.when_false, [*region_rows, (tuple(-c for c in g), -h)], (*strict, True)
+        )
     else:
-        yield list(region_rows), body
+        yield list(region_rows), strict, body
+
+
+def _region_nonempty(rows: Sequence[Constraint], strict: Sequence[bool], n: int) -> bool:
+    """Whether some x in R^n satisfies the rows, strictly where flagged: one
+    exact LP that maximizes a margin s <= 1 on the strict rows."""
+    lifted = [(tuple(g) + (-ONE if st else ZERO,), h) for (g, h), st in zip(rows, strict)]
+    lifted.append(((ZERO,) * n + (-ONE,), -ONE))
+    res = solve_lp((ZERO,) * n + (ONE,), lifted, sense="max")
+    return res.status is LPStatus.OPTIMAL and res.value > 0
 
 
 def _guard_side(guard: Constraint, x0: Vec, r: Fraction) -> Optional[bool]:
@@ -279,7 +291,7 @@ class SetValuedMap:
 
     def domain_pieces(self) -> list[Polyhedron]:
         """Nonempty polyhedra whose union is dom f = {x : f(x) nonempty}."""
-        pieces = [self._domain_of(leaf, rows) for rows, leaf in _body_leaves(self.body)]
+        pieces = [self._domain_of(leaf, rows) for rows, _, leaf in _body_leaves(self.body)]
         return [p for p in pieces if p is not None and not p.is_empty]
 
     def _domain_of(self, body: Body, region_rows: list[Constraint]) -> Optional[Polyhedron]:
@@ -468,14 +480,14 @@ def graph_interior_witness(
             return Verdict.fails(
                 Witness(x=x0, detail="value has empty interior (low affine dimension)"),
             )
-    # Exact failure: every x-ball around x0 meets the region of empty values.
-    body = f.body
-    if isinstance(body, PiecewiseBody):
-        g, h = body.guard
-        empty_true = _is_constant_empty(body.when_true)
-        empty_false = _is_constant_empty(body.when_false)
-        on_boundary = dot(g, x0) == h
-        if (empty_false and on_boundary) or (empty_true and dot(g, x0) <= h):
+    # Exact failure: x0 lies in the closure of a nonempty region where the
+    # map is constant-empty, so every x-ball around x0 meets empty values.
+    for rows, strict, leaf in _body_leaves(f.body):
+        if (
+            _is_constant_empty(leaf)
+            and all(dot(g, x0) >= h for g, h in rows)
+            and _region_nonempty(rows, strict, f.domain_dim)
+        ):
             return Verdict.fails(
                 Witness(x=x0, detail="empty values on one side of the guard"),
             )

@@ -256,13 +256,13 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     zs = vec(zstar)
     _require_dual_direction(f.cone, zs)
     branches = list(_body_leaves(f.body))
-    if not all(isinstance(b, AffineBody) and b.fixed_normals for _, b in branches):
+    if not all(isinstance(b, AffineBody) and b.fixed_normals for _, _, b in branches):
         return None
     n = f.domain_dim
     m = f.cone.dim
     pieces: list[AffinePiece] = []
     minus_regions: list[Polyhedron] = []
-    for region_rows, body in branches:
+    for region_rows, _, body in branches:
         if _is_constant_empty(body):
             continue
         lifted = [(row + (ZERO,), q) for row, q in body.graph_rows()]

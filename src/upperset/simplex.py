@@ -30,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import NEG_INF, POS_INF, ONE, ZERO, Ext, Vec, dot, frac, vec
+from .linalg import ONE, ZERO, Ext, Vec, dot, frac, vec
 
 
 class LPStatus(enum.Enum):
@@ -264,18 +264,3 @@ def lp_feasible_point(constraints: list[Constraint], dim: int) -> Vec | None:
     if res.status is LPStatus.INFEASIBLE:
         return None
     return res.point
-
-
-def lp_support(direction, constraints: list[Constraint]) -> Ext:
-    """sup { d.z : n_i.z >= b_i } as an extended rational.
-
-    Empty feasible set gives -inf, unbounded programs +inf.
-    """
-    d = vec(direction)
-    res = solve_lp(d, constraints, sense="max")
-    if res.status is LPStatus.INFEASIBLE:
-        return NEG_INF
-    if res.status is LPStatus.UNBOUNDED:
-        return POS_INF
-    assert res.value is not None
-    return res.value

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from upperset import simplex
 from upperset.geometry import (
     Cone,
     DimensionMismatch,
@@ -17,7 +19,8 @@ from upperset.geometry import (
     fourier_motzkin,
     project_out,
 )
-from upperset.linalg import NEG_INF, POS_INF, dot, vec
+from upperset.linalg import NEG_INF, POS_INF, dot, matrix_rank, solve_affine, vec, zeros
+from upperset.sets import minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
 
@@ -280,3 +283,136 @@ class TestDualPair:
             DualPair.of([1], [0, 0]).validate_for(ORTHANT_2D)
         with pytest.raises(ValueError):
             DualPair.of([1], [1, 0]).validate_for(ORTHANT_2D)
+
+
+# -- reference oracles: the subset enumeration and the LPs the V-form replaced --
+
+
+def enumerated_minimal_face_points(p):
+    """Solutions of every full-rank subset of rank(N) rows, in
+    ``itertools.combinations`` order, kept when they lie in P and are new;
+    for a nonempty P."""
+    normals = [n for n, _ in p.rows]
+    target = matrix_rank(normals) if normals else 0
+    if target == 0:
+        return [zeros(p.dim)]
+    found, seen = [], set()
+    for subset in itertools.combinations(range(len(p.rows)), target):
+        sub_n = [p.rows[i][0] for i in subset]
+        sub_b = [p.rows[i][1] for i in subset]
+        if matrix_rank(sub_n) != target:
+            continue
+        sol, _ = solve_affine(sub_n, sub_b)
+        if sol is None or sol in seen:
+            continue
+        if p.contains(sol):
+            seen.add(sol)
+            found.append(sol)
+    return found
+
+
+def lp_support(p, d):
+    res = solve_lp(d, list(p.rows), sense="max")
+    if res.status is LPStatus.INFEASIBLE:
+        return NEG_INF
+    if res.status is LPStatus.UNBOUNDED:
+        return POS_INF
+    return res.value
+
+
+def lp_contained_in(p, q):
+    """min n.z over a nonempty p is >= b for every row (n, b) of q."""
+    for n, b in q.rows:
+        res = solve_lp(n, list(p.rows), sense="min")
+        if res.status is LPStatus.UNBOUNDED or res.value < b:
+            return False
+    return True
+
+
+def random_rows(rng, dim):
+    """Rows with duplicates, opposite-row equalities and zero rows mixed in;
+    small entries, so empty, unbounded and lineality cases are common."""
+    rows = []
+    for _ in range(rng.randint(0, dim + 2)):
+        n = vec([rng.randint(-2, 2) for _ in range(dim)])
+        b = F(rng.randint(-3, 2))
+        rows.append((n, b))
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((tuple(-x for x in n), -b))
+        elif kind < 0.25:
+            rows.append((n, b))
+        elif kind < 0.3:
+            rows.append((zeros(dim), F(rng.randint(-1, 1))))
+    rng.shuffle(rows)
+    return rows
+
+
+class TestVFormOracle:
+    """The V-form answers exactly as the enumeration and the LPs did."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_enumeration_and_lps(self, seed):
+        rng = random.Random(seed)
+        seen = {"empty": 0, "unbounded": 0, "lineality": 0, "contained": 0, "not contained": 0}
+        for k in range(500):
+            dim = rng.randint(1, 5)
+            p = Polyhedron(dim, random_rows(rng, dim))
+            for _ in range(2):
+                d = vec([rng.randint(-2, 2) for _ in range(dim)])
+                s = lp_support(p, d)
+                assert p.support(d) == s, (p.rows, d)
+                seen["unbounded"] += s == POS_INF
+            empty = s == NEG_INF
+            assert p.is_empty == empty
+            expected = [] if empty else enumerated_minimal_face_points(p)
+            assert p.minimal_face_points == expected
+            # Every other q relaxes p (a subset of its rows with lowered
+            # offsets, so it contains p); the rest are random.
+            if k % 2:
+                q = Polyhedron(dim, random_rows(rng, dim))
+            else:
+                kept = [(n, b - rng.randint(0, 2)) for n, b in p.rows if rng.random() < 0.6]
+                q = Polyhedron(dim, kept)
+            contained = p.contained_in(q)
+            assert contained == (empty or lp_contained_in(p, q)), (p.rows, q.rows)
+            seen["contained" if contained else "not contained"] += 1
+            seen["empty"] += p.is_empty
+            seen["lineality"] += bool(p.lineality)
+        assert min(seen.values()) >= 40, seen
+
+
+@pytest.fixture
+def lp_calls(monkeypatch) -> list:
+    """Arguments of every LP solved, whichever module calls ``solve_lp``."""
+    calls = []
+    real = simplex.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "upperset" and getattr(module, "solve_lp", None) is real:
+            monkeypatch.setattr(module, "solve_lp", counting)
+    return calls
+
+
+def test_lattice_operations_solve_no_lp(lp_calls):
+    # A box around a centre cut by three halfspaces, twice, under the orthant
+    # in m = 3: the shape of the lattice benchmark's pairs.
+    cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    box = [([1, 0, 0], -2), ([-1, 0, 0], -2), ([0, 1, 0], -1), ([0, -1, 0], -3),
+           ([0, 0, 1], -3), ([0, 0, -1], -1)]
+    p = Polyhedron(3, box + [([1, 1, 0], -1), ([0, -1, 2], -2), ([-2, 1, 1], -3)])
+    q = Polyhedron(3, box + [([-1, 0, 1], -1), ([2, 2, -1], -4), ([1, -2, 0], -2)]).translate(
+        [1, -2, 1]
+    )
+    lp_calls.clear()
+    a, b = upper_closure(p, cone), upper_closure(q, cone)
+    total = minkowski_sum(a, b)
+    directions = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [-1, -1, -1], [-2, -1, 0],
+                  [0, -3, -1], [-1, 0, -2]]
+    supports = [(a.support(u), b.support(u), total.support(u)) for u in directions]
+    assert lp_calls == []
+    assert all(-POS_INF < s < POS_INF for row in supports for s in row)

@@ -286,6 +286,47 @@ class TestGraphInterior:
         v = graph_interior_witness(f, [0])
         assert v.status is Status.HOLDS
         assert v.witness is not None and v.witness.radius is not None
+        # At -10 every ball meets the nested empty branch's region x < -10.
+        v = graph_interior_witness(f, [-10])
+        assert v.status is Status.FAILS
+
+    def test_empty_true_branch_holds_on_the_false_side(self):
+        # Empty for x >= 10, C below: points strictly below 10 have a product
+        # box inside the graph; only the boundary and beyond fail.
+        f = SetValuedMap(
+            1,
+            ORTHANT,
+            PiecewiseBody(
+                guard=((F(1),), F(10)),
+                when_true=constant_empty_body(1, 2),
+                when_false=constant_cone_body(ORTHANT, 1),
+            ),
+            name="empty-above-10",
+        )
+        for x0 in (F(0), F(9), Fraction(19, 2)):
+            v = graph_interior_witness(f, [x0])
+            assert v.status is Status.HOLDS, x0
+            assert v.witness is not None and v.witness.radius is not None
+        assert graph_interior_witness(f, [10]).status is Status.FAILS
+
+    def test_empty_leaf_with_empty_region_does_not_fail(self):
+        # The empty leaf's region {x >= 0, x < 0} is empty, although 0
+        # satisfies both of its rows non-strictly.
+        f = SetValuedMap(
+            1,
+            ORTHANT,
+            PiecewiseBody(
+                guard=((F(1),), F(0)),
+                when_true=PiecewiseBody(
+                    guard=((F(1),), F(0)),
+                    when_true=constant_cone_body(ORTHANT, 1),
+                    when_false=constant_empty_body(1, 2),
+                ),
+                when_false=constant_cone_body(ORTHANT, 1),
+            ),
+            name="unreachable-empty-leaf",
+        )
+        assert graph_interior_witness(f, [0]).status is not Status.FAILS
 
 
 class TestJsonSchema:

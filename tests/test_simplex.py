@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from upperset import simplex
-from upperset.geometry import Cone, dual_cone
+from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import NEG_INF, ONE, POS_INF, ZERO, dot, vec
 from upperset.scalarize import direction_fan
-from upperset.simplex import LPStatus, lp_support, solve_lp
+from upperset.simplex import LPStatus, solve_lp
 
 
 def F(x):
@@ -135,14 +135,18 @@ class TestDuality:
 
 
 class TestSupport:
+    """Support values of the programs ``max d.z s.t. rows``, which
+    ``Polyhedron.support`` answers from its V-form without an LP."""
+
     def test_support_empty(self):
-        assert lp_support(vec([1]), [(vec([1]), F(1)), (vec([-1]), F(0))]) == NEG_INF
+        assert Polyhedron(1, [(vec([1]), F(1)), (vec([-1]), F(0))]).support(vec([1])) == NEG_INF
 
     def test_support_unbounded(self):
-        assert lp_support(vec([1]), [(vec([1]), F(0))]) == POS_INF
+        assert Polyhedron(1, [(vec([1]), F(0))]).support(vec([1])) == POS_INF
 
     def test_support_bounded(self):
-        assert lp_support(vec([1, 0]), [(vec([-1, 0]), F(-7)), (vec([0, 1]), F(0))]) == 7
+        p = Polyhedron(2, [(vec([-1, 0]), F(-7)), (vec([0, 1]), F(0))])
+        assert p.support(vec([1, 0])) == 7
 
 
 # -- reference oracle: the dense Bland tableau ------------------------------------
