@@ -47,7 +47,7 @@ from .sets import (
     set_order_leq,
     check_upper_closed,
 )
-from .simplex import Constraint, LPStatus, solve_lp
+from .simplex import Constraint
 from .verdict import Verdict, Witness
 
 
@@ -153,12 +153,11 @@ def _body_leaves(
 
 
 def _region_nonempty(rows: Sequence[Constraint], strict: Sequence[bool], n: int) -> bool:
-    """Whether some x in R^n satisfies the rows, strictly where flagged: one
-    exact LP that maximizes a margin s <= 1 on the strict rows."""
+    """Whether some x in R^n satisfies the rows, strictly where flagged: the
+    largest margin s <= 1 on the strict rows is positive."""
     lifted = [(tuple(g) + (-ONE if st else ZERO,), h) for (g, h), st in zip(rows, strict)]
     lifted.append(((ZERO,) * n + (-ONE,), -ONE))
-    res = solve_lp((ZERO,) * n + (ONE,), lifted, sense="max")
-    return res.status is LPStatus.OPTIMAL and res.value > 0
+    return Polyhedron(n + 1, lifted).support((ZERO,) * n + (ONE,)) > 0
 
 
 def _guard_side(guard: Constraint, x0: Vec, r: Fraction) -> Optional[bool]:
