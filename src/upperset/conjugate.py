@@ -3,8 +3,9 @@
 The scalar side works on exact piecewise-linear functions: finitely many
 affine pieces over polyhedral regions, an optional region of value -inf, and
 +inf outside.  Conjugates are computed two independent ways where tests need
-them: per-piece linear programs (any dimension) and, in one dimension,
-breakpoint enumeration that materializes the conjugate in closed form.
+them: per-piece supports read from each region's V-form (any dimension, no
+LP) and, in one dimension, breakpoint enumeration that materializes the
+conjugate in closed form.
 
 The set-valued negative conjugate of a map f at a dual pair (x*, z*) is the
 halfspace
@@ -27,7 +28,6 @@ from typing import Sequence
 from .geometry import Cone, DualPair, Polyhedron
 from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
 from .sets import UpperSet
-from .simplex import LPStatus, solve_lp
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,8 @@ class PiecewiseLinearFn:
 
 
 def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
-    """phi*(x*) = sup_x (x*.x - phi(x)) via per-piece linear programs.
+    """phi*(x*) = sup_x (x*.x - phi(x)): the largest support of a piece's
+    region in the direction x* - a, less the piece's constant.
 
     Improper phi (a -inf region) conjugates to +inf identically; phi with no
     finite piece (identically +inf) conjugates to -inf.
@@ -103,14 +104,10 @@ def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
         return NEG_INF
     best: Ext = NEG_INF
     for p in phi.pieces:
-        obj = tuple(a - b for a, b in zip(xs, p.coeffs))
-        res = solve_lp(obj, list(p.region.rows), sense="max")
-        if res.status is LPStatus.UNBOUNDED:
+        s = p.region.support(tuple(a - b for a, b in zip(xs, p.coeffs)))
+        if s == POS_INF:
             return POS_INF
-        if res.status is LPStatus.OPTIMAL:
-            v = res.value - p.const
-            if v > best:
-                best = v
+        best = max(best, s - p.const)
     return best
 
 

@@ -530,7 +530,7 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     # at every confirmation level below it.
     for delta in levels[cfg.radii.levels :]:
         rows = _stacked_rows(map(f.evaluate, _sampled_xs(x0, delta, dirs)), fan)
-        if rows is not None and lp_feasible_point(rows, f.cone.dim) is not None:
+        if rows is not None and not Polyhedron(f.cone.dim, rows).is_empty:
             return Verdict.inconclusive(note="no common point found, emptiness not certified")
     return Verdict.fails(
         Witness(x=x0, radius=levels[-1], detail="sampled values share no point"),

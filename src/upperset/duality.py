@@ -12,12 +12,14 @@ scalarization direction, provided the scalarizations of the slice f(x0, .)
 are upper semicontinuous at the origin for every direction.
 
 Everything here runs on exact piecewise-linear closed forms: the per
-direction scalar problems are linear programs, the attained dual vector is
-read off the exact LP dual and re-verified against the conjugate identity,
-and equality of the two sides is certified by support values on the
-direction base.  There is no sampled fallback: a map whose scalarizations
-have no closed form (a tilting normal or a scaled base) is refused with
-DualityError, by ``marginal`` as by every other entry point here.
+direction scalar values are supports of each piece's region, read from its
+V-form with no LP; the attained dual vector is read off the exact LP dual
+(the one LP left here, since it needs multipliers) and re-verified against
+the conjugate identity, and equality of the two sides is certified by
+support values on the direction base.  There is no sampled fallback: a
+map whose scalarizations have no closed form (a tilting normal or a scaled
+base) is refused with DualityError, by ``marginal`` as by every other entry
+point here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
-from .simplex import Constraint, LPStatus, lp_feasible_point, solve_lp
+from .simplex import Constraint, LPStatus, solve_lp
 from .verdict import Status, Verdict, Witness
 
 
@@ -87,9 +89,10 @@ class BivariateMap:
 def marginal_scalarization(f: BivariateMap, zstar, y) -> Ext:
     """inf over x of the scalarization at (x, y), exactly.
 
-    With the closed piecewise-linear form phi this is a single linear
-    program in (x, t); the infimum is -inf when a minus-infinity region of
-    phi is reachable at this y, and +inf when no x puts (x, y) in dom phi.
+    With the closed piecewise-linear form phi this is the least piece value
+    over the slices of the piece regions at this y; the infimum is -inf when
+    a minus-infinity region of phi is reachable at this y, and +inf when no
+    x puts (x, y) in dom phi.
     """
     zs = vec(zstar)
     yv = vec(y)
@@ -100,23 +103,20 @@ def marginal_scalarization(f: BivariateMap, zstar, y) -> Ext:
 
 
 def _pl_partial_infimum(phi: PiecewiseLinearFn, n_free: int, fixed: Vec) -> Ext:
-    """inf over the first n_free coordinates with the rest fixed."""
+    """inf over the first n_free coordinates with the rest fixed: the least
+    piece value over its region's slice, read from the slice's V-form."""
     for r in phi.minus_inf_regions:
-        rows = _fix_tail(r.rows, n_free, fixed)
-        if lp_feasible_point(rows, n_free) is not None:
+        if not Polyhedron(n_free, _fix_tail(r.rows, n_free, fixed)).is_empty:
             return NEG_INF
     best: Ext = POS_INF
     for piece in phi.pieces:
-        rows = _fix_tail(piece.region.rows, n_free, fixed)
-        obj = piece.coeffs[:n_free]
-        shift = dot(piece.coeffs[n_free:], fixed) + piece.const
-        res = solve_lp(obj, rows, sense="min")
-        if res.status is LPStatus.UNBOUNDED:
+        region = Polyhedron(n_free, _fix_tail(piece.region.rows, n_free, fixed))
+        if region.is_empty:
+            continue
+        s = region.support(tuple(-c for c in piece.coeffs[:n_free]))
+        if s == POS_INF:
             return NEG_INF
-        if res.status is LPStatus.OPTIMAL:
-            v = res.value + shift
-            if v < best:
-                best = v
+        best = min(best, -s + dot(piece.coeffs[n_free:], fixed) + piece.const)
     return best
 
 

@@ -7,9 +7,10 @@ polyhedron, by the double description method.  ``is_empty``, ``support``,
 ``contained_in``, ``minimal_face_points`` (hence ``vertices``) and
 ``affine_dim`` read the V-form and solve no LP.  Cones carry both generators
 and halfspaces; conversions between the two cone representations, and a
-polyhedron's ``recession_generators``, run by active-subset ray
-enumeration, which is exact and entirely adequate at desk scale; the
-documented dimension cap is m <= 4.
+polyhedron's ``recession_generators``, run by the same double description
+on the homogeneous rows, so no cone question solves an LP either.  LPs are
+left only where a point is read off (``interior_point``,
+``violation_witness``); the documented dimension cap is m <= 4.
 
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
@@ -69,40 +70,23 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
 
     Returns lineality basis vectors in +- pairs together with the extreme
     rays of the pointed part (the cone intersected with the orthogonal
-    complement of its lineality space).  Active-subset enumeration; exact.
+    complement of its lineality space), each in canonical scale.  The rays
+    come from one double-description pass and are ordered by the
+    lexicographically least basis of dim - 1 rows tight on each, which is
+    the order a scan of row subsets in ``itertools.combinations`` order
+    meets them.
     """
     rows = [n for n in normals if not is_zero(n)]
-    lin = nullspace(rows, dim) if rows else [tuple(r) for r in _identity(dim)]
+    lin = nullspace(rows, dim)
     work = list(rows)
     for l in lin:
         work.append(l)
         work.append(tuple(-x for x in l))
-    rays: list[Vec] = []
-    seen: set[Vec] = set()
-    for subset in itertools.combinations(range(len(work)), dim - 1):
-        sub = [work[i] for i in subset]
-        ns = nullspace(sub, dim) if sub else [tuple(r) for r in _identity(dim)]
-        if len(ns) != 1:
-            continue
-        d = ns[0]
-        for cand in (d, tuple(-x for x in d)):
-            if all(dot(n, cand) >= 0 for n in work):
-                canon = scale_to_canonical(cand)
-                if canon not in seen:
-                    seen.add(canon)
-                    rays.append(canon)
-    out: list[Vec] = []
-    for l in lin:
-        for cand in (l, tuple(-x for x in l)):
-            canon = scale_to_canonical(cand)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(canon)
-    return out + rays
-
-
-def _identity(dim: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else ZERO for j in range(dim)] for i in range(dim)]
+    rays = [scale_to_canonical(r) for r in _double_description([(n, ZERO) for n in work], dim).rays]
+    rays.sort(
+        key=lambda r: _first_basis(work, (i for i, n in enumerate(work) if dot(n, r) == 0), dim - 1)
+    )
+    return [scale_to_canonical(c) for l in lin for c in (l, tuple(-x for x in l))] + rays
 
 
 class VForm(NamedTuple):
@@ -264,12 +248,7 @@ class Cone:
                 raise ValueError("inconsistent cone representations")
         lin_dim = len(nullspace(list(halfspaces), dim)) if halfspaces else dim
         pointed = lin_dim == 0
-        if halfspaces:
-            interior = solve_lp(
-                zeros(dim), [(n, Fraction(1)) for n in halfspaces], sense="max"
-            ).status is LPStatus.OPTIMAL
-        else:
-            interior = True
+        interior = bool(gens) and matrix_rank(gens) == dim
         proper = any(not is_zero(n) for n in halfspaces)
         if require_proper and not proper:
             raise OrderConeError(
@@ -582,19 +561,6 @@ class Polyhedron:
         if tf <= 0:
             raise ValueError("scale factor must be positive here")
         return Polyhedron(self.dim, [(n, tf * b) for n, b in self.rows])
-
-    def remove_redundant(self) -> "Polyhedron":
-        if self.is_empty:
-            return Polyhedron.empty(self.dim)
-        rows = list(dict.fromkeys(self.rows))
-        kept: list[Constraint] = []
-        for i, (n, b) in enumerate(rows):
-            others = kept + rows[i + 1 :]
-            res = solve_lp(n, others, sense="min")
-            if res.status is LPStatus.OPTIMAL and res.value >= b:
-                continue
-            kept.append((n, b))
-        return Polyhedron(self.dim, kept)
 
     def contained_in(self, other: "Polyhedron") -> bool:
         """Exact containment self <= other for convex polyhedra."""

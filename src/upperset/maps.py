@@ -407,17 +407,21 @@ def convexity_check(f: SetValuedMap, plan: SamplePlan | None = None) -> Verdict:
     return Verdict.holds(resolution=examined, note="sampled midpoint grid")
 
 
-def _box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fraction) -> bool:
-    """Exact check that box(x0, r) x box(z0, r) lies inside the graph of
-    ``body``.  A guard the x-box lies on one side of selects that branch;
-    a straddled guard needs both branches to contain the box."""
-    if isinstance(body, PiecewiseBody):
-        side = _guard_side(body.guard, x0, r)
-        if side is None:
-            branches = (body.when_true, body.when_false)
-        else:
-            branches = (body.when_true if side else body.when_false,)
-        return all(_box_in_graph(f, b, x0, z0, r) for b in branches)
+def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
+    """Exact check that box(x0, r) x box(z0, r) lies inside the graph of f:
+    every leaf of the guard tree whose region (strict on false sides) meets
+    the x-box must contain the box.  A leaf whose region misses the x-box
+    cannot matter, even where the box straddles one of its guards."""
+    box = Polyhedron.box([(c - r, c + r) for c in x0]).rows
+    return all(
+        _leaf_box_in_graph(f, leaf, x0, z0, r)
+        for rows, strict, leaf in _body_leaves(f.body)
+        if _region_nonempty([*rows, *box], (*strict,) + (False,) * len(box), f.domain_dim)
+    )
+
+
+def _leaf_box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fraction) -> bool:
+    """Whether every value of the leaf ``body`` over the x-box contains the z-box."""
     if isinstance(body, AffineBody):
         if _is_constant_empty(body):
             return False
@@ -493,7 +497,7 @@ def graph_interior_witness(
     candidates = _interior_candidates(f, x0, radii[0])
     for z0 in candidates:
         for r in radii:
-            if _box_in_graph(f, f.body, x0, z0, r):
+            if _box_in_graph(f, x0, z0, r):
                 return Verdict.holds(
                     witness=Witness(x=x0, z=z0, radius=r),
                     note="product box certified inside the graph",

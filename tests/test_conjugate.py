@@ -16,10 +16,15 @@ from upperset.conjugate import (
     neg_conjugate_scalar_route,
     scalar_conjugate,
 )
+from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id, random_dual_pairs
+from upperset.duality import BivariateMap, marginal_scalarization, weak_duality_check
 from upperset.geometry import Cone, DualPair, Polyhedron
-from upperset.linalg import NEG_INF, POS_INF, vec
+from upperset.linalg import NEG_INF, POS_INF, dot, vec
 from upperset.maps import AffineBody, SetValuedMap, constant_cone_body
+from upperset.scalarize import piecewise_scalarization
 from upperset.sets import member, set_order_leq
+from upperset.simplex import LPStatus, solve_lp
+from upperset.verdict import Status
 
 from test_maps import ORTHANT, constant_map, halfline_domain_map
 
@@ -219,3 +224,115 @@ class TestNegConjugateDirect:
         scalar = neg_conjugate_scalar_route(f, pair)
         assert direct.offset <= scalar.offset
         assert set_order_leq(scalar.value, direct.value)
+
+
+# -- the value routes against the per-piece LPs they replaced --------------------
+
+
+def lp_conjugate(phi, xstar):
+    """phi*(x*) by one LP per piece: max (x* - a).x over the piece's region."""
+    if phi.improper_below:
+        return POS_INF
+    if phi.never_finite:
+        return NEG_INF
+    best = NEG_INF
+    for p in phi.pieces:
+        obj = tuple(a - b for a, b in zip(vec(xstar), p.coeffs))
+        res = solve_lp(obj, list(p.region.rows), sense="max")
+        if res.status is LPStatus.UNBOUNDED:
+            return POS_INF
+        if res.status is LPStatus.OPTIMAL:
+            best = max(best, res.value - p.const)
+    return best
+
+
+def lp_partial_infimum(phi, n_free, fixed):
+    """inf over the first n_free coordinates, the rest fixed, by one LP per
+    piece and one feasibility LP per minus-infinity region."""
+
+    def sliced(region):
+        return [(n[:n_free], b - dot(n[n_free:], fixed)) for n, b in region.rows]
+
+    for r in phi.minus_inf_regions:
+        if solve_lp((F(0),) * n_free, sliced(r), sense="max").status is LPStatus.OPTIMAL:
+            return NEG_INF
+    best = POS_INF
+    for p in phi.pieces:
+        res = solve_lp(p.coeffs[:n_free], sliced(p.region), sense="min")
+        if res.status is LPStatus.UNBOUNDED:
+            return NEG_INF
+        if res.status is LPStatus.OPTIMAL:
+            best = min(best, res.value + dot(p.coeffs[n_free:], fixed) + p.const)
+    return best
+
+
+def random_pl(rng, dim):
+    """Pieces over random small polyhedra, some unbounded, some empty, and
+    now and then a minus-infinity region."""
+
+    def region():
+        rows = [
+            (vec([rng.randint(-2, 2) for _ in range(dim)]), F(rng.randint(-3, 2)))
+            for _ in range(rng.randint(0, dim + 2))
+        ]
+        return Polyhedron(dim, rows)
+
+    pieces = [
+        AffinePiece(region(), vec([rng.randint(-3, 3) for _ in range(dim)]), F(rng.randint(-4, 4)))
+        for _ in range(rng.randint(0, 3))
+    ]
+    minus = [region()] if rng.random() < 0.1 else []
+    return PiecewiseLinearFn(dim, pieces, minus)
+
+
+def random_bivariate(rng, cone):
+    """{z : N z >= q + L (x, y)} with rows from {+-1, 0} normals, so that
+    empty, bounded and unbounded marginal problems all occur."""
+    rows = rng.randint(1, 4)
+    choices = [(1,), (-1,), (0,)] if cone.dim == 1 else [(1, 0), (0, 1), (-1, 0), (1, 1), (0, 0)]
+    body = AffineBody(
+        normals=tuple(vec(rng.choice(choices)) for _ in range(rows)),
+        offsets=tuple(F(rng.randint(-2, 2)) for _ in range(rows)),
+        x_coeffs=tuple(vec([rng.randint(-2, 2) for _ in range(2)]) for _ in range(rows)),
+    )
+    return BivariateMap(SetValuedMap(2, cone, body, name="random-bivariate"), 1, 1)
+
+
+class TestValueRoutesMatchLPs:
+    def test_scalar_conjugate(self):
+        rng = random.Random(2024)
+        seen = {"+inf": 0, "-inf": 0, "finite": 0}
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            phi = random_pl(rng, dim)
+            for _ in range(3):
+                xs = vec([rng.randint(-3, 3) for _ in range(dim)])
+                v = scalar_conjugate(phi, xs)
+                assert v == lp_conjugate(phi, xs), ([(p.region.rows, p.coeffs) for p in phi.pieces], xs)
+                seen["+inf" if v == POS_INF else "-inf" if v == NEG_INF else "finite"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_marginal_scalarization(self):
+        rng = random.Random(77)
+        seen = {"+inf": 0, "-inf": 0, "finite": 0}
+        for k in range(120):
+            f = random_bivariate(rng, HALFLINE_1D if k % 2 else ORTHANT_2D)
+            for _, zs in random_dual_pairs(k, 2, f.cone, 1):
+                phi = piecewise_scalarization(f.map, zs)
+                for y in (F(-1), F(0), Fraction(3, 2)):
+                    v = marginal_scalarization(f, zs, (y,))
+                    assert v == lp_partial_infimum(phi, 1, (y,))
+                    seen["+inf" if v == POS_INF else "-inf" if v == NEG_INF else "finite"] += 1
+        assert min(seen.values()) >= 40, seen
+
+
+def test_conjugates_and_weak_duality_solve_no_lp(lp_calls):
+    f = fixture_by_id("abs-bivariate").map
+    pairs = random_dual_pairs(7, 4, f.cone, f.p)
+    phis = [piecewise_scalarization(f.map, zs) for _, zs in pairs]
+    lp_calls.clear()
+    offsets = [scalar_conjugate(phi, (F(0),) + ys) for phi, (ys, _) in zip(phis, pairs)]
+    verdict = weak_duality_check(f, pairs)
+    assert lp_calls == []
+    assert verdict.status is Status.HOLDS
+    assert offsets == [lp_conjugate(phi, (F(0),) + ys) for phi, (ys, _) in zip(phis, pairs)]

@@ -2,24 +2,34 @@
 
 import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from upperset import simplex
 from upperset.geometry import (
     Cone,
     DimensionMismatch,
     DualPair,
     OrderConeError,
     Polyhedron,
+    _cone_rays,
     cones_equal,
     dual_cone,
     fourier_motzkin,
     project_out,
 )
-from upperset.linalg import NEG_INF, POS_INF, dot, matrix_rank, solve_affine, vec, zeros
+from upperset.linalg import (
+    NEG_INF,
+    POS_INF,
+    dot,
+    is_zero,
+    matrix_rank,
+    nullspace,
+    scale_to_canonical,
+    solve_affine,
+    vec,
+    zeros,
+)
 from upperset.sets import minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
@@ -217,12 +227,6 @@ class TestPolyhedron:
         s = t.scale(2)
         assert s.contains([2, -2]) and not s.contains([1, -1])
 
-    def test_remove_redundant(self):
-        p = Polyhedron(1, [([1], 0), ([1], -1), ([1], 0)])
-        r = p.remove_redundant()
-        assert len(r.rows) == 1
-        assert r.rows[0] == ((F(1),), F(0))
-
     def test_affine_dim(self):
         line = Polyhedron(2, [([1, 0], 1), ([-1, 0], -1)])
         assert line.affine_dim == 1
@@ -382,20 +386,58 @@ class TestVFormOracle:
         assert min(seen.values()) >= 40, seen
 
 
-@pytest.fixture
-def lp_calls(monkeypatch) -> list:
-    """Arguments of every LP solved, whichever module calls ``solve_lp``."""
-    calls = []
-    real = simplex.solve_lp
+def enumerated_cone_rays(normals, dim):
+    """Lineality pairs, then every ray spanning the nullspace of dim - 1 rows
+    that satisfies all rows, in ``itertools.combinations`` order of the row
+    subsets; the rows are the nonzero normals plus +- a lineality basis."""
+    rows = [n for n in normals if not is_zero(n)]
+    lin = nullspace(rows, dim)
+    work = list(rows)
+    for l in lin:
+        work += [l, tuple(-x for x in l)]
+    rays, seen = [], set()
+    for subset in itertools.combinations(work, dim - 1):
+        ns = nullspace(list(subset), dim)
+        if len(ns) != 1:
+            continue
+        for cand in (ns[0], tuple(-x for x in ns[0])):
+            canon = scale_to_canonical(cand)
+            if canon not in seen and all(dot(n, cand) >= 0 for n in work):
+                seen.add(canon)
+                rays.append(canon)
+    return [scale_to_canonical(c) for l in lin for c in (l, tuple(-x for x in l))] + rays
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "upperset" and getattr(module, "solve_lp", None) is real:
-            monkeypatch.setattr(module, "solve_lp", counting)
-    return calls
+class TestConeRaysOracle:
+    """The double-description rays equal the subset enumeration's, in order."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_subset_enumeration(self, seed):
+        rng = random.Random(100 + seed)
+        seen = {"lineality": 0, "zero cone": 0, "several rays": 0, "repeated rows": 0}
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            normals = [n for n, _ in random_rows(rng, dim)]
+            expected = enumerated_cone_rays(normals, dim)
+            assert _cone_rays(normals, dim) == expected, (normals, dim)
+            lin = len(nullspace([n for n in normals if not is_zero(n)], dim))
+            seen["lineality"] += lin > 0
+            seen["zero cone"] += not expected
+            seen["several rays"] += len(expected) - 2 * lin >= 2
+            seen["repeated rows"] += len(set(map(scale_to_canonical, normals))) < len(normals)
+        assert min(seen.values()) >= 40, seen
+
+
+def test_cone_constructions_solve_no_lp(lp_calls):
+    orthant = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    wedge = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+    ray = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])
+    flat = Cone.from_generators([[1, 0], [-1, 0], [1, 1]])
+    duals = [dual_cone(c) for c in (orthant, wedge, ray, flat)]
+    assert lp_calls == []
+    assert [c.has_interior for c in (orthant, wedge, ray, flat)] == [True, True, False, True]
+    assert [c.has_interior for c in duals] == [True, True, True, False]
+    assert [c.pointed for c in (orthant, wedge, ray, flat)] == [True, True, True, False]
 
 
 def test_lattice_operations_solve_no_lp(lp_calls):
