@@ -11,6 +11,8 @@ polyhedron's ``recession_generators``, run by the same double description
 on the homogeneous rows, so no cone question solves an LP either.  LPs are
 left only where a point is read off (``interior_point``,
 ``violation_witness``); the documented dimension cap is m <= 4.
+``dist_sq`` finds the nearest point by the first row subset whose Gram
+system certifies it (nonpositive multipliers, a foot point inside P).
 
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
@@ -38,9 +40,7 @@ from .linalg import (
     is_zero,
     matrix_rank,
     norm1,
-    norm2_sq,
     nullspace,
-    project_onto_affine,
     scale_to_canonical,
     solve_affine,
     vec,
@@ -449,58 +449,45 @@ class Polyhedron:
     def dist_sq(self, z) -> Ext:
         """Exact squared Euclidean distance from z to the polyhedron.
 
-        +inf for the empty set.  Enumerates projections onto face affine
-        hulls; the true projection lies in the relative interior of some
-        face and is its affine projection, so it appears among the feasible
-        candidates.
+        +inf for the empty set.  With residuals ``r_i = n_i . z - b_i``, z
+        lies in P iff every ``r_i >= 0``.  Otherwise the row subsets S are
+        scanned by size: S certifies the nearest point when its rows are
+        independent, ``(N_S N_S^T) lam = r_S`` has ``lam <= 0`` and
+        ``p = z - N_S^T lam`` lies in P; then the distance is ``lam . r_S``.
+        Such p is the projection: for every y in P,
+        ``(z - p).(y - p) = sum lam_i (n_i . y - b_i) <= 0``.  Conversely,
+        Caratheodory on the normal cone at the projection gives an
+        independent certifying S of at most ``dim`` rows.
         """
         v = vec(z)
         _check_dim(self.dim, v)
         cache = self.__dict__.setdefault("_dist_cache", {})
         if v in cache:
             return cache[v]
+        resid = [dot(n, v) - b for n, b in self.rows]
+        if all(r >= 0 for r in resid):
+            cache[v] = ZERO
+            return ZERO
         if self.is_empty:
             cache[v] = POS_INF
             return POS_INF
-        if self.contains(v):
-            cache[v] = ZERO
-            return ZERO
-        best: Ext = POS_INF
-        max_size = min(self.dim, len(self.rows))
-        for size in range(1, max_size + 1):
+        normals = [n for n, _ in self.rows]
+        for size in range(1, min(self.dim, len(self.rows)) + 1):
             for subset in itertools.combinations(range(len(self.rows)), size):
-                sub_n = [self.rows[i][0] for i in subset]
-                sub_b = [self.rows[i][1] for i in subset]
-                p = project_onto_affine(v, sub_n, sub_b)
-                if p is None or not self.contains(p):
+                if size == 1 and resid[subset[0]] >= 0:
                     continue
-                d = norm2_sq(vsub(v, p))
-                if d < best:
-                    best = d
-        cache[v] = best
-        return best
-
-    def max_dist_sq_to(self, other: "Polyhedron") -> Ext:
-        """sup over z in self of squared distance to ``other``.
-
-        +inf when the recession cone of self is not contained in the
-        recession cone of other (the distance then grows along some ray);
-        otherwise the supremum is attained at a minimal face representative.
-        Returns 0 for an empty self.
-        """
-        if self.is_empty:
-            return ZERO
-        if other.is_empty:
-            return POS_INF
-        other_normals = [n for n, _ in other.rows]
-        if not self.recession_within(other_normals):
-            return POS_INF
-        best: Ext = ZERO
-        for p in self.minimal_face_points:
-            d = other.dist_sq(p)
-            if d > best:
-                best = d
-        return best
+                gram = [tuple(dot(normals[i], normals[j]) for j in subset) for i in subset]
+                lam, null = solve_affine(gram, [resid[i] for i in subset])
+                if lam is None or null or any(x > 0 for x in lam):
+                    continue
+                p = v
+                for x, i in zip(lam, subset):
+                    p = vsub(p, vscale(x, normals[i]))
+                if self.contains(p):
+                    d = sum(x * resid[i] for x, i in zip(lam, subset))
+                    cache[v] = d
+                    return d
+        raise AssertionError("no active set certifies the nearest point")
 
     @cached_property
     def affine_dim(self) -> int:

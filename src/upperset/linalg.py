@@ -178,36 +178,6 @@ def nullspace(a: Sequence[Vec], n: int | None = None) -> list[Vec]:
     return basis
 
 
-def project_onto_affine(z: Vec, a: Sequence[Vec], b: Sequence[Fraction]) -> Vec | None:
-    """Euclidean projection of z onto ``{x : A x = b}``, exactly.
-
-    Returns ``None`` when the affine set is empty.  Rank-deficient rows are
-    reduced first so the normal equations stay solvable.
-    """
-    if not a:
-        return z
-    n = len(z)
-    aug = [list(ai) + [bi] for ai, bi in zip(a, b)]
-    rows, pivots = _row_reduce(aug)
-    if n in pivots:
-        return None
-    indep = [tuple(r[:n]) for r in rows[: len(pivots)]]
-    rhs = [r[n] for r in rows[: len(pivots)]]
-    if not indep:
-        return z
-    # Solve (A A^T) lam = A z - b over the independent rows.
-    k = len(indep)
-    gram = [[dot(indep[i], indep[j]) for j in range(k)] for i in range(k)]
-    resid = [dot(indep[i], z) - rhs[i] for i in range(k)]
-    lam, _ = solve_affine([tuple(g) for g in gram], resid)
-    if lam is None:  # gram of independent rows is invertible; defensive only
-        return None
-    correction = zeros(n)
-    for i in range(k):
-        correction = vadd(correction, vscale(lam[i], indep[i]))
-    return vsub(z, correction)
-
-
 def format_scalar(x: Ext) -> str:
     """Stable string form for reports: '3/7', '2', '+inf', '-inf'."""
     if isinstance(x, float):

@@ -21,13 +21,18 @@ from upperset.geometry import (
 from upperset.linalg import (
     NEG_INF,
     POS_INF,
+    _row_reduce,
     dot,
     is_zero,
     matrix_rank,
+    norm2_sq,
     nullspace,
     scale_to_canonical,
     solve_affine,
+    vadd,
     vec,
+    vscale,
+    vsub,
     zeros,
 )
 from upperset.sets import minkowski_sum, upper_closure
@@ -203,14 +208,6 @@ class TestPolyhedron:
 
     def test_dist_sq_empty(self):
         assert Polyhedron.empty(2).dist_sq([0, 0]) == POS_INF
-
-    def test_max_dist_between_translates(self):
-        p = Polyhedron(2, [([1, 0], 1), ([0, 1], -1)])
-        q = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])
-        assert p.max_dist_sq_to(q) == 1
-        # Recession mismatch blows up to +inf.
-        wide = Polyhedron(2, [([0, 1], 0)])
-        assert wide.max_dist_sq_to(q) == POS_INF
 
     def test_containment(self):
         inner = Polyhedron(2, [([1, 0], 1), ([0, 1], 1)])
@@ -426,6 +423,98 @@ class TestConeRaysOracle:
             seen["several rays"] += len(expected) - 2 * lin >= 2
             seen["repeated rows"] += len(set(map(scale_to_canonical, normals))) < len(normals)
         assert min(seen.values()) >= 40, seen
+
+
+def project_onto_affine(z, a, b):
+    """Euclidean projection of z onto ``{x : A x = b}``, exactly; None when
+    that set is empty.  Dependent rows are reduced away first."""
+    if not a:
+        return z
+    n = len(z)
+    rows, pivots = _row_reduce([list(ai) + [bi] for ai, bi in zip(a, b)])
+    if n in pivots:
+        return None
+    indep = [tuple(r[:n]) for r in rows[: len(pivots)]]
+    rhs = [r[n] for r in rows[: len(pivots)]]
+    if not indep:
+        return z
+    gram = [tuple(dot(u, w) for w in indep) for u in indep]
+    lam, _ = solve_affine(gram, [dot(u, z) - c for u, c in zip(indep, rhs)])
+    correction = zeros(n)
+    for x, u in zip(lam, indep):
+        correction = vadd(correction, vscale(x, u))
+    return vsub(z, correction)
+
+
+def test_projection_onto_line():
+    # Project (2, 0) onto {x + y = 0}: expect (1, -1).
+    assert project_onto_affine(vec([2, 0]), [vec([1, 1])], [F(0)]) == (F(1), F(-1))
+
+
+def test_projection_redundant_rows():
+    p = project_onto_affine(vec([2, 0]), [vec([1, 1]), vec([2, 2])], [F(0), F(0)])
+    assert p == (F(1), F(-1))
+
+
+def test_projection_empty_affine_set():
+    assert project_onto_affine(vec([0, 0]), [vec([1, 1]), vec([1, 1])], [F(0), F(1)]) is None
+
+
+def enumerated_dist_sq(p, z):
+    """The least squared distance from z to a projection onto the hyperplanes
+    of at most dim rows that lies in P: the true projection is the affine
+    projection onto its face's hull.  0 inside P, +inf for an empty P."""
+    v = vec(z)
+    if p.is_empty:
+        return POS_INF
+    if p.contains(v):
+        return 0
+    best = POS_INF
+    for size in range(1, min(p.dim, len(p.rows)) + 1):
+        for subset in itertools.combinations(p.rows, size):
+            q = project_onto_affine(v, [n for n, _ in subset], [b for _, b in subset])
+            if q is not None and p.contains(q):
+                best = min(best, norm2_sq(vsub(v, q)))
+    return best
+
+
+class TestDistSqOracle:
+    """The first certified active set gives the enumeration's distance."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_enumeration(self, seed):
+        rng = random.Random(200 + seed)
+        seen = {"empty": 0, "inside or boundary": 0, "lower-dimensional": 0,
+                "lineality": 0, "zero row": 0, "duplicate rows": 0}
+        for _ in range(250):
+            dim = rng.randint(1, 4)
+            # At most four rows keep the enumeration cheap.
+            p = Polyhedron(dim, random_rows(rng, dim)[:4])
+            faces = p.minimal_face_points
+            points = [vec([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(2)]
+            if faces and rng.random() < 0.4:
+                points[1] = rng.choice(faces)
+            for z in points:
+                d = p.dist_sq(z)
+                assert d == enumerated_dist_sq(p, z), (p.rows, z)
+                seen["inside or boundary"] += d == 0
+            for kind, holds in (
+                ("empty", p.is_empty),
+                ("lower-dimensional", 0 <= p.affine_dim < dim),
+                ("lineality", bool(p.lineality)),
+                ("zero row", any(is_zero(n) for n, _ in p.rows)),
+                ("duplicate rows", len(set(p.rows)) < len(p.rows)),
+            ):
+                seen[kind] += 2 * holds
+        assert min(seen.values()) >= 40, seen
+
+    def test_degenerate_apex(self):
+        # A square pyramid: four facets meet at the apex 0, so its four
+        # active rows are dependent.  No pair of them certifies (-1, 2, -7);
+        # the independent triples {0, 1, 2} and {1, 2, 3} do.
+        p = Polyhedron(3, [([-1, 0, 1], 0), ([1, 0, 1], 0), ([0, -1, 1], 0),
+                           ([0, 1, 1], 0), ([0, 0, -1], -5)])
+        assert p.dist_sq([-1, 2, -7]) == 54 == enumerated_dist_sq(p, [-1, 2, -7])
 
 
 def test_cone_constructions_solve_no_lp(lp_calls):

@@ -12,7 +12,6 @@ from upperset.linalg import (
     norm2_sq,
     nullspace,
     parse_scalar,
-    project_onto_affine,
     solve_affine,
     vec,
     POS_INF,
@@ -67,24 +66,6 @@ def test_rank_and_nullspace():
     ns = nullspace([vec([1, 2])])
     assert len(ns) == 1
     assert dot(vec([1, 2]), ns[0]) == 0
-
-
-def test_projection_onto_line():
-    # Project (2, 0) onto {x + y = 0}: expect (1, -1).
-    p = project_onto_affine(vec([2, 0]), [vec([1, 1])], [frac(0)])
-    assert p == (Fraction(1), Fraction(-1))
-
-
-def test_projection_redundant_rows():
-    p = project_onto_affine(
-        vec([2, 0]), [vec([1, 1]), vec([2, 2])], [frac(0), frac(0)]
-    )
-    assert p == (Fraction(1), Fraction(-1))
-
-
-def test_projection_empty_affine_set():
-    p = project_onto_affine(vec([0, 0]), [vec([1, 1]), vec([1, 1])], [frac(0), frac(1)])
-    assert p is None
 
 
 def test_scalar_formatting_round_trip():
