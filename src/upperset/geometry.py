@@ -14,6 +14,16 @@ left only where a point is read off (``interior_point``,
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
 
+The hot queries run in Python ints.  Each polyhedron keeps its rows once as
+integer rows (a positive multiple of ``n + (b,)``), and the V-form keeps
+what the double description computes: primitive integer generators (z, t)
+of the homogenized cone, an integer lineality basis, and for each generator
+the bitmask of the rows tight on it.  ``support``, ``contains`` and
+``dist_sq`` scale their argument to integers once; ``minimal_face_points``
+and the cone rays read the tight rows from the masks and order their faces
+by a fraction-free rank test.  A Fraction is built only for a value that is
+returned.
+
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
 """
@@ -26,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     NEG_INF,
@@ -46,7 +56,6 @@ from .linalg import (
     vec,
     vadd,
     vscale,
-    vsub,
     zeros,
 )
 from .simplex import Constraint, LPStatus, solve_lp
@@ -78,27 +87,41 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
     """
     rows = [n for n in normals if not is_zero(n)]
     lin = nullspace(rows, dim)
-    work = list(rows)
+    work = [_integer_row(n) for n in rows]
     for l in lin:
-        work.append(l)
-        work.append(tuple(-x for x in l))
-    rays = [scale_to_canonical(r) for r in _double_description([(n, ZERO) for n in work], dim).rays]
-    rays.sort(
-        key=lambda r: _first_basis(work, (i for i, n in enumerate(work) if dot(n, r) == 0), dim - 1)
-    )
-    return [scale_to_canonical(c) for l in lin for c in (l, tuple(-x for x in l))] + rays
+        work.append(_integer_row(l))
+        work.append(tuple(-x for x in work[-1]))
+    vf = _double_description([n + (0,) for n in work], dim)
+    rays = [(g[:-1], m) for g, m in zip(vf.gens, vf.tight) if not g[-1]]
+    rays.sort(key=lambda ray: _first_basis(work, _bits(ray[1] >> 1), dim - 1))
+    return [scale_to_canonical(c) for l in lin for c in (l, tuple(-x for x in l))] + [
+        scale_to_canonical(vec(r)) for r, _ in rays
+    ]
 
 
-class VForm(NamedTuple):
-    """P = conv(points) + cone(rays) + span(lineality); no points iff P is empty."""
+@dataclass(frozen=True)
+class VForm:
+    """P = conv(points) + cone(rays) + span(lineality); no points iff P is empty.
 
-    points: list[Vec]
-    rays: list[Vec]
-    lineality: list[Vec]
+    Kept as the double description leaves it, in Python ints.  ``gens`` are
+    the primitive integer generators (z, t) of the homogenized cone: t > 0
+    is the point z / t, t = 0 the recession ray z.  ``tight[k]`` is the
+    bitmask of the rows tight on ``gens[k]``: bit 0 for t >= 0, bit i + 1
+    for row i.  ``lin`` is an integer basis (l, 0) of the lineality space.
+    ``points`` is the Fraction view of the points, built on first use.
+    """
+
+    gens: list[tuple[int, ...]]
+    tight: list[int]
+    lin: list[tuple[int, ...]]
+
+    @cached_property
+    def points(self) -> list[Vec]:
+        return [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in self.gens if g[-1]]
 
 
-def _double_description(rows: Sequence[Constraint], dim: int) -> VForm:
-    """The V-form of ``{z : n.z >= b for (n, b) in rows}``, exactly.
+def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
+    """The V-form of ``{z : n.z >= b}`` for the integer rows ``n + (b,)``, exactly.
 
     The double description method (Motzkin, Raiffa, Thompson & Thrall 1953;
     Fukuda & Prodon 1996) on the homogenized cone
@@ -110,14 +133,12 @@ def _double_description(rows: Sequence[Constraint], dim: int) -> VForm:
     Any other row keeps the rays it does not cut off and adds one ray on its
     hyperplane for each adjacent pair of a ray it keeps strictly and one it
     cuts off.  Adjacency is combinatorial: no third ray is tight on every row
-    that both rays are tight on.  Rays with t > 0, scaled to t = 1, are the
-    points; rays with t = 0 are recession rays.
+    that both rays are tight on.  The rays of K are the V-form's ``gens``.
 
-    Rows are scaled to integers and every vector is kept primitive (its
-    entries divided by their gcd), which changes no ray's direction and
-    keeps the arithmetic in Python ints.
+    Every vector is kept primitive (its entries divided by their gcd), which
+    changes no ray's direction and keeps the arithmetic in Python ints.
     """
-    hom = [(0,) * dim + (1,)] + [_integer_row(tuple(n) + (-b,)) for n, b in rows]
+    hom = [(0,) * dim + (1,)] + [r[:-1] + (-r[-1],) for r in rows]
     lin = [(0,) * i + (1,) + (0,) * (dim - i) for i in range(dim + 1)]
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []  # bitmask of the rows tight on each ray
@@ -164,20 +185,21 @@ def _double_description(rows: Sequence[Constraint], dim: int) -> VForm:
         if all(r[-1] == 0 for r in rays):
             # K lies in t = 0 from here on: P is empty.
             return VForm([], [], [])
-    return VForm(
-        [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1] > 0],
-        [vec(r[:-1]) for r in rays if r[-1] == 0],
-        [vec(l[:-1]) for l in lin],
-    )
+    return VForm(rays, tight, lin)
+
+
+def _scaled(a: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(k, k a) for the least k > 0 that makes k a integral."""
+    k = math.lcm(*(x.denominator for x in a))
+    return k, tuple(x.numerator * (k // x.denominator) for x in a)
 
 
 def _integer_row(a: Vec) -> tuple[int, ...]:
     """A positive multiple of a rational vector with integer entries."""
-    m = math.lcm(*(x.denominator for x in a))
-    return tuple(x.numerator * (m // x.denominator) for x in a)
+    return _scaled(a)[1]
 
 
-def _primitive(v: list[int]) -> tuple[int, ...]:
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
     g = math.gcd(*v)
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
@@ -186,16 +208,65 @@ def _idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _first_basis(normals: Sequence[Vec], indices: Iterable[int], rank: int) -> tuple[int, ...]:
-    """The lexicographically least subset of ``indices`` whose normals are
-    ``rank`` independent vectors: greedy in index order."""
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _first_basis(normals: Sequence[tuple[int, ...]], indices: Iterable[int], rank: int) -> tuple[int, ...]:
+    """The lexicographically least subset of ``indices`` whose integer
+    normals are ``rank`` independent vectors: greedy in index order.
+
+    Each candidate is reduced, fraction-free, against the echelon rows of
+    the normals chosen so far; it is independent of them iff a nonzero
+    entry is left (Bareiss 1968 for the integer-preserving step).
+    """
     chosen: list[int] = []
+    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, primitive row)
     for i in indices:
-        if matrix_rank([normals[j] for j in chosen] + [normals[i]]) > len(chosen):
+        v = normals[i]
+        for c, e in echelon:
+            if v[c]:
+                f, g = e[c], v[c]
+                v = tuple(f * x - g * y for x, y in zip(v, e))
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            echelon.append((c, _primitive(v)))
             chosen.append(i)
             if len(chosen) == rank:
                 break
     return tuple(chosen)
+
+
+def _solve_gram(gram: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
+    """Solve ``gram x = rhs`` for a Gram matrix of integer rows, fraction-free.
+
+    Returns ``(det, det x)``, both integral by Cramer's rule, with det > 0;
+    None when the rows are dependent.  Bareiss elimination needs no pivoting
+    here: its pivots are the leading principal minors, Gram determinants
+    that vanish exactly when a leading set of rows is dependent.
+    """
+    m = [row + [y] for row, y in zip(gram, rhs)]
+    s = len(m)
+    prev = 1
+    for k in range(s):
+        pivot = m[k][k]
+        if pivot == 0:
+            return None
+        for i in range(k + 1, s):
+            mik = m[i][k]
+            m[i] = [0] * (k + 1) + [
+                (pivot * m[i][j] - mik * m[k][j]) // prev for j in range(k + 1, s + 1)
+            ]
+        prev = pivot
+    num = [0] * s
+    for i in reversed(range(s)):
+        acc = prev * m[i][s] - sum(m[i][j] * num[j] for j in range(i + 1, s))
+        num[i] = acc // m[i][i]
+    return prev, num
 
 
 @dataclass(frozen=True)
@@ -370,29 +441,50 @@ class Polyhedron:
     # -- queries ------------------------------------------------------------
 
     @cached_property
+    def _int_rows(self) -> list[tuple[int, ...]]:
+        """Each row (n, b) as an integer row ``n + (b,)``, a positive multiple."""
+        return [_integer_row(n + (b,)) for n, b in self.rows]
+
+    @cached_property
     def vform(self) -> VForm:
         """Points, rays and lineality, by one double-description pass."""
-        return _double_description(self.rows, self.dim)
+        return _double_description(self._int_rows, self.dim)
 
     @property
     def is_empty(self) -> bool:
-        return not self.vform.points
+        return not self.vform.gens
 
     def contains(self, z) -> bool:
         v = vec(z)
         _check_dim(self.dim, v)
-        return all(dot(n, v) >= b for n, b in self.rows)
+        k, kv = _scaled(v)
+        h = kv + (-k,)
+        return all(_idot(r, h) >= 0 for r in self._int_rows)
 
     def support(self, direction) -> Ext:
-        """sup { d.z : z in P }: -inf when empty, +inf when unbounded."""
+        """sup { d.z : z in P }: -inf when empty, +inf when unbounded.
+
+        With k d integral, each generator (z, t) gives k d.z in integers;
+        points are compared by cross-multiplying with their t.
+        """
         d = vec(direction)
         _check_dim(self.dim, d)
-        points, rays, lineality = self.vform
-        if not points:
+        vf = self.vform
+        if not vf.gens:
             return NEG_INF
-        if any(dot(d, l) for l in lineality) or any(dot(d, r) > 0 for r in rays):
+        k, kd = _scaled(d)
+        h = kd + (0,)
+        if any(_idot(h, l) for l in vf.lin):
             return POS_INF
-        return max(dot(d, p) for p in points)
+        best, best_t = 0, 0
+        for g in vf.gens:
+            value, t = _idot(h, g), g[-1]
+            if not t:
+                if value > 0:
+                    return POS_INF
+            elif not best_t or value * best_t > best * t:
+                best, best_t = value, t
+        return Fraction(best, best_t * k)
 
     @cached_property
     def lineality(self) -> list[Vec]:
@@ -420,24 +512,27 @@ class Polyhedron:
         Each face's point solves its lexicographically least basis of tight
         rows, and the faces come in the order of those bases: the first
         solution in P met by a scan of the row subsets of full rank in
-        ``itertools.combinations`` order.
+        ``itertools.combinations`` order.  The double description knows
+        the rows tight on each of its points; when P is pointed, that point
+        is the face and the basis only orders it.
         """
-        points, _, lineality = self.vform
-        if not points:
+        vf = self.vform
+        if not vf.gens:
             return []
-        rank = self.dim - len(lineality)
+        rank = self.dim - len(vf.lin)
         if rank == 0:
             # Every normal is zero and every offset <= 0, so P holds the origin.
             return [zeros(self.dim)]
-        normals = [n for n, _ in self.rows]
+        normals = [r[:-1] for r in self._int_rows]
+        masks = [m for g, m in zip(vf.gens, vf.tight) if g[-1]]
         faces = []
-        for p in points:
-            tight = (i for i, (n, b) in enumerate(self.rows) if dot(n, p) == b)
-            basis = _first_basis(normals, tight, rank)
-            sol, _ = solve_affine([normals[i] for i in basis], [self.rows[i][1] for i in basis])
-            faces.append((basis, sol))
+        for p, mask in zip(vf.points, masks):
+            basis = _first_basis(normals, _bits(mask >> 1), rank)
+            if vf.lin:
+                p, _ = solve_affine([self.rows[i][0] for i in basis], [self.rows[i][1] for i in basis])
+            faces.append((basis, p))
         faces.sort(key=lambda face: face[0])
-        return [sol for _, sol in faces]
+        return [p for _, p in faces]
 
     @cached_property
     def vertices(self) -> list[Vec]:
@@ -464,27 +559,40 @@ class Polyhedron:
         cache = self.__dict__.setdefault("_dist_cache", {})
         if v in cache:
             return cache[v]
-        resid = [dot(n, v) - b for n, b in self.rows]
+        # With k v integral, each integer row's residual at (k v, -k) is a
+        # positive multiple of n . v - b.
+        k, kv = _scaled(v)
+        h = kv + (-k,)
+        rows = self._int_rows
+        resid = [_idot(r, h) for r in rows]
         if all(r >= 0 for r in resid):
             cache[v] = ZERO
             return ZERO
         if self.is_empty:
             cache[v] = POS_INF
             return POS_INF
-        normals = [n for n, _ in self.rows]
-        for size in range(1, min(self.dim, len(self.rows)) + 1):
-            for subset in itertools.combinations(range(len(self.rows)), size):
+        # The scan runs on the integer rows: scaling a row by c > 0 scales
+        # its multiplier by 1 / c, which moves neither p nor lam . r.  Here
+        # resid = k r, and (N N^T) mu = resid has the solution mu = num / det
+        # with num integral, so lam = num / (det k), det k p = det k v -
+        # N^T num, and the distance is num . resid / (det k^2).
+        for size in range(1, min(self.dim, len(rows)) + 1):
+            for subset in itertools.combinations(range(len(rows)), size):
                 if size == 1 and resid[subset[0]] >= 0:
                     continue
-                gram = [tuple(dot(normals[i], normals[j]) for j in subset) for i in subset]
-                lam, null = solve_affine(gram, [resid[i] for i in subset])
-                if lam is None or null or any(x > 0 for x in lam):
+                normals = [rows[i][:-1] for i in subset]
+                solved = _solve_gram(
+                    [[_idot(a, b) for b in normals] for a in normals], [resid[i] for i in subset]
+                )
+                if solved is None or any(x > 0 for x in solved[1]):
                     continue
-                p = v
-                for x, i in zip(lam, subset):
-                    p = vsub(p, vscale(x, normals[i]))
-                if self.contains(p):
-                    d = sum(x * resid[i] for x, i in zip(lam, subset))
+                det, num = solved
+                p = [det * x for x in kv]
+                for x, n in zip(num, normals):
+                    p = [y - x * c for y, c in zip(p, n)]
+                p.append(-det * k)
+                if all(_idot(r, p) >= 0 for r in rows):
+                    d = Fraction(_idot(num, [resid[i] for i in subset]), det * k * k)
                     cache[v] = d
                     return d
         raise AssertionError("no active set certifies the nearest point")

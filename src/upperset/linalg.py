@@ -102,7 +102,11 @@ def scale_to_canonical(a: Vec) -> Vec:
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place fraction-exact Gauss-Jordan; returns (reduced rows, pivot cols)."""
+    """In-place fraction-exact Gauss-Jordan; returns (reduced rows, pivot cols).
+
+    Entries may be ints or Fractions: each pivot is made a Fraction before
+    its row is divided by it, so int input never turns into floats.
+    """
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -117,7 +121,7 @@ def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
+        pv = Fraction(rows[r][c])
         rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:

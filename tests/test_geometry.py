@@ -330,13 +330,24 @@ def lp_contained_in(p, q):
     return True
 
 
-def random_rows(rng, dim):
+def rational(rng, lo, hi, den):
+    """An integer in [lo, hi] over a denominator drawn from 1..den; with
+    den = 1 it draws the integer alone, as the integer seeds always did."""
+    x = rng.randint(lo, hi)
+    return Fraction(x, rng.randint(1, den)) if den > 1 else F(x)
+
+
+def random_vec(rng, dim, lo, hi, den=1):
+    return tuple(rational(rng, lo, hi, den) for _ in range(dim))
+
+
+def random_rows(rng, dim, den=1):
     """Rows with duplicates, opposite-row equalities and zero rows mixed in;
     small entries, so empty, unbounded and lineality cases are common."""
     rows = []
     for _ in range(rng.randint(0, dim + 2)):
-        n = vec([rng.randint(-2, 2) for _ in range(dim)])
-        b = F(rng.randint(-3, 2))
+        n = random_vec(rng, dim, -2, 2, den)
+        b = rational(rng, -3, 2, den)
         rows.append((n, b))
         kind = rng.random()
         if kind < 0.15:
@@ -344,9 +355,13 @@ def random_rows(rng, dim):
         elif kind < 0.25:
             rows.append((n, b))
         elif kind < 0.3:
-            rows.append((zeros(dim), F(rng.randint(-1, 1))))
+            rows.append((zeros(dim), rational(rng, -1, 1, den)))
     rng.shuffle(rows)
     return rows
+
+
+def fraction_contains(p, z):
+    return all(dot(n, z) >= b for n, b in p.rows)
 
 
 class TestVFormOracle:
@@ -354,15 +369,25 @@ class TestVFormOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_enumeration_and_lps(self, seed):
-        rng = random.Random(seed)
+        self.check(random.Random(seed), den=1)
+
+    @pytest.mark.parametrize("seed", range(4, 6))
+    def test_rational_inputs(self, seed):
+        # Rows, directions and offsets over denominators 1-4 exercise the
+        # per-row and per-direction scaling to integers.
+        self.check(random.Random(seed), den=4)
+
+    @staticmethod
+    def check(rng, den):
         seen = {"empty": 0, "unbounded": 0, "lineality": 0, "contained": 0, "not contained": 0}
         for k in range(500):
             dim = rng.randint(1, 5)
-            p = Polyhedron(dim, random_rows(rng, dim))
+            p = Polyhedron(dim, random_rows(rng, dim, den))
             for _ in range(2):
-                d = vec([rng.randint(-2, 2) for _ in range(dim)])
+                d = random_vec(rng, dim, -2, 2, den)
                 s = lp_support(p, d)
                 assert p.support(d) == s, (p.rows, d)
+                assert p.contains(d) == fraction_contains(p, d), (p.rows, d)
                 seen["unbounded"] += s == POS_INF
             empty = s == NEG_INF
             assert p.is_empty == empty
@@ -371,7 +396,7 @@ class TestVFormOracle:
             # Every other q relaxes p (a subset of its rows with lowered
             # offsets, so it contains p); the rest are random.
             if k % 2:
-                q = Polyhedron(dim, random_rows(rng, dim))
+                q = Polyhedron(dim, random_rows(rng, dim, den))
             else:
                 kept = [(n, b - rng.randint(0, 2)) for n, b in p.rows if rng.random() < 0.6]
                 q = Polyhedron(dim, kept)
@@ -483,18 +508,26 @@ class TestDistSqOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_enumeration(self, seed):
-        rng = random.Random(200 + seed)
+        self.check(random.Random(200 + seed), den=1)
+
+    @pytest.mark.parametrize("seed", range(4, 6))
+    def test_rational_inputs(self, seed):
+        self.check(random.Random(200 + seed), den=4)
+
+    @staticmethod
+    def check(rng, den):
         seen = {"empty": 0, "inside or boundary": 0, "lower-dimensional": 0,
                 "lineality": 0, "zero row": 0, "duplicate rows": 0}
         for _ in range(250):
             dim = rng.randint(1, 4)
             # At most four rows keep the enumeration cheap.
-            p = Polyhedron(dim, random_rows(rng, dim)[:4])
+            p = Polyhedron(dim, random_rows(rng, dim, den)[:4])
             faces = p.minimal_face_points
-            points = [vec([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(2)]
+            points = [random_vec(rng, dim, -4, 4, den) for _ in range(2)]
             if faces and rng.random() < 0.4:
                 points[1] = rng.choice(faces)
             for z in points:
+                assert p.contains(z) == fraction_contains(p, z), (p.rows, z)
                 d = p.dist_sq(z)
                 assert d == enumerated_dist_sq(p, z), (p.rows, z)
                 seen["inside or boundary"] += d == 0

@@ -71,3 +71,20 @@ def test_rank_and_nullspace():
 def test_scalar_formatting_round_trip():
     for x in (Fraction(3, 7), Fraction(-2), POS_INF, NEG_INF):
         assert parse_scalar(format_scalar(x)) == x
+
+
+def test_solve_affine_stays_exact_on_int_input():
+    sol, basis = solve_affine([(1, 2), (3, 4)], [1, 1])
+    assert sol == (-1, 1) and basis == []
+    assert all(type(x) is Fraction for x in sol)
+    sol, _ = solve_affine([(3, 0), (0, 1)], [1, 1])
+    assert sol == (Fraction(1, 3), Fraction(1))
+    ns = nullspace([(2, 4, 0)])
+    assert all(type(x) is Fraction for d in ns for x in d)
+    assert all(dot((2, 4, 0), d) == 0 for d in ns)
+
+
+def test_matrix_rank_exact_on_large_ints():
+    # Floats would round 10**17 + 1 to 10**17 and read rank 1.
+    assert matrix_rank([(10**17, 1), (10**17 + 1, 1)]) == 2
+    assert matrix_rank([(10**17, 1), (2 * 10**17, 2)]) == 1
