@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
     NEG_INF,
@@ -99,8 +99,7 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
     ]
 
 
-@dataclass(frozen=True)
-class VForm:
+class VForm(NamedTuple):
     """P = conv(points) + cone(rays) + span(lineality); no points iff P is empty.
 
     Kept as the double description leaves it, in Python ints.  ``gens`` are
@@ -108,16 +107,13 @@ class VForm:
     is the point z / t, t = 0 the recession ray z.  ``tight[k]`` is the
     bitmask of the rows tight on ``gens[k]``: bit 0 for t >= 0, bit i + 1
     for row i.  ``lin`` is an integer basis (l, 0) of the lineality space.
-    ``points`` is the Fraction view of the points, built on first use.
+    A point becomes Fractions only where it is returned
+    (``Polyhedron.minimal_face_points``).
     """
 
     gens: list[tuple[int, ...]]
     tight: list[int]
     lin: list[tuple[int, ...]]
-
-    @cached_property
-    def points(self) -> list[Vec]:
-        return [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in self.gens if g[-1]]
 
 
 def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
@@ -524,12 +520,15 @@ class Polyhedron:
             # Every normal is zero and every offset <= 0, so P holds the origin.
             return [zeros(self.dim)]
         normals = [r[:-1] for r in self._int_rows]
-        masks = [m for g, m in zip(vf.gens, vf.tight) if g[-1]]
         faces = []
-        for p, mask in zip(vf.points, masks):
+        for g, mask in zip(vf.gens, vf.tight):
+            if not g[-1]:
+                continue
             basis = _first_basis(normals, _bits(mask >> 1), rank)
             if vf.lin:
                 p, _ = solve_affine([self.rows[i][0] for i in basis], [self.rows[i][1] for i in basis])
+            else:
+                p = tuple(Fraction(x, g[-1]) for x in g[:-1])
             faces.append((basis, p))
         faces.sort(key=lambda face: face[0])
         return [p for _, p in faces]
