@@ -14,6 +14,14 @@ left only where a point is read off (``interior_point``,
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
 
+The double description also runs the other way, V to H: ``_hull`` takes
+generators and returns the polyhedron they generate, with irredundant rows,
+by one pass on the dual cone whose extreme rays are the facets.  A Minkowski
+sum (``Polyhedron.__add__``: the pairwise sums of points, the rays and the
+lineality of both) and a projection (``project_out``: the generators with
+the eliminated coordinates dropped) are generator arithmetic on the V-forms
+followed by that one step, so both are exact in every dimension.
+
 The hot queries run in Python ints.  Each polyhedron keeps its rows once as
 integer rows (a positive multiple of ``n + (b,)``), and the V-form keeps
 what the double description computes: primitive integer generators (z, t)
@@ -484,9 +492,8 @@ class Polyhedron:
 
     @cached_property
     def lineality(self) -> list[Vec]:
-        if self.is_empty:
-            return []
-        return nullspace([n for n, _ in self.rows], self.dim)
+        """A basis of the lineality space; empty for the empty set."""
+        return [tuple(Fraction(x) for x in l[:-1]) for l in self.vform.lin]
 
     @cached_property
     def recession_generators(self) -> list[Vec]:
@@ -656,6 +663,22 @@ class Polyhedron:
             raise ValueError("scale factor must be positive here")
         return Polyhedron(self.dim, [(n, tf * b) for n, b in self.rows])
 
+    def __add__(self, other: "Polyhedron") -> "Polyhedron":
+        """The Minkowski sum: each point p + q, the rays and the lineality of
+        both, read back as facets by ``_hull``."""
+        if self.dim != other.dim:
+            raise DimensionMismatch("Minkowski sum of unequal dimensions")
+        a, b = self.vform, other.vform
+        points = [
+            tuple(x * h[-1] + y * g[-1] for x, y in zip(g[:-1], h[:-1])) + (g[-1] * h[-1],)
+            for g in a.gens if g[-1]
+            for h in b.gens if h[-1]
+        ]
+        rays = [g for g in a.gens + b.gens if not g[-1]]
+        # Rays first: a cone's few rays cut the dual cone down early, which
+        # keeps the pass over the many points smaller.
+        return _hull(self.dim, rays + points, a.lin + b.lin)
+
     def contained_in(self, other: "Polyhedron") -> bool:
         """Exact containment self <= other for convex polyhedra."""
         if self.dim != other.dim:
@@ -684,56 +707,42 @@ class Polyhedron:
         return None
 
 
-def fourier_motzkin(rows: list[tuple[Vec, Fraction]], eliminate: int) -> list[tuple[Vec, Fraction]]:
-    """Eliminate one variable from ``{v : n.v >= b}`` by Fourier-Motzkin.
+def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ...]]) -> Polyhedron:
+    """The polyhedron whose homogenized cone is cone(gens) + span(lin): the
+    V->H direction of the double description.
 
-    Input rows are (normal, offset) over d variables; output rows are over
-    d-1 variables (the eliminated coordinate removed).  Exact; output is
-    deduplicated but not fully irredundant.
+    Its facets are the extreme rays of the dual cone
+    {(n, s) : n.z + s t >= 0 for every generator (z, t), = 0 on span(lin)},
+    found by one ``_double_description`` pass with the generators as rows; a
+    ray (n, s) is the row n.z >= -s, a lineality vector gives the pair of
+    rows of an implicit equation, and the ray with n = 0 (the face t >= 0)
+    is dropped.  The rows are irredundant, each scaled to largest normal
+    entry 1.  No generator with t > 0 means the empty set.
     """
-    pos, neg, zero = [], [], []
-    for n, b in rows:
-        c = n[eliminate]
-        if c > 0:
-            pos.append((n, b))
-        elif c < 0:
-            neg.append((n, b))
-        else:
-            zero.append((n, b))
-
-    def drop(n: Vec) -> Vec:
-        return n[:eliminate] + n[eliminate + 1 :]
-
-    out: list[tuple[Vec, Fraction]] = [(drop(n), b) for n, b in zero]
-    for (np_, bp) in pos:
-        cp = np_[eliminate]
-        for (nn, bn) in neg:
-            cn = -nn[eliminate]
-            comb_n = tuple(cn * a + cp * c for a, c in zip(np_, nn))
-            comb_b = cn * bp + cp * bn
-            out.append((drop(comb_n), comb_b))
-    seen: set[tuple[Vec, Fraction]] = set()
-    dedup: list[tuple[Vec, Fraction]] = []
-    for n, b in out:
-        # Normalize scale so duplicates collapse.
-        m = max((abs(x) for x in n), default=ZERO)
-        if m == 0:
-            if b > 0:
-                # 0 >= b with b > 0: the projection is empty.
-                return [(tuple(ZERO for _ in n), Fraction(1))]
-            continue
-        key = (tuple(x / m for x in n), b / m)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(key)
-    return dedup
+    rows = list(dict.fromkeys(_primitive(g) + (0,) for g in gens if any(g)))
+    for l in lin:
+        if any(l):
+            rows += [l + (0,), tuple(-x for x in l) + (0,)]
+    if not any(r[-2] for r in rows):
+        return Polyhedron.empty(dim)
+    vf = _double_description(rows, dim + 1)
+    facets = [g[:-1] for g in vf.gens if not g[-1]]
+    facets += [c for l in vf.lin for c in (l[:-1], tuple(-x for x in l[:-1]))]
+    out = []
+    for f in facets:
+        m = max((abs(x) for x in f[:-1]), default=0)
+        if m:
+            out.append((tuple(Fraction(x, m) for x in f[:-1]), Fraction(-f[-1], m)))
+    return Polyhedron(dim, out)
 
 
 def project_out(p: Polyhedron, coords: list[int]) -> Polyhedron:
-    """Project a polyhedron onto the complement of the given coordinates."""
-    rows = list(p.rows)
-    dim = p.dim
-    for c in sorted(coords, reverse=True):
-        rows = fourier_motzkin(rows, c)
-        dim -= 1
-    return Polyhedron(dim, rows)
+    """Project a polyhedron onto the complement of the given coordinates:
+    drop them from each generator of its V-form, then read the facets back."""
+    keep = [i for i in range(p.dim + 1) if i not in coords]
+    vf = p.vform
+    return _hull(
+        len(keep) - 1,
+        (tuple(g[i] for i in keep) for g in vf.gens),
+        (tuple(l[i] for i in keep) for l in vf.lin),
+    )

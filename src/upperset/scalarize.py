@@ -247,11 +247,12 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     is built from constant-normal affine branches.
 
     The epigraph {(x, t) : t >= phi(x)} is the projection of the lifted
-    polyhedron {(x, z, t) : N z >= q + L x, z*.z + t >= 0}; eliminating z by
-    Fourier-Motzkin yields rows whose t-coefficients are nonnegative, so
-    rows with positive coefficient are the affine lower bounds (phi is their
-    maximum) and rows without t cut out dom f.  Branches with no lower
-    bounding row have phi = -inf across their domain.
+    polyhedron {(x, z, t) : N z >= q + L x, z*.z + t >= 0}.  ``project_out``
+    gives its facets, whose t-coefficients are nonnegative: rows with
+    positive coefficient are the affine lower bounds (phi is their maximum;
+    each is a facet, so none is redundant) and rows without t cut out
+    dom f.  Branches with no lower bounding row have phi = -inf across
+    their domain.
     """
     zs = vec(zstar)
     _require_dual_direction(f.cone, zs)

@@ -232,35 +232,11 @@ def default_direction_grid(cone: Cone, fan: int = 64) -> tuple[Vec, ...]:
 
 
 def upper_closure(p: Polyhedron, cone: Cone) -> UpperSet:
-    """cl(P + C) as an exact polyhedral upper set.
-
-    Candidate facet normals are the rows of P that remain valid for P + C
-    together with the facet normals of C itself; offsets are tightened by
-    support values.  In the plane this is the full facet set of the sum, so
-    the construction is exact at the dimensions used here.
-    """
+    """cl(P + C) as an exact polyhedral upper set: the Minkowski sum of P
+    and C, the cone given as the polyhedron of its halfspaces."""
     if p.dim != cone.dim:
         raise DimensionMismatch("polyhedron and cone dimensions differ")
-    if p.is_empty:
-        return UpperSet.empty(cone)
-    rows: list[Constraint] = []
-    seen: set[Constraint] = set()
-
-    def add(n: Vec) -> None:
-        sup = p.support(tuple(-x for x in n))
-        if sup == POS_INF:
-            return
-        row = (n, -sup)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-
-    for n, _ in p.rows:
-        if all(dot(n, g) >= 0 for g in cone.generators):
-            add(n)
-    for n in cone.halfspaces:
-        add(n)
-    return UpperSet(cone, pieces=[Polyhedron(p.dim, rows)])
+    return UpperSet(cone, pieces=[p + Polyhedron(cone.dim, [(n, ZERO) for n in cone.halfspaces])])
 
 
 def embed_point(z, cone: Cone) -> UpperSet:
@@ -390,21 +366,7 @@ def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
     if a.is_empty or b.is_empty:
         return UpperSet.empty(cone)
     if a.pieces is not None and b.pieces is not None:
-        pa, pb = a.pieces[0], b.pieces[0]
-        rows: list[Constraint] = []
-        seen: set[Vec] = set()
-        normals = [n for n, _ in pa.rows] + [n for n, _ in pb.rows]
-        normals += list(cone.halfspaces)
-        for n in normals:
-            if n in seen:
-                continue
-            seen.add(n)
-            sa = pa.support(tuple(-x for x in n))
-            sb = pb.support(tuple(-x for x in n))
-            if sa == POS_INF or sb == POS_INF:
-                continue
-            rows.append((n, -(sa + sb)))
-        return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+        return UpperSet(cone, pieces=[a.pieces[0] + b.pieces[0]])
     oa = a.oracle if a.oracle is not None else PolyhedralOracle(a.pieces[0])
     ob = b.oracle if b.oracle is not None else PolyhedralOracle(b.pieces[0])
     combined = oa.summed(ob)

@@ -13,11 +13,15 @@ scalarizations and the domain pieces of every fixture.
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from upperset.continuity import default_config, verdict_matrix
+from test_geometry import fm_project_out
+from upperset import scalarize
 from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
 from upperset.duality import BivariateMap, DualityError, fundamental_duality, marginal
 from upperset.geometry import Cone
@@ -65,9 +69,9 @@ SCALARIZATION_DIGESTS = {
     # No closed form for the oracle and tilting maps: every entry is None.
     "parabola-dilation": "17e71049fd76b89c",
     "tilted-halfplane": "17e71049fd76b89c",
-    "abs-bivariate": "a96b7e748225d653",
+    "abs-bivariate": "fde6c9c0faaaba0d",
     "pl-profile": "0edc22d317bf6ac3",
-    "abs-pair-2d": "1583f38cd5319bc0",
+    "abs-pair-2d": "8ab614a624f3a372",
 }
 # Maps whose domain is the whole line or plane share the digest of [[]].
 DOMAIN_DIGESTS = {
@@ -155,6 +159,36 @@ def test_closed_form_scalarizations_are_pinned(fixture_id):
         pieces = [[_rows(p.region), [str(c) for c in p.coeffs], str(p.const)] for p in phi.pieces]
         out.append([pieces, [_rows(r) for r in phi.minus_inf_regions]])
     assert _digest(out) == SCALARIZATION_DIGESTS[fixture_id]
+
+
+@pytest.mark.parametrize("fixture_id", sorted(SCALARIZATION_DIGESTS))
+def test_closed_forms_equal_the_fourier_motzkin_route(fixture_id, monkeypatch):
+    """Each pinned closed form is, as a function, the one built by
+    eliminating z with Fourier-Motzkin, with at most its number of pieces:
+    equal values, +inf off the domain included, at every minimal-face point
+    of every region of both forms and at seeded rational points."""
+    f = _underlying_map(fixture_id)
+    directions = DirectionBase.default(f.cone, 4).directions
+    forms = [piecewise_scalarization(f, u) for u in directions]
+    monkeypatch.setattr(scalarize, "project_out", fm_project_out)
+    rng = random.Random(fixture_id)
+    for u, phi in zip(directions, forms):
+        ref = piecewise_scalarization(f, u)
+        if ref is None:
+            assert phi is None
+            continue
+        assert len(phi.pieces) <= len(ref.pieces)
+        points = [
+            x
+            for form in (phi, ref)
+            for region in [p.region for p in form.pieces] + list(form.minus_inf_regions)
+            for x in region.minimal_face_points
+        ]
+        points += [
+            tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(f.domain_dim))
+            for _ in range(50)
+        ]
+        assert [phi(x) for x in points] == [ref(x) for x in points], u
 
 
 @pytest.mark.parametrize("fixture_id", sorted(DOMAIN_DIGESTS))

@@ -15,7 +15,6 @@ from upperset.geometry import (
     _cone_rays,
     cones_equal,
     dual_cone,
-    fourier_motzkin,
     project_out,
 )
 from upperset.linalg import (
@@ -239,6 +238,58 @@ class TestPolyhedron:
         assert line.interior_point() is None
 
 
+def fourier_motzkin(rows, eliminate):
+    """Eliminate one variable from ``{v : n.v >= b}`` by Fourier-Motzkin.
+
+    Input rows are (normal, offset) over d variables; output rows are over
+    d-1 variables (the eliminated coordinate removed).  Exact; output is
+    deduplicated but not fully irredundant.
+    """
+    pos, neg, zero = [], [], []
+    for n, b in rows:
+        c = n[eliminate]
+        if c > 0:
+            pos.append((n, b))
+        elif c < 0:
+            neg.append((n, b))
+        else:
+            zero.append((n, b))
+
+    def drop(n):
+        return n[:eliminate] + n[eliminate + 1 :]
+
+    out = [(drop(n), b) for n, b in zero]
+    for np_, bp in pos:
+        cp = np_[eliminate]
+        for nn, bn in neg:
+            cn = -nn[eliminate]
+            comb_n = tuple(cn * a + cp * c for a, c in zip(np_, nn))
+            out.append((drop(comb_n), cn * bp + cp * bn))
+    seen, dedup = set(), []
+    for n, b in out:
+        # Normalize scale so duplicates collapse.
+        m = max((abs(x) for x in n), default=F(0))
+        if m == 0:
+            if b > 0:
+                # 0 >= b with b > 0: the projection is empty.
+                return [(zeros(len(n)), F(1))]
+            continue
+        key = (tuple(x / m for x in n), b / m)
+        if key not in seen:
+            seen.add(key)
+            dedup.append(key)
+    return dedup
+
+
+def fm_project_out(p, coords):
+    """``project_out`` by Fourier-Motzkin, one coordinate at a time."""
+    rows, dim = list(p.rows), p.dim
+    for c in sorted(coords, reverse=True):
+        rows = fourier_motzkin(rows, c)
+        dim -= 1
+    return Polyhedron(dim, rows)
+
+
 class TestProjection:
     def test_eliminate_variable(self):
         # {(x, z): z >= x, z >= -x, z <= 5} projected to x gives [-5, 5].
@@ -247,10 +298,9 @@ class TestProjection:
             (vec([1, 1]), F(0)),
             (vec([0, -1]), F(-5)),
         ]
-        out = fourier_motzkin(rows, 1)
-        p = Polyhedron(1, out)
-        assert p.contains([5]) and p.contains([-5])
-        assert not p.contains([F("51/10")])
+        for p in (project_out(Polyhedron(2, rows), [1]), Polyhedron(1, fourier_motzkin(rows, 1))):
+            assert p.contains([5]) and p.contains([-5])
+            assert not p.contains([F("51/10")])
 
     def test_project_out_infeasible(self):
         rows = [
@@ -274,6 +324,25 @@ class TestProjection:
                     Polyhedron(2, [([1, 0], x), ([-1, 0], -x)])
                 )
                 assert proj.contains([x]) == (not section.is_empty)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_fourier_motzkin(self, seed):
+        # The V-form projection and the eliminated rows give the same set,
+        # in dimensions 2-5 with 1-3 coordinates eliminated.
+        rng = random.Random(300 + seed)
+        seen = {"empty": 0, "unbounded": 0, "lineality": 0, "rows dropped": 0}
+        for _ in range(150):
+            dim = rng.randint(2, 5)
+            p = Polyhedron(dim, random_rows(rng, dim, den=1 + seed))
+            coords = rng.sample(range(dim), rng.randint(1, min(3, dim - 1)))
+            got, want = project_out(p, coords), fm_project_out(p, coords)
+            assert got.dim == want.dim == dim - len(coords)
+            assert got.contained_in(want) and want.contained_in(got), (p.rows, coords)
+            seen["empty"] += got.is_empty
+            seen["unbounded"] += bool(got.recession_generators)
+            seen["lineality"] += bool(got.lineality)
+            seen["rows dropped"] += len(got.rows) < len(want.rows)
+        assert min(seen.values()) >= 10, seen
 
 
 class TestDualPair:
@@ -579,4 +648,7 @@ def test_lattice_operations_solve_no_lp(lp_calls):
                   [0, -3, -1], [-1, 0, -2]]
     supports = [(a.support(u), b.support(u), total.support(u)) for u in directions]
     assert lp_calls == []
-    assert all(-POS_INF < s < POS_INF for row in supports for s in row)
+    # sigma_P and sigma_Q from their vertices, and their sum.
+    half = Fraction(1, 2)
+    assert supports == [(2, 1, 3), (1, 3, 4), (3 * half, 2, 7 * half), (5 * half, 6, 17 * half),
+                        (3, 5, 8), (9 * half, 11, 31 * half), (3, 5, 8)]

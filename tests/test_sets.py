@@ -1,5 +1,6 @@
 """Lattice of upper closed sets: closure, order, inf/sup, Minkowski algebra."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upperset.geometry import Cone, Polyhedron
-from upperset.linalg import NEG_INF, POS_INF, dot, vec
+from upperset.linalg import NEG_INF, POS_INF
 from upperset.sets import (
     CallableOracle,
     UpperSet,
@@ -254,3 +255,139 @@ class TestInvariants:
             minkowski_sum(translate_of_cone([1, 0]), translate_of_cone([0, 1])),
         ):
             assert check_upper_closed(s)
+
+
+# -- exactness of closures and sums against a brute-force V-form ---------------
+
+
+def _gauss(a, b, n):
+    """Solve ``a x = b`` over Fractions by Gauss-Jordan: (one solution or
+    None, a basis of the kernel of a)."""
+    rows = [[F(x) for x in r] + [F(y)] for r, y in zip(a, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    sol = None
+    if not any(row[n] for row in rows[len(pivots):]):
+        sol = [F(0)] * n
+        for i, c in enumerate(pivots):
+            sol[c] = rows[i][n]
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        d = [F(0)] * n
+        d[free] = F(1)
+        for i, c in enumerate(pivots):
+            d[c] = -rows[i][free]
+        kernel.append(d)
+    return sol, kernel
+
+
+def _dot(a, b):
+    return sum(F(x) * y for x, y in zip(a, b))
+
+
+def brute_vform(rows, n):
+    """(points, rays, lineality) of {z : a.z >= b} by enumerating row subsets.
+
+    The lineality space is the kernel of the normals; on its orthogonal
+    complement the set is pointed, so every vertex solves n independent rows
+    and every extreme ray spans the kernel of n - 1 rows.
+    """
+    _, lin = _gauss([a for a, _ in rows], [0] * len(rows), n)
+    work = list(rows) + [(l, 0) for l in lin] + [([-x for x in l], 0) for l in lin]
+
+    def feasible(z, homogeneous):
+        return all(_dot(a, z) >= (0 if homogeneous else b) for a, b in work)
+
+    points, rays = [], []
+    for subset in itertools.combinations(work, n):
+        z, kernel = _gauss([a for a, _ in subset], [b for _, b in subset], n)
+        if z is not None and not kernel and feasible(z, False):
+            points.append(z)
+    for subset in itertools.combinations(work, n - 1):
+        _, kernel = _gauss([a for a, _ in subset], [0] * (n - 1), n)
+        if len(kernel) == 1:
+            rays += [d for d in (kernel[0], [-x for x in kernel[0]]) if feasible(d, True)]
+    return points, rays, lin
+
+
+def brute_support(vform, u):
+    points, rays, lin = vform
+    if not points:
+        return NEG_INF
+    if any(_dot(u, d) for d in lin) or any(_dot(u, d) > 0 for d in rays):
+        return POS_INF
+    return max(_dot(u, z) for z in points)
+
+
+def _box_cut(rng, m, cuts):
+    """Rows of a box around a random centre cut by ``cuts`` random halfspaces
+    through points near it."""
+    centre = [rng.randint(-3, 3) for _ in range(m)]
+    rows = []
+    for i in range(m):
+        e = [0] * m
+        e[i] = 1
+        rows.append((tuple(e), centre[i] - rng.randint(1, 3)))
+        rows.append((tuple(-x for x in e), -centre[i] - rng.randint(1, 3)))
+    for _ in range(cuts):
+        a = [rng.randint(-2, 2) for _ in range(m)]
+        if any(a):
+            rows.append((tuple(a), _dot(a, centre) - rng.randint(1, 3)))
+    return rows
+
+
+def _exactness_inputs(rng, m):
+    """Seeded polytopes, an unbounded piece (the rows with a negative entry
+    in the first two coordinates dropped), and a piece with lineality along
+    the last axis."""
+    pieces = [_box_cut(rng, m, m) for _ in range(4)]
+    unbounded = [(a, b) for a, b in _box_cut(rng, m, m) if not any(x < 0 for x in a[:2])]
+    flat = [(a + (0,), b) for a, b in _box_cut(rng, m - 1, m)]
+    return pieces + [unbounded, flat]
+
+
+# The orthant and a cone whose canonical generators are fractional.
+EXACTNESS_CONES = {
+    "orthant": lambda m: [[1 if i == j else 0 for j in range(m)] for i in range(m)],
+    "skew": lambda m: [[1, Fraction(1, 2)] + [0] * (m - 2)]
+    + [[1 if i == j else 0 for j in range(m)] for i in range(1, m)],
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("cone_name", sorted(EXACTNESS_CONES))
+def test_closure_and_sum_supports_are_exact(cone_name, m, seed):
+    """sigma_cl(P+C) = sigma_P and sigma_(A+B) = sigma_A + sigma_B on C^-,
+    against supports of the operands' brute-force vertices and rays."""
+    rng = random.Random(f"{cone_name}-{m}-{seed}")
+    gens = EXACTNESS_CONES[cone_name](m)
+    cone = Cone.from_generators(gens)
+    directions = []
+    while len(directions) < 16:
+        u = [rng.randint(-3, 2) for _ in range(m)]
+        if any(u) and all(_dot(u, g) <= 0 for g in gens):
+            directions.append(u)
+    inputs = _exactness_inputs(rng, m)
+    vforms = [brute_vform(rows, m) for rows in inputs]
+    refs = [[brute_support(vf, u) for u in directions] for vf in vforms]
+    closures = [upper_closure(Polyhedron(m, rows), cone) for rows in inputs]
+    for ref, a in zip(refs, closures):
+        assert check_upper_closed(a)
+        assert [a.support(u) for u in directions] == ref
+    for (ra, a), (rb, b) in itertools.combinations(zip(refs, closures), 2):
+        s = minkowski_sum(a, b)
+        assert check_upper_closed(s)
+        for u, sa, sb in zip(directions, ra, rb):
+            assert s.support(u) == (POS_INF if POS_INF in (sa, sb) else sa + sb), u
