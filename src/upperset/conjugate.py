@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Cone, DualPair, Polyhedron
+from .geometry import Cone, DualPair, Polyhedron, require_dual_direction
 from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
 from .sets import UpperSet
 
@@ -203,7 +203,7 @@ def neg_conjugate_scalar_route(f, pair: DualPair) -> NegConjugateValue:
     """
     from .scalarize import piecewise_scalarization
 
-    pair.validate_for(f.cone)
+    require_dual_direction(f.cone, pair.zstar)
     phi = piecewise_scalarization(f, pair.zstar)
     if phi is None:
         raise ValueError("map admits no closed-form scalarization")
@@ -228,7 +228,7 @@ def neg_conjugate_direct(f, pair: DualPair, x_grid: Sequence[Vec]) -> NegConjuga
     x*.x + sup{z*.z : z in f(x)} over the grid; refining the grid grows the
     offset monotonically toward the scalar-route value.
     """
-    pair.validate_for(f.cone)
+    require_dual_direction(f.cone, pair.zstar)
     best: Ext = NEG_INF
     for x in x_grid:
         s = f.evaluate(x).support(pair.zstar)

@@ -39,6 +39,7 @@ constant True.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial
@@ -222,10 +223,8 @@ def _value_sample_points(v: UpperSet, cone: Cone, w: Fraction) -> list[Vec]:
                     pts.append(ip)
     else:
         grid = [Fraction(k) for k in (-2, -1, 0, 1, 2, 4)]
-        for a in grid:
-            for b in grid:
-                if abs(a) <= w and abs(b) <= w and member(v, (a, b)):
-                    pts.append((a, b))
+        inside = (z for z in itertools.product(grid, repeat=cone.dim) if max(map(abs, z)) <= w)
+        pts = list(itertools.islice((z for z in inside if member(v, z)), 8))
     dedup = list(dict.fromkeys(pts))
     return dedup[:8]
 
@@ -280,12 +279,11 @@ def _enlargement_gap_sq(
         worst: Ext = ZERO
         wit: Optional[Witness] = None
         for pa in a.pieces:
-            if not pa.recession_within([n for n, _ in pb.rows]):
-                ray = next(
-                    d
-                    for d in pa.recession_generators
-                    if any(dot(n, d) < 0 for n, _ in pb.rows)
-                )
+            ray = next(
+                (d for d in pa.recession_generators if any(dot(n, d) < 0 for n, _ in pb.rows)),
+                None,
+            )
+            if ray is not None:
                 return POS_INF, Witness(direction=ray, detail="recession escape")
             for p in pa.minimal_face_points:
                 d = pb.dist_sq(p)

@@ -5,10 +5,13 @@ H-representation ``{z : n_i . z >= b_i}`` (accepted unreduced) and carry a
 V-form -- points, rays and a lineality basis -- built lazily, once per
 polyhedron, by the double description method.  ``is_empty``, ``support``,
 ``contained_in``, ``minimal_face_points`` (hence ``vertices``) and
-``affine_dim`` read the V-form and solve no LP.  Cones carry both generators
-and halfspaces; conversions between the two cone representations, and a
-polyhedron's ``recession_generators``, run by the same double description
-on the homogeneous rows, so no cone question solves an LP either.  LPs are
+``affine_dim`` read the V-form and solve no LP.  A cone carries both
+generators and halfspaces and is the b = 0 polyhedron of its halfspaces,
+built once per cone: membership and pointedness read that polyhedron, and
+the negative dual cone is built once and kept on the cone.  Conversions
+between the two cone representations, and a polyhedron's
+``recession_generators``, run by the same double description on the
+homogeneous rows, so no cone question solves an LP either.  LPs are
 left only where a point is read off (``interior_point``,
 ``violation_witness``); the documented dimension cap is m <= 4.
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
@@ -278,8 +281,10 @@ class Cone:
     """Closed convex polyhedral cone with both representations.
 
     ``generators`` span the cone conically; ``halfspaces`` are normals n
-    meaning ``{z : n.z >= 0}``.  ``pointed`` and ``has_interior`` are derived
-    at construction.  Ordering cones must satisfy C != Z (equivalently
+    meaning ``{z : n.z >= 0}``.  The cone is the b = 0 polyhedron of its
+    halfspaces, built once as ``polyhedron``: membership and ``pointed`` (a
+    V-form with no lineality) read it, and ``has_interior`` is the dual
+    cone's ``pointed``.  Ordering cones must satisfy C != Z (equivalently
     C^- != {0}); ``require_proper=False`` skips that check for cones that
     merely appear as intermediate values (e.g. duals of degenerate cones).
     """
@@ -287,8 +292,6 @@ class Cone:
     dim: int
     generators: Mat
     halfspaces: Mat
-    pointed: bool
-    has_interior: bool
 
     @staticmethod
     def from_generators(gens, require_proper: bool = True) -> "Cone":
@@ -299,9 +302,13 @@ class Cone:
         for x in g:
             _check_dim(dim, x)
         g = [x for x in g if not is_zero(x)]
-        dual_rays = _cone_rays([tuple(-c for c in x) for x in g], dim) if g else _cone_rays([], dim)
+        dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim))
         halfspaces = tuple(tuple(-c for c in r) for r in dual_rays)
-        return Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, require_proper)
+        cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, require_proper)
+        cone.__dict__["_dual"] = Cone._build(
+            dim, dual_rays, tuple(tuple(-c for c in x) for x in cone.generators), False
+        )
+        return cone
 
     @staticmethod
     def from_halfspaces(normals, dim: int | None = None, require_proper: bool = True) -> "Cone":
@@ -321,39 +328,49 @@ class Cone:
         for g in gens:
             if any(dot(n, g) < 0 for n in halfspaces):
                 raise ValueError("inconsistent cone representations")
-        lin_dim = len(nullspace(list(halfspaces), dim)) if halfspaces else dim
-        pointed = lin_dim == 0
-        interior = bool(gens) and matrix_rank(gens) == dim
-        proper = any(not is_zero(n) for n in halfspaces)
-        if require_proper and not proper:
+        if require_proper and not any(not is_zero(n) for n in halfspaces):
             raise OrderConeError(
                 "ordering cone equals the whole space; its dual is trivial"
             )
-        return Cone(dim, gens, halfspaces, pointed, interior)
+        return Cone(dim, gens, halfspaces)
+
+    @cached_property
+    def polyhedron(self) -> "Polyhedron":
+        """The cone as the polyhedron ``{z : n.z >= 0}`` of its halfspaces."""
+        return Polyhedron(self.dim, [(n, ZERO) for n in self.halfspaces])
+
+    @property
+    def pointed(self) -> bool:
+        return not self.polyhedron.vform.lin
+
+    @property
+    def has_interior(self) -> bool:
+        return dual_cone(self).pointed
 
     def contains(self, z) -> bool:
-        v = vec(z)
-        _check_dim(self.dim, v)
-        return all(dot(n, v) >= 0 for n in self.halfspaces)
+        return self.polyhedron.contains(z)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Cone(dim={self.dim}, generators={len(self.generators)})"
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Negative dual cone C^- = {u : u.z <= 0 for all z in C}."""
-    normals = [tuple(-x for x in g) for g in c.generators]
-    gens = tuple(_cone_rays(list(normals), c.dim))
-    return Cone._build(c.dim, gens, tuple(n for n in normals if not is_zero(n)), False)
+    """Negative dual cone C^- = {u : u.z <= 0 for all z in C}, built once per
+    cone and kept on it."""
+    dual = c.__dict__.get("_dual")
+    if dual is None:
+        normals = tuple(tuple(-x for x in g) for g in c.generators)
+        dual = Cone._build(c.dim, tuple(_cone_rays(list(normals), c.dim)), normals, False)
+        dual = c.__dict__.setdefault("_dual", dual)
+    return dual
 
 
-def cones_equal(a: Cone, b: Cone) -> bool:
-    """Representation equivalence: mutual halfspace containment of generators."""
-    if a.dim != b.dim:
-        return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+def require_dual_direction(cone: Cone, zstar: Vec) -> None:
+    """Raise ValueError unless z* lies in C^- \\ {0}."""
+    if is_zero(zstar):
+        raise ValueError("z* must be nonzero")
+    if not dual_cone(cone).contains(zstar):
+        raise ValueError("z* lies outside the negative dual cone")
 
 
 @dataclass(frozen=True)
@@ -366,16 +383,6 @@ class DualPair:
     @staticmethod
     def of(xstar, zstar) -> "DualPair":
         return DualPair(vec(xstar), vec(zstar))
-
-    def validate_for(self, cone: Cone) -> None:
-        if is_zero(self.zstar):
-            raise ValueError("z* must be nonzero")
-        if not zstar_in_dual(cone, self.zstar):
-            raise ValueError("z* lies outside the negative dual cone")
-
-
-def zstar_in_dual(cone: Cone, zstar: Vec) -> bool:
-    return all(dot(zstar, g) <= 0 for g in cone.generators)
 
 
 class Polyhedron:
@@ -501,12 +508,6 @@ class Polyhedron:
         if self.is_empty:
             return []
         return _cone_rays([n for n, _ in self.rows], self.dim)
-
-    def recession_within(self, normals) -> bool:
-        """True iff every recession direction d satisfies n.d >= 0 for given n."""
-        return all(
-            all(dot(n, d) >= 0 for n in normals) for d in self.recession_generators
-        )
 
     @cached_property
     def minimal_face_points(self) -> list[Vec]:

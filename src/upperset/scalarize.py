@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .conjugate import AffinePiece, PiecewiseLinearFn
-from .geometry import Cone, Polyhedron, dual_cone, project_out
+from .geometry import Cone, Polyhedron, dual_cone, project_out, require_dual_direction
 from .linalg import (
     NEG_INF,
     POS_INF,
@@ -63,17 +63,26 @@ def _unitize(u: Vec) -> Vec:
 def direction_fan(cone: Cone, fan: int = 64, tails: int = 0) -> tuple[Vec, ...]:
     """Rational directions positively spanning C^-.
 
-    Consecutive extreme rays (in angular order around an interior direction)
-    are blended uniformly ``fan`` ways in total; ``tails`` adds directions
-    r + 2^-j r' per arc, approaching each ray geometrically.  Every returned
-    direction lies in C^- and is deduplicated deterministically.
+    Consecutive extreme rays of C^- (in angular order around an interior
+    direction) are blended uniformly ``fan`` ways in total; ``tails`` adds
+    directions r + 2^-j r' per arc, approaching each ray geometrically.
+    Every returned direction lies in C^- and is deduplicated
+    deterministically.  The fan depends on the cone, ``fan`` and ``tails``
+    alone, so it is built once per cone object and (fan, tails) and stored
+    on the cone.
     """
-    dual = dual_cone(cone)
+    fans = cone.__dict__.setdefault("_fans", {})
+    if (fan, tails) not in fans:
+        fans[(fan, tails)] = _fan_of(dual_cone(cone), fan, tails)
+    return fans[(fan, tails)]
+
+
+def _fan_of(dual: Cone, fan: int, tails: int) -> tuple[Vec, ...]:
     gens = [scale_to_canonical(g) for g in dual.generators]
     gens = list(dict.fromkeys(gens))
-    if cone.dim == 1 or len(gens) == 1:
+    if dual.dim == 1 or len(gens) == 1:
         return tuple(_unitize(g) for g in gens)
-    if cone.dim != 2:
+    if dual.dim != 2:
         # Desk-scale cap: blend generator pairs once at higher dimensions.
         out = [_unitize(g) for g in gens]
         for i in range(len(gens)):
@@ -134,12 +143,8 @@ class DirectionBase:
     def __post_init__(self):
         if not self.directions:
             raise ValueError("empty direction base")
-        dual = dual_cone(self.cone)
         for d in self.directions:
-            if is_zero(d):
-                raise ValueError("zero vector in direction base")
-            if not dual.contains(d):
-                raise ValueError(f"direction {d} lies outside the negative dual cone")
+            require_dual_direction(self.cone, d)
 
     @staticmethod
     def default(cone: Cone, fan: int = 64, tails: int = 0) -> "DirectionBase":
@@ -196,18 +201,11 @@ def _generates_dual(base: DirectionBase) -> bool:
 # -- evaluation ------------------------------------------------------------------
 
 
-def _require_dual_direction(cone: Cone, zstar: Vec) -> None:
-    if is_zero(zstar):
-        raise ValueError("scalarization direction must be nonzero")
-    if any(dot(zstar, g) > 0 for g in cone.generators):
-        raise ValueError("scalarization direction outside the negative dual cone")
-
-
 def scalarize_eval(f: SetValuedMap, zstar, x) -> Ext:
     """phi(x) = -sup{ z*.z : z in f(x) }; +inf on empty values, -inf when the
     support is unbounded."""
     zs = vec(zstar)
-    _require_dual_direction(f.cone, zs)
+    require_dual_direction(f.cone, zs)
     s = f.evaluate(x).support(zs)
     if s == NEG_INF:
         return POS_INF
@@ -222,7 +220,7 @@ def s_map(xstar, zstar, x, cone: Cone) -> UpperSet:
     The value is upper closed because z* lies in C^-.
     """
     xs, zs = vec(xstar), vec(zstar)
-    _require_dual_direction(cone, zs)
+    require_dual_direction(cone, zs)
     row = (tuple(-c for c in zs), dot(xs, vec(x)))
     return UpperSet(cone, pieces=[Polyhedron(cone.dim, [row])])
 
@@ -255,7 +253,7 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     their domain.
     """
     zs = vec(zstar)
-    _require_dual_direction(f.cone, zs)
+    require_dual_direction(f.cone, zs)
     branches = list(_body_leaves(f.body))
     if not all(isinstance(b, AffineBody) and b.fixed_normals for _, _, b in branches):
         return None

@@ -233,19 +233,15 @@ def default_direction_grid(cone: Cone, fan: int = 64) -> tuple[Vec, ...]:
 
 def upper_closure(p: Polyhedron, cone: Cone) -> UpperSet:
     """cl(P + C) as an exact polyhedral upper set: the Minkowski sum of P
-    and C, the cone given as the polyhedron of its halfspaces."""
+    and the cone's polyhedron."""
     if p.dim != cone.dim:
         raise DimensionMismatch("polyhedron and cone dimensions differ")
-    return UpperSet(cone, pieces=[p + Polyhedron(cone.dim, [(n, ZERO) for n in cone.halfspaces])])
+    return UpperSet(cone, pieces=[p + cone.polyhedron])
 
 
 def embed_point(z, cone: Cone) -> UpperSet:
     """The order embedding z -> {z} + C."""
-    zv = vec(z)
-    if len(zv) != cone.dim:
-        raise DimensionMismatch("point dimension differs from cone")
-    rows = [(n, dot(n, zv)) for n in cone.halfspaces]
-    return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+    return UpperSet(cone, pieces=[cone.polyhedron.translate(z)])
 
 
 def _piece_in_union(q: Polyhedron, pieces: Sequence[Polyhedron]) -> OrderResult:

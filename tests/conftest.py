@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from upperset import simplex
+from upperset import geometry, simplex
 
 
 @pytest.fixture
@@ -20,4 +20,18 @@ def lp_calls(monkeypatch) -> list:
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "upperset" and getattr(module, "solve_lp", None) is real:
             monkeypatch.setattr(module, "solve_lp", counting)
+    return calls
+
+
+@pytest.fixture
+def dd_passes(monkeypatch) -> list:
+    """(rows, dim) of every double-description pass run."""
+    calls = []
+    real = geometry._double_description
+
+    def counting(rows, dim):
+        calls.append((tuple(rows), dim))
+        return real(rows, dim)
+
+    monkeypatch.setattr(geometry, "_double_description", counting)
     return calls

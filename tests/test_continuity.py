@@ -11,8 +11,11 @@ from upperset.continuity import (
     CheckerConfig,
     Grid,
     VerdictMatrix,
+    check_eff,
+    check_lc,
     check_scalar_semicontinuity,
     check_uniform,
+    check_uls,
     default_config,
     diagram_violations,
     enforce_diagram,
@@ -20,6 +23,7 @@ from upperset.continuity import (
 )
 from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
 from upperset.geometry import Cone, Polyhedron
+from upperset.linalg import POS_INF, ZERO
 from upperset.maps import (
     AffineForm,
     PiecewiseBody,
@@ -28,7 +32,7 @@ from upperset.maps import (
     constant_empty_body,
 )
 from upperset.scalarize import DirectionBase
-from upperset.sets import UpperSet
+from upperset.sets import CallableOracle, UpperSet
 from upperset.verdict import Status, Verdict, Witness
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -171,3 +175,20 @@ class TestSettings:
         base = DirectionBase.default(f.cone, 4, 2)
         with pytest.raises(ValueError):
             checker(f, (0,), base, TINY, "both")
+
+
+class TestOracleValues:
+    @pytest.mark.parametrize("exact_member", [False, True])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_constant_oracle_map_is_continuous_off_the_plane(self, m, exact_member):
+        # f(x) = C, the orthant of R^m given by its support function and,
+        # optionally, its exact membership predicate: the value's sample
+        # points must be points of R^m.
+        cone = Cone.from_generators([[int(i == j) for j in range(m)] for i in range(m)])
+        oracle = CallableOracle(
+            lambda u: ZERO if all(c <= 0 for c in u) else POS_INF,
+            cone.contains if exact_member else None,
+        )
+        f = SetValuedMap(1, cone, ScaledBody(UpperSet.from_oracle(cone, oracle), AffineForm.of([0], 1)))
+        for check in (check_lc, check_uls, check_eff):
+            assert check(f, (0,), TINY).status is Status.HOLDS, check.__name__

@@ -13,9 +13,9 @@ from upperset.geometry import (
     OrderConeError,
     Polyhedron,
     _cone_rays,
-    cones_equal,
     dual_cone,
     project_out,
+    require_dual_direction,
 )
 from upperset.linalg import (
     NEG_INF,
@@ -44,6 +44,15 @@ def F(x):
 
 ORTHANT_2D = Cone.from_generators([[1, 0], [0, 1]])
 RAY_CONE = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])  # {z1 = 0, z2 >= 0}
+
+
+def cones_equal(a, b):
+    """Representation equivalence: mutual halfspace containment of generators."""
+    if a.dim != b.dim:
+        return False
+    return all(b.contains(g) for g in a.generators) and all(
+        a.contains(g) for g in b.generators
+    )
 
 
 def brute_force_dual_membership(cone, zstar):
@@ -347,12 +356,11 @@ class TestProjection:
 
 class TestDualPair:
     def test_validation(self):
-        pair = DualPair.of([1], [-1, -1])
-        pair.validate_for(ORTHANT_2D)
+        require_dual_direction(ORTHANT_2D, DualPair.of([1], [-1, -1]).zstar)
         with pytest.raises(ValueError):
-            DualPair.of([1], [0, 0]).validate_for(ORTHANT_2D)
+            require_dual_direction(ORTHANT_2D, DualPair.of([1], [0, 0]).zstar)
         with pytest.raises(ValueError):
-            DualPair.of([1], [1, 0]).validate_for(ORTHANT_2D)
+            require_dual_direction(ORTHANT_2D, DualPair.of([1], [1, 0]).zstar)
 
 
 # -- reference oracles: the subset enumeration and the LPs the V-form replaced --

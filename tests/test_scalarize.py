@@ -224,6 +224,61 @@ class TestCertifyBaseCache:
         assert len(certification_lps) == len(dual_cone(ORTHANT).generators)
 
 
+class TestConePassCache:
+    """Double-description passes, counted the way TestCertifyBaseCache counts
+    LPs: a cone's polyhedron, dual and fans are built once per cone object."""
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            Cone.from_generators([[1, 0], [0, 1]]),
+            Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]]),
+            Cone.from_generators([[1, 0], [-1, 0], [1, 1]]),
+            Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]]),
+        ],
+        ids=["orthant", "ray", "halfplane", "wedge-3d"],
+    )
+    def test_second_query_runs_no_pass(self, cone, dd_passes):
+        fresh = Cone(cone.dim, cone.generators, cone.halfspaces)
+        queries = {
+            "dual_cone": lambda: dual_cone(fresh),
+            "direction_fan": lambda: direction_fan(fresh, 8, 2),
+            "pointed": lambda: fresh.pointed,
+            "has_interior": lambda: fresh.has_interior,
+            "contains": lambda: fresh.contains(cone.generators[-1]),
+        }
+        for name, query in queries.items():
+            first = query()
+            dd_passes.clear()
+            assert query() == first
+            assert dd_passes == [], name
+
+    def test_closures_under_one_cone_build_its_vform_once(self, dd_passes):
+        cone = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+        cone_rows = Polyhedron(3, [(n, 0) for n in cone.halfspaces])._int_rows
+        dd_passes.clear()
+        upper_closure(Polyhedron.from_point([1, 2, 3]), cone)
+        upper_closure(Polyhedron.box([(0, 1), (-1, 1), (2, 3)]), cone)
+        assert [rows for rows, _ in dd_passes].count(tuple(cone_rows)) == 1
+
+    @pytest.mark.parametrize("make_map", [halfline_domain_map, ray_translate_map])
+    def test_second_matrix_runs_no_cone_pass(self, make_map, dd_passes):
+        f = make_map()
+        cfg = default_config().light()
+        verdict_matrix(f, [0], cfg)
+        dd_passes.clear()
+        verdict_matrix(f, [0], cfg)
+        second = set(dd_passes)
+        # The passes that the cone's dual, fan and flags take on a twin of
+        # the cone that has none of them stored yet.
+        dd_passes.clear()
+        twin = Cone(f.cone.dim, f.cone.generators, f.cone.halfspaces)
+        direction_fan(twin, cfg.z_fan, cfg.z_tails)
+        assert (twin.pointed, twin.has_interior) == (f.cone.pointed, f.cone.has_interior)
+        cone_passes = set(dd_passes)
+        assert cone_passes and not second & cone_passes
+
+
 class TestReconstruct:
     def test_exact_for_cone_translate(self):
         f = constant_map()
