@@ -3,7 +3,7 @@
 Values of the maps studied here live in the complete lattice of upper closed
 subsets of R^m ordered by reverse inclusion: sets A with A = cl(A + C) for a
 fixed polyhedral ordering cone C.  The package provides exact polyhedral
-geometry (rational simplex, dual cones, support values), the lattice
+geometry (double description, dual cones, support values), the lattice
 operations, scalarizations and set-valued conjugates, point-wise checkers for
 the classical and lattice semicontinuity notions of multifunctions, and a
 verifier for the set-valued fundamental duality formula, together with a

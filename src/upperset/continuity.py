@@ -50,16 +50,17 @@ from .linalg import (
     NEG_INF,
     POS_INF,
     ZERO,
+    Constraint,
     Ext,
     Vec,
     dot,
     norm2_sq,
     vec,
+    zeros,
 )
 from .maps import SetValuedMap, graph_interior_witness
 from .scalarize import DirectionBase, certify_base, direction_fan, scalarize_eval
 from .sets import UpperSet, member, outer_polyhedron
-from .simplex import Constraint, lp_feasible_point
 from .verdict import Status, Verdict, Witness
 
 
@@ -85,7 +86,6 @@ class CheckerConfig:
     z_radii: Grid = field(default_factory=lambda: Grid(levels=6))
     z_fan: int = 32
     z_tails: int = 24
-    tol: Fraction = Fraction(1, 10**9)
     window: Fraction = Fraction(10)
     confirm_levels: int = 4
     descent_levels: int = 12
@@ -520,7 +520,7 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             a = _sampled_common_point(f, x0, delta, dirs, fan, cfg)
             note = "common point verified at sampled x"
         else:
-            a = None if certified.is_empty else lp_feasible_point(list(certified.rows), f.cone.dim)
+            a = certified.lowest_point(zeros(f.cone.dim))
             note = "row-wise box certificate"
         if a is not None:
             return Verdict.holds(witness=Witness(z=a, radius=delta), note=note, resolution=k)
@@ -557,7 +557,7 @@ def _sampled_common_point(
     if any(v.is_empty for v in values):
         return None
     candidates: list[Vec] = []
-    a = lp_feasible_point(_stacked_rows(values, fan), f.cone.dim)
+    a = Polyhedron(f.cone.dim, _stacked_rows(values, fan)).lowest_point(zeros(f.cone.dim))
     if a is not None:
         candidates.append(a)
     candidates.extend(_value_sample_points(values[0], f.cone, cfg.window))
@@ -756,8 +756,7 @@ def check_uniform(
     x0 = vec(x0)
     if mode not in ("usc", "lsc"):
         raise ValueError("mode must be 'usc' or 'lsc'")
-    flags = certify_base(base)
-    if not (flags["generates_dual"] and flags["inf_sup_positive"]):
+    if not certify_base(base)["generates_dual"]:
         return Verdict.inconclusive(note="direction base failed certification")
     phis = {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
     kind, wit, eps, examined = _scalar_scan(_Scan(f, x0, cfg), phis, mode)
@@ -894,7 +893,7 @@ def verdict_matrix(
         # (BN) holds in every finite-dimensional space; see the module docstring.
         "bn": True,
         "in_dom": not f.evaluate(x0).is_empty,
-        "base_certified": bool(flags["generates_dual"] and flags["inf_sup_positive"]),
+        "base_certified": flags["generates_dual"],
     }
     matrix = VerdictMatrix(entries=entries, side=side)
     enforce_diagram(matrix)

@@ -30,11 +30,11 @@ from typing import Optional, Sequence
 
 from .conjugate import PiecewiseLinearFn, neg_conjugate_scalar_route, scalar_conjugate
 from .geometry import Cone, DualPair, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, format_scalar, vec
+from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
-from .simplex import Constraint, LPStatus, solve_lp
+from .simplex import LPStatus, solve_lp
 from .verdict import Status, Verdict, Witness
 
 
@@ -239,10 +239,10 @@ def fundamental_duality(
     f: BivariateMap,
     x0,
     base: DirectionBase | None = None,
-    window: Fraction = Fraction(10),
 ) -> DualityReport:
     """Verifies f_X(0) = intersection of (-f*)((0, y*_{z*}), z*) over the
-    proper directions of the base, with one attained y* per direction.
+    proper directions of the base, with one attained y* per direction; the
+    gap of the two sides is measured on the box [-10, 10]^m.
 
     Preconditions checked before running: (x0, 0) lies in dom f, and every
     scalarization of the slice f(x0, .) is upper semicontinuous at 0; a
@@ -333,7 +333,7 @@ def fundamental_duality(
 
     lhs = UpperSet.from_supports(f.cone, supports)
     rhs = lattice_sup(halfspaces) if halfspaces else UpperSet.universal(f.cone)
-    win = Polyhedron.box([(-window, window)] * f.cone.dim)
+    win = Polyhedron.box([(-10, 10)] * f.cone.dim)
     # The gap is zero when a direction certified f_X(0) empty.
     lhs_empty = any(s == NEG_INF for _, s in supports)
     gap_sq = ZERO if lhs_empty else hausdorff_sq_window(lhs, rhs, win)

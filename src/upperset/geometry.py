@@ -5,15 +5,16 @@ H-representation ``{z : n_i . z >= b_i}`` (accepted unreduced) and carry a
 V-form -- points, rays and a lineality basis -- built lazily, once per
 polyhedron, by the double description method.  ``is_empty``, ``support``,
 ``contained_in``, ``minimal_face_points`` (hence ``vertices``) and
-``affine_dim`` read the V-form and solve no LP.  A cone carries both
-generators and halfspaces and is the b = 0 polyhedron of its halfspaces,
-built once per cone: membership and pointedness read that polyhedron, and
-the negative dual cone is built once and kept on the cone.  Conversions
-between the two cone representations, and a polyhedron's
-``recession_generators``, run by the same double description on the
-homogeneous rows, so no cone question solves an LP either.  LPs are
-left only where a point is read off (``interior_point``,
-``violation_witness``); the documented dimension cap is m <= 4.
+``affine_dim`` read the V-form, and so does every point a query returns:
+``lowest_point`` is the last V-form point that minimizes a direction, and
+``interior_point`` and ``violation_witness`` are lowest points of a lifted
+polyhedron and of ``self``.  A cone carries both generators and halfspaces
+and is the b = 0 polyhedron of its halfspaces, built once per cone:
+membership and pointedness read that polyhedron, and the negative dual cone
+is built once and kept on the cone.  Conversions between the two cone
+representations, and a polyhedron's ``recession_generators``, run by the
+same double description on the homogeneous rows.  No query here solves an
+LP; the documented dimension cap is m <= 4.
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
 
@@ -53,13 +54,13 @@ from .linalg import (
     NEG_INF,
     POS_INF,
     ZERO,
+    Constraint,
     Ext,
     Mat,
     Vec,
     dot,
     frac,
     is_zero,
-    matrix_rank,
     norm1,
     nullspace,
     scale_to_canonical,
@@ -69,7 +70,10 @@ from .linalg import (
     vscale,
     zeros,
 )
-from .simplex import Constraint, LPStatus, solve_lp
+
+
+# The half-width of the box that bounds ``interior_point``'s margin program.
+_INTERIOR_BOX = Fraction(10**6)
 
 
 class DimensionMismatch(ValueError):
@@ -284,8 +288,8 @@ class Cone:
     meaning ``{z : n.z >= 0}``.  The cone is the b = 0 polyhedron of its
     halfspaces, built once as ``polyhedron``: membership and ``pointed`` (a
     V-form with no lineality) read it, and ``has_interior`` is the dual
-    cone's ``pointed``.  Ordering cones must satisfy C != Z (equivalently
-    C^- != {0}); ``require_proper=False`` skips that check for cones that
+    cone's ``pointed``.  Both constructors require an ordering cone, C != Z
+    (equivalently C^- != {0}); dual cones skip that check, since they
     merely appear as intermediate values (e.g. duals of degenerate cones).
     """
 
@@ -294,7 +298,7 @@ class Cone:
     halfspaces: Mat
 
     @staticmethod
-    def from_generators(gens, require_proper: bool = True) -> "Cone":
+    def from_generators(gens) -> "Cone":
         g = [vec(x) for x in gens]
         if not g:
             raise ValueError("need at least one generator; use the zero cone explicitly")
@@ -304,14 +308,14 @@ class Cone:
         g = [x for x in g if not is_zero(x)]
         dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim))
         halfspaces = tuple(tuple(-c for c in r) for r in dual_rays)
-        cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, require_proper)
+        cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, True)
         cone.__dict__["_dual"] = Cone._build(
             dim, dual_rays, tuple(tuple(-c for c in x) for x in cone.generators), False
         )
         return cone
 
     @staticmethod
-    def from_halfspaces(normals, dim: int | None = None, require_proper: bool = True) -> "Cone":
+    def from_halfspaces(normals, dim: int | None = None) -> "Cone":
         ns = [vec(x) for x in normals]
         if dim is None:
             if not ns:
@@ -321,7 +325,7 @@ class Cone:
             _check_dim(dim, x)
         ns = [x for x in ns if not is_zero(x)]
         gens = tuple(_cone_rays(ns, dim))
-        return Cone._build(dim, gens, tuple(ns), require_proper)
+        return Cone._build(dim, gens, tuple(ns), True)
 
     @staticmethod
     def _build(dim: int, gens: Mat, halfspaces: Mat, require_proper: bool) -> "Cone":
@@ -473,29 +477,40 @@ class Polyhedron:
         return all(_idot(r, h) >= 0 for r in self._int_rows)
 
     def support(self, direction) -> Ext:
-        """sup { d.z : z in P }: -inf when empty, +inf when unbounded.
-
-        With k d integral, each generator (z, t) gives k d.z in integers;
-        points are compared by cross-multiplying with their t.
-        """
+        """sup { d.z : z in P }: -inf when empty, +inf when unbounded; the
+        value at ``_lowest`` of -k d for k d integral."""
         d = vec(direction)
         _check_dim(self.dim, d)
-        vf = self.vform
-        if not vf.gens:
+        if self.is_empty:
             return NEG_INF
         k, kd = _scaled(d)
-        h = kd + (0,)
+        g = self._lowest(tuple(-x for x in kd) + (0,))
+        return POS_INF if g is None else Fraction(_idot(kd, g), g[-1] * k)
+
+    def lowest_point(self, direction) -> Vec | None:
+        """The last V-form point that minimizes d.z over P; None when no
+        point does (P is empty, or d.z is unbounded below on P)."""
+        d = vec(direction)
+        _check_dim(self.dim, d)
+        g = self._lowest(_scaled(d)[1] + (0,))
+        return None if g is None else tuple(Fraction(x, g[-1]) for x in g[:-1])
+
+    def _lowest(self, h: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The last generator (z, t), t > 0, that minimizes h.(z, 0) / t, by
+        cross-multiplying in integers; None when there is none or when a
+        ray or lineality vector makes h unbounded below."""
+        vf = self.vform
         if any(_idot(h, l) for l in vf.lin):
-            return POS_INF
-        best, best_t = 0, 0
+            return None
+        best, best_value = None, 0
         for g in vf.gens:
             value, t = _idot(h, g), g[-1]
             if not t:
-                if value > 0:
-                    return POS_INF
-            elif not best_t or value * best_t > best * t:
-                best, best_t = value, t
-        return Fraction(best, best_t * k)
+                if value < 0:
+                    return None
+            elif best is None or value * best[-1] <= best_value * t:
+                best, best_value = g, value
+        return best
 
     @cached_property
     def lineality(self) -> list[Vec]:
@@ -606,44 +621,26 @@ class Polyhedron:
 
     @cached_property
     def affine_dim(self) -> int:
-        """Dimension of the affine hull; -1 for the empty set."""
-        if self.is_empty:
-            return -1
-        implicit = []
-        for n, b in self.rows:
-            if self.support(n) == b:
-                implicit.append(n)
-        return self.dim - (matrix_rank(implicit) if implicit else 0)
+        """Dimension of the affine hull; -1 for the empty set: the rank of
+        the homogenized generators and lineality, less one."""
+        spanning = self.vform.gens + self.vform.lin
+        return len(_first_basis(spanning, range(len(spanning)), self.dim + 1)) - 1
 
-    def interior_point(self, bound: Fraction = Fraction(10**6)) -> Vec | None:
+    def interior_point(self) -> Vec | None:
         """A point with a positive margin on every row, or None.
 
         Margins are weighted by the l1 norm of each row so the point is a
-        Chebyshev-style center of the (boxed) polyhedron in the l-inf sense.
+        Chebyshev-style center of the (boxed) polyhedron in the l-inf sense:
+        the lowest point of -s over {(z, s) : n.z - |n|_1 s >= b, |z_i| <= box}.
         """
-        rows_t: list[Constraint] = []
-        dim = self.dim
-        for n, b in self.rows:
-            w = norm1(n)
-            if w == 0:
-                if b > 0:
-                    return None
-                continue
-            rows_t.append((tuple(list(n) + [-w]), b))
-        for i in range(dim):
-            e = [ZERO] * (dim + 1)
-            e[i] = Fraction(1)
-            rows_t.append((tuple(e), -bound))
-            e2 = [ZERO] * (dim + 1)
-            e2[i] = Fraction(-1)
-            rows_t.append((tuple(e2), -bound))
-        obj = [ZERO] * dim + [Fraction(1)]
-        res = solve_lp(tuple(obj), rows_t, sense="max")
-        if res.status is not LPStatus.OPTIMAL or res.point is None:
+        # A zero row keeps its meaning: 0 >= b, whatever (z, s) is.
+        rows = [(n + (-norm1(n),), b) for n, b in self.rows]
+        box = Polyhedron.box([(-_INTERIOR_BOX, _INTERIOR_BOX)] * self.dim)
+        rows += [(n + (ZERO,), b) for n, b in box.rows]
+        best = Polyhedron(self.dim + 1, rows).lowest_point((ZERO,) * self.dim + (Fraction(-1),))
+        if best is None or best[-1] <= 0:
             return None
-        if res.point[-1] <= 0:
-            return None
-        return res.point[:-1]
+        return best[:-1]
 
     # -- transforms ---------------------------------------------------------
 
@@ -689,22 +686,21 @@ class Polyhedron:
         return all(-self.support(tuple(-x for x in n)) >= b for n, b in other.rows)
 
     def violation_witness(self, other: "Polyhedron") -> Vec | None:
-        """A point of self outside other, or None when self <= other."""
+        """A point of self outside other, or None when self <= other: per row
+        of ``other``, self's lowest point along its normal, or a ray walk."""
         if self.is_empty:
             return None
         for n, b in other.rows:
-            res = solve_lp(n, list(self.rows), sense="min")
-            if res.status is LPStatus.UNBOUNDED:
+            low = self.lowest_point(n)
+            if low is None:
                 base = self.minimal_face_points[0]
-                ray = next(
-                    d for d in self.recession_generators if dot(n, d) < 0
-                )
+                ray = next(d for d in self.recession_generators if dot(n, d) < 0)
                 t = Fraction(1)
                 while dot(n, vadd(base, vscale(t, ray))) >= b:
                     t *= 2
                 return vadd(base, vscale(t, ray))
-            if res.status is LPStatus.OPTIMAL and res.value < b:
-                return res.point
+            if dot(n, low) < b:
+                return low
         return None
 
 

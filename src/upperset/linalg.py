@@ -18,6 +18,7 @@ from typing import Iterable, Sequence, Union
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 Ext = Union[Fraction, float]
+Constraint = tuple[Vec, Fraction]  # (normal n, offset b) meaning n.z >= b
 
 POS_INF: float = math.inf
 NEG_INF: float = -math.inf

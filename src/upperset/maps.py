@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .geometry import Cone, Polyhedron, project_out
+from .geometry import Cone, Polyhedron, dual_cone, project_out
 from .linalg import (
     ONE,
     ZERO,
+    Constraint,
     Mat,
     Vec,
     dot,
@@ -47,7 +48,6 @@ from .sets import (
     set_order_leq,
     check_upper_closed,
 )
-from .simplex import Constraint
 from .verdict import Verdict, Witness
 
 
@@ -270,8 +270,9 @@ class SetValuedMap:
     def _evaluate_body(self, body: Body, x: Vec) -> UpperSet:
         if isinstance(body, AffineBody):
             rows = body.rows_at(x)
+            dual = dual_cone(self.cone)
             for n, _ in rows:
-                if any(dot(n, g) < 0 for g in self.cone.generators):
+                if not dual.contains(tuple(-c for c in n)):
                     raise MapError(
                         "value is not upper closed at this point: "
                         f"normal {n} leaves the positive dual cone"
@@ -466,12 +467,11 @@ def _box_corners(center: Vec, r: Fraction, dim: int) -> list[Vec]:
     return out
 
 
-def graph_interior_witness(
-    f: SetValuedMap, x0, radii: Sequence[Fraction] | None = None
-) -> Verdict:
-    """Searches for (z0, r) with a product box around (x0, z0) inside gr f."""
+def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
+    """Searches for (z0, r), r = 2^-k for k = 0..8, with a product box around
+    (x0, z0) inside gr f."""
     x0 = vec(x0)
-    radii = list(radii) if radii is not None else [Fraction(1, 2**k) for k in range(0, 9)]
+    radii = [Fraction(1, 2**k) for k in range(0, 9)]
     v0 = f.evaluate(x0)
     if v0.is_empty:
         return Verdict.fails(

@@ -34,10 +34,10 @@ from .linalg import (
     NEG_INF,
     POS_INF,
     ZERO,
+    Constraint,
     Ext,
     Vec,
     dot,
-    frac,
     is_zero,
     norm2_sq,
     scale_to_canonical,
@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .maps import AffineBody, SetValuedMap, _body_leaves, _is_constant_empty
 from .sets import UpperSet
-from .simplex import Constraint, LPStatus, solve_lp
+from .simplex import LPStatus, solve_lp
 
 
 def _unitize(u: Vec) -> Vec:
@@ -151,25 +151,19 @@ class DirectionBase:
         return DirectionBase(cone, direction_fan(cone, fan, tails))
 
 
-def certify_base(base: DirectionBase, window_radius=Fraction(1)) -> dict:
+def certify_base(base: DirectionBase) -> dict:
     """Checks the finite-base conditions behind the uniform theorems.
 
-    ``sup_finite`` is automatic for a finite base.  ``inf_sup_positive``
-    evaluates inf over B of sup over the unit ball of -z*.z, which equals
-    the minimum Euclidean norm over B; the exact squared value is reported
-    together with a float reading.  ``generates_dual`` certifies
-    cone(B) = C^- by separation LPs against each extreme ray; it depends on
-    the base alone, so it is computed once per base object and stored on it.
+    A finite base has a finite sup, and its inf over B of sup over the unit
+    ball of -z*.z, the minimum Euclidean norm over B, is positive because
+    ``DirectionBase`` admits no zero direction; ``inf_sup_value_sq`` reports
+    that minimum squared.  ``generates_dual`` certifies cone(B) = C^- by
+    separation LPs against each extreme ray; it depends on the base alone,
+    so it is computed once per base object and stored on it.
     """
-    min_norm_sq = min(norm2_sq(d) for d in base.directions)
-    radius = frac(window_radius)
     return {
-        "finite": True,
-        "sup_finite": True,
         "generates_dual": _generates_dual(base),
-        "inf_sup_positive": min_norm_sq > 0,
-        "inf_sup_value_sq": radius * radius * min_norm_sq,
-        "inf_sup_value": float(radius) * math.sqrt(float(min_norm_sq)),
+        "inf_sup_value_sq": min(norm2_sq(d) for d in base.directions),
         "unit_normalized": all(norm2_sq(d) == 1 for d in base.directions),
         "size": len(base.directions),
     }

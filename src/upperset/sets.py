@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import Cone, DimensionMismatch, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, frac, vec
-from .simplex import Constraint
+from .geometry import Cone, DimensionMismatch, Polyhedron, dual_cone
+from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, frac, vec
 
 
 class SupportOracle:
@@ -221,11 +220,11 @@ class UpperSet:
         return "UpperSet(oracle)"
 
 
-def default_direction_grid(cone: Cone, fan: int = 64) -> tuple[Vec, ...]:
-    """Cached oracle directions: extreme rays of C^- plus a uniform fan."""
+def default_direction_grid(cone: Cone) -> tuple[Vec, ...]:
+    """Cached oracle directions: extreme rays of C^- plus a uniform 64-way fan."""
     from .scalarize import direction_fan
 
-    return direction_fan(cone, fan)
+    return direction_fan(cone, 64)
 
 
 # -- operations ---------------------------------------------------------------
@@ -327,15 +326,14 @@ def lattice_sup(sets: Sequence[UpperSet]) -> UpperSet:
     return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
 
 
-def member(a: UpperSet, z, tol=Fraction(0)) -> bool:
-    """Membership; exact for polyhedral reps (tol ignored there).
+def member(a: UpperSet, z) -> bool:
+    """Membership; exact for polyhedral reps.
 
     Oracle reps use outer-approximation semantics on the cached grid: z is
-    declared a member when no grid direction separates it by more than tol.
-    An exact oracle membership predicate takes precedence when available.
+    declared a member when no grid direction separates it.  An exact oracle
+    membership predicate takes precedence when available.
     """
     zv = vec(z)
-    tol = frac(tol)
     if a.pieces is not None:
         return any(p.contains(zv) for p in a.pieces)
     exact = a.oracle.member(zv)
@@ -347,7 +345,7 @@ def member(a: UpperSet, z, tol=Fraction(0)) -> bool:
             continue
         if s == NEG_INF:
             return False
-        if dot(u, zv) > s + tol:
+        if dot(u, zv) > s:
             return False
     return True
 
@@ -389,14 +387,12 @@ def scale(a: UpperSet, t) -> UpperSet:
 
 
 def check_upper_closed(a: UpperSet) -> bool:
-    """Testable invariant: every stored row normal n has n.g >= 0 on C."""
+    """Testable invariant: every stored row normal n has n.g >= 0 on C,
+    that is, -n lies in C^-."""
     if a.pieces is None:
         return True
-    for p in a.pieces:
-        for n, _ in p.rows:
-            if any(dot(n, g) < 0 for g in a.cone.generators):
-                return False
-    return True
+    dual = dual_cone(a.cone)
+    return all(dual.contains(tuple(-c for c in n)) for p in a.pieces for n, _ in p.rows)
 
 
 def sets_equal(a: UpperSet, b: UpperSet) -> bool:

@@ -1,5 +1,15 @@
 """Exact rational linear programming.
 
+Two callers are left.  ``scalarize._generates_dual`` certifies that a
+direction base generates C^- by one separation LP per extreme ray of C^-,
+and ``duality._attained_dual_vector`` reads an attained dual vector off the
+LP's multipliers (``want_dual``).  Both have double-description
+replacements (a hull of the base directions; the facets of the lifted
+epigraph of the marginal), which the benchmark cannot yet tell apart from
+a peak-RSS regression, since its RSS reading counts the garbage that each
+pass's re-import leaves.  Every point the geometry returns is read off a
+V-form (``geometry.Polyhedron.lowest_point``), never off this solver.
+
 A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
 pivoting rule throughout, so runs terminate and are deterministic: the same
 instance always yields the same optimal vertex, which makes every downstream
@@ -30,7 +40,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, Ext, Vec, dot, frac, vec
+from .linalg import ONE, ZERO, Constraint, Ext, Vec, dot, frac, vec
 
 
 class LPStatus(enum.Enum):
@@ -56,9 +66,6 @@ class LPResult:
     point: Vec | None = None
     dual: Vec | None = None
     ray: Vec | None = None
-
-
-Constraint = tuple[Vec, Fraction]  # (normal n, offset b) meaning n.z >= b
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -257,10 +264,3 @@ def _solve_dual(c_obj: Vec, cons: list[Constraint], sense: str, value: Fraction)
     assert res.point is not None
     return res.point
 
-
-def lp_feasible_point(constraints: list[Constraint], dim: int) -> Vec | None:
-    """A feasible point of ``{z : n_i.z >= b_i}`` or None, exactly."""
-    res = solve_lp(vec([0] * dim), constraints, sense="max")
-    if res.status is LPStatus.INFEASIBLE:
-        return None
-    return res.point

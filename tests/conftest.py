@@ -9,12 +9,13 @@ from upperset import geometry, simplex
 
 @pytest.fixture
 def lp_calls(monkeypatch) -> list:
-    """Arguments of every LP solved, whichever module calls ``solve_lp``."""
+    """(calling function's name, arguments) of every LP solved, whichever
+    module calls ``solve_lp``."""
     calls = []
     real = simplex.solve_lp
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append((sys._getframe(1).f_code.co_name, args))
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):

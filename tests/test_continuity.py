@@ -30,9 +30,10 @@ from upperset.maps import (
     ScaledBody,
     SetValuedMap,
     constant_empty_body,
+    graph_interior_witness,
 )
 from upperset.scalarize import DirectionBase
-from upperset.sets import CallableOracle, UpperSet
+from upperset.sets import CallableOracle, UpperSet, member, set_order_leq
 from upperset.verdict import Status, Verdict, Witness
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -192,3 +193,34 @@ class TestOracleValues:
         f = SetValuedMap(1, cone, ScaledBody(UpperSet.from_oracle(cone, oracle), AffineForm.of([0], 1)))
         for check in (check_lc, check_uls, check_eff):
             assert check(f, (0,), TINY).status is Status.HOLDS, check.__name__
+
+
+class TestRemainingLps:
+    """Every point the checkers read comes off a V-form; the one LP left on
+    the matrix route is the base certification's separation LP."""
+
+    def test_light_matrices_solve_only_separation_lps(self, lp_calls):
+        cfg = default_config().light()
+        for f, x0 in (
+            (fixture_by_id("orthant-halfline").map, (0,)),
+            (fixture_by_id("tilted-halfplane").map, (0,)),
+            (random_convex_affine_maps(1, 1)[0], (1,)),
+        ):
+            verdict_matrix(f, x0, cfg)
+        assert lp_calls and {caller for caller, _ in lp_calls} == {"_generates_dual"}
+
+    def test_piece_against_an_uncovering_union_solves_no_lp(self, lp_calls):
+        # Neither piece holds the orthant, and their union misses the origin.
+        union = UpperSet(ORTHANT, pieces=[Polyhedron(2, [([1, 0], 1)]), Polyhedron(2, [([0, 1], 1)])])
+        piece = UpperSet(ORTHANT, pieces=[Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])])
+        order = set_order_leq(union, piece)
+        assert not order.value and order.exact and not member(union, order.witness)
+        assert lp_calls == []
+
+    def test_graph_interior_of_a_polyhedral_map_solves_no_lp(self, lp_calls):
+        f = random_convex_affine_maps(1, 1)[0]
+        assert f.body.fixed_normals
+        for x0 in ((0,), (1,), (-1,)):
+            graph_interior_witness(f, x0)
+        graph_interior_witness(fixture_by_id("orthant-halfline").map, (1,))
+        assert lp_calls == []

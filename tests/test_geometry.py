@@ -485,6 +485,88 @@ class TestVFormOracle:
         assert min(seen.values()) >= 40, seen
 
 
+def lp_margin(p):
+    """The largest l1-weighted margin s on P's rows over the box |z_i| <= 10^6,
+    by the LP; None unless it is positive and attained."""
+    rows = []
+    for n, b in p.rows:
+        w = sum(abs(c) for c in n)
+        if w == 0:
+            if b > 0:
+                return None
+            continue
+        rows.append((n + (-w,), b))
+    for i in range(p.dim):
+        for sign in (1, -1):
+            e = [F(0)] * (p.dim + 1)
+            e[i] = F(sign)
+            rows.append((tuple(e), F(-(10**6))))
+    res = solve_lp((F(0),) * p.dim + (F(1),), rows, sense="max")
+    if res.status is not LPStatus.OPTIMAL or res.value <= 0:
+        return None
+    return res.value
+
+
+def support_rank_affine_dim(p):
+    """dim less the rank of the rows tight on all of P (support n = b); -1
+    for the empty set."""
+    if p.is_empty:
+        return -1
+    implicit = [n for n, b in p.rows if p.support(n) == b]
+    return p.dim - (matrix_rank(implicit) if implicit else 0)
+
+
+class TestPointReadersOracle:
+    """Points read off the V-form answer as the LPs did: ``lowest_point``,
+    the feasible point ``lowest_point(0)``, ``interior_point`` and
+    ``violation_witness``; and ``affine_dim`` as the support-per-row rank."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_lps(self, seed):
+        rng = random.Random(200 + seed)
+        seen = {"empty": 0, "unbounded": 0, "lineality": 0, "lower-dimensional": 0,
+                "interior": 0, "not contained": 0}
+        for k in range(250):
+            dim = rng.randint(1, 4)
+            p = Polyhedron(dim, random_rows(rng, dim, den=4))
+            feasible = solve_lp(zeros(dim), list(p.rows))
+            low = p.lowest_point(zeros(dim))
+            assert (low is None) == (feasible.status is LPStatus.INFEASIBLE), p.rows
+            assert low is None or p.contains(low)
+            d = random_vec(rng, dim, -2, 2, den=4)
+            res = solve_lp(d, list(p.rows), sense="min")
+            low = p.lowest_point(d)
+            if res.status is LPStatus.OPTIMAL:
+                assert p.contains(low) and dot(d, low) == res.value, (p.rows, d)
+            else:
+                assert low is None, (p.rows, d)
+                seen["unbounded"] += res.status is LPStatus.UNBOUNDED
+            margin = lp_margin(p)
+            ip = p.interior_point()
+            assert (ip is None) == (margin is None), p.rows
+            if ip is not None:
+                weighted = [(n, b, sum(abs(c) for c in n)) for n, b in p.rows if any(n)]
+                assert min((dot(n, ip) - b) / w for n, b, w in weighted) == margin, p.rows
+                seen["interior"] += 1
+            if k % 2:
+                q = Polyhedron(dim, random_rows(rng, dim, den=4))
+            else:
+                kept = [(n, b - rng.randint(0, 2)) for n, b in p.rows if rng.random() < 0.6]
+                q = Polyhedron(dim, kept)
+            contained = feasible.status is LPStatus.INFEASIBLE or lp_contained_in(p, q)
+            assert p.contained_in(q) == contained
+            witness = p.violation_witness(q)
+            assert (witness is None) == contained, (p.rows, q.rows)
+            if witness is not None:
+                assert p.contains(witness) and not q.contains(witness)
+                seen["not contained"] += 1
+            assert p.affine_dim == support_rank_affine_dim(p), p.rows
+            seen["empty"] += p.is_empty
+            seen["lineality"] += bool(p.lineality)
+            seen["lower-dimensional"] += 0 <= p.affine_dim < dim
+        assert min(seen.values()) >= 25, seen
+
+
 def enumerated_cone_rays(normals, dim):
     """Lineality pairs, then every ray spanning the nullspace of dim - 1 rows
     that satisfies all rows, in ``itertools.combinations`` order of the row

@@ -165,7 +165,7 @@ class TestCertifyBase:
     def test_unit_extreme_rays(self):
         base = DirectionBase(ORTHANT, ((F(-1), F(0)), (F(0), F(-1))))
         flags = certify_base(base)
-        assert flags["generates_dual"] and flags["inf_sup_positive"]
+        assert flags["generates_dual"]
         assert flags["inf_sup_value_sq"] == 1 and flags["unit_normalized"]
 
     def test_zero_vector_rejected(self):
@@ -199,7 +199,6 @@ class TestCertifyBaseCache:
         solved = len(calls)
         assert solved == len(dual_cone(ORTHANT).generators)
         assert certify_base(base) == first
-        assert certify_base(base, Fraction(3)) != first
         assert len(calls) == solved
 
     def test_failed_certification_is_cached(self, certification_lps):
@@ -210,14 +209,13 @@ class TestCertifyBaseCache:
         assert not certify_base(base)["generates_dual"]
         assert len(calls) == solved > 0
 
-    @pytest.mark.parametrize("radius", [Fraction(1), Fraction(5, 2)])
-    def test_cached_equals_fresh(self, radius):
+    def test_cached_equals_fresh(self):
         for cone, fan, tails in ((ORTHANT, 4, 2), (RAY, 4, 0)):
             base = DirectionBase.default(cone, fan, tails)
             certify_base(base)
             fresh = DirectionBase(cone, base.directions)
             assert fresh == base and "_generates_dual" not in fresh.__dict__
-            assert certify_base(base, radius) == certify_base(fresh, radius)
+            assert certify_base(base) == certify_base(fresh)
 
     def test_one_lp_per_extreme_ray_per_matrix(self, certification_lps):
         verdict_matrix(halfline_domain_map(), [0], default_config().light())
