@@ -209,13 +209,23 @@ class TestCertifyBaseCache:
         assert not certify_base(base)["generates_dual"]
         assert len(calls) == solved > 0
 
-    def test_cached_equals_fresh(self):
+    @pytest.mark.parametrize("radius", [Fraction(1), Fraction(5, 2)])
+    def test_cached_equals_fresh(self, radius):
+        # A ball of radius r in the inf-sup condition is the unit ball with
+        # every direction scaled by r: the fresh base is r*B, certified anew.
         for cone, fan, tails in ((ORTHANT, 4, 2), (RAY, 4, 0)):
             base = DirectionBase.default(cone, fan, tails)
-            certify_base(base)
+            cached = certify_base(base)
             fresh = DirectionBase(cone, base.directions)
             assert fresh == base and "_generates_dual" not in fresh.__dict__
-            assert certify_base(base) == certify_base(fresh)
+            assert certify_base(base) == certify_base(fresh) == cached
+            scaled = DirectionBase(cone, tuple(tuple(radius * c for c in d) for d in base.directions))
+            assert "_generates_dual" not in scaled.__dict__
+            assert certify_base(scaled) == dict(
+                cached,
+                inf_sup_value_sq=radius**2 * cached["inf_sup_value_sq"],
+                unit_normalized=cached["unit_normalized"] and radius == 1,
+            )
 
     def test_one_lp_per_extreme_ray_per_matrix(self, certification_lps):
         verdict_matrix(halfline_domain_map(), [0], default_config().light())
