@@ -64,20 +64,22 @@ from .sets import UpperSet, member, outer_polyhedron
 from .verdict import Status, Verdict, Witness
 
 
+# Half-width of the box that clips sampled values and bounds box searches.
+_WINDOW = Fraction(10)
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Geometric radius grid {start * ratio^k : k = 0..levels}."""
+    """Dyadic radius grid {2^-k : k = 0..levels}."""
 
-    start: Fraction = Fraction(1)
-    ratio: Fraction = Fraction(1, 2)
     levels: int = 12
 
     def __post_init__(self):
-        if not (self.start > 0 and 0 < self.ratio < 1 and self.levels >= 0):
-            raise ValueError("a radius grid needs start > 0, 0 < ratio < 1 and levels >= 0")
+        if self.levels < 0:
+            raise ValueError("a radius grid needs levels >= 0")
 
     def values(self, extra: int = 0) -> list[Fraction]:
-        return [self.start * self.ratio**k for k in range(self.levels + 1 + extra)]
+        return [Fraction(1, 2**k) for k in range(self.levels + 1 + extra)]
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,8 @@ class CheckerConfig:
     z_radii: Grid = field(default_factory=lambda: Grid(levels=6))
     z_fan: int = 32
     z_tails: int = 24
-    window: Fraction = Fraction(10)
     confirm_levels: int = 4
     descent_levels: int = 12
-
-    def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError("the value window must be positive")
 
     def light(self) -> "CheckerConfig":
         """Coarser settings for large sweeps."""
@@ -145,7 +142,7 @@ class _Scan:
     ) -> tuple[Optional[bool], Optional[Witness]]:
         """Flag of x-radius level k: True with a witness at the first violated
         sample, otherwise None if some sample was undecidable, else False."""
-        delta = self.cfg.radii.start * self.cfg.radii.ratio**k
+        delta = Fraction(1, 2**k)
         flag: Optional[bool] = False
         for x in _level_samples(self.x0, delta, self.dirs):
             r = violated(x)
@@ -209,11 +206,11 @@ class _Scan:
         return "clean", None, None, examined
 
 
-def _value_sample_points(v: UpperSet, cone: Cone, w: Fraction) -> list[Vec]:
+def _value_sample_points(v: UpperSet, cone: Cone) -> list[Vec]:
     """Representative points of a value, clipped to the window."""
     pts: list[Vec] = []
     if v.is_polyhedral:
-        win = Polyhedron.box([(-w, w)] * cone.dim)
+        win = Polyhedron.box([(-_WINDOW, _WINDOW)] * cone.dim)
         for p in v.pieces:
             pts.extend(p.minimal_face_points)
             cut = p.intersect(win)
@@ -223,7 +220,7 @@ def _value_sample_points(v: UpperSet, cone: Cone, w: Fraction) -> list[Vec]:
                     pts.append(ip)
     else:
         grid = [Fraction(k) for k in (-2, -1, 0, 1, 2, 4)]
-        inside = (z for z in itertools.product(grid, repeat=cone.dim) if max(map(abs, z)) <= w)
+        inside = (z for z in itertools.product(grid, repeat=cone.dim) if max(map(abs, z)) <= _WINDOW)
         pts = list(itertools.islice((z for z in inside if member(v, z)), 8))
     dedup = list(dict.fromkeys(pts))
     return dedup[:8]
@@ -393,7 +390,7 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
 
 
 def _complement_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) -> list[Vec]:
-    pts = _value_sample_points(v0, f.cone, cfg.window)
+    pts = _value_sample_points(v0, f.cone)
     probes: list[Vec] = []
     for p in pts:
         for i in range(f.cone.dim):
@@ -415,7 +412,7 @@ def check_lc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     scan = _Scan(f, x0, cfg)
     examined = 0
-    for z0 in _value_sample_points(v0, f.cone, cfg.window):
+    for z0 in _value_sample_points(v0, f.cone):
         dist_sq_at = cache(lambda x: _point_gap_sq(f.evaluate(x), z0, fan))
         kind, wit, eps, levels = scan.sweep(
             lambda eps: lambda x, _e=eps * eps: dist_sq_at(x) > _e
@@ -453,9 +450,9 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     anchors: list[Vec] = []
     if not v0.is_empty:
-        anchors.extend(_value_sample_points(v0, f.cone, cfg.window))
+        anchors.extend(_value_sample_points(v0, f.cone))
     anchors.append((ZERO,) * f.cone.dim)
-    sizes = sorted({cfg.window, cfg.window / 4, Fraction(1)}, reverse=True)
+    sizes = sorted({_WINDOW, _WINDOW / 4, Fraction(1)}, reverse=True)
     scan = _Scan(f, x0, cfg)
     examined = 0
     best_mixed = False
@@ -472,7 +469,7 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             if kind == "mixed":
                 best_mixed = True
     # The largest candidate box already misses values arbitrarily close.
-    big = Polyhedron.box([(-cfg.window, cfg.window)] * f.cone.dim)
+    big = Polyhedron.box([(-_WINDOW, _WINDOW)] * f.cone.dim)
     kind, wit, levels = scan.classify(lambda x: _box_misses_value(f.evaluate(x), big, fan))
     examined = max(examined, levels)
     if kind == "persistent" and not best_mixed:
@@ -560,7 +557,7 @@ def _sampled_common_point(
     a = Polyhedron(f.cone.dim, _stacked_rows(values, fan)).lowest_point(zeros(f.cone.dim))
     if a is not None:
         candidates.append(a)
-    candidates.extend(_value_sample_points(values[0], f.cone, cfg.window))
+    candidates.extend(_value_sample_points(values[0], f.cone))
     for a in candidates:
         if all(member(v, a) for v in values):
             return a
@@ -594,7 +591,7 @@ def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     dirs = _x_dirs(f.domain_dim)
     examined = 0
-    for z0 in _value_sample_points(v0, f.cone, cfg.window):
+    for z0 in _value_sample_points(v0, f.cone):
         for eps in cfg.z_radii.values():
             found, levels = _uls_search(f, x0, z0, eps, dirs, fan, cfg)
             examined = max(examined, levels)
@@ -700,7 +697,7 @@ def _outside_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) 
         if not member(v0, p):
             probes.append(p)
     near = []
-    for p in _value_sample_points(v0, f.cone, cfg.window) if not v0.is_empty else []:
+    for p in _value_sample_points(v0, f.cone) if not v0.is_empty else []:
         for g in f.cone.generators:
             m = max((abs(c) for c in g), default=ZERO)
             if m == 0:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .duality import BivariateMap
-from .geometry import Cone
+from .geometry import Cone, dual_cone
 from .linalg import POS_INF, ZERO, Ext, Vec, frac
 from .maps import (
     AffineBody,
@@ -329,8 +329,6 @@ def random_convex_affine_maps(seed: int, count: int, dim_x: int = 1) -> list[Set
 def random_dual_pairs(seed: int, count: int, cone: Cone, ystar_dim: int) -> list[tuple[Vec, Vec]]:
     """Seeded (y*, z*) pairs with z* in C^- \\ {0}."""
     rng = random.Random(seed)
-    from .geometry import dual_cone
-
     gens = dual_cone(cone).generators
     pairs = []
     while len(pairs) < count:

@@ -11,6 +11,12 @@ intersection over all dual pairs, and produces one maximizing y* per proper
 scalarization direction, provided the scalarizations of the slice f(x0, .)
 are upper semicontinuous at the origin for every direction.
 
+For the constant-normal affine maps accepted here, each slice scalarization
+is polyhedral convex: continuous on its domain, dom f(x0, .), and +inf off
+it (Rockafellar 1970, Thm 10.2).  So the regularity condition holds exactly
+when 0 is interior to that domain, which is read from the rows of dom f: no
+row with a nonzero y-part may be tight at (x0, 0).  No sampled checker runs.
+
 Everything here runs on exact piecewise-linear closed forms: the per
 direction scalar values are supports of each piece's region, read from its
 V-form with no LP; the attained dual vector is read off the exact LP dual
@@ -28,14 +34,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conjugate import PiecewiseLinearFn, neg_conjugate_scalar_route, scalar_conjugate
-from .geometry import Cone, DualPair, Polyhedron
+from .conjugate import PiecewiseLinearFn, _halfspace_value, scalar_conjugate
+from .geometry import Cone, Polyhedron
 from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
 from .simplex import LPStatus, solve_lp
-from .verdict import Status, Verdict, Witness
+from .verdict import Verdict, Witness
 
 
 class DualityError(ValueError):
@@ -60,30 +66,6 @@ class BivariateMap:
 
     def evaluate(self, x, y) -> UpperSet:
         return self.map.evaluate(tuple(vec(x)) + tuple(vec(y)))
-
-    def slice_at(self, x0) -> SetValuedMap:
-        """The map y -> f(x0, y) for constant-normal affine bodies."""
-        body = self.map.body
-        if not isinstance(body, AffineBody) or not body.fixed_normals:
-            raise DualityError("slices require a constant-normal affine body")
-        x0 = vec(x0)
-        offsets = []
-        y_coeffs = []
-        for i in range(len(body.normals)):
-            lx = body.x_coeffs[i][: self.n]
-            ly = body.x_coeffs[i][self.n :]
-            offsets.append(body.offsets[i] + dot(lx, x0))
-            y_coeffs.append(ly)
-        return SetValuedMap(
-            self.p,
-            self.cone,
-            AffineBody(
-                normals=body.normals,
-                offsets=tuple(offsets),
-                x_coeffs=tuple(y_coeffs),
-            ),
-            name=f"{self.map.name or 'bivariate'}-slice",
-        )
 
 
 def marginal_scalarization(f: BivariateMap, zstar, y) -> Ext:
@@ -154,25 +136,21 @@ def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Ver
     checked = 0
     for ystar, zstar in pairs:
         ys, zs = vec(ystar), vec(zstar)
-        lhs_support = marginal_scalarization(f, zs, y0)
-        # sup of z*.z over f_X(0) is the negated marginal scalarization.
-        sup_lhs: Ext
-        if lhs_support == POS_INF:
-            sup_lhs = NEG_INF
-        elif lhs_support == NEG_INF:
-            sup_lhs = POS_INF
-        else:
-            sup_lhs = -lhs_support
-        xstar = (ZERO,) * f.n + tuple(ys)
-        conj = neg_conjugate_scalar_route(f.map, DualPair.of(xstar, zs))
-        if not _ext_leq(sup_lhs, conj.offset):
+        phi = piecewise_scalarization(f.map, zs)
+        if phi is None:
+            raise DualityError("marginal scalarization needs a closed form")
+        # sup of z*.z over f_X(0) is the negated marginal scalarization; a
+        # Fraction compares exactly with +-inf.
+        sup_lhs = -_pl_partial_infimum(phi, f.n, y0)
+        offset = scalar_conjugate(phi, (ZERO,) * f.n + ys)
+        if not sup_lhs <= offset:
             return Verdict.fails(
                 Witness(
                     direction=zs,
                     detail=(
                         "weak duality violated: support "
                         f"{format_scalar(sup_lhs)} exceeds conjugate offset "
-                        f"{format_scalar(conj.offset)} at y*={ys}; this is an "
+                        f"{format_scalar(offset)} at y*={ys}; this is an "
                         "implementation bug"
                     ),
                 ),
@@ -180,16 +158,6 @@ def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Ver
             )
         checked += 1
     return Verdict.holds(resolution=checked, note="inclusion exact on all pairs")
-
-
-def _ext_leq(a: Ext, b: Ext) -> bool:
-    if a == NEG_INF or b == POS_INF:
-        return True
-    if b == NEG_INF:
-        return a == NEG_INF
-    if a == POS_INF:
-        return False
-    return a <= b
 
 
 @dataclass
@@ -229,7 +197,7 @@ class DualityReport:
         return {
             "x0": [format_scalar(c) for c in self.x0],
             "family": self.family.to_json(),
-            "gap_sq": format_scalar(self.gap_sq) if not isinstance(self.gap_sq, float) else self.gap_sq,
+            "gap_sq": format_scalar(self.gap_sq),
             "regularity": self.regularity,
             "support_table": self.support_table,
         }
@@ -245,31 +213,32 @@ def fundamental_duality(
     gap of the two sides is measured on the box [-10, 10]^m.
 
     Preconditions checked before running: (x0, 0) lies in dom f, and every
-    scalarization of the slice f(x0, .) is upper semicontinuous at 0; a
-    violation refuses with a diagnostic.  Improper directions contribute the
-    whole space and drop out; directions whose scalar infimum is unbounded
-    below are flagged and likewise contribute the whole space.
+    scalarization of the slice f(x0, .) is upper semicontinuous at 0, which
+    for a constant-normal affine body means that no row of dom f with a
+    nonzero y-part is tight at (x0, 0); a violation refuses with a
+    diagnostic.  Improper directions contribute the whole space and drop
+    out; directions whose scalar infimum is unbounded below are flagged and
+    likewise contribute the whole space.
     """
-    from .continuity import CheckerConfig, check_scalar_semicontinuity
-
     x0 = vec(x0)
     base = base or DirectionBase.default(f.cone, 16)
     y0 = (ZERO,) * f.p
     if f.evaluate(x0, y0).is_empty:
         raise DualityError(f"(x0, 0) = ({x0}, {y0}) lies outside dom f")
-    slice_map = f.slice_at(x0)
-    slice_verdict = check_scalar_semicontinuity(
-        slice_map, y0, base, CheckerConfig(), "usc"
-    )
-    regularity = {
-        "slice_usc": slice_verdict.status.value,
-        "x0_in_dom": True,
-    }
-    if slice_verdict.status is Status.FAILS:
-        raise DualityError(
-            "regularity precondition violated: a slice scalarization is not "
-            f"upper semicontinuous at 0 (direction {slice_verdict.witness.direction})"
-        )
+    body = f.map.body
+    if not isinstance(body, AffineBody) or not body.fixed_normals:
+        raise DualityError("slices require a constant-normal affine body")
+    for piece in f.map.domain_pieces():
+        for n, b in piece.rows:
+            if any(n[f.n :]) and dot(n, x0 + y0) == b:
+                raise DualityError(
+                    "regularity precondition violated: the row "
+                    f"({', '.join(format_scalar(c) for c in n)}).(x, y) >= {format_scalar(b)} "
+                    "of dom f has a nonzero y-part and is tight at (x0, 0), so 0 lies on "
+                    "the boundary of dom f(x0, .) and some slice scalarization is not "
+                    "upper semicontinuous there"
+                )
+    regularity = {"slice_usc": "holds", "x0_in_dom": True}
 
     family = DualFamily()
     halfspaces: list[UpperSet] = []
@@ -312,21 +281,16 @@ def fundamental_duality(
                 "the exact solver should never reach this"
             )
         family.entries[zs] = ystar
-        pair = DualPair.of((ZERO,) * f.n + tuple(ystar), zs)
-        conj = neg_conjugate_scalar_route(f.map, pair)
-        if conj.offset != -v:
-            raise DualityError(
-                f"conjugate identity failed for direction {zs}: "
-                f"{format_scalar(conj.offset)} vs {format_scalar(-v)}"
-            )
-        halfspaces.append(conj.value)
+        # _attained_dual_vector verified phi*(0, y*) = -v, the offset of the
+        # negative conjugate's halfspace at ((0, y*), z*).
+        halfspaces.append(_halfspace_value(f.cone, zs, -v))
         supports.append((zs, -v))
         row.update(
             {
                 "status": "proper",
                 "ystar": [format_scalar(c) for c in ystar],
                 "marginal_value": format_scalar(v),
-                "conjugate_offset": format_scalar(conj.offset),
+                "conjugate_offset": format_scalar(-v),
             }
         )
         support_table.append(row)

@@ -239,14 +239,12 @@ class SetValuedMap:
         domain_dim: int,
         cone: Cone,
         body: Body,
-        declared_domain: Optional[Polyhedron] = None,
         name: str = "",
         convex: Optional[bool] = None,
     ):
         self.domain_dim = domain_dim
         self.cone = cone
         self.body = body
-        self.declared_domain = declared_domain
         self.name = name
         self.convex = _body_convex(body) if convex is None else convex
         self.convex_valued = _body_convex_valued(body)
@@ -304,8 +302,7 @@ class SetValuedMap:
         if _is_constant_empty(body):
             return None
         if not body.fixed_normals:
-            region = Polyhedron(n, region_rows)
-            return region if self.declared_domain is None else self.declared_domain.intersect(region)
+            return Polyhedron(n, region_rows)
         pad = (ZERO,) * self.cone.dim
         lifted = body.graph_rows() + [(tuple(r) + pad, b) for r, b in region_rows]
         return project_out(Polyhedron(n + self.cone.dim, lifted), list(range(n, n + self.cone.dim)))
