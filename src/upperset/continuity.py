@@ -206,11 +206,16 @@ class _Scan:
         return "clean", None, None, examined
 
 
-def _value_sample_points(v: UpperSet, cone: Cone) -> list[Vec]:
-    """Representative points of a value, clipped to the window."""
+def _value_sample_points(v: UpperSet) -> tuple[Vec, ...]:
+    """Representative points of a value, clipped to the window; found once
+    per value and kept on it."""
+    memo = v.__dict__.get("_sample_points")
+    if memo is not None:
+        return memo
+    dim = v.cone.dim
     pts: list[Vec] = []
     if v.is_polyhedral:
-        win = Polyhedron.box([(-_WINDOW, _WINDOW)] * cone.dim)
+        win = Polyhedron.box([(-_WINDOW, _WINDOW)] * dim)
         for p in v.pieces:
             pts.extend(p.minimal_face_points)
             cut = p.intersect(win)
@@ -220,10 +225,10 @@ def _value_sample_points(v: UpperSet, cone: Cone) -> list[Vec]:
                     pts.append(ip)
     else:
         grid = [Fraction(k) for k in (-2, -1, 0, 1, 2, 4)]
-        inside = (z for z in itertools.product(grid, repeat=cone.dim) if max(map(abs, z)) <= _WINDOW)
+        inside = (z for z in itertools.product(grid, repeat=dim) if max(map(abs, z)) <= _WINDOW)
         pts = list(itertools.islice((z for z in inside if member(v, z)), 8))
-    dedup = list(dict.fromkeys(pts))
-    return dedup[:8]
+    memo = v.__dict__["_sample_points"] = tuple(dict.fromkeys(pts))[:8]
+    return memo
 
 
 # -- enlargement containment ------------------------------------------------------
@@ -390,7 +395,7 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
 
 
 def _complement_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) -> list[Vec]:
-    pts = _value_sample_points(v0, f.cone)
+    pts = _value_sample_points(v0)
     probes: list[Vec] = []
     for p in pts:
         for i in range(f.cone.dim):
@@ -412,7 +417,7 @@ def check_lc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     scan = _Scan(f, x0, cfg)
     examined = 0
-    for z0 in _value_sample_points(v0, f.cone):
+    for z0 in _value_sample_points(v0):
         dist_sq_at = cache(lambda x: _point_gap_sq(f.evaluate(x), z0, fan))
         kind, wit, eps, levels = scan.sweep(
             lambda eps: lambda x, _e=eps * eps: dist_sq_at(x) > _e
@@ -450,7 +455,7 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     anchors: list[Vec] = []
     if not v0.is_empty:
-        anchors.extend(_value_sample_points(v0, f.cone))
+        anchors.extend(_value_sample_points(v0))
     anchors.append((ZERO,) * f.cone.dim)
     sizes = sorted({_WINDOW, _WINDOW / 4, Fraction(1)}, reverse=True)
     scan = _Scan(f, x0, cfg)
@@ -557,7 +562,7 @@ def _sampled_common_point(
     a = Polyhedron(f.cone.dim, _stacked_rows(values, fan)).lowest_point(zeros(f.cone.dim))
     if a is not None:
         candidates.append(a)
-    candidates.extend(_value_sample_points(values[0], f.cone))
+    candidates.extend(_value_sample_points(values[0]))
     for a in candidates:
         if all(member(v, a) for v in values):
             return a
@@ -591,7 +596,7 @@ def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     fan = _fan(f, cfg)
     dirs = _x_dirs(f.domain_dim)
     examined = 0
-    for z0 in _value_sample_points(v0, f.cone):
+    for z0 in _value_sample_points(v0):
         for eps in cfg.z_radii.values():
             found, levels = _uls_search(f, x0, z0, eps, dirs, fan, cfg)
             examined = max(examined, levels)
@@ -697,7 +702,7 @@ def _outside_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) 
         if not member(v0, p):
             probes.append(p)
     near = []
-    for p in _value_sample_points(v0, f.cone) if not v0.is_empty else []:
+    for p in _value_sample_points(v0) if not v0.is_empty else []:
         for g in f.cone.generators:
             m = max((abs(c) for c in g), default=ZERO)
             if m == 0:

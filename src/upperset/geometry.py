@@ -30,11 +30,14 @@ The hot queries run in Python ints.  Each polyhedron keeps its rows once as
 integer rows (a positive multiple of ``n + (b,)``), and the V-form keeps
 what the double description computes: primitive integer generators (z, t)
 of the homogenized cone, an integer lineality basis, and for each generator
-the bitmask of the rows tight on it.  ``support``, ``contains`` and
-``dist_sq`` scale their argument to integers once; ``minimal_face_points``
-and the cone rays read the tight rows from the masks and order their faces
-by a fraction-free rank test.  A Fraction is built only for a value that is
-returned.
+the bitmask of the rows tight on it.  Derived polyhedra inherit their
+integer rows: ``_hull`` holds each facet as a primitive integer vector
+already, and an intersection's rows are its operands'.  ``support``,
+``contains`` and ``dist_sq`` scale their argument to integers once, and
+``excess_sq`` hands each V-form point (z, t) to ``dist_sq``'s integer core
+as it stands; ``minimal_face_points`` and the cone rays read the tight rows
+from the masks and order their faces by a fraction-free rank test.  A Fraction is
+built only for a value that is returned.
 
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
@@ -155,43 +158,51 @@ def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
     tight: list[int] = []  # bitmask of the rows tight on each ray
     for i, a in enumerate(hom):
         bit = 1 << i
-        k = next((j for j, l in enumerate(lin) if _idot(a, l)), None)
+        k = next((j for j, l in enumerate(lin) if sum(map(mul, a, l))), None)
         if k is not None:
             r0 = lin.pop(k)
-            v0 = _idot(a, r0)
+            v0 = sum(map(mul, a, r0))
             if v0 < 0:
                 r0, v0 = tuple(-x for x in r0), -v0
 
             def shift(v: tuple[int, ...]) -> tuple[int, ...]:
-                c = _idot(a, v)
+                c = sum(map(mul, a, v))
                 return _primitive([v0 * x - c * y for x, y in zip(v, r0)]) if c else v
 
             lin = [shift(l) for l in lin]
             rays = [shift(r) for r in rays] + [r0]
             tight = [m | bit for m in tight] + [bit - 1]
             continue
-        vals = [_idot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
+        # The first row pivots, so a ray is there from then on.
+        vals = [sum(map(mul, a, r)) for r in rays]
+        if min(vals) >= 0:
             tight = [m | bit if v == 0 else m for m, v in zip(tight, vals)]
             continue
+        pos = [j for j, v in enumerate(vals) if v > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
         # Two rays are adjacent only if they share enough tight rows for
         # their common face to be 2-dimensional modulo the lineality.
         need = dim - 1 - len(lin)
         new_rays = [r for r, v in zip(rays, vals) if v >= 0]
         new_tight = [m | bit if v == 0 else m for m, v in zip(tight, vals) if v >= 0]
-        for p, vp in enumerate(vals):
-            if vp <= 0:
-                continue
-            for q, vq in enumerate(vals):
-                if vq >= 0:
+        for p in pos:
+            vp, rp, mp = vals[p], rays[p], tight[p]
+            for q in neg:
+                common = mp & tight[q]
+                if common.bit_count() < need:
                     continue
-                common = tight[p] & tight[q]
-                if common.bit_count() < need or any(
-                    m & common == common for j, m in enumerate(tight) if j != p and j != q
-                ):
-                    continue
-                new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
-                new_tight.append(common | bit)
+                # p and q contain their common rows; a third mask that does
+                # too makes them non-adjacent.
+                count = 0
+                for m in tight:
+                    if m & common == common:
+                        count += 1
+                        if count > 2:
+                            break
+                else:
+                    vq = vals[q]
+                    new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rp, rays[q])]))
+                    new_tight.append(common | bit)
         rays, tight = new_rays, new_tight
         if all(r[-1] == 0 for r in rays):
             # K lies in t = 0 from here on: P is empty.
@@ -216,7 +227,7 @@ def _primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def _idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(map(operator.mul, a, b))
+    return sum(map(mul, a, b))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -579,24 +590,26 @@ class Polyhedron:
         v = vec(z)
         _check_dim(self.dim, v)
         cache = self.__dict__.setdefault("_dist_cache", {})
-        if v in cache:
-            return cache[v]
-        # With k v integral, each integer row's residual at (k v, -k) is a
-        # positive multiple of n . v - b.
-        k, kv = _scaled(v)
+        if v not in cache:
+            k, kv = _scaled(v)
+            cache[v] = self._dist_sq_scaled(kv, k)
+        return cache[v]
+
+    def _dist_sq_scaled(self, kv: tuple[int, ...], k: int) -> Ext:
+        """``dist_sq`` at z = kv / k for integers kv and k > 0, in ints."""
+        # Each integer row's residual at (kv, -k) is a positive multiple of
+        # n . z - b.
         h = kv + (-k,)
         rows = self._int_rows
         resid = [_idot(r, h) for r in rows]
-        if all(r >= 0 for r in resid):
-            cache[v] = ZERO
+        if min(resid, default=0) >= 0:
             return ZERO
         if self.is_empty:
-            cache[v] = POS_INF
             return POS_INF
         # The scan runs on the integer rows: scaling a row by c > 0 scales
         # its multiplier by 1 / c, which moves neither p nor lam . r.  Here
         # resid = k r, and (N N^T) mu = resid has the solution mu = num / det
-        # with num integral, so lam = num / (det k), det k p = det k v -
+        # with num integral, so lam = num / (det k), det k p = det k z -
         # N^T num, and the distance is num . resid / (det k^2).
         for size in range(1, min(self.dim, len(rows)) + 1):
             for subset in itertools.combinations(range(len(rows)), size):
@@ -614,10 +627,30 @@ class Polyhedron:
                     p = [y - x * c for y, c in zip(p, n)]
                 p.append(-det * k)
                 if all(_idot(r, p) >= 0 for r in rows):
-                    d = Fraction(_idot(num, [resid[i] for i in subset]), det * k * k)
-                    cache[v] = d
-                    return d
+                    return Fraction(_idot(num, [resid[i] for i in subset]), det * k * k)
         raise AssertionError("no active set certifies the nearest point")
+
+    def excess_sq(self, other: "Polyhedron") -> Ext:
+        """sup over z in self of ``other.dist_sq(z)``, exactly; 0 when self
+        is empty.
+
+        Self is conv(points) + cone(rays) + span(lineality) by its V-form.
+        The sup is +inf when a ray or a +- lineality vector d has n.d < 0
+        for a row n of ``other``: along d, z leaves that halfspace at a
+        linear rate.  Otherwise every such d is a recession direction of
+        ``other``, along which the distance to the convex ``other`` does not
+        grow, so the sup is the max over the points, each read as it stands.
+        """
+        if self.dim != other.dim:
+            raise DimensionMismatch("excess of unequal dimensions")
+        vf, rows = self.vform, other._int_rows
+        # A ray or lineality vector (d, 0) meets each integer row n + (b,)
+        # in a positive multiple of n.d.
+        if any(_idot(r, l) for l in vf.lin for r in rows) or any(
+            _idot(r, g) < 0 for g in vf.gens if not g[-1] for r in rows
+        ):
+            return POS_INF
+        return max((other._dist_sq_scaled(g[:-1], g[-1]) for g in vf.gens if g[-1]), default=ZERO)
 
     @cached_property
     def affine_dim(self) -> int:
@@ -647,7 +680,9 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise DimensionMismatch("intersection of unequal dimensions")
-        return Polyhedron(self.dim, list(self.rows) + list(other.rows))
+        p = Polyhedron(self.dim, list(self.rows) + list(other.rows))
+        p.__dict__["_int_rows"] = self._int_rows + other._int_rows
+        return p
 
     def translate(self, v) -> "Polyhedron":
         t = vec(v)
@@ -725,12 +760,16 @@ def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ..
     vf = _double_description(rows, dim + 1)
     facets = [g[:-1] for g in vf.gens if not g[-1]]
     facets += [c for l in vf.lin for c in (l[:-1], tuple(-x for x in l[:-1]))]
-    out = []
+    out, int_rows = [], []
     for f in facets:
         m = max((abs(x) for x in f[:-1]), default=0)
         if m:
             out.append((tuple(Fraction(x, m) for x in f[:-1]), Fraction(-f[-1], m)))
-    return Polyhedron(dim, out)
+            # (n, s) is primitive, so n + (-s,) is the row's ``_integer_row``.
+            int_rows.append(f[:-1] + (-f[-1],))
+    p = Polyhedron(dim, out)
+    p.__dict__["_int_rows"] = int_rows
+    return p
 
 
 def project_out(p: Polyhedron, coords: list[int]) -> Polyhedron:

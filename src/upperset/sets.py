@@ -23,6 +23,7 @@ operator, which is why the infimum below is a plain union of pieces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -312,7 +313,7 @@ def lattice_sup(sets: Sequence[UpperSet]) -> UpperSet:
     if not sets:
         raise ValueError("supremum of an empty family")
     cone = sets[0].cone
-    rows: list[Constraint] = []
+    pieces: list[Polyhedron] = []
     for s in sets:
         if s.cone != cone:
             raise ValueError("mixed-cone family")
@@ -322,8 +323,8 @@ def lattice_sup(sets: Sequence[UpperSet]) -> UpperSet:
             raise ValueError("supremum restricted to convex operands")
         if s.is_empty:
             return UpperSet.empty(cone)
-        rows.extend(s.pieces[0].rows)
-    return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+        pieces.extend(s.pieces)
+    return UpperSet(cone, pieces=[functools.reduce(Polyhedron.intersect, pieces)])
 
 
 def member(a: UpperSet, z) -> bool:
@@ -424,12 +425,12 @@ def outer_polyhedron(a: UpperSet, directions: Sequence[Vec]) -> Polyhedron:
 
 def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
     """sup over z in (a cut to window) of squared distance to b; exact for
-    polyhedral representations with a convex ``b``.
+    polyhedral representations with a convex ``b``, under any window.
 
-    The distance to a convex ``b`` is convex, so its sup over each cut piece
-    of ``a`` is attained at a vertex.  The distance to a union is a min of
-    convex functions and may peak inside a piece, so ``b`` with several
-    pieces is rejected.
+    It is the largest ``excess_sq`` of a cut piece of ``a`` over ``b``:
+    +inf when a recession direction of a cut leaves ``b``, else the max over
+    the cut's points.  The distance to a union is a min of convex functions
+    and may peak inside a piece, so ``b`` with several pieces is rejected.
     """
     if a.pieces is None or b.pieces is None:
         raise ValueError("window Hausdorff requires polyhedral representations")
@@ -439,16 +440,7 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
         return ZERO
     if not b.pieces:
         return POS_INF
-    best: Ext = ZERO
-    for pa in a.pieces:
-        cut = pa.intersect(window)
-        if cut.is_empty:
-            continue
-        for v in cut.minimal_face_points:
-            d = min(pb.dist_sq(v) for pb in b.pieces)
-            if d > best:
-                best = d
-    return best
+    return max(pa.intersect(window).excess_sq(b.pieces[0]) for pa in a.pieces)
 
 
 def hausdorff_sq_window(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:

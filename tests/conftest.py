@@ -26,12 +26,13 @@ def lp_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def dd_passes(monkeypatch) -> list:
-    """(rows, dim) of every double-description pass run."""
+    """(calling function's name, rows, dim) of every double-description
+    pass run."""
     calls = []
     real = geometry._double_description
 
     def counting(rows, dim):
-        calls.append((tuple(rows), dim))
+        calls.append((sys._getframe(1).f_code.co_name, tuple(rows), dim))
         return real(rows, dim)
 
     monkeypatch.setattr(geometry, "_double_description", counting)

@@ -8,6 +8,7 @@ import pytest
 
 from upperset.continuity import (
     MATRIX_KEYS,
+    _value_sample_points,
     CheckerConfig,
     Grid,
     VerdictMatrix,
@@ -33,7 +34,7 @@ from upperset.maps import (
     graph_interior_witness,
 )
 from upperset.scalarize import DirectionBase
-from upperset.sets import CallableOracle, UpperSet, member, set_order_leq
+from upperset.sets import CallableOracle, UpperSet, member, set_order_leq, upper_closure
 from upperset.verdict import Status, Verdict, Witness
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -208,3 +209,20 @@ class TestRemainingLps:
             graph_interior_witness(f, x0)
         graph_interior_witness(fixture_by_id("orthant-halfline").map, (1,))
         assert lp_calls == []
+
+
+def test_value_sample_points_are_found_once_per_value(dd_passes):
+    # Two pieces, one of them cut by the window: the points need the
+    # pieces' V-forms and a margin program on each cut.
+    v = UpperSet(ORTHANT, pieces=[
+        upper_closure(Polyhedron.box([(-1, 2), (0, 1)]), ORTHANT).pieces[0],
+        Polyhedron(2, [([1, 0], -10), ([0, 1], 3), ([1, 2], 0)]),
+    ])
+    dd_passes.clear()
+    first = _value_sample_points(v)
+    assert first and dd_passes
+    dd_passes.clear()
+    assert _value_sample_points(v) == first
+    assert dd_passes == []
+    twin = UpperSet(ORTHANT, pieces=[Polyhedron(2, p.rows) for p in v.pieces])
+    assert _value_sample_points(twin) == first

@@ -6,13 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from upperset import geometry
 from upperset.geometry import (
     Cone,
     DimensionMismatch,
     DualPair,
     OrderConeError,
     Polyhedron,
+    VForm,
     _cone_rays,
+    _double_description,
+    _idot,
+    _integer_row,
+    _primitive,
     dual_cone,
     project_out,
     require_dual_direction,
@@ -707,6 +713,138 @@ class TestDistSqOracle:
         p = Polyhedron(3, [([-1, 0, 1], 0), ([1, 0, 1], 0), ([0, -1, 1], 0),
                            ([0, 1, 1], 0), ([0, 0, -1], -5)])
         assert p.dist_sq([-1, 2, -7]) == 54 == enumerated_dist_sq(p, [-1, 2, -7])
+
+
+def reference_double_description(rows, dim):
+    """The double-description pass as it stood before its inner loops were
+    tightened; the shipped kernel must return the same ``VForm``, order
+    included."""
+    hom = [(0,) * dim + (1,)] + [r[:-1] + (-r[-1],) for r in rows]
+    lin = [(0,) * i + (1,) + (0,) * (dim - i) for i in range(dim + 1)]
+    rays, tight = [], []
+    for i, a in enumerate(hom):
+        bit = 1 << i
+        k = next((j for j, l in enumerate(lin) if _idot(a, l)), None)
+        if k is not None:
+            r0 = lin.pop(k)
+            v0 = _idot(a, r0)
+            if v0 < 0:
+                r0, v0 = tuple(-x for x in r0), -v0
+
+            def shift(v):
+                c = _idot(a, v)
+                return _primitive([v0 * x - c * y for x, y in zip(v, r0)]) if c else v
+
+            lin = [shift(l) for l in lin]
+            rays = [shift(r) for r in rays] + [r0]
+            tight = [m | bit for m in tight] + [bit - 1]
+            continue
+        vals = [_idot(a, r) for r in rays]
+        if all(v >= 0 for v in vals):
+            tight = [m | bit if v == 0 else m for m, v in zip(tight, vals)]
+            continue
+        need = dim - 1 - len(lin)
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_tight = [m | bit if v == 0 else m for m, v in zip(tight, vals) if v >= 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in enumerate(vals):
+                if vq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if common.bit_count() < need or any(
+                    m & common == common for j, m in enumerate(tight) if j != p and j != q
+                ):
+                    continue
+                new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rays[p], rays[q])]))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+        if all(r[-1] == 0 for r in rays):
+            return VForm([], [], [])
+    return VForm(rays, tight, lin)
+
+
+def fresh_int_rows(p):
+    return [_integer_row(n + (b,)) for n, b in p.rows]
+
+
+def random_derived(rng, dim):
+    """A seeded Minkowski sum, projection or intersection in ``dim``."""
+    p = Polyhedron(dim, random_rows(rng, dim, den=3))
+    q = Polyhedron(dim, random_rows(rng, dim, den=3))
+    kind = rng.choice(["sum", "projection", "intersection"])
+    if kind == "sum":
+        return kind, p + q
+    if kind == "intersection":
+        return kind, p.intersect(q)
+    lifted = Polyhedron(dim + 1, random_rows(rng, dim + 1, den=3))
+    return kind, project_out(lifted, [rng.randrange(dim + 1)])
+
+
+class TestInheritedIntegerRows:
+    """A derived polyhedron's seeded integer rows are the ones its Fraction
+    rows give."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equal_to_fresh_rows(self, seed):
+        rng = random.Random(400 + seed)
+        seen = {"sum": 0, "projection": 0, "intersection": 0, "empty": 0, "lineality": 0}
+        for _ in range(150):
+            kind, p = random_derived(rng, rng.randint(1, 4))
+            # ``_hull`` returns ``Polyhedron.empty`` without a pass.
+            assert "_int_rows" in p.__dict__ or p == Polyhedron.empty(p.dim), kind
+            assert p._int_rows == fresh_int_rows(p), (kind, p.rows)
+            seen[kind] += 1
+            seen["empty"] += p.is_empty
+            seen["lineality"] += bool(p.lineality)
+        assert min(seen.values()) >= 10, seen
+
+
+class TestKernelOracle:
+    """The shipped double-description kernel returns the reference pass's
+    ``VForm``, order included."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_row_sets(self, seed):
+        rng = random.Random(500 + seed)
+        seen = {"empty": 0, "lineality": 0, "lower-dimensional": 0, "duplicate rows": 0}
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            raw = random_rows(rng, dim, den=3)
+            rows = [_integer_row(n + (b,)) for n, b in raw]
+            vf = _double_description(rows, dim)
+            assert vf == reference_double_description(rows, dim), (rows, dim)
+            p = Polyhedron(dim, raw)
+            seen["empty"] += not vf.gens
+            seen["lineality"] += bool(vf.gens and vf.lin)
+            seen["lower-dimensional"] += 0 <= p.affine_dim < dim
+            seen["duplicate rows"] += len(set(raw)) < len(raw)
+        assert min(seen.values()) >= 25, seen
+
+    def test_every_pass_of_lattice_operations(self, monkeypatch):
+        # Every pass that closures, sums, projections and their queries run
+        # in m = 1-4, the V->H passes of ``_hull`` among them.
+        checked = []
+
+        def compared(rows, dim):
+            got = _double_description(rows, dim)
+            assert got == reference_double_description(rows, dim), (rows, dim)
+            checked.append(dim)
+            return got
+
+        monkeypatch.setattr(geometry, "_double_description", compared)
+        rng = random.Random(600)
+        for _ in range(60):
+            dim = rng.randint(1, 4)
+            _, p = random_derived(rng, dim)
+            cone = Cone.from_generators(
+                [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+            )
+            closed = upper_closure(p, cone).pieces
+            if closed:
+                closed[0].support(random_vec(rng, dim, -2, 0))
+        assert len(checked) >= 200 and set(checked) == {1, 2, 3, 4, 5}
 
 
 def test_cone_constructions_solve_no_lp(lp_calls):

@@ -267,7 +267,7 @@ class TestConePassCache:
         dd_passes.clear()
         upper_closure(Polyhedron.from_point([1, 2, 3]), cone)
         upper_closure(Polyhedron.box([(0, 1), (-1, 1), (2, 3)]), cone)
-        assert [rows for rows, _ in dd_passes].count(tuple(cone_rows)) == 1
+        assert [rows for _, rows, _ in dd_passes].count(tuple(cone_rows)) == 1
 
     @pytest.mark.parametrize("make_map", [halfline_domain_map, ray_translate_map])
     def test_second_matrix_runs_no_cone_pass(self, make_map, dd_passes):
@@ -276,14 +276,14 @@ class TestConePassCache:
         verdict_matrix(f, [0], cfg)
         dd_passes.clear()
         verdict_matrix(f, [0], cfg)
-        second = set(dd_passes)
+        second = {(rows, dim) for _, rows, dim in dd_passes}
         # The passes that the cone's dual, fan and flags take on a twin of
         # the cone that has none of them stored yet.
         dd_passes.clear()
         twin = Cone(f.cone.dim, f.cone.generators, f.cone.halfspaces)
         direction_fan(twin, cfg.z_fan, cfg.z_tails)
         assert (twin.pointed, twin.has_interior) == (f.cone.pointed, f.cone.has_interior)
-        cone_passes = set(dd_passes)
+        cone_passes = {(rows, dim) for _, rows, dim in dd_passes}
         assert cone_passes and not second & cone_passes
 
 

@@ -172,6 +172,19 @@ class TestHausdorff:
             hausdorff_sq_window(union, a, self.WINDOW)
         assert directed_hausdorff_sq(union, a, self.WINDOW) == 0
 
+    def test_unbounded_cut_escapes(self):
+        # a = {z2 >= 0} cut to 0 <= z2 <= 1 holds (-t, 0), at distance t
+        # from b = R^2_+; along +z1 the cut stays within distance 0 of b.
+        a = UpperSet(ORTHANT, pieces=[Polyhedron(2, [([0, 1], 0)])])
+        b = upper_closure(Polyhedron.from_point([0, 0]), ORTHANT)
+        strip = Polyhedron(2, [([0, 1], 0), ([0, -1], -1)])
+        assert directed_hausdorff_sq(a, b, strip) == POS_INF
+        left = strip.intersect(Polyhedron(2, [([-1, 0], 0)]))
+        assert directed_hausdorff_sq(a, b, left) == POS_INF
+        right = strip.intersect(Polyhedron(2, [([1, 0], -2)]))
+        assert directed_hausdorff_sq(a, b, right) == 4
+        assert directed_hausdorff_sq(b, a, strip) == 0
+
 
 class TestMember:
     def test_trivial(self):
@@ -391,3 +404,86 @@ def test_closure_and_sum_supports_are_exact(cone_name, m, seed):
         assert check_upper_closed(s)
         for u, sa, sb in zip(directions, ra, rb):
             assert s.support(u) == (POS_INF if POS_INF in (sa, sb) else sa + sb), u
+
+
+# -- the window Hausdorff excess against the route it replaced ----------------
+
+
+def route_hausdorff_sq(a, b, window):
+    """The max of ``dist_sq`` to b over each cut piece's minimal-face
+    points: exact on bounded cuts and on cuts none of whose recession
+    directions leaves b."""
+    best = 0
+    for pa in a.pieces:
+        cut = pa.intersect(window)
+        for v in [] if cut.is_empty else cut.minimal_face_points:
+            best = max(best, b.pieces[0].dist_sq(v))
+    return best
+
+
+def escapes(a, b, window):
+    """Whether a generator of a cut's recession cone leaves b's halfspaces,
+    read off ``recession_generators``."""
+    return any(
+        _dot(n, d) < 0
+        for pa in a.pieces
+        for d in pa.intersect(window).recession_generators
+        for n, _ in b.pieces[0].rows
+    )
+
+
+def _window(rng, m, bounded):
+    """A box around a random centre, far off now and then (so cuts come out
+    empty); unbounded windows drop some of its faces."""
+    centre = [rng.randint(-3, 3) - (12 if rng.random() < 0.15 else 0) for _ in range(m)]
+    bounds = [(c - rng.randint(0, 3), c + rng.randint(1, 3)) for c in centre]
+    rows = list(Polyhedron.box(bounds).rows)
+    if not bounded:
+        rows = [r for r in rows if rng.random() < 0.4]
+    return Polyhedron(m, rows)
+
+
+# The orthant and, in m >= 3, a cone with lineality along the last axis.
+HAUSDORFF_CONES = {
+    "orthant": lambda m: Cone.from_generators(
+        [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    ),
+    "cylinder": lambda m: Cone.from_halfspaces(
+        [[1 if i == j else 0 for j in range(m)] for i in range(m - 1)], m
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_hausdorff_matches_the_face_point_route(m):
+    """On box windows the V-form points give the face-point route's value;
+    on unbounded windows the value is +inf exactly when a recession
+    direction escapes b, and the route's value otherwise."""
+    rng = random.Random(f"hausdorff-{m}")
+    seen = {"multi-piece": 0, "empty cut": 0, "lineality": 0, "escape": 0,
+            "unbounded, finite": 0, "positive": 0}
+    for k in range(24):
+        cone = HAUSDORFF_CONES["cylinder" if k % 3 == 2 else "orthant"](m)
+        closures = [upper_closure(Polyhedron(m, rows), cone) for rows in _exactness_inputs(rng, m)]
+        for _ in range(6):
+            # The last two closures are the unbounded and the flat piece,
+            # whose recession cones are larger than the cone's.
+            a = lattice_inf(rng.sample(closures, 1) + rng.sample(closures[-2:], rng.randint(0, 1)))
+            b = rng.choice(closures)
+            bounded = rng.random() < 0.6
+            window = _window(rng, m, bounded)
+            got = directed_hausdorff_sq(a, b, window)
+            cuts = [pa.intersect(window) for pa in a.pieces]
+            if bounded or not escapes(a, b, window):
+                assert got == route_hausdorff_sq(a, b, window), (k, window.rows)
+                seen["unbounded, finite"] += not bounded and any(
+                    c.recession_generators for c in cuts if not c.is_empty
+                )
+            else:
+                assert got == POS_INF, (k, window.rows)
+                seen["escape"] += 1
+            seen["multi-piece"] += len(a.pieces) > 1
+            seen["empty cut"] += any(c.is_empty for c in cuts)
+            seen["lineality"] += any(pa.lineality for pa in a.pieces + b.pieces)
+            seen["positive"] += 0 < got < POS_INF
+    assert min(seen.values()) >= 5, seen
