@@ -269,29 +269,23 @@ def _enlargement_gap_sq(
 ) -> tuple[Ext, Optional[Witness]]:
     """Squared Hausdorff-style excess of a over b: sup_{z in a} dist(z, b)^2.
 
-    Exact for polyhedral representations (minimal-face enumeration with a
-    recession-cone precheck), fan-based for oracles.
+    Exact for polyhedral representations: the largest ``excess_sq`` of a
+    piece of a over the convex b, witnessed by the escaping recession
+    direction or by the first point reaching it.  Fan-based for oracles.
     """
     if a.is_empty:
         return ZERO, None
     if b.is_empty:
         return POS_INF, Witness(detail="nonempty value against empty reference")
     if a.is_polyhedral and b.is_polyhedral and len(b.pieces) == 1:
-        pb = b.pieces[0]
         worst: Ext = ZERO
         wit: Optional[Witness] = None
         for pa in a.pieces:
-            ray = next(
-                (d for d in pa.recession_generators if any(dot(n, d) < 0 for n, _ in pb.rows)),
-                None,
-            )
-            if ray is not None:
-                return POS_INF, Witness(direction=ray, detail="recession escape")
-            for p in pa.minimal_face_points:
-                d = pb.dist_sq(p)
-                if d > worst:
-                    worst = d
-                    wit = Witness(z=p)
+            value, at = pa.excess_sq(b.pieces[0])
+            if value == POS_INF:
+                return POS_INF, Witness(direction=at, detail="recession escape")
+            if value > worst:
+                worst, wit = value, Witness(z=at)
         return worst, wit
     gap, u = _support_gap_sq(a.support, b.support, fan)
     return gap, (Witness(direction=u, detail="support separation") if u is not None else None)

@@ -4,17 +4,18 @@ Everything here is carried out over the rationals.  Polyhedra are stored in
 H-representation ``{z : n_i . z >= b_i}`` (accepted unreduced) and carry a
 V-form -- points, rays and a lineality basis -- built lazily, once per
 polyhedron, by the double description method.  ``is_empty``, ``support``,
-``contained_in``, ``minimal_face_points`` (hence ``vertices``) and
+``contained_in``, ``minimal_face_points``, ``excess_sq`` and
 ``affine_dim`` read the V-form, and so does every point a query returns:
 ``lowest_point`` is the last V-form point that minimizes a direction, and
 ``interior_point`` and ``violation_witness`` are lowest points of a lifted
-polyhedron and of ``self``.  A cone carries both generators and halfspaces
+polyhedron and of ``self``; every recession direction returned is a V-form
+ray or +- lineality vector.  A cone carries both generators and halfspaces
 and is the b = 0 polyhedron of its halfspaces, built once per cone:
 membership and pointedness read that polyhedron, and the negative dual cone
 is built once and kept on the cone.  Conversions between the two cone
-representations, and a polyhedron's ``recession_generators``, run by the
-same double description on the homogeneous rows.  No query here solves an
-LP; the documented dimension cap is m <= 4.
+representations (``_cone_rays``) run by the same double description on the
+homogeneous rows.  No query here solves an LP; the documented dimension cap
+is m <= 4.
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
 
@@ -34,10 +35,11 @@ the bitmask of the rows tight on it.  Derived polyhedra inherit their
 integer rows: ``_hull`` holds each facet as a primitive integer vector
 already, and an intersection's rows are its operands'.  ``support``,
 ``contains`` and ``dist_sq`` scale their argument to integers once, and
-``excess_sq`` hands each V-form point (z, t) to ``dist_sq``'s integer core
-as it stands; ``minimal_face_points`` and the cone rays read the tight rows
-from the masks and order their faces by a fraction-free rank test.  A Fraction is
-built only for a value that is returned.
+``excess_sq``, the one polyhedral sup-distance (of ``sets`` and of
+``continuity``), hands each V-form point (z, t) to ``dist_sq``'s integer
+core as it stands; ``minimal_face_points`` and the cone rays read the tight
+rows from the masks and order their faces by a fraction-free rank test.  A
+Fraction is built only for a value that is returned.
 
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
@@ -523,17 +525,18 @@ class Polyhedron:
                 best, best_value = g, value
         return best
 
-    @cached_property
-    def lineality(self) -> list[Vec]:
-        """A basis of the lineality space; empty for the empty set."""
-        return [tuple(Fraction(x) for x in l[:-1]) for l in self.vform.lin]
-
-    @cached_property
-    def recession_generators(self) -> list[Vec]:
-        """Generators of the recession cone {d : n_i . d >= 0}."""
-        if self.is_empty:
-            return []
-        return _cone_rays([n for n, _ in self.rows], self.dim)
+    def _escape(self, rows: Sequence[tuple[int, ...]]) -> Vec | None:
+        """The first recession direction d of the V-form -- each lineality
+        vector l, then -l, then each ray -- with n.d < 0 for an integer row
+        n + (b,) of ``rows``, in canonical scale; None when there is none."""
+        vf = self.vform
+        dirs = itertools.chain(
+            (c for l in vf.lin for c in (l, tuple(-x for x in l))),
+            (g for g in vf.gens if not g[-1]),
+        )
+        # A direction (d, 0) meets each row in a positive multiple of n.d.
+        d = next((d for d in dirs if any(_idot(r, d) < 0 for r in rows)), None)
+        return None if d is None else scale_to_canonical(vec(d[:-1]))
 
     @cached_property
     def minimal_face_points(self) -> list[Vec]:
@@ -566,13 +569,6 @@ class Polyhedron:
             faces.append((basis, p))
         faces.sort(key=lambda face: face[0])
         return [p for _, p in faces]
-
-    @cached_property
-    def vertices(self) -> list[Vec]:
-        """Extreme points; empty when the polyhedron has lineality."""
-        if self.lineality:
-            return []
-        return self.minimal_face_points
 
     def dist_sq(self, z) -> Ext:
         """Exact squared Euclidean distance from z to the polyhedron.
@@ -630,27 +626,31 @@ class Polyhedron:
                     return Fraction(_idot(num, [resid[i] for i in subset]), det * k * k)
         raise AssertionError("no active set certifies the nearest point")
 
-    def excess_sq(self, other: "Polyhedron") -> Ext:
-        """sup over z in self of ``other.dist_sq(z)``, exactly; 0 when self
-        is empty.
+    def excess_sq(self, other: "Polyhedron") -> tuple[Ext, Vec | None]:
+        """sup over z in self of ``other.dist_sq(z)``, exactly, with what
+        attains it: (0, None) when the sup is 0 (self empty or inside other).
 
         Self is conv(points) + cone(rays) + span(lineality) by its V-form.
-        The sup is +inf when a ray or a +- lineality vector d has n.d < 0
-        for a row n of ``other``: along d, z leaves that halfspace at a
-        linear rate.  Otherwise every such d is a recession direction of
-        ``other``, along which the distance to the convex ``other`` does not
-        grow, so the sup is the max over the points, each read as it stands.
+        The sup is +inf, returned with the escaping direction, when a ray or
+        a +- lineality vector d has n.d < 0 for a row n of ``other``: along
+        d, z leaves that halfspace at a linear rate.  Otherwise every such d
+        is a recession direction of ``other``, along which the distance to
+        the convex ``other`` does not grow, so the sup is the max over the
+        points, each read as it stands; the first point reaching it is
+        returned.
         """
         if self.dim != other.dim:
             raise DimensionMismatch("excess of unequal dimensions")
-        vf, rows = self.vform, other._int_rows
-        # A ray or lineality vector (d, 0) meets each integer row n + (b,)
-        # in a positive multiple of n.d.
-        if any(_idot(r, l) for l in vf.lin for r in rows) or any(
-            _idot(r, g) < 0 for g in vf.gens if not g[-1] for r in rows
-        ):
-            return POS_INF
-        return max((other._dist_sq_scaled(g[:-1], g[-1]) for g in vf.gens if g[-1]), default=ZERO)
+        d = self._escape(other._int_rows)
+        if d is not None:
+            return POS_INF, d
+        best, arg = ZERO, None
+        for g in self.vform.gens:
+            if g[-1]:
+                value = other._dist_sq_scaled(g[:-1], g[-1])
+                if value > best:
+                    best, arg = value, g
+        return best, None if arg is None else tuple(Fraction(x, arg[-1]) for x in arg[:-1])
 
     @cached_property
     def affine_dim(self) -> int:
@@ -725,11 +725,11 @@ class Polyhedron:
         of ``other``, self's lowest point along its normal, or a ray walk."""
         if self.is_empty:
             return None
-        for n, b in other.rows:
+        for r, (n, b) in zip(other._int_rows, other.rows):
             low = self.lowest_point(n)
             if low is None:
                 base = self.minimal_face_points[0]
-                ray = next(d for d in self.recession_generators if dot(n, d) < 0)
+                ray = self._escape([r])
                 t = Fraction(1)
                 while dot(n, vadd(base, vscale(t, ray))) >= b:
                     t *= 2

@@ -427,10 +427,11 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
     """sup over z in (a cut to window) of squared distance to b; exact for
     polyhedral representations with a convex ``b``, under any window.
 
-    It is the largest ``excess_sq`` of a cut piece of ``a`` over ``b``:
-    +inf when a recession direction of a cut leaves ``b``, else the max over
-    the cut's points.  The distance to a union is a min of convex functions
-    and may peak inside a piece, so ``b`` with several pieces is rejected.
+    It is the largest ``excess_sq`` value (its witness is not read here) of
+    a cut piece of ``a`` over ``b``: +inf when a recession direction of a cut
+    leaves ``b``, else the max over the cut's points.  The distance to a
+    union is a min of convex functions and may peak inside a piece, so ``b``
+    with several pieces is rejected.
     """
     if a.pieces is None or b.pieces is None:
         raise ValueError("window Hausdorff requires polyhedral representations")
@@ -440,7 +441,7 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
         return ZERO
     if not b.pieces:
         return POS_INF
-    return max(pa.intersect(window).excess_sq(b.pieces[0]) for pa in a.pieces)
+    return max(pa.intersect(window).excess_sq(b.pieces[0])[0] for pa in a.pieces)
 
 
 def hausdorff_sq_window(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:

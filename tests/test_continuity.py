@@ -13,6 +13,8 @@ from upperset.continuity import (
     Grid,
     VerdictMatrix,
     check_eff,
+    check_hlc,
+    check_huc,
     check_lc,
     check_scalar_semicontinuity,
     check_uniform,
@@ -226,3 +228,14 @@ def test_value_sample_points_are_found_once_per_value(dd_passes):
     assert dd_passes == []
     twin = UpperSet(ORTHANT, pieces=[Polyhedron(2, p.rows) for p in v.pieces])
     assert _value_sample_points(twin) == first
+
+
+def test_hausdorff_checks_run_no_cone_pass(dd_passes):
+    # The enlargement test reads each piece's own V-form: once the map's
+    # cone is warm, no pass recomputes a recession cone's generators.
+    f = random_convex_affine_maps(1, 1)[0]
+    f.evaluate((1,))
+    dd_passes.clear()
+    for check in (check_huc, check_hlc):
+        check(f, (1,), TINY)
+    assert dd_passes and not [c for c, _, _ in dd_passes if c == "_cone_rays"]

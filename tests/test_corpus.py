@@ -60,6 +60,13 @@ LIGHT_DIGESTS = {
     ("rand-affine-3", 0): "734c6b6fad99dab7",
 }
 
+# Default-config matrices, same hash: the deeper grid reaches enlargement
+# witnesses that light() does not.
+DEFAULT_DIGESTS = {
+    ("orthant-halfline", 0): "e54792775207a24d",
+    ("tilted-halfplane", 0): "52ce0c0b1cfe31e0",
+}
+
 
 # Digests of the closed-form layer's outputs, same hash as above.
 DUALITY_DIGESTS = {"abs-bivariate": "45ec622e5df82c8a", "abs-pair-2d": "22c13b6ce2e364fe"}
@@ -132,6 +139,16 @@ def test_light_matrix_matches_label(fixture_id, index, key, expected):
 def test_light_matrix_json_is_pinned(fixture_id, index, digest):
     text = json.dumps(_light_matrix(fixture_id, index).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "fixture_id, index, digest",
+    [(*case, digest) for case, digest in DEFAULT_DIGESTS.items()],
+    ids=[f"{fixture_id}-{index}" for fixture_id, index in DEFAULT_DIGESTS],
+)
+def test_default_matrix_json_is_pinned(fixture_id, index, digest):
+    fx = fixture_by_id(fixture_id)
+    assert _digest(verdict_matrix(fx.map, fx.points[index].at, default_config()).to_json()) == digest
 
 
 def test_fixture_ids_are_pinned():

@@ -61,6 +61,12 @@ def cones_equal(a, b):
     )
 
 
+def recession_rays(p):
+    """Generators of p's recession cone {d : n_i . d >= 0} by ``_cone_rays``,
+    independent of p's V-form; [] when p is empty."""
+    return [] if p.is_empty else _cone_rays([n for n, _ in p.rows], p.dim)
+
+
 def brute_force_dual_membership(cone, zstar):
     # z* is in C^- exactly when z*.g <= 0 for every generator of C.
     return all(dot(vec(zstar), g) <= 0 for g in cone.generators)
@@ -196,7 +202,7 @@ class TestPolyhedron:
 
     def test_vertices_of_box(self):
         box = Polyhedron.box([(0, 1), (0, 2)])
-        vs = set(box.vertices)
+        vs = set(box.minimal_face_points)
         assert vs == {
             (F(0), F(0)),
             (F(0), F(2)),
@@ -208,7 +214,7 @@ class TestPolyhedron:
         strip = Polyhedron(2, [([1, 0], 0), ([-1, 0], -1)])
         pts = strip.minimal_face_points
         assert len(pts) == 2
-        assert strip.vertices == []
+        assert strip.vform.lin
         assert {p[0] for p in pts} == {F(0), F(1)}
 
     def test_dist_sq_exact(self):
@@ -354,8 +360,8 @@ class TestProjection:
             assert got.dim == want.dim == dim - len(coords)
             assert got.contained_in(want) and want.contained_in(got), (p.rows, coords)
             seen["empty"] += got.is_empty
-            seen["unbounded"] += bool(got.recession_generators)
-            seen["lineality"] += bool(got.lineality)
+            seen["unbounded"] += bool(recession_rays(got))
+            seen["lineality"] += bool(got.vform.lin)
             seen["rows dropped"] += len(got.rows) < len(want.rows)
         assert min(seen.values()) >= 10, seen
 
@@ -487,7 +493,7 @@ class TestVFormOracle:
             assert contained == (empty or lp_contained_in(p, q)), (p.rows, q.rows)
             seen["contained" if contained else "not contained"] += 1
             seen["empty"] += p.is_empty
-            seen["lineality"] += bool(p.lineality)
+            seen["lineality"] += bool(p.vform.lin)
         assert min(seen.values()) >= 40, seen
 
 
@@ -568,7 +574,7 @@ class TestPointReadersOracle:
                 seen["not contained"] += 1
             assert p.affine_dim == support_rank_affine_dim(p), p.rows
             seen["empty"] += p.is_empty
-            seen["lineality"] += bool(p.lineality)
+            seen["lineality"] += bool(p.vform.lin)
             seen["lower-dimensional"] += 0 <= p.affine_dim < dim
         assert min(seen.values()) >= 25, seen
 
@@ -699,7 +705,7 @@ class TestDistSqOracle:
             for kind, holds in (
                 ("empty", p.is_empty),
                 ("lower-dimensional", 0 <= p.affine_dim < dim),
-                ("lineality", bool(p.lineality)),
+                ("lineality", bool(p.vform.lin)),
                 ("zero row", any(is_zero(n) for n, _ in p.rows)),
                 ("duplicate rows", len(set(p.rows)) < len(p.rows)),
             ):
@@ -797,7 +803,7 @@ class TestInheritedIntegerRows:
             assert p._int_rows == fresh_int_rows(p), (kind, p.rows)
             seen[kind] += 1
             seen["empty"] += p.is_empty
-            seen["lineality"] += bool(p.lineality)
+            seen["lineality"] += bool(p.vform.lin)
         assert min(seen.values()) >= 10, seen
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upperset.geometry import Cone, Polyhedron
+from test_geometry import recession_rays
 from upperset.linalg import NEG_INF, POS_INF
 from upperset.sets import (
     CallableOracle,
@@ -409,27 +410,16 @@ def test_closure_and_sum_supports_are_exact(cone_name, m, seed):
 # -- the window Hausdorff excess against the route it replaced ----------------
 
 
-def route_hausdorff_sq(a, b, window):
-    """The max of ``dist_sq`` to b over each cut piece's minimal-face
-    points: exact on bounded cuts and on cuts none of whose recession
-    directions leaves b."""
-    best = 0
-    for pa in a.pieces:
-        cut = pa.intersect(window)
-        for v in [] if cut.is_empty else cut.minimal_face_points:
-            best = max(best, b.pieces[0].dist_sq(v))
-    return best
+def face_point_excess(cut, pb):
+    """The max of ``pb.dist_sq`` over the cut's minimal-face points: exact
+    when the cut is bounded or none of its recession directions leaves pb."""
+    return max((pb.dist_sq(v) for v in cut.minimal_face_points), default=0)
 
 
-def escapes(a, b, window):
-    """Whether a generator of a cut's recession cone leaves b's halfspaces,
-    read off ``recession_generators``."""
-    return any(
-        _dot(n, d) < 0
-        for pa in a.pieces
-        for d in pa.intersect(window).recession_generators
-        for n, _ in b.pieces[0].rows
-    )
+def escapes(cut, pb):
+    """Whether a generator of the cut's recession cone leaves pb's
+    halfspaces, read off ``_cone_rays``."""
+    return any(_dot(n, d) < 0 for d in recession_rays(cut) for n, _ in pb.rows)
 
 
 def _window(rng, m, bounded):
@@ -456,12 +446,14 @@ HAUSDORFF_CONES = {
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_hausdorff_matches_the_face_point_route(m):
-    """On box windows the V-form points give the face-point route's value;
-    on unbounded windows the value is +inf exactly when a recession
-    direction escapes b, and the route's value otherwise."""
+    """Per cut piece, ``excess_sq`` is +inf exactly when a recession
+    direction escapes b, the face-point route's value otherwise, and its
+    witness re-checks: a finite one is a point of the cut at that squared
+    distance from b, an infinite one a recession direction of the cut that
+    leaves b.  The window Hausdorff excess is the largest of these values."""
     rng = random.Random(f"hausdorff-{m}")
     seen = {"multi-piece": 0, "empty cut": 0, "lineality": 0, "escape": 0,
-            "unbounded, finite": 0, "positive": 0}
+            "lineality escape": 0, "unbounded, finite": 0, "positive": 0}
     for k in range(24):
         cone = HAUSDORFF_CONES["cylinder" if k % 3 == 2 else "orthant"](m)
         closures = [upper_closure(Polyhedron(m, rows), cone) for rows in _exactness_inputs(rng, m)]
@@ -470,20 +462,31 @@ def test_hausdorff_matches_the_face_point_route(m):
             # whose recession cones are larger than the cone's.
             a = lattice_inf(rng.sample(closures, 1) + rng.sample(closures[-2:], rng.randint(0, 1)))
             b = rng.choice(closures)
+            pb = b.pieces[0]
             bounded = rng.random() < 0.6
             window = _window(rng, m, bounded)
-            got = directed_hausdorff_sq(a, b, window)
-            cuts = [pa.intersect(window) for pa in a.pieces]
-            if bounded or not escapes(a, b, window):
-                assert got == route_hausdorff_sq(a, b, window), (k, window.rows)
-                seen["unbounded, finite"] += not bounded and any(
-                    c.recession_generators for c in cuts if not c.is_empty
-                )
-            else:
-                assert got == POS_INF, (k, window.rows)
-                seen["escape"] += 1
+            values = []
+            for cut in (pa.intersect(window) for pa in a.pieces):
+                value, at = cut.excess_sq(pb)
+                values.append(value)
+                if escapes(cut, pb):
+                    assert value == POS_INF, (k, window.rows)
+                    # n.d >= 0 on the cut's rows, with equality throughout
+                    # (so -d too) for a lineality vector; n.d < 0 on b's.
+                    assert all(_dot(n, at) >= 0 for n, _ in cut.rows), (k, at)
+                    assert any(_dot(n, at) < 0 for n, _ in pb.rows), (k, at)
+                    seen["escape"] += 1
+                    seen["lineality escape"] += all(_dot(n, at) == 0 for n, _ in cut.rows)
+                    continue
+                assert value == face_point_excess(cut, pb), (k, window.rows)
+                if value:
+                    assert cut.contains(at) and pb.dist_sq(at) == value, (k, at)
+                else:
+                    assert at is None
+                seen["unbounded, finite"] += bool(recession_rays(cut))
+                seen["empty cut"] += cut.is_empty
+                seen["positive"] += value > 0
+            assert directed_hausdorff_sq(a, b, window) == max(values), (k, window.rows)
             seen["multi-piece"] += len(a.pieces) > 1
-            seen["empty cut"] += any(c.is_empty for c in cuts)
-            seen["lineality"] += any(pa.lineality for pa in a.pieces + b.pieces)
-            seen["positive"] += 0 < got < POS_INF
+            seen["lineality"] += any(pa.vform.lin for pa in a.pieces + b.pieces)
     assert min(seen.values()) >= 5, seen
