@@ -2,10 +2,10 @@
 
 The scalar side works on exact piecewise-linear functions: finitely many
 affine pieces over polyhedral regions, an optional region of value -inf, and
-+inf outside.  Conjugates are computed two independent ways where tests need
-them: per-piece supports read from each region's V-form (any dimension, no
-LP) and, in one dimension, breakpoint enumeration that materializes the
-conjugate in closed form.
++inf outside.  ``max_affine`` builds the maximum of finitely many affine
+functions over a polyhedron in this form, one piece per function where it
+is largest.  The conjugate is read per piece: the support of each region,
+taken from its V-form, in the direction x* - a (any dimension, no LP).
 
 The set-valued negative conjugate of a map f at a dual pair (x*, z*) is the
 halfspace
@@ -14,9 +14,7 @@ halfspace
 
 for the scalarization phi of f in direction z*; it degenerates to the whole
 space for improper phi (conjugate identically +inf) and to the empty set
-when f is empty (conjugate identically -inf).  A second, direct route sums
-f(x) with the halfspace-valued map S over a sample grid and brackets the
-same value from inside.
+when f is empty (conjugate identically -inf).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Cone, DualPair, Polyhedron, require_dual_direction
-from .linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
+from .linalg import NEG_INF, POS_INF, Ext, Vec, dot, vec
 from .sets import UpperSet
 
 
@@ -78,17 +76,6 @@ class PiecewiseLinearFn:
     def never_finite(self) -> bool:
         return not self.pieces
 
-    def kinks_1d(self) -> list[Fraction]:
-        """Breakpoint/endpoint candidates of a univariate instance."""
-        if self.dim != 1:
-            raise ValueError("kink enumeration is one-dimensional only")
-        pts: set[Fraction] = set()
-        for p in self.pieces:
-            for n, b in p.region.rows:
-                if n[0] != 0:
-                    pts.add(b / n[0])
-        return sorted(pts)
-
 
 def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
     """phi*(x*) = sup_x (x*.x - phi(x)): the largest support of a piece's
@@ -111,75 +98,21 @@ def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
     return best
 
 
-def max_affine_1d(slope_consts: Sequence[tuple[Fraction, Fraction]], dom_rows=()) -> PiecewiseLinearFn:
-    """Builds max_j (a_j x + c_j) over an interval domain as a consistent
-    piecewise-linear function (regions split at crossings)."""
+def max_affine(dim: int, bounds: Sequence[tuple[Vec, Fraction]], dom_rows=()) -> PiecewiseLinearFn:
+    """max_j (a_j.x + c_j) over the polyhedron ``dom_rows`` as a consistent
+    piecewise-linear function: bound j's region is where it is largest
+    (regions split at crossings), in the order of ``bounds``."""
     pieces: list[AffinePiece] = []
-    items = list(slope_consts)
-    for j, (a_j, c_j) in enumerate(items):
+    for j, (a_j, c_j) in enumerate(bounds):
         rows = list(dom_rows)
-        for k, (a_k, c_k) in enumerate(items):
+        for k, (a_k, c_k) in enumerate(bounds):
             if k == j:
                 continue
-            rows.append(((a_j - a_k,), c_k - c_j))
-        region = Polyhedron(1, rows)
+            rows.append((tuple(x - y for x, y in zip(a_j, a_k)), c_k - c_j))
+        region = Polyhedron(dim, rows)
         if not region.is_empty:
-            pieces.append(AffinePiece(region, (a_j,), c_j))
-    return PiecewiseLinearFn(1, pieces)
-
-
-def conjugate_1d(phi: PiecewiseLinearFn) -> PiecewiseLinearFn:
-    """Exact closed-form conjugate of a univariate convex piecewise-linear
-    function, by breakpoint enumeration.
-
-    For convex phi the supremum over each piece is attained at an endpoint
-    (or runs off to infinity along an unbounded piece), so the conjugate is
-    the maximum of x_c . y - phi(x_c) over breakpoints x_c, clipped to the
-    slope range on unbounded domains.
-    """
-    if phi.dim != 1:
-        raise ValueError("one-dimensional instances only")
-    if phi.improper_below:
-        return PiecewiseLinearFn(1)  # identically +inf
-    if phi.never_finite:
-        return PiecewiseLinearFn(1, minus_inf_regions=[Polyhedron.full(1)])
-
-    candidates = phi.kinks_1d()
-    dom_rows: list[tuple[Vec, Fraction]] = []
-    unbounded_above = any(
-        p.region.support((Fraction(1),)) == POS_INF for p in phi.pieces
-    )
-    unbounded_below = any(
-        p.region.support((Fraction(-1),)) == POS_INF for p in phi.pieces
-    )
-    if unbounded_above:
-        # Ultimate slope to the right bounds dom phi* above.
-        right = max(
-            p.coeffs[0]
-            for p in phi.pieces
-            if p.region.support((Fraction(1),)) == POS_INF
-        )
-        dom_rows.append(((Fraction(-1),), -right))
-    if unbounded_below:
-        left = min(
-            p.coeffs[0]
-            for p in phi.pieces
-            if p.region.support((Fraction(-1),)) == POS_INF
-        )
-        dom_rows.append(((Fraction(1),), left))
-    if not candidates:
-        # Single affine piece over all of R: conjugate is finite at one slope.
-        a = phi.pieces[0].coeffs[0]
-        c = phi.pieces[0].const
-        point = Polyhedron(1, [((Fraction(1),), a), ((Fraction(-1),), -a)])
-        return PiecewiseLinearFn(1, [AffinePiece(point, (ZERO,), -c)])
-    slope_consts = []
-    for xc in candidates:
-        v = phi((xc,))
-        if isinstance(v, float):
-            continue
-        slope_consts.append((xc, -v))
-    return max_affine_1d(slope_consts, dom_rows)
+            pieces.append(AffinePiece(region, a_j, c_j))
+    return PiecewiseLinearFn(dim, pieces)
 
 
 # -- set-valued negative conjugate ----------------------------------------------
@@ -218,37 +151,3 @@ def _halfspace_value(cone: Cone, zstar: Vec, offset: Ext) -> UpperSet:
         return UpperSet.empty(cone)
     row = (tuple(-c for c in zstar), -offset)
     return UpperSet(cone, pieces=[Polyhedron(cone.dim, [row])])
-
-
-def neg_conjugate_direct(f, pair: DualPair, x_grid: Sequence[Vec]) -> NegConjugateValue:
-    """Inner bracketing of cl union_x (f(x) + S(-x)) over a finite grid.
-
-    Each summand is a halfspace with the common normal z*, so the closed
-    union is the halfspace whose offset is the supremum of
-    x*.x + sup{z*.z : z in f(x)} over the grid; refining the grid grows the
-    offset monotonically toward the scalar-route value.
-    """
-    require_dual_direction(f.cone, pair.zstar)
-    best: Ext = NEG_INF
-    for x in x_grid:
-        s = f.evaluate(x).support(pair.zstar)
-        if s == NEG_INF:
-            continue
-        if s == POS_INF:
-            best = POS_INF
-            break
-        v = s + dot(pair.xstar, vec(x))
-        if v > best:
-            best = v
-    return NegConjugateValue(pair, _halfspace_value(f.cone, pair.zstar, best), best)
-
-
-def fenchel_young_holds(phi: PiecewiseLinearFn, x, xstar) -> bool:
-    """phi(x) + phi*(x*) >= x*.x in extended arithmetic."""
-    vx = phi(x)
-    vc = scalar_conjugate(phi, xstar)
-    if vx == POS_INF or vc == POS_INF:
-        return True
-    if vx == NEG_INF or vc == NEG_INF:
-        return False
-    return vx + vc >= dot(vec(xstar), vec(x))

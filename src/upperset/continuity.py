@@ -851,21 +851,17 @@ IMPLICATIONS = (
 )
 
 
-def verdict_matrix(
-    f: SetValuedMap,
-    x0,
-    cfg: CheckerConfig | None = None,
-    base: DirectionBase | None = None,
-) -> VerdictMatrix:
+def verdict_matrix(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> VerdictMatrix:
     """Runs every checker at x0 and cross-validates the implication diagram.
 
-    Violated implications among decisive entries are resolution artifacts:
-    both offending verdicts are downgraded to inconclusive and the event is
-    recorded on the matrix.
+    The scalarization checkers run over the default direction base of
+    ``cfg.z_fan`` and ``cfg.z_tails``.  Violated implications among decisive
+    entries are resolution artifacts: both offending verdicts are downgraded
+    to inconclusive and the event is recorded on the matrix.
     """
     cfg = cfg or default_config()
     x0 = vec(x0)
-    base = base or DirectionBase.default(f.cone, cfg.z_fan, cfg.z_tails)
+    base = DirectionBase.default(f.cone, cfg.z_fan, cfg.z_tails)
     flags = certify_base(base)
     entries = {
         "uc": check_uc(f, x0, cfg),

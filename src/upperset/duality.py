@@ -24,8 +24,8 @@ V-form with no LP; the attained dual vector is read off the exact LP dual
 the conjugate identity, and equality of the two sides is certified by
 support values on the direction base.  There is no sampled fallback: a
 map whose scalarizations have no closed form (a tilting normal or a scaled
-base) is refused with DualityError, by ``marginal`` as by every other entry
-point here.
+base) is refused with DualityError, by ``marginal_scalarization`` as by
+every other entry point here.
 """
 
 from __future__ import annotations
@@ -109,21 +109,6 @@ def _fix_tail(rows: Sequence[Constraint], n_free: int, fixed: Vec) -> list[Const
         tail = n[n_free:]
         out.append((head, b - dot(tail, fixed)))
     return out
-
-
-def marginal(f: BivariateMap, y, base: DirectionBase | None = None) -> UpperSet:
-    """The marginal value f_X(y), assembled from the marginal scalarization
-    offsets over the base.
-
-    Exact whenever the base contains the facet normals, which holds for
-    every packaged fixture.  Raises DualityError, as marginal_scalarization
-    does, for a map with no closed-form scalarization.
-    """
-    yv = vec(y)
-    base = base or DirectionBase.default(f.cone, 16)
-    return UpperSet.from_supports(
-        f.cone, ((u, -marginal_scalarization(f, u, yv)) for u in base.directions)
-    )
 
 
 def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Verdict:

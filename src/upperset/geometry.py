@@ -427,19 +427,6 @@ class Polyhedron:
         return Polyhedron(dim, [(zeros(dim), Fraction(1))])
 
     @staticmethod
-    def from_point(p) -> "Polyhedron":
-        pv = vec(p)
-        dim = len(pv)
-        rows = []
-        for i in range(dim):
-            e = [ZERO] * dim
-            e[i] = Fraction(1)
-            rows.append((tuple(e), pv[i]))
-            e[i] = Fraction(-1)
-            rows.append((tuple(e), -pv[i]))
-        return Polyhedron(dim, rows)
-
-    @staticmethod
     def box(bounds) -> "Polyhedron":
         dim = len(bounds)
         rows = []

@@ -65,10 +65,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vscale(t: Fraction, a: Vec) -> Vec:
     t = frac(t)
     return tuple(t * x for x in a)
@@ -133,12 +129,6 @@ def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
         if r == len(rows):
             break
     return rows, pivots
-
-
-def matrix_rank(a: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in a]
-    _, pivots = _row_reduce(rows)
-    return len(pivots)
 
 
 def solve_affine(a: Sequence[Vec], b: Sequence[Fraction]) -> tuple[Vec | None, list[Vec]]:

@@ -13,14 +13,13 @@ Maps are drawn from a closed constructor family rather than arbitrary code:
   sub-bodies; the guard-true branch wins on the boundary.  Used for
   "empty below a threshold" style maps.
 
-Every constructor instance evaluates to a value in the lattice, and the
-upper-closedness of values is a spot-checkable invariant.
+Every constructor instance evaluates to a value in the lattice; an affine
+value whose row normal leaves the positive dual cone is rejected when it is
+evaluated.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -39,15 +38,7 @@ from .linalg import (
     parse_scalar,
     vec,
 )
-from .sets import (
-    UpperSet,
-    embed_point,
-    member,
-    minkowski_sum,
-    scale,
-    set_order_leq,
-    check_upper_closed,
-)
+from .sets import UpperSet, embed_point, member, scale
 from .verdict import Verdict, Witness
 
 
@@ -297,8 +288,13 @@ class SetValuedMap:
         leaf is empty throughout."""
         n = self.domain_dim
         if isinstance(body, ScaledBody):
-            p = Polyhedron(n, region_rows + [(body.alpha.coeffs, -body.alpha.const)])
-            return None if p.is_empty or body.base.is_empty else p
+            rows = region_rows + [(body.alpha.coeffs, -body.alpha.const)]
+            if body.base.is_empty:
+                # 0 . A = C even for an empty A: the value is nonempty only
+                # where alpha(x) = 0.
+                rows.append((tuple(-c for c in body.alpha.coeffs), body.alpha.const))
+            p = Polyhedron(n, rows)
+            return None if p.is_empty else p
         if _is_constant_empty(body):
             return None
         if not body.fixed_normals:
@@ -306,9 +302,6 @@ class SetValuedMap:
         pad = (ZERO,) * self.cone.dim
         lifted = body.graph_rows() + [(tuple(r) + pad, b) for r, b in region_rows]
         return project_out(Polyhedron(n + self.cone.dim, lifted), list(range(n, n + self.cone.dim)))
-
-    def in_domain(self, x) -> bool:
-        return not self.evaluate(x).is_empty
 
     # -- exact box certificates (constant-normal affine branches) ------------
 
@@ -337,72 +330,7 @@ class SetValuedMap:
         return Polyhedron(self.cone.dim, rows)
 
 
-# -- invariants, convexity, graph interior -------------------------------------
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Deterministic, seeded sample coordinates (dyadic rationals)."""
-
-    seed: int = 0
-    count: int = 24
-    radius: Fraction = Fraction(4)
-
-    def points(self, dim: int) -> list[Vec]:
-        rng = random.Random(self.seed)
-        out = []
-        denom = 8
-        bound = math.floor(denom * self.radius)
-        for _ in range(self.count):
-            out.append(tuple(Fraction(rng.randint(-bound, bound), denom) for _ in range(dim)))
-        return out
-
-    def weights(self) -> list[Fraction]:
-        rng = random.Random(self.seed + 1)
-        return [Fraction(rng.randint(1, 7), 8) for _ in range(self.count)]
-
-
-def upper_closedness_spotcheck(f: SetValuedMap, plan: SamplePlan | None = None) -> bool:
-    plan = plan or SamplePlan()
-    for x in plan.points(f.domain_dim):
-        if not check_upper_closed(f.evaluate(x)):
-            return False
-    return True
-
-
-def convexity_check(f: SetValuedMap, plan: SamplePlan | None = None) -> Verdict:
-    """Sampled midpoint test of f(t x1 + (1-t) x2) <= t f(x1) + (1-t) f(x2).
-
-    Rejects union-valued maps.  Returns a witness triple on the first
-    violation; holds is at sample resolution for oracle-backed values and
-    exact per sample otherwise.
-    """
-    plan = plan or SamplePlan()
-    pts = plan.points(f.domain_dim)
-    ts = plan.weights()
-    examined = 0
-    for i in range(0, len(pts) - 1, 2):
-        x1, x2 = pts[i], pts[i + 1]
-        t = ts[i // 2] if i // 2 < len(ts) else Fraction(1, 2)
-        v1, v2 = f.evaluate(x1), f.evaluate(x2)
-        if not v1.is_convex or not v2.is_convex:
-            raise MapError("convexity check rejects union-valued maps")
-        if v1.is_empty or v2.is_empty:
-            continue
-        mid = tuple(t * a + (1 - t) * b for a, b in zip(x1, x2))
-        rhs = minkowski_sum(scale(v1, t), scale(v2, 1 - t))
-        cmpres = set_order_leq(f.evaluate(mid), rhs)
-        examined += 1
-        if not cmpres.value:
-            return Verdict.fails(
-                Witness(
-                    x=mid,
-                    z=cmpres.witness if cmpres.witness and len(cmpres.witness) == f.cone.dim else None,
-                    detail=f"midpoint condition violated for x1={x1}, x2={x2}, t={t}",
-                ),
-                resolution=examined,
-            )
-    return Verdict.holds(resolution=examined, note="sampled midpoint grid")
+# -- graph interior ------------------------------------------------------------
 
 
 def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:

@@ -1,17 +1,15 @@
-"""Scalarizations, halfspace-valued dual maps, and reconstruction.
+"""Scalarizations and the direction bases they are taken over.
 
 The scalarization of a map f in a dual direction z* is
 
     phi(x) = -sup{ z*.z : z in f(x) },
 
 the negative support value of f(x); it is +inf exactly where f(x) is empty
-and -inf where the support is unbounded.  A convex-valued map is recovered
-from its scalarizations as an intersection of halfspaces, which this module
-realizes over finite direction bases: ``reconstruct`` intersects the
-halfspaces {z : u.z <= -phi_u(x)} over the base, an outer approximation of
-f(x) that is exact once the base holds the value's facet normals.  Maps
-built from constant-normal affine branches also get exact piecewise-linear
-closed forms of their scalarizations (``piecewise_scalarization``).
+and -inf where the support is unbounded.  A convex value f(x) is the
+intersection of the halfspaces {z : z*.z <= -phi(x)} over z* in C^-; the
+checkers read the scalarizations over a finite direction base.  Maps built
+from constant-normal affine branches also get exact piecewise-linear closed
+forms of their scalarizations (``piecewise_scalarization``).
 
 Direction bases are rational vectors spanning the negative dual cone of the
 ordering cone: convex blends between consecutive extreme rays (a uniform
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .conjugate import AffinePiece, PiecewiseLinearFn
+from .conjugate import AffinePiece, PiecewiseLinearFn, max_affine
 from .geometry import Cone, Polyhedron, dual_cone, project_out, require_dual_direction
 from .linalg import (
     NEG_INF,
@@ -37,14 +35,12 @@ from .linalg import (
     Constraint,
     Ext,
     Vec,
-    dot,
     is_zero,
     norm2_sq,
     scale_to_canonical,
     vec,
 )
 from .maps import AffineBody, SetValuedMap, _body_leaves, _is_constant_empty
-from .sets import UpperSet
 from .simplex import LPStatus, solve_lp
 
 
@@ -208,29 +204,6 @@ def scalarize_eval(f: SetValuedMap, zstar, x) -> Ext:
     return -s
 
 
-def s_map(xstar, zstar, x, cone: Cone) -> UpperSet:
-    """S(x) = { z : x*.x + z*.z <= 0 }, a halfspace-valued affine map.
-
-    The value is upper closed because z* lies in C^-.
-    """
-    xs, zs = vec(xstar), vec(zstar)
-    require_dual_direction(cone, zs)
-    row = (tuple(-c for c in zs), dot(xs, vec(x)))
-    return UpperSet(cone, pieces=[Polyhedron(cone.dim, [row])])
-
-
-def reconstruct(f: SetValuedMap, x, base: DirectionBase) -> UpperSet:
-    """Outer reconstruction of f(x) from its scalarizations over the base:
-    the intersection of the halfspaces {z : u.z <= -phi_u(x)}.
-
-    Always contains f(x); exact for polyhedral values once the base contains
-    the value's facet normals (up to positive scaling).
-    """
-    return UpperSet.from_supports(
-        f.cone, ((u, -scalarize_eval(f, u, x)) for u in base.directions)
-    )
-
-
 # -- closed forms ----------------------------------------------------------------
 
 
@@ -280,13 +253,5 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
         if not bounds:
             minus_regions.append(dom)
             continue
-        for j, (a_j, c_j) in enumerate(bounds):
-            rows = list(dom_rows)
-            for k, (a_k, c_k) in enumerate(bounds):
-                if k == j:
-                    continue
-                rows.append((tuple(x - y for x, y in zip(a_j, a_k)), c_k - c_j))
-            region = Polyhedron(n, rows)
-            if not region.is_empty:
-                pieces.append(AffinePiece(region, a_j, c_j))
+        pieces.extend(max_affine(n, bounds, dom_rows).pieces)
     return PiecewiseLinearFn(n, pieces, minus_regions)

@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .geometry import Cone, DimensionMismatch, Polyhedron, dual_cone
+from .geometry import Cone, DimensionMismatch, Polyhedron
 from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, frac, vec
 
 
@@ -37,8 +37,8 @@ class SupportOracle:
 
     ``support(u)`` must return sup{u.z : z in the set} for u in C^-;
     ``member`` may return None when the oracle cannot decide exactly.
-    Subclasses can keep Minkowski/scaling structure exact by overriding
-    ``scaled`` and ``summed``.
+    Scaling and Minkowski sums wrap oracles in ``ScaledOracle`` and
+    ``SumOracle``.
     """
 
     def support(self, u: Vec) -> Ext:
@@ -46,24 +46,6 @@ class SupportOracle:
 
     def member(self, z: Vec) -> Optional[bool]:
         return None
-
-    def scaled(self, t: Fraction) -> Optional["SupportOracle"]:
-        return ScaledOracle(self, t) if t > 0 else None
-
-    def summed(self, other: "SupportOracle") -> Optional["SupportOracle"]:
-        return SumOracle(self, other)
-
-
-class CallableOracle(SupportOracle):
-    def __init__(self, fn: Callable[[Vec], Ext], member_fn=None):
-        self._fn = fn
-        self._member = member_fn
-
-    def support(self, u: Vec) -> Ext:
-        return self._fn(u)
-
-    def member(self, z: Vec) -> Optional[bool]:
-        return self._member(z) if self._member is not None else None
 
 
 class ScaledOracle(SupportOracle):
@@ -181,12 +163,6 @@ class UpperSet:
         if self.pieces is not None:
             return len(self.pieces) == 0
         return all(self.oracle.support(u) == NEG_INF for u in self.grid)
-
-    @property
-    def is_universal(self) -> bool:
-        if self.pieces is None:
-            return False
-        return any(len(p.rows) == 0 for p in self.pieces)
 
     @property
     def is_convex(self) -> bool:
@@ -364,9 +340,8 @@ def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
         return UpperSet(cone, pieces=[a.pieces[0] + b.pieces[0]])
     oa = a.oracle if a.oracle is not None else PolyhedralOracle(a.pieces[0])
     ob = b.oracle if b.oracle is not None else PolyhedralOracle(b.pieces[0])
-    combined = oa.summed(ob)
     grid = a.grid or b.grid
-    return UpperSet.from_oracle(cone, combined, grid or None)
+    return UpperSet.from_oracle(cone, SumOracle(oa, ob), grid or None)
 
 
 def scale(a: UpperSet, t) -> UpperSet:
@@ -381,26 +356,7 @@ def scale(a: UpperSet, t) -> UpperSet:
         return UpperSet.empty(a.cone)
     if a.pieces is not None:
         return UpperSet(a.cone, pieces=[p.scale(tf) for p in a.pieces])
-    scaled = a.oracle.scaled(tf)
-    if scaled is None:
-        raise ValueError("oracle does not support scaling")
-    return UpperSet.from_oracle(a.cone, scaled, a.grid)
-
-
-def check_upper_closed(a: UpperSet) -> bool:
-    """Testable invariant: every stored row normal n has n.g >= 0 on C,
-    that is, -n lies in C^-."""
-    if a.pieces is None:
-        return True
-    dual = dual_cone(a.cone)
-    return all(dual.contains(tuple(-c for c in n)) for p in a.pieces for n, _ in p.rows)
-
-
-def sets_equal(a: UpperSet, b: UpperSet) -> bool:
-    """Mutual containment, exact on polyhedral representations."""
-    lhs = set_order_leq(a, b)
-    rhs = set_order_leq(b, a)
-    return bool(lhs) and bool(rhs) and lhs.exact and rhs.exact
+    return UpperSet.from_oracle(a.cone, ScaledOracle(a.oracle, tf), a.grid)
 
 
 def _support_rows(supports: Iterable[tuple[Vec, Ext]]) -> Optional[list[Constraint]]:

@@ -2,27 +2,27 @@
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upperset.conjugate import (
     AffinePiece,
+    NegConjugateValue,
     PiecewiseLinearFn,
-    conjugate_1d,
-    fenchel_young_holds,
-    max_affine_1d,
-    neg_conjugate_direct,
+    _halfspace_value,
+    max_affine,
     neg_conjugate_scalar_route,
     scalar_conjugate,
 )
 from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id, random_dual_pairs
 from upperset.duality import BivariateMap, marginal_scalarization, weak_duality_check
-from upperset.geometry import Cone, DualPair, Polyhedron
-from upperset.linalg import NEG_INF, POS_INF, dot, vec
-from upperset.maps import AffineBody, SetValuedMap, constant_cone_body
+from upperset.geometry import DualPair, Polyhedron, require_dual_direction
+from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
+from upperset.maps import AffineBody, SetValuedMap
 from upperset.scalarize import piecewise_scalarization
-from upperset.sets import member, set_order_leq
+from upperset.sets import UpperSet, member, set_order_leq
 from upperset.simplex import LPStatus, solve_lp
 from upperset.verdict import Status
 
@@ -31,6 +31,109 @@ from test_maps import ORTHANT, constant_map, halfline_domain_map
 
 def F(x):
     return Fraction(x)
+
+
+# -- reference routes: the package's answers are checked against these ----------
+
+
+def kinks_1d(phi: PiecewiseLinearFn) -> list[Fraction]:
+    """Breakpoint/endpoint candidates of a univariate instance."""
+    if phi.dim != 1:
+        raise ValueError("kink enumeration is one-dimensional only")
+    pts: set[Fraction] = set()
+    for p in phi.pieces:
+        for n, b in p.region.rows:
+            if n[0] != 0:
+                pts.add(b / n[0])
+    return sorted(pts)
+
+
+def conjugate_1d(phi: PiecewiseLinearFn) -> PiecewiseLinearFn:
+    """Exact closed-form conjugate of a univariate convex piecewise-linear
+    function, by breakpoint enumeration.
+
+    For convex phi the supremum over each piece is attained at an endpoint
+    (or runs off to infinity along an unbounded piece), so the conjugate is
+    the maximum of x_c . y - phi(x_c) over breakpoints x_c, clipped to the
+    slope range on unbounded domains.
+    """
+    if phi.dim != 1:
+        raise ValueError("one-dimensional instances only")
+    if phi.improper_below:
+        return PiecewiseLinearFn(1)  # identically +inf
+    if phi.never_finite:
+        return PiecewiseLinearFn(1, minus_inf_regions=[Polyhedron.full(1)])
+
+    candidates = kinks_1d(phi)
+    dom_rows: list[tuple[Vec, Fraction]] = []
+    unbounded_above = any(
+        p.region.support((Fraction(1),)) == POS_INF for p in phi.pieces
+    )
+    unbounded_below = any(
+        p.region.support((Fraction(-1),)) == POS_INF for p in phi.pieces
+    )
+    if unbounded_above:
+        # Ultimate slope to the right bounds dom phi* above.
+        right = max(
+            p.coeffs[0]
+            for p in phi.pieces
+            if p.region.support((Fraction(1),)) == POS_INF
+        )
+        dom_rows.append(((Fraction(-1),), -right))
+    if unbounded_below:
+        left = min(
+            p.coeffs[0]
+            for p in phi.pieces
+            if p.region.support((Fraction(-1),)) == POS_INF
+        )
+        dom_rows.append(((Fraction(1),), left))
+    if not candidates:
+        # Single affine piece over all of R: conjugate is finite at one slope.
+        a = phi.pieces[0].coeffs[0]
+        c = phi.pieces[0].const
+        point = Polyhedron(1, [((Fraction(1),), a), ((Fraction(-1),), -a)])
+        return PiecewiseLinearFn(1, [AffinePiece(point, (ZERO,), -c)])
+    slope_consts = []
+    for xc in candidates:
+        v = phi((xc,))
+        if isinstance(v, float):
+            continue
+        slope_consts.append(((xc,), -v))
+    return max_affine(1, slope_consts, dom_rows)
+
+
+def fenchel_young_holds(phi: PiecewiseLinearFn, x, xstar) -> bool:
+    """phi(x) + phi*(x*) >= x*.x in extended arithmetic."""
+    vx = phi(x)
+    vc = scalar_conjugate(phi, xstar)
+    if vx == POS_INF or vc == POS_INF:
+        return True
+    if vx == NEG_INF or vc == NEG_INF:
+        return False
+    return vx + vc >= dot(vec(xstar), vec(x))
+
+
+def neg_conjugate_direct(f, pair: DualPair, x_grid: Sequence[Vec]) -> NegConjugateValue:
+    """Inner bracketing of cl union_x (f(x) + S(-x)) over a finite grid.
+
+    Each summand is a halfspace with the common normal z*, so the closed
+    union is the halfspace whose offset is the supremum of
+    x*.x + sup{z*.z : z in f(x)} over the grid; refining the grid grows the
+    offset monotonically toward the scalar-route value.
+    """
+    require_dual_direction(f.cone, pair.zstar)
+    best: Ext = NEG_INF
+    for x in x_grid:
+        s = f.evaluate(x).support(pair.zstar)
+        if s == NEG_INF:
+            continue
+        if s == POS_INF:
+            best = POS_INF
+            break
+        v = s + dot(pair.xstar, vec(x))
+        if v > best:
+            best = v
+    return NegConjugateValue(pair, _halfspace_value(f.cone, pair.zstar, best), best)
 
 
 def abs_fn():
@@ -120,7 +223,7 @@ def random_convex_pl(rng, pieces=4, bounded_domain=False):
     if bounded_domain:
         lo, hi = sorted((rng.randint(-8, 0), rng.randint(1, 8)))
         dom_rows = [((F(1),), F(lo)), ((F(-1),), F(-hi))]
-    return max_affine_1d(forms, dom_rows)
+    return max_affine(1, [((a,), c) for a, c in forms], dom_rows)
 
 
 class TestConjugate1d:
@@ -154,7 +257,7 @@ class TestConjugate1d:
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_fenchel_young(self, a, b, xs):
-        phi = max_affine_1d([(F(a), F(0)), (F(b), F(1))])
+        phi = max_affine(1, [((F(a),), F(0)), ((F(b),), F(1))])
         for x in (F(-2), F(0), F(3)):
             assert fenchel_young_holds(phi, (x,), (F(xs),))
 
@@ -186,7 +289,9 @@ class TestNegConjugateScalarRoute:
             name="universal",
         )
         res = neg_conjugate_scalar_route(f, DualPair.of([0], [-1, -1]))
-        assert res.offset == POS_INF and res.value.is_universal
+        assert res.offset == POS_INF
+        # The whole space is the lattice's least element: below it only itself.
+        assert set_order_leq(res.value, UpperSet.universal(ORTHANT))
 
 
 class TestNegConjugateDirect:

@@ -36,8 +36,10 @@ from upperset.maps import (
     graph_interior_witness,
 )
 from upperset.scalarize import DirectionBase
-from upperset.sets import CallableOracle, UpperSet, member, set_order_leq, upper_closure
+from upperset.sets import UpperSet, member, set_order_leq, upper_closure
 from upperset.verdict import Status, Verdict, Witness
+
+from test_sets import CallableOracle
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
 

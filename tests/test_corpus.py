@@ -23,12 +23,17 @@ from upperset.continuity import default_config, verdict_matrix
 from test_geometry import fm_project_out
 from upperset import scalarize
 from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
-from upperset.duality import BivariateMap, DualityError, fundamental_duality, marginal
+from upperset.duality import (
+    BivariateMap,
+    DualityError,
+    fundamental_duality,
+    marginal_scalarization,
+)
 from upperset.geometry import Cone
-from upperset.linalg import ZERO
+from upperset.linalg import ZERO, vec
 from upperset.maps import AffineForm, ScaledBody, SetValuedMap
 from upperset.scalarize import DirectionBase, piecewise_scalarization
-from upperset.sets import embed_point
+from upperset.sets import UpperSet, embed_point
 
 MATRIX_FIXTURES = (
     "orthant-halfline",
@@ -212,6 +217,21 @@ def test_closed_forms_equal_the_fourier_motzkin_route(fixture_id, monkeypatch):
 def test_domain_pieces_are_pinned(fixture_id):
     pieces = _underlying_map(fixture_id).domain_pieces()
     assert _digest([_rows(p) for p in pieces]) == DOMAIN_DIGESTS[fixture_id]
+
+
+def marginal(f: BivariateMap, y, base: DirectionBase | None = None) -> UpperSet:
+    """The marginal value f_X(y), assembled from the marginal scalarization
+    offsets over the base.
+
+    Exact whenever the base contains the facet normals, which holds for
+    every packaged fixture.  Raises DualityError, as marginal_scalarization
+    does, for a map with no closed-form scalarization.
+    """
+    yv = vec(y)
+    base = base or DirectionBase.default(f.cone, 16)
+    return UpperSet.from_supports(
+        f.cone, ((u, -marginal_scalarization(f, u, yv)) for u in base.directions)
+    )
 
 
 def test_marginal_at_zero_is_the_duality_lhs():

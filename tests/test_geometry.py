@@ -29,7 +29,6 @@ from upperset.linalg import (
     _row_reduce,
     dot,
     is_zero,
-    matrix_rank,
     norm2_sq,
     nullspace,
     scale_to_canonical,
@@ -37,11 +36,12 @@ from upperset.linalg import (
     vadd,
     vec,
     vscale,
-    vsub,
     zeros,
 )
 from upperset.sets import minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
+
+from test_linalg import matrix_rank, vsub
 
 
 def F(x):

@@ -4,10 +4,11 @@ import pytest
 from fractions import Fraction
 
 from upperset.linalg import (
+    Vec,
+    _row_reduce,
     dot,
     format_scalar,
     frac,
-    matrix_rank,
     norm1,
     norm2_sq,
     nullspace,
@@ -17,6 +18,16 @@ from upperset.linalg import (
     POS_INF,
     NEG_INF,
 )
+
+
+def vsub(a: Vec, b: Vec) -> Vec:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def matrix_rank(a) -> int:
+    rows = [list(r) for r in a]
+    _, pivots = _row_reduce(rows)
+    return len(pivots)
 
 
 def test_frac_accepts_strings_and_ints():

@@ -7,27 +7,35 @@ from fractions import Fraction
 import pytest
 
 from upperset.continuity import IMPLICATIONS
-from upperset.corpus import parabola_dilation_fixture
-from upperset.geometry import Cone, Polyhedron
+from upperset.corpus import builtin_fixtures, parabola_dilation_fixture, random_convex_affine_maps
+from upperset.duality import BivariateMap
+from upperset.geometry import Cone
 from upperset.linalg import POS_INF
 from upperset.maps import (
     AffineBody,
     AffineForm,
     MapError,
     PiecewiseBody,
-    SamplePlan,
     ScaledBody,
     SetValuedMap,
     constant_cone_body,
     constant_empty_body,
-    convexity_check,
     graph_interior_witness,
     map_from_json,
     map_to_json,
-    upper_closedness_spotcheck,
 )
-from upperset.sets import SupportOracle, UpperSet, embed_point, member
-from upperset.verdict import Status
+from upperset.sets import (
+    SupportOracle,
+    UpperSet,
+    embed_point,
+    member,
+    minkowski_sum,
+    scale,
+    set_order_leq,
+)
+from upperset.verdict import Status, Verdict, Witness
+
+from test_sets import check_upper_closed
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
 RAY = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])
@@ -35,6 +43,45 @@ RAY = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])
 
 def F(x):
     return Fraction(x)
+
+
+def convexity_check(f: SetValuedMap, seed: int = 0, count: int = 24) -> Verdict:
+    """Sampled midpoint test of f(t x1 + (1-t) x2) <= t f(x1) + (1-t) f(x2).
+
+    ``count`` seeded points with coordinates in eighths of [-4, 4] are
+    paired off, each pair with a seeded weight t in eighths of (0, 1).
+    Rejects union-valued maps.  Returns a witness triple on the first
+    violation; holds is at sample resolution for oracle-backed values and
+    exact per sample otherwise.
+    """
+    rng = random.Random(seed)
+    pts = [
+        tuple(Fraction(rng.randint(-32, 32), 8) for _ in range(f.domain_dim))
+        for _ in range(count)
+    ]
+    weights = random.Random(seed + 1)
+    examined = 0
+    for x1, x2 in zip(pts[::2], pts[1::2]):
+        t = Fraction(weights.randint(1, 7), 8)
+        v1, v2 = f.evaluate(x1), f.evaluate(x2)
+        if not v1.is_convex or not v2.is_convex:
+            raise MapError("convexity check rejects union-valued maps")
+        if v1.is_empty or v2.is_empty:
+            continue
+        mid = tuple(t * a + (1 - t) * b for a, b in zip(x1, x2))
+        rhs = minkowski_sum(scale(v1, t), scale(v2, 1 - t))
+        cmpres = set_order_leq(f.evaluate(mid), rhs)
+        examined += 1
+        if not cmpres.value:
+            return Verdict.fails(
+                Witness(
+                    x=mid,
+                    z=cmpres.witness if cmpres.witness and len(cmpres.witness) == f.cone.dim else None,
+                    detail=f"midpoint condition violated for x1={x1}, x2={x2}, t={t}",
+                ),
+                resolution=examined,
+            )
+    return Verdict.holds(resolution=examined, note="sampled midpoint grid")
 
 
 def ray_translate_map():
@@ -89,6 +136,24 @@ def constant_map(cone=ORTHANT):
     return SetValuedMap(1, cone, constant_cone_body(cone, 1), name="constant")
 
 
+def random_piecewise_convex_maps(seed: int, count: int) -> list[SetValuedMap]:
+    """Seeded guard maps, convex by the flag's rule: one branch is constant
+    empty, the other a random convex affine body or a scaled translate of
+    the orthant."""
+    rng = random.Random(seed)
+    out = []
+    for i, g in enumerate(random_convex_affine_maps(seed + 100, count)):
+        body = g.body
+        if rng.random() < 0.3:
+            corner = [rng.randint(-2, 2), rng.randint(-2, 2)]
+            body = ScaledBody(embed_point(corner, g.cone), AffineForm.of([rng.randint(-2, 2)], 1))
+        guard = ((F(rng.choice([-1, 1])),), F(rng.randint(-2, 2)))
+        empty = constant_empty_body(1, 2)
+        branches = (body, empty) if rng.random() < 0.5 else (empty, body)
+        out.append(SetValuedMap(1, g.cone, PiecewiseBody(guard, *branches), name=f"rand-guard-{seed}-{i}"))
+    return out
+
+
 class TestEvaluate:
     def test_halfline_domain_values(self):
         f = halfline_domain_map()
@@ -112,8 +177,10 @@ class TestEvaluate:
             constant_map().evaluate([1, 2])
 
     def test_upper_closedness_spotcheck(self):
+        rng = random.Random(3)
         for f in (ray_translate_map(), halfline_domain_map(), tilted_halfplane_map()):
-            assert upper_closedness_spotcheck(f, SamplePlan(seed=3, count=12))
+            for _ in range(12):
+                assert check_upper_closed(f.evaluate((Fraction(rng.randint(-32, 32), 8),)))
 
 
 class TestDomain:
@@ -123,7 +190,6 @@ class TestDomain:
         assert len(pieces) == 1
         assert pieces[0].contains([0]) and pieces[0].contains([5])
         assert not pieces[0].contains([-1])
-        assert f.in_domain([2]) and not f.in_domain([-2])
 
     def test_affine_domain_projection(self):
         # f(x) = {z : z >= 0, 0.z >= x} in R: empty where x > 0.
@@ -139,6 +205,26 @@ class TestDomain:
         dom = f.domain_pieces()
         assert len(dom) == 1
         assert dom[0].contains([0]) and dom[0].contains([-3]) and not dom[0].contains([1])
+
+    def test_domain_pieces_agree_with_evaluate(self):
+        # x . {} is empty for x != 0, but 0 . A = C: the domain is {0}.
+        empty_base = ScaledBody(UpperSet.empty(ORTHANT), AffineForm.of([-2], 1))
+        point_base = ScaledBody(embed_point([1, 0], ORTHANT), AffineForm.of([1], 1))
+        maps = [
+            halfline_domain_map(),
+            tilted_halfplane_map(),
+            SetValuedMap(1, ORTHANT, ScaledBody(UpperSet.empty(ORTHANT), AffineForm.of([1], 0))),
+            SetValuedMap(1, ORTHANT, empty_base),
+            SetValuedMap(1, ORTHANT, point_base),
+            SetValuedMap(1, ORTHANT, PiecewiseBody(((F(3),), F(1)), empty_base, point_base)),
+            SetValuedMap(1, ORTHANT, PiecewiseBody(((F(3),), F(5)), point_base, empty_base)),
+        ]
+        # The pieces are closed; the guards at 1/3 and 5/3 stay off the grid.
+        grid = [(Fraction(k, 4),) for k in range(-12, 13)]
+        for f in maps:
+            dom = f.domain_pieces()
+            for x in grid:
+                assert any(p.contains(x) for p in dom) == (not f.evaluate(x).is_empty), (f, x)
 
 
 class TestBoxIntersection:
@@ -184,7 +270,7 @@ class TestConvexity:
             name="concave-side",
             convex=False,
         )
-        verdict = convexity_check(f, SamplePlan(seed=5, count=40))
+        verdict = convexity_check(f, seed=5, count=40)
         assert verdict.status is Status.FAILS
         assert verdict.witness is not None
         # Witness re-check by hand: the recorded midpoint must violate.
@@ -220,31 +306,24 @@ class TestConvexity:
         f = SetValuedMap(1, ORTHANT, ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], 1)))
         assert (f.convex, f.convex_valued) == (True, True)
 
-
-class TestSamplePlan:
-    @staticmethod
-    def integer_radius_draw(plan: SamplePlan, dim: int):
-        # Reference draw for integer radii: numerators in [-8 r, 8 r] over 8.
-        rng = random.Random(plan.seed)
-        r = int(plan.radius)
-        return [
-            tuple(Fraction(rng.randint(-8 * r, 8 * r), 8) for _ in range(dim))
-            for _ in range(plan.count)
-        ]
-
-    @pytest.mark.parametrize(
-        "plan", [SamplePlan(), SamplePlan(seed=11, count=12, radius=Fraction(3))]
-    )
-    def test_integer_radius_points_unchanged(self, plan):
-        for dim in (1, 2):
-            assert plan.points(dim) == self.integer_radius_draw(plan, dim)
-
-    def test_fractional_radius_is_not_truncated(self):
-        radius = Fraction(1, 2)
-        pts = SamplePlan(radius=radius, count=40).points(2)
-        assert any(any(c != 0 for c in p) for p in pts)
-        assert all(abs(c) <= radius and (8 * c).denominator == 1 for p in pts for c in p)
-        assert max(abs(c) for p in pts for c in p) == radius
+    def test_convex_flag_passes_the_midpoint_oracle(self):
+        # The flag guards three implications of the diagram; on maps it
+        # calls convex the sampled midpoint test never finds a violation.
+        maps = [fx.map.map if isinstance(fx.map, BivariateMap) else fx.map for fx in builtin_fixtures()]
+        for seed in range(3):
+            maps += random_convex_affine_maps(seed, 4)
+            maps += random_convex_affine_maps(seed, 2, dim_x=2)
+            maps += random_piecewise_convex_maps(seed, 4)
+        convex = [f for f in maps if f.convex]
+        assert len(convex) >= 30
+        examined = 0
+        for i, f in enumerate(convex):
+            verdict = convexity_check(f, seed=i, count=48)
+            assert verdict.status is not Status.FAILS, f.name
+            examined += verdict.resolution
+        assert examined >= 400
+        # The oracle does find the violation on a map flagged non-convex.
+        assert convexity_check(tilted_halfplane_map()).status is Status.FAILS
 
 
 class TestGraphInterior:

@@ -1,4 +1,4 @@
-"""Scalarizations, halfspace-valued dual maps, bases, reconstruction."""
+"""Scalarizations, direction bases, closed forms and reconstruction."""
 
 import random
 from fractions import Fraction
@@ -6,27 +6,17 @@ from fractions import Fraction
 import pytest
 
 from upperset import scalarize
-from upperset.conjugate import PiecewiseLinearFn
 from upperset.continuity import default_config, verdict_matrix
 from upperset.geometry import Cone, Polyhedron, dual_cone
-from upperset.linalg import NEG_INF, POS_INF, dot, norm2_sq, vec
-from upperset.maps import SamplePlan
+from upperset.linalg import NEG_INF, POS_INF
 from upperset.scalarize import (
     DirectionBase,
     certify_base,
     direction_fan,
     piecewise_scalarization,
-    reconstruct,
-    s_map,
     scalarize_eval,
 )
-from upperset.sets import (
-    check_upper_closed,
-    member,
-    set_order_leq,
-    sets_equal,
-    upper_closure,
-)
+from upperset.sets import UpperSet, set_order_leq, upper_closure
 
 from test_maps import (
     ORTHANT,
@@ -36,10 +26,23 @@ from test_maps import (
     ray_translate_map,
     tilted_halfplane_map,
 )
+from test_sets import point_polyhedron, sets_equal
 
 
 def F(x):
     return Fraction(x)
+
+
+def reconstruct(f, x, base: DirectionBase) -> UpperSet:
+    """Outer reconstruction of f(x) from its scalarizations over the base:
+    the intersection of the halfspaces {z : u.z <= -phi_u(x)}.
+
+    Always contains f(x); exact for polyhedral values once the base contains
+    the value's facet normals (up to positive scaling).
+    """
+    return UpperSet.from_supports(
+        f.cone, ((u, -scalarize_eval(f, u, x)) for u in base.directions)
+    )
 
 
 class TestScalarizeEval:
@@ -93,42 +96,6 @@ class TestScalarizeEval:
                 v2 = scalarize_eval(f, zs, [x2])
                 if not any(isinstance(v, float) for v in (vm, v1, v2)):
                     assert vm <= t * v1 + (1 - t) * v2
-
-
-class TestSMap:
-    def test_zero_functional(self):
-        u = s_map([0], [-1, 0], [3], ORTHANT)
-        # {z : -z1 <= 0} = {z1 >= 0}, independent of x.
-        assert member(u, [0, 5]) and member(u, [2, -7]) and not member(u, [-1, 0])
-
-    def test_rearranged_halfspace(self):
-        # x* = 1, x = 2, z* = (-1, 0): {z : 2 - z1 <= 0} = {z1 >= 2}.
-        u = s_map([1], [-1, 0], [2], ORTHANT)
-        for z1 in range(-2, 6):
-            for z2 in range(-2, 3):
-                assert member(u, [z1, z2]) == (z1 >= 2)
-
-    def test_translation_structure(self):
-        u0 = s_map([1], [-1, -1], [0], ORTHANT)
-        u2 = s_map([1], [-1, -1], [2], ORTHANT)
-        # S(2) = S(0) + w for any w with z*.w = -x*.x; supports shift by z*.w.
-        shift = (F(2), F(0))
-        assert dot((F(-1), F(-1)), shift) == -2
-        assert u2.support((-1, -1)) == u0.support((-1, -1)) + dot((F(-1), F(-1)), shift)
-        translated = u0.pieces[0].translate(shift)
-        assert translated.rows == u2.pieces[0].rows or translated.contained_in(
-            u2.pieces[0]
-        ) and u2.pieces[0].contained_in(translated)
-
-    def test_values_upper_closed(self):
-        for xs, x in [([0], [0]), ([1], [2]), ([-2], [1])]:
-            u = s_map(xs, [-1, -2], x, ORTHANT)
-            assert check_upper_closed(u)
-            assert sets_equal(upper_closure(u.pieces[0], ORTHANT), u)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            s_map([1], [0, 0], [0], ORTHANT)
 
 
 class TestDirectionFan:
@@ -265,7 +232,7 @@ class TestConePassCache:
         cone = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
         cone_rows = Polyhedron(3, [(n, 0) for n in cone.halfspaces])._int_rows
         dd_passes.clear()
-        upper_closure(Polyhedron.from_point([1, 2, 3]), cone)
+        upper_closure(point_polyhedron([1, 2, 3]), cone)
         upper_closure(Polyhedron.box([(0, 1), (-1, 1), (2, 3)]), cone)
         assert [rows for _, rows, _ in dd_passes].count(tuple(cone_rows)) == 1
 

@@ -3,18 +3,18 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Callable, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upperset.geometry import Cone, Polyhedron
+from upperset.geometry import Cone, Polyhedron, dual_cone
 from test_geometry import recession_rays
-from upperset.linalg import NEG_INF, POS_INF
+from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, vec
 from upperset.sets import (
-    CallableOracle,
+    SupportOracle,
     UpperSet,
-    check_upper_closed,
     directed_hausdorff_sq,
     embed_point,
     hausdorff_sq_window,
@@ -24,7 +24,6 @@ from upperset.sets import (
     minkowski_sum,
     scale,
     set_order_leq,
-    sets_equal,
     upper_closure,
 )
 
@@ -40,13 +39,60 @@ def translate_of_cone(p, cone=ORTHANT):
     return embed_point(p, cone)
 
 
+# -- reference routes: the package's answers are checked against these ----------
+
+
+def sets_equal(a: UpperSet, b: UpperSet) -> bool:
+    """Mutual containment, exact on polyhedral representations."""
+    lhs = set_order_leq(a, b)
+    rhs = set_order_leq(b, a)
+    return bool(lhs) and bool(rhs) and lhs.exact and rhs.exact
+
+
+def check_upper_closed(a: UpperSet) -> bool:
+    """Every stored row normal n has n.g >= 0 on C, that is, -n lies in C^-."""
+    if a.pieces is None:
+        return True
+    dual = dual_cone(a.cone)
+    return all(dual.contains(tuple(-c for c in n)) for p in a.pieces for n, _ in p.rows)
+
+
+def point_polyhedron(p) -> Polyhedron:
+    """The single point p as a polyhedron: z_i >= p_i and -z_i >= -p_i."""
+    pv = vec(p)
+    dim = len(pv)
+    rows = []
+    for i in range(dim):
+        e = [ZERO] * dim
+        e[i] = Fraction(1)
+        rows.append((tuple(e), pv[i]))
+        e[i] = Fraction(-1)
+        rows.append((tuple(e), -pv[i]))
+    return Polyhedron(dim, rows)
+
+
+class CallableOracle(SupportOracle):
+    """A support oracle from a support callable and an optional exact
+    membership callable."""
+
+    def __init__(self, fn: Callable[[Vec], Ext], member_fn=None):
+        self._fn = fn
+        self._member = member_fn
+
+    def support(self, u: Vec) -> Ext:
+        return self._fn(u)
+
+    def member(self, z: Vec) -> Optional[bool]:
+        return self._member(z) if self._member is not None else None
+
+
 class TestUpperClosure:
     def test_point_gives_cone(self):
-        u = upper_closure(Polyhedron.from_point([0, 0]), ORTHANT)
+        u = upper_closure(point_polyhedron([0, 0]), ORTHANT)
         assert member(u, [0, 0]) and member(u, [3, 5]) and not member(u, [-1, 0])
 
     def test_translate(self):
-        u = upper_closure(Polyhedron.from_point([1, -1]), ORTHANT)
+        u = upper_closure(point_polyhedron([1, -1]), ORTHANT)
         assert member(u, [1, -1]) and member(u, [2, 0])
         assert not member(u, [0, -1]) and not member(u, [1, -2])
 
@@ -177,7 +223,7 @@ class TestHausdorff:
         # a = {z2 >= 0} cut to 0 <= z2 <= 1 holds (-t, 0), at distance t
         # from b = R^2_+; along +z1 the cut stays within distance 0 of b.
         a = UpperSet(ORTHANT, pieces=[Polyhedron(2, [([0, 1], 0)])])
-        b = upper_closure(Polyhedron.from_point([0, 0]), ORTHANT)
+        b = upper_closure(point_polyhedron([0, 0]), ORTHANT)
         strip = Polyhedron(2, [([0, 1], 0), ([0, -1], -1)])
         assert directed_hausdorff_sq(a, b, strip) == POS_INF
         left = strip.intersect(Polyhedron(2, [([-1, 0], 0)]))
