@@ -11,8 +11,9 @@ Z and reports three-valued verdicts:
 * ``fails`` carries a witness that re-verifies by direct evaluation, and is
   only claimed when violations persist at every grid level and at extra
   confirmation levels below the grid;
-* ``holds`` is claimed when the finest levels are clean, descending further
-  below the grid when an exists-a-radius quantifier needs more room;
+* ``holds`` is claimed when the finest levels are clean, descending as many
+  levels again below the grid when an exists-a-radius quantifier needs
+  more room;
 * anything else is ``inconclusive`` at the examined resolution.
 
 Upper continuity quantifies over arbitrary open supersets; the checker works
@@ -89,7 +90,6 @@ class CheckerConfig:
     z_fan: int = 32
     z_tails: int = 24
     confirm_levels: int = 4
-    descent_levels: int = 12
 
     def light(self) -> "CheckerConfig":
         """Coarser settings for large sweeps."""
@@ -100,7 +100,6 @@ class CheckerConfig:
             z_fan=8,
             z_tails=10,
             confirm_levels=3,
-            descent_levels=8,
         )
 
 
@@ -157,9 +156,9 @@ class _Scan:
 
         kind is 'persistent' when every base level and every confirmation
         level shows a violation, 'clean' when a clean level certifies the
-        exists-delta side (descending below the grid when needed), and
-        'mixed' otherwise.  A violated() result of None (undecidable sample)
-        blocks both decisive outcomes at its level.
+        exists-delta side (descending as many levels again below the grid
+        when needed), and 'mixed' otherwise.  A violated() result of None
+        (undecidable sample) blocks both decisive outcomes at its level.
         """
         K = self.cfg.radii.levels
         flags: list[Optional[bool]] = []
@@ -180,9 +179,9 @@ class _Scan:
             return "persistent", witness, examined
         if flags[-1] is False:
             return "clean", None, examined
-        # The finest base level is violated or undecided; descend to see
-        # whether a smaller radius clears it.
-        for k in range(K + 1, K + 1 + self.cfg.descent_levels):
+        # The finest base level is violated or undecided; descend K more
+        # levels to see whether a smaller radius clears it.
+        for k in range(K + 1, 2 * K + 1):
             examined += 1
             if self.level(k, violated)[0] is False:
                 return "clean", None, examined
@@ -620,7 +619,7 @@ def _uls_search(
     fan: Sequence[Vec],
     cfg: CheckerConfig,
 ) -> tuple[bool, int]:
-    levels = cfg.radii.values(cfg.descent_levels)
+    levels = cfg.radii.values(cfg.radii.levels)
     for k, delta in enumerate(levels):
         certified = f.box_value_intersection(x0, delta)
         if certified is not None and not certified.is_empty:
@@ -752,7 +751,7 @@ def check_uniform(
     x0 = vec(x0)
     if mode not in ("usc", "lsc"):
         raise ValueError("mode must be 'usc' or 'lsc'")
-    if not certify_base(base)["generates_dual"]:
+    if not certify_base(base):
         return Verdict.inconclusive(note="direction base failed certification")
     phis = {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
     kind, wit, eps, examined = _scalar_scan(_Scan(f, x0, cfg), phis, mode)
@@ -862,7 +861,7 @@ def verdict_matrix(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Ver
     cfg = cfg or default_config()
     x0 = vec(x0)
     base = DirectionBase.default(f.cone, cfg.z_fan, cfg.z_tails)
-    flags = certify_base(base)
+    certified = certify_base(base)
     entries = {
         "uc": check_uc(f, x0, cfg),
         "lc": check_lc(f, x0, cfg),
@@ -885,7 +884,7 @@ def verdict_matrix(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Ver
         # (BN) holds in every finite-dimensional space; see the module docstring.
         "bn": True,
         "in_dom": not f.evaluate(x0).is_empty,
-        "base_certified": flags["generates_dual"],
+        "base_certified": certified,
     }
     matrix = VerdictMatrix(entries=entries, side=side)
     enforce_diagram(matrix)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .duality import BivariateMap
 from .geometry import Cone, dual_cone
@@ -38,7 +37,6 @@ from .maps import (
     SetValuedMap,
     constant_cone_body,
     constant_empty_body,
-    map_to_json,
 )
 from .sets import SupportOracle, UpperSet
 
@@ -67,7 +65,7 @@ class ParabolaOracle(SupportOracle):
             return ZERO if a == 0 else POS_INF
         return -a * a / (4 * b)
 
-    def member(self, z: Vec) -> Optional[bool]:
+    def member(self, z: Vec) -> bool:
         p, q = z
         if p >= 0:
             return q >= 0
@@ -91,24 +89,6 @@ class Fixture:
     map: SetValuedMap | BivariateMap
     points: tuple[LabeledPoint, ...] = ()
     notes: str = ""
-
-    @property
-    def kind(self) -> str:
-        return "duality" if isinstance(self.map, BivariateMap) else "continuity"
-
-    def to_json(self):
-        base = self.map.map if isinstance(self.map, BivariateMap) else self.map
-        out = {"id": self.id, "map": map_to_json(base), "notes": self.notes}
-        if isinstance(self.map, BivariateMap):
-            out["split"] = {"n": self.map.n, "p": self.map.p}
-        out["labels"] = [
-            {
-                "at": [str(c) for c in pt.at],
-                "expect": dict(pt.expect),
-            }
-            for pt in self.points
-        ]
-        return out
 
 
 def ray_translate_fixture() -> Fixture:
@@ -159,7 +139,7 @@ def parabola_dilation_fixture() -> Fixture:
         when_true=ScaledBody(parabola_upper_set(), AffineForm.of([1], 0)),
         when_false=constant_empty_body(1, 2),
     )
-    f = SetValuedMap(1, ORTHANT_2D, body, name="parabola-dilation", convex=True)
+    f = SetValuedMap(1, ORTHANT_2D, body, name="parabola-dilation")
     pts = (
         LabeledPoint(
             (Fraction(1),),
@@ -193,7 +173,7 @@ def tilted_halfplane_fixture() -> Fixture:
             x_normals=(((Fraction(0), Fraction(1)),),),
         ),
     )
-    f = SetValuedMap(1, ORTHANT_2D, body, name="tilted-halfplane", convex=False)
+    f = SetValuedMap(1, ORTHANT_2D, body, name="tilted-halfplane")
     pts = (
         LabeledPoint((ZERO,), {"lc": "fails", "cminus_usc": "holds"}),
     )

@@ -231,13 +231,12 @@ class SetValuedMap:
         cone: Cone,
         body: Body,
         name: str = "",
-        convex: Optional[bool] = None,
     ):
         self.domain_dim = domain_dim
         self.cone = cone
         self.body = body
         self.name = name
-        self.convex = _body_convex(body) if convex is None else convex
+        self.convex = _body_convex(body)
         self.convex_valued = _body_convex_valued(body)
         self._value_cache: dict[Vec, UpperSet] = {}
 
@@ -279,7 +278,13 @@ class SetValuedMap:
     # -- domain --------------------------------------------------------------
 
     def domain_pieces(self) -> list[Polyhedron]:
-        """Nonempty polyhedra whose union is dom f = {x : f(x) nonempty}."""
+        """Nonempty closed polyhedra whose union contains dom f = {x : f(x)
+        nonempty}, at most one per leaf of the guard tree.
+
+        Each leaf's region is closed, so the union may also contain points
+        on a guard's boundary where the true branch is empty; a branch whose
+        normals move with x keeps its whole region.
+        """
         pieces = [self._domain_of(leaf, rows) for rows, _, leaf in _body_leaves(self.body)]
         return [p for p in pieces if p is not None and not p.is_empty]
 
@@ -591,7 +596,6 @@ def map_to_json(f: SetValuedMap):
         },
         "domain_dim": f.domain_dim,
         "body": body_to_json(f.body),
-        "convex": f.convex,
     }
     if f.name:
         out["name"] = f.name
@@ -608,5 +612,4 @@ def map_from_json(data) -> SetValuedMap:
         cone=cone,
         body=body,
         name=data.get("name", ""),
-        convex=data.get("convex"),
     )

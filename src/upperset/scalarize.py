@@ -147,27 +147,14 @@ class DirectionBase:
         return DirectionBase(cone, direction_fan(cone, fan, tails))
 
 
-def certify_base(base: DirectionBase) -> dict:
-    """Checks the finite-base conditions behind the uniform theorems.
+def certify_base(base: DirectionBase) -> bool:
+    """cone(B) = C^-, the finite-base condition behind the uniform theorems:
+    no extreme ray r of C^- separates from B, that is, max r.y over
+    {y : d.y <= 0 for d in B, |y_i| <= 1} is zero.
 
-    A finite base has a finite sup, and its inf over B of sup over the unit
-    ball of -z*.z, the minimum Euclidean norm over B, is positive because
-    ``DirectionBase`` admits no zero direction; ``inf_sup_value_sq`` reports
-    that minimum squared.  ``generates_dual`` certifies cone(B) = C^- by
-    separation LPs against each extreme ray; it depends on the base alone,
-    so it is computed once per base object and stored on it.
+    The answer depends on the base alone, so it is computed once per base
+    object and stored on it.
     """
-    return {
-        "generates_dual": _generates_dual(base),
-        "inf_sup_value_sq": min(norm2_sq(d) for d in base.directions),
-        "unit_normalized": all(norm2_sq(d) == 1 for d in base.directions),
-        "size": len(base.directions),
-    }
-
-
-def _generates_dual(base: DirectionBase) -> bool:
-    """cone(B) = C^-: no extreme ray r of C^- separates from B, that is,
-    max r.y over {y : d.y <= 0 for d in B, |y_i| <= 1} is zero."""
     cached = base.__dict__.get("_generates_dual")
     if cached is not None:
         return cached

@@ -6,19 +6,19 @@ complete lattice whose infimum is the closed union and whose supremum is the
 intersection.  The empty set is the greatest element, the whole space the
 least.
 
-Two representations coexist:
+The lattice is kept exactly for finite closed unions of H-polyhedra whose row
+normals n all satisfy n.g >= 0 for every generator g of C (so each piece is
+upper closed by construction).  Closed unions of finitely many closed
+polyhedra need no extra closure operator, which is why the infimum below is
+a plain union of pieces.
 
-* ``ExactPolyhedral``: a finite closed union of H-polyhedra whose row
-  normals n all satisfy n.g >= 0 for every generator g of C (so each piece
-  is upper closed by construction).  All lattice operations on this
-  representation are exact.
-* ``SupportOracle``: a support-function callable valid on directions in C^-,
-  with an optional exact membership predicate and a cached direction grid.
-  Comparisons through oracles are outer approximations at grid resolution
-  and say so.
-
-Closed unions of finitely many closed polyhedra need no extra closure
-operator, which is why the infimum below is a plain union of pieces.
+A convex value that is not polyhedral is a ``SupportOracle``: its support
+function on C^- and an exact membership test.  A closed convex set is
+determined by its support function (Rockafellar 1970, Thm 13.1), and these
+two are all that ``support``, ``member``, ``is_empty`` and ``scale`` read of
+such a value.  The lattice operations (order, infimum, supremum, Minkowski
+sum, window Hausdorff distance) accept polyhedral operands only and raise
+``ValueError`` on an oracle.
 """
 
 from __future__ import annotations
@@ -29,23 +29,22 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .geometry import Cone, DimensionMismatch, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, frac, vec
+from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, frac, vec
 
 
 class SupportOracle:
-    """Convex upper closed set given through its support function.
+    """Closed convex upper set given through its support function.
 
-    ``support(u)`` must return sup{u.z : z in the set} for u in C^-;
-    ``member`` may return None when the oracle cannot decide exactly.
-    Scaling and Minkowski sums wrap oracles in ``ScaledOracle`` and
-    ``SumOracle``.
+    ``support(u)`` must return sup{u.z : z in the set} for u in C^-, so
+    ``support(0)`` is -inf exactly when the set is empty; ``member(z)`` must
+    decide membership exactly.
     """
 
     def support(self, u: Vec) -> Ext:
         raise NotImplementedError
 
-    def member(self, z: Vec) -> Optional[bool]:
-        return None
+    def member(self, z: Vec) -> bool:
+        raise NotImplementedError
 
 
 class ScaledOracle(SupportOracle):
@@ -57,40 +56,14 @@ class ScaledOracle(SupportOracle):
         s = self.inner.support(u)
         return s if isinstance(s, float) else self.t * s
 
-    def member(self, z: Vec) -> Optional[bool]:
+    def member(self, z: Vec) -> bool:
         return self.inner.member(tuple(x / self.t for x in z))
-
-
-class SumOracle(SupportOracle):
-    def __init__(self, a: SupportOracle, b: SupportOracle):
-        self.a = a
-        self.b = b
-
-    def support(self, u: Vec) -> Ext:
-        sa, sb = self.a.support(u), self.b.support(u)
-        if sa == NEG_INF or sb == NEG_INF:
-            return NEG_INF
-        if sa == POS_INF or sb == POS_INF:
-            return POS_INF
-        return sa + sb
-
-
-class PolyhedralOracle(SupportOracle):
-    """Oracle view of an exact polyhedron (used when mixing representations)."""
-
-    def __init__(self, piece: Polyhedron):
-        self.piece = piece
-
-    def support(self, u: Vec) -> Ext:
-        return self.piece.support(u)
-
-    def member(self, z: Vec) -> Optional[bool]:
-        return self.piece.contains(z)
 
 
 @dataclass(frozen=True)
 class OrderResult:
-    """Boolean with provenance: exact certificate or grid-resolution check."""
+    """Boolean with provenance: an exact certificate, or a union cover seen
+    at sampled points only."""
 
     value: bool
     exact: bool
@@ -104,14 +77,13 @@ class OrderResult:
 class UpperSet:
     """Element of the lattice of upper closed sets over a fixed cone."""
 
-    __slots__ = ("cone", "pieces", "oracle", "grid", "__dict__")
+    __slots__ = ("cone", "pieces", "oracle", "__dict__")
 
     def __init__(
         self,
         cone: Cone,
         pieces: Optional[Sequence[Polyhedron]] = None,
         oracle: Optional[SupportOracle] = None,
-        grid: Optional[Sequence[Vec]] = None,
     ):
         if (pieces is None) == (oracle is None):
             raise ValueError("exactly one of pieces / oracle must be given")
@@ -123,11 +95,9 @@ class UpperSet:
                     raise DimensionMismatch("piece dimension differs from cone")
             self.pieces: Optional[tuple[Polyhedron, ...]] = kept
             self.oracle = None
-            self.grid = ()
         else:
             self.pieces = None
             self.oracle = oracle
-            self.grid = tuple(grid or default_direction_grid(cone))
 
     # -- constructors --------------------------------------------------------
 
@@ -140,8 +110,8 @@ class UpperSet:
         return UpperSet(cone, pieces=[])
 
     @staticmethod
-    def from_oracle(cone, oracle, grid=None) -> "UpperSet":
-        return UpperSet(cone, oracle=oracle, grid=grid)
+    def from_oracle(cone: Cone, oracle: SupportOracle) -> "UpperSet":
+        return UpperSet(cone, oracle=oracle)
 
     @staticmethod
     def from_supports(cone: Cone, supports: Iterable[tuple[Vec, Ext]]) -> "UpperSet":
@@ -162,7 +132,8 @@ class UpperSet:
     def is_empty(self) -> bool:
         if self.pieces is not None:
             return len(self.pieces) == 0
-        return all(self.oracle.support(u) == NEG_INF for u in self.grid)
+        # The support at 0 is -inf exactly on the empty set.
+        return self.oracle.support((ZERO,) * self.cone.dim) == NEG_INF
 
     @property
     def is_convex(self) -> bool:
@@ -195,13 +166,6 @@ class UpperSet:
         if self.pieces is not None:
             return f"UpperSet(pieces={len(self.pieces)})"
         return "UpperSet(oracle)"
-
-
-def default_direction_grid(cone: Cone) -> tuple[Vec, ...]:
-    """Cached oracle directions: extreme rays of C^- plus a uniform 64-way fan."""
-    from .scalarize import direction_fan
-
-    return direction_fan(cone, 64)
 
 
 # -- operations ---------------------------------------------------------------
@@ -243,27 +207,19 @@ def set_order_leq(a: UpperSet, b: UpperSet) -> OrderResult:
     """Lattice order a <= b, equivalently b is a subset of a."""
     if a.cone is not b.cone and a.cone != b.cone:
         raise ValueError("mixed-cone comparison")
+    if a.pieces is None or b.pieces is None:
+        raise ValueError("order requires polyhedral representations")
     if b.is_empty:
         return OrderResult(True, exact=True)
     if a.is_empty:
         return OrderResult(False, exact=True, note="nonempty set vs empty bound")
-    if a.pieces is not None and b.pieces is not None:
-        for q in b.pieces:
-            r = _piece_in_union(q, a.pieces)
-            if not r.value or not r.exact:
-                if not r.value:
-                    return OrderResult(False, exact=r.exact, witness=r.witness)
-                return r
-        return OrderResult(True, exact=True)
-    # Oracle route: support comparison on the cached grid.  A strict support
-    # violation certifies non-containment of convex sets; agreement on the
-    # grid only certifies it at grid resolution.
-    grid = a.grid or b.grid
-    for u in grid:
-        sa, sb = a.support(u), b.support(u)
-        if sb > sa:
-            return OrderResult(False, exact=True, note="support separation", witness=u)
-    return OrderResult(True, exact=False, note="grid-resolution comparison")
+    for q in b.pieces:
+        r = _piece_in_union(q, a.pieces)
+        if not r.value or not r.exact:
+            if not r.value:
+                return OrderResult(False, exact=r.exact, witness=r.witness)
+            return r
+    return OrderResult(True, exact=True)
 
 
 def lattice_inf(sets: Sequence[UpperSet]) -> UpperSet:
@@ -304,44 +260,24 @@ def lattice_sup(sets: Sequence[UpperSet]) -> UpperSet:
 
 
 def member(a: UpperSet, z) -> bool:
-    """Membership; exact for polyhedral reps.
-
-    Oracle reps use outer-approximation semantics on the cached grid: z is
-    declared a member when no grid direction separates it.  An exact oracle
-    membership predicate takes precedence when available.
-    """
+    """Exact membership: a piece's rows, or the oracle's own test."""
     zv = vec(z)
     if a.pieces is not None:
         return any(p.contains(zv) for p in a.pieces)
-    exact = a.oracle.member(zv)
-    if exact is not None:
-        return exact
-    for u in a.grid:
-        s = a.oracle.support(u)
-        if s == POS_INF:
-            continue
-        if s == NEG_INF:
-            return False
-        if dot(u, zv) > s:
-            return False
-    return True
+    return a.oracle.member(zv)
 
 
 def minkowski_sum(a: UpperSet, b: UpperSet) -> UpperSet:
-    """Minkowski sum of convex upper sets; supports add on C^-."""
+    """Minkowski sum of convex polyhedral upper sets; supports add on C^-."""
     if a.cone != b.cone:
         raise ValueError("mixed-cone sum")
-    cone = a.cone
+    if a.pieces is None or b.pieces is None:
+        raise ValueError("Minkowski sum requires polyhedral representations")
     if not a.is_convex or not b.is_convex:
         raise ValueError("Minkowski sum restricted to convex operands")
     if a.is_empty or b.is_empty:
-        return UpperSet.empty(cone)
-    if a.pieces is not None and b.pieces is not None:
-        return UpperSet(cone, pieces=[a.pieces[0] + b.pieces[0]])
-    oa = a.oracle if a.oracle is not None else PolyhedralOracle(a.pieces[0])
-    ob = b.oracle if b.oracle is not None else PolyhedralOracle(b.pieces[0])
-    grid = a.grid or b.grid
-    return UpperSet.from_oracle(cone, SumOracle(oa, ob), grid or None)
+        return UpperSet.empty(a.cone)
+    return UpperSet(a.cone, pieces=[a.pieces[0] + b.pieces[0]])
 
 
 def scale(a: UpperSet, t) -> UpperSet:
@@ -356,7 +292,7 @@ def scale(a: UpperSet, t) -> UpperSet:
         return UpperSet.empty(a.cone)
     if a.pieces is not None:
         return UpperSet(a.cone, pieces=[p.scale(tf) for p in a.pieces])
-    return UpperSet.from_oracle(a.cone, ScaledOracle(a.oracle, tf), a.grid)
+    return UpperSet.from_oracle(a.cone, ScaledOracle(a.oracle, tf))
 
 
 def _support_rows(supports: Iterable[tuple[Vec, Ext]]) -> Optional[list[Constraint]]:

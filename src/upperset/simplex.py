@@ -1,6 +1,6 @@
 """Exact rational linear programming.
 
-Two callers are left.  ``scalarize._generates_dual`` certifies that a
+Two callers are left.  ``scalarize.certify_base`` certifies that a
 direction base generates C^- by one separation LP per extreme ray of C^-,
 and ``duality._attained_dual_vector`` reads an attained dual vector off the
 LP's multipliers (``want_dual``).  Both have double-description

@@ -24,6 +24,7 @@ from upperset.maps import (
     map_from_json,
     map_to_json,
 )
+from upperset.scalarize import direction_fan
 from upperset.sets import (
     SupportOracle,
     UpperSet,
@@ -51,8 +52,10 @@ def convexity_check(f: SetValuedMap, seed: int = 0, count: int = 24) -> Verdict:
     ``count`` seeded points with coordinates in eighths of [-4, 4] are
     paired off, each pair with a seeded weight t in eighths of (0, 1).
     Rejects union-valued maps.  Returns a witness triple on the first
-    violation; holds is at sample resolution for oracle-backed values and
-    exact per sample otherwise.
+    violation.  Polyhedral values are compared exactly in the lattice; when
+    an oracle value takes part, the supports are compared on the 64-way
+    direction fan of C^-, where a strict excess of the right-hand side's
+    support is a violation and agreement holds at fan resolution only.
     """
     rng = random.Random(seed)
     pts = [
@@ -69,16 +72,18 @@ def convexity_check(f: SetValuedMap, seed: int = 0, count: int = 24) -> Verdict:
         if v1.is_empty or v2.is_empty:
             continue
         mid = tuple(t * a + (1 - t) * b for a, b in zip(x1, x2))
-        rhs = minkowski_sum(scale(v1, t), scale(v2, 1 - t))
-        cmpres = set_order_leq(f.evaluate(mid), rhs)
+        vm = f.evaluate(mid)
         examined += 1
-        if not cmpres.value:
+        if vm.is_polyhedral and v1.is_polyhedral and v2.is_polyhedral:
+            cmpres = set_order_leq(vm, minkowski_sum(scale(v1, t), scale(v2, 1 - t)))
+            violated, z = not cmpres.value, cmpres.witness
+        else:
+            fan = direction_fan(f.cone, 64)
+            violated = any(t * v1.support(u) + (1 - t) * v2.support(u) > vm.support(u) for u in fan)
+            z = None
+        if violated:
             return Verdict.fails(
-                Witness(
-                    x=mid,
-                    z=cmpres.witness if cmpres.witness and len(cmpres.witness) == f.cone.dim else None,
-                    detail=f"midpoint condition violated for x1={x1}, x2={x2}, t={t}",
-                ),
+                Witness(x=mid, z=z, detail=f"midpoint condition violated for x1={x1}, x2={x2}, t={t}"),
                 resolution=examined,
             )
     return Verdict.holds(resolution=examined, note="sampled midpoint grid")
@@ -128,7 +133,6 @@ def tilted_halfplane_map():
             ),
         ),
         name="tilted-halfplane",
-        convex=False,
     )
 
 
@@ -226,6 +230,18 @@ class TestDomain:
             for x in grid:
                 assert any(p.contains(x) for p in dom) == (not f.evaluate(x).is_empty), (f, x)
 
+    def test_empty_true_branch_leaves_its_guard_in_the_pieces(self):
+        # Empty for x >= 0, C below: dom f is x < 0, but the false side's
+        # closed region reaches the guard, so the pieces also hold 0.
+        f = SetValuedMap(
+            1, ORTHANT, PiecewiseBody(((F(1),), F(0)), constant_empty_body(1, 2), constant_cone_body(ORTHANT, 1))
+        )
+        dom = f.domain_pieces()
+        assert len(dom) == 1
+        assert f.evaluate([0]).is_empty and dom[0].contains([0])
+        assert not f.evaluate([Fraction(-1, 8)]).is_empty and dom[0].contains([Fraction(-1, 8)])
+        assert f.evaluate([Fraction(1, 8)]).is_empty and not dom[0].contains([Fraction(1, 8)])
+
 
 class TestBoxIntersection:
     def test_exact_certificate(self):
@@ -268,7 +284,6 @@ class TestConvexity:
                 ),
             ),
             name="concave-side",
-            convex=False,
         )
         verdict = convexity_check(f, seed=5, count=40)
         assert verdict.status is Status.FAILS
@@ -450,6 +465,9 @@ class TestJsonSchema:
         class OrthantOracle(SupportOracle):
             def support(self, u):
                 return F(0) if all(c <= 0 for c in u) else POS_INF
+
+            def member(self, z):
+                return ORTHANT.contains(z)
 
         base = UpperSet.from_oracle(ORTHANT, OrthantOracle())
         f = SetValuedMap(1, ORTHANT, ScaledBody(base, AffineForm.of([1], 0)))

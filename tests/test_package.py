@@ -24,6 +24,8 @@ ENTRY_POINTS = {
     "fixture_by_id",
     # Reads a map back from the JSON that map_to_json writes.
     "map_from_json",
+    # Writes the JSON that map_from_json reads.
+    "map_to_json",
 }
 
 

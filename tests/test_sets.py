@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -72,18 +72,26 @@ def point_polyhedron(p) -> Polyhedron:
 
 
 class CallableOracle(SupportOracle):
-    """A support oracle from a support callable and an optional exact
-    membership callable."""
+    """A support oracle from a support callable and an exact membership
+    callable."""
 
-    def __init__(self, fn: Callable[[Vec], Ext], member_fn=None):
+    def __init__(self, fn: Callable[[Vec], Ext], member_fn: Callable[[Vec], bool]):
         self._fn = fn
         self._member = member_fn
 
     def support(self, u: Vec) -> Ext:
         return self._fn(u)
 
-    def member(self, z: Vec) -> Optional[bool]:
-        return self._member(z) if self._member is not None else None
+    def member(self, z: Vec) -> bool:
+        return self._member(z)
+
+
+def orthant_oracle(cone: Cone) -> UpperSet:
+    """The orthant C itself as an oracle value: support 0 on C^-, +inf
+    elsewhere."""
+    return UpperSet.from_oracle(
+        cone, CallableOracle(lambda u: ZERO if all(c <= 0 for c in u) else POS_INF, cone.contains)
+    )
 
 
 class TestUpperClosure:
@@ -238,16 +246,37 @@ class TestMember:
         assert member(translate_of_cone([0, 0]), [0, 0])
         assert not member(UpperSet.empty(ORTHANT), [0, 0])
 
-    def test_oracle_outer_semantics(self):
-        # Oracle for the orthant itself: support 0 on C^-, +inf elsewhere.
-        def sup_fn(u):
-            if all(c <= 0 for c in u):
-                return Fraction(0)
-            return POS_INF
 
-        a = UpperSet.from_oracle(ORTHANT, CallableOracle(sup_fn))
-        assert member(a, [0, 0])
-        assert not member(a, [0, Fraction(-1, 10)])
+class TestOracleValues:
+    def test_empty_reads_off_the_support_at_zero(self):
+        # sigma(0) = -inf exactly on the empty set, whatever the other
+        # directions read.
+        empty = UpperSet.from_oracle(
+            ORTHANT, CallableOracle(lambda u: NEG_INF if not any(u) else POS_INF, lambda z: False)
+        )
+        assert empty.is_empty and scale(empty, 2).is_empty
+        assert not orthant_oracle(ORTHANT).is_empty
+
+
+# Every lattice operation on two operands, read as a function of the pair.
+LATTICE_OPERATIONS = {
+    "set_order_leq": set_order_leq,
+    "lattice_inf": lambda a, b: lattice_inf([a, b]),
+    "lattice_sup": lambda a, b: lattice_sup([a, b]),
+    "minkowski_sum": minkowski_sum,
+    "hausdorff_sq_window": lambda a, b: hausdorff_sq_window(a, b, Polyhedron.box([(-4, 4)] * 2)),
+}
+
+
+@pytest.mark.parametrize("oracle_first", [True, False])
+@pytest.mark.parametrize("operation", sorted(LATTICE_OPERATIONS))
+def test_lattice_operations_reject_oracle_operands(operation, oracle_first):
+    """The lattice is exact for polyhedra only; an oracle operand raises
+    instead of being answered at some direction grid's resolution."""
+    oracle, poly = orthant_oracle(ORTHANT), translate_of_cone([1, 1])
+    a, b = (oracle, poly) if oracle_first else (poly, oracle)
+    with pytest.raises(ValueError):
+        LATTICE_OPERATIONS[operation](a, b)
 
 
 class TestMinkowskiScale:
