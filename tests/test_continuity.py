@@ -17,6 +17,7 @@ from upperset.continuity import (
     check_huc,
     check_lc,
     check_scalar_semicontinuity,
+    check_uc,
     check_uniform,
     check_uls,
     default_config,
@@ -32,6 +33,7 @@ from upperset.maps import (
     PiecewiseBody,
     ScaledBody,
     SetValuedMap,
+    constant_cone_body,
     constant_empty_body,
     graph_interior_witness,
 )
@@ -235,3 +237,40 @@ def test_hausdorff_checks_run_no_cone_pass(dd_passes):
     for check in (check_huc, check_hlc):
         check(f, (1,), TINY)
     assert dd_passes and not [c for c, _, _ in dd_passes if c == "_cone_rays"]
+
+
+class TestOutsideTheDomain:
+    """Checker branches for a point x0 with f(x0) empty."""
+
+    HALFLINE = fixture_by_id("orthant-halfline").map  # C for x >= 0, empty below
+
+    def test_uc_holds_where_the_map_is_empty_nearby(self):
+        v = check_uc(self.HALFLINE, (Fraction(-1, 2),), TINY)
+        assert v.is_holds
+        assert v.note == "empty on a neighborhood; relative to the enlargement base"
+
+    def test_uc_fails_where_nonempty_values_approach(self):
+        # The mirror of the half-line map: empty for x <= 0, C for x > 0.
+        mirror = SetValuedMap(
+            1,
+            ORTHANT,
+            PiecewiseBody(((Fraction(-1),), Fraction(0)), constant_empty_body(1, 2), constant_cone_body(ORTHANT, 1)),
+        )
+        v = check_uc(mirror, (0,), TINY)
+        assert v.is_fails
+        assert v.witness.detail == "nonempty values approach a point outside dom f"
+        assert v.witness.x[0] > 0 and not mirror.evaluate(v.witness.x).is_empty
+
+    def test_lc_holds_by_force_and_uls_vacuously(self):
+        x0 = (Fraction(-1, 2),)
+        assert check_lc(self.HALFLINE, x0, TINY) == Verdict.holds(note="holds by force outside dom f")
+        assert check_uls(self.HALFLINE, x0, TINY) == Verdict.holds(note="vacuous outside dom f")
+
+
+def test_uniform_over_an_uncertified_base_is_inconclusive():
+    # (-1, 0) alone does not generate the dual of the orthant.
+    f = fixture_by_id("orthant-halfline").map
+    base = DirectionBase(ORTHANT, ((Fraction(-1), Fraction(0)),))
+    for mode in ("usc", "lsc"):
+        v = check_uniform(f, (0,), base, TINY, mode)
+        assert v == Verdict.inconclusive(note="direction base failed certification")

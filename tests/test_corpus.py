@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import pytest
 
+from upperset import continuity
 from upperset.continuity import default_config, verdict_matrix
 from test_geometry import fm_project_out
 from upperset import scalarize
@@ -70,6 +71,13 @@ LIGHT_DIGESTS = {
 DEFAULT_DIGESTS = {
     ("orthant-halfline", 0): "e54792775207a24d",
     ("tilted-halfplane", 0): "52ce0c0b1cfe31e0",
+}
+
+# Light matrices whose pinned JSON shows a downgrade, hashed with the
+# implication diagram switched off: the raw verdicts it hides stay pinned.
+RAW_LIGHT_DIGESTS = {
+    ("tilted-halfplane", 0): "2398bed49bdc0f3c",
+    ("parabola-dilation", 0): "3b6064727a2ce94b",
 }
 
 
@@ -154,6 +162,19 @@ def test_light_matrix_json_is_pinned(fixture_id, index, digest):
 def test_default_matrix_json_is_pinned(fixture_id, index, digest):
     fx = fixture_by_id(fixture_id)
     assert _digest(verdict_matrix(fx.map, fx.points[index].at, default_config()).to_json()) == digest
+
+
+@pytest.mark.parametrize(
+    "fixture_id, index, digest",
+    [(*case, digest) for case, digest in RAW_LIGHT_DIGESTS.items()],
+    ids=[f"{fixture_id}-{index}" for fixture_id, index in RAW_LIGHT_DIGESTS],
+)
+def test_raw_light_matrix_json_is_pinned(fixture_id, index, digest, monkeypatch):
+    assert _light_matrix(fixture_id, index).artifacts
+    monkeypatch.setattr(continuity, "enforce_diagram", lambda matrix: [])
+    fx = fixture_by_id(fixture_id)
+    matrix = verdict_matrix(fx.map, fx.points[index].at, default_config().light())
+    assert matrix.artifacts == [] and _digest(matrix.to_json()) == digest
 
 
 def test_fixture_ids_are_pinned():

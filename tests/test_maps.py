@@ -242,6 +242,24 @@ class TestDomain:
         assert not f.evaluate([Fraction(-1, 8)]).is_empty and dom[0].contains([Fraction(-1, 8)])
         assert f.evaluate([Fraction(1, 8)]).is_empty and not dom[0].contains([Fraction(1, 8)])
 
+    def test_moving_normals_keep_the_whole_region(self):
+        # The row (1 - x, 0).z >= 1 reads 0.z >= 1 at x = 1, so f(1) is
+        # empty, and its normal leaves the dual cone for x > 1.  The branch's
+        # normals move with x, so its one piece is still the whole line.
+        body = AffineBody(
+            normals=((F(1), F(0)),),
+            offsets=(F(1),),
+            x_coeffs=((F(0),),),
+            x_normals=(((F(-1), F(0)),),),
+        )
+        f = SetValuedMap(1, ORTHANT, body)
+        dom = f.domain_pieces()
+        assert len(dom) == 1 and not dom[0].rows
+        assert f.evaluate([1]).is_empty and dom[0].contains([1])
+        assert not f.evaluate([0]).is_empty
+        with pytest.raises(MapError):
+            f.evaluate([2])
+
 
 class TestBoxIntersection:
     def test_exact_certificate(self):
