@@ -25,12 +25,19 @@ with equal depths any map whose modulus exceeds one would be misclassified,
 since no x-radius below the finest epsilon would remain to certify the
 exists-delta side.
 
-All sampled checkers share one scan.  ``_Scan.level`` reads one x-radius
-level, ``_Scan.classify`` turns the level flags into persistent, clean or
-mixed, and ``_Scan.sweep`` runs ``classify`` down the epsilon grid to the
-first epsilon that is not clean.  The usc/lsc threshold of a scalarization
-is ``_scalar_violated``; the per-direction and the uniform scalar checks
-run the same multi-direction scan (``_scalar_scan``).
+Every sampled checker starts from one per-point context, ``_Scan(f, x0,
+cfg)``: the resolved config, x0 as a vector, the map, the direction fan of
+C^- and the x-directions, with f(x0) evaluated on first use.
+``_Scan.level`` reads one x-radius level, ``_Scan.classify`` turns the level
+flags into persistent, clean or mixed, and ``_Scan.first(family, run)`` is
+the for-all loop: it runs each member of a family up to the first run that
+is not clean.  ``_Scan.sweep`` is ``first`` over the epsilon grid; lc runs
+it over the points z0 of f(x0), the scalar check over the base directions.
+One rule, ``_verdict``, turns a kind into a verdict: persistent fails with
+the checker's witness, mixed is inconclusive with its note, clean holds.
+The usc/lsc threshold of a scalarization is ``_scalar_violated``; the
+per-direction and the uniform scalar checks run the same multi-direction
+scan (``_scalar_scan``).
 
 The side condition (BN) of the implication diagram, some bounded B and
 neighborhood V of zero with V <= B - C, holds in every finite-dimensional
@@ -43,7 +50,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import Cone, Polyhedron
@@ -62,7 +69,7 @@ from .linalg import (
 from .maps import SetValuedMap, graph_interior_witness
 from .scalarize import DirectionBase, certify_base, direction_fan, scalarize_eval
 from .sets import UpperSet, member, outer_polyhedron
-from .verdict import Status, Verdict, Witness
+from .verdict import Verdict, Witness
 
 
 # Half-width of the box that clips sampled values and bounds box searches.
@@ -129,12 +136,38 @@ def _level_samples(x0: Vec, delta: Fraction, dirs: Sequence[Vec]) -> list[Vec]:
 
 
 class _Scan:
-    """Violation bookkeeping across grid levels for one quantifier pair."""
+    """The context of one checker at one point x0, and the scans it runs.
 
-    def __init__(self, f: SetValuedMap, x0: Vec, cfg: CheckerConfig):
-        self.x0 = x0
-        self.cfg = cfg
+    It resolves the config, converts x0 and holds the map, the direction
+    fan of C^- and the x-directions; f(x0) is evaluated on first use.
+    """
+
+    def __init__(self, f: SetValuedMap, x0, cfg: CheckerConfig | None):
+        self.f = f
+        self.x0 = vec(x0)
+        self.cfg = cfg or default_config()
         self.dirs = _x_dirs(f.domain_dim)
+
+    @cached_property
+    def v0(self) -> UpperSet:
+        return self.f.evaluate(self.x0)
+
+    @cached_property
+    def fan(self) -> tuple[Vec, ...]:
+        return direction_fan(self.f.cone, self.cfg.z_fan, self.cfg.z_tails)
+
+    def sampled_xs(self, delta: Fraction) -> list[Vec]:
+        """x0 and the level samples at delta, delta / 2 and delta / 4."""
+        xs = [self.x0]
+        for k in range(3):
+            xs.extend(_level_samples(self.x0, delta / 2**k, self.dirs))
+        return xs
+
+    def common_values(self, delta: Fraction) -> Optional[list[UpperSet]]:
+        """The values at ``sampled_xs(delta)``, or None when one is empty
+        (the values then share no point)."""
+        values = [self.f.evaluate(x) for x in self.sampled_xs(delta)]
+        return None if any(v.is_empty for v in values) else values
 
     def level(
         self, k: int, violated: Callable[[Vec], Optional[bool]]
@@ -187,22 +220,44 @@ class _Scan:
                 return "clean", None, examined
         return "mixed", witness, examined
 
+    def first(self, family: Iterable, run: Callable[..., tuple]) -> tuple:
+        """The for-all loop: run(item) for each item of family, every run
+        returning a tuple (kind, ..., levels), up to the first run whose kind
+        is not clean.  Returns (that item, its run's result, the largest
+        level count so far), or (None, a clean result, that count) when every
+        run is clean.
+        """
+        examined = 0
+        for item in family:
+            result = run(item)
+            examined = max(examined, result[-1])
+            if result[0] != "clean":
+                return item, result, examined
+        return None, ("clean", None, None, 0), examined
+
     def sweep(
         self, violated_at: Callable[[Fraction], Callable[[Vec], Optional[bool]]]
     ) -> tuple[str, Optional[Witness], Optional[Fraction], int]:
-        """Classifies violated_at(eps) for each eps of the epsilon grid.
+        """Classifies violated_at(eps) down the epsilon grid: (kind, witness,
+        eps, examined) at the first eps that is not clean, eps None when every
+        eps is clean."""
+        eps, (kind, witness, *_), examined = self.first(
+            self.cfg.z_radii.values(), lambda eps: self.classify(violated_at(eps))
+        )
+        return kind, witness, eps, examined
 
-        Returns (kind, witness, eps, examined) at the first eps that is not
-        clean, or ('clean', None, None, examined) when every eps is clean;
-        examined is the largest level count of the classifications run.
-        """
-        examined = 0
-        for eps in self.cfg.z_radii.values():
-            kind, witness, levels = self.classify(violated_at(eps))
-            examined = max(examined, levels)
-            if kind != "clean":
-                return kind, witness, eps, examined
-        return "clean", None, None, examined
+
+def _verdict(
+    kind: str, levels: int, witness: Callable[[], Witness], note: str, fails_note="", holds_note=""
+) -> Verdict:
+    """The three-valued rule of a scan: persistent fails with the checker's
+    witness (built only then), mixed is inconclusive with its note, and
+    clean holds."""
+    if kind == "persistent":
+        return Verdict.fails(witness(), resolution=levels, note=fails_note)
+    if kind == "mixed":
+        return Verdict.inconclusive(note=note, resolution=levels)
+    return Verdict.holds(resolution=levels, note=holds_note)
 
 
 def _value_sample_points(v: UpperSet) -> tuple[Vec, ...]:
@@ -293,10 +348,6 @@ def _enlargement_gap_sq(
 # -- individual checkers ----------------------------------------------------------
 
 
-def _fan(f: SetValuedMap, cfg: CheckerConfig) -> tuple[Vec, ...]:
-    return direction_fan(f.cone, cfg.z_fan, cfg.z_tails)
-
-
 def check_huc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Hausdorff upper continuity: f(x) inside f(x0) + eps Ball near x0."""
     return _hausdorff_check(f, x0, cfg, upper=True)
@@ -310,38 +361,23 @@ def check_hlc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
 def _hausdorff_check(f: SetValuedMap, x0, cfg: CheckerConfig | None, upper: bool) -> Verdict:
     """The enlargement test of huc (f(x) against f(x0)) and, with the pair in
     the other order, of hlc."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    fan = _fan(f, cfg)
-    v0 = f.evaluate(x0)
+    s = _Scan(f, x0, cfg)
     inner, outer = ("f(x)", "f(x0)") if upper else ("f(x0)", "f(x)")
 
     @cache
     def gap_at(x: Vec) -> tuple[Ext, Optional[Witness]]:
-        pair = (f.evaluate(x), v0) if upper else (v0, f.evaluate(x))
-        return _enlargement_gap_sq(*pair, fan)
+        pair = (f.evaluate(x), s.v0) if upper else (s.v0, f.evaluate(x))
+        return _enlargement_gap_sq(*pair, s.fan)
 
-    kind, wit, eps, examined = _Scan(f, x0, cfg).sweep(
-        lambda eps: lambda x, _e=eps * eps: gap_at(x)[0] > _e
-    )
-    if kind == "persistent":
+    kind, wit, eps, examined = s.sweep(lambda eps: lambda x, _e=eps * eps: gap_at(x)[0] > _e)
+
+    def witness() -> Witness:
         detail = gap_at(wit.x)[1] or Witness()
-        return Verdict.fails(
-            replace(
-                wit,
-                z=detail.z,
-                radius=eps,
-                direction=detail.direction,
-                detail=f"{inner} escapes the enlargement of {outer}",
-            ),
-            resolution=examined,
-        )
-    if kind == "mixed":
-        return Verdict.inconclusive(
-            note=f"violations at radius {eps} neither persist nor vanish",
-            resolution=examined,
-        )
-    return Verdict.holds(resolution=examined)
+        escape = f"{inner} escapes the enlargement of {outer}"
+        return replace(wit, z=detail.z, radius=eps, direction=detail.direction, detail=escape)
+
+    undecided = f"violations at radius {eps} neither persist nor vanish"
+    return _verdict(kind, examined, witness, undecided)
 
 
 def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
@@ -351,49 +387,34 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     checker tests the family f(x0) + eps Ball and, for values with empty
     interior, open sets of the form Z minus a point.
     """
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    v0 = f.evaluate(x0)
+    s = _Scan(f, x0, cfg)
     note = "relative to the enlargement base"
-    if v0.is_empty:
-        scan = _Scan(f, x0, cfg)
-        kind, wit, levels = scan.classify(lambda x: not f.evaluate(x).is_empty)
-        if kind == "persistent":
-            return Verdict.fails(
-                replace(wit, detail="nonempty values approach a point outside dom f"),
-                resolution=levels,
-            )
-        if kind == "clean":
-            return Verdict.holds(resolution=levels, note="empty on a neighborhood; " + note)
-        return Verdict.inconclusive(resolution=levels, note=note)
-    enlargement = check_huc(f, x0, cfg)
-    if enlargement.status is Status.FAILS:
-        return Verdict.fails(enlargement.witness, resolution=enlargement.resolution, note=note)
-    empty_interior = v0.is_polyhedral and max(p.affine_dim for p in v0.pieces) < f.cone.dim
-    if empty_interior:
-        scan = _Scan(f, x0, cfg)
-        for p in _complement_probes(f, x0, v0, cfg):
-            kind, wit, levels = scan.classify(lambda x: member(f.evaluate(x), p))
-            if kind == "persistent":
-                return Verdict.fails(
-                    replace(wit, z=p, detail="a fixed outside point is hit arbitrarily close"),
-                    resolution=levels,
-                    note=note,
+    if s.v0.is_empty:
+        kind, wit, levels = s.classify(lambda x: not f.evaluate(x).is_empty)
+        approach = "nonempty values approach a point outside dom f"
+        held = "empty on a neighborhood; " + note
+        return _verdict(kind, levels, lambda: replace(wit, detail=approach), note, holds_note=held)
+    enlargement = replace(check_huc(f, s.x0, s.cfg), note=note)
+    if enlargement.is_fails:
+        return enlargement
+    if s.v0.is_polyhedral and max(p.affine_dim for p in s.v0.pieces) < f.cone.dim:
+        for p in _complement_probes(s.v0):
+            kind, wit, levels = s.classify(lambda x: member(f.evaluate(x), p))
+            if kind != "clean":
+                hit = "a fixed outside point is hit arbitrarily close"
+                return _verdict(
+                    kind, levels, lambda: replace(wit, z=p, detail=hit), note, fails_note=note
                 )
-            if kind == "mixed":
-                return Verdict.inconclusive(resolution=levels, note=note)
-    if enlargement.status is Status.HOLDS:
-        return Verdict.holds(resolution=enlargement.resolution, note=note)
-    return Verdict.inconclusive(resolution=enlargement.resolution, note=note)
+    return enlargement
 
 
-def _complement_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) -> list[Vec]:
-    pts = _value_sample_points(v0)
+def _complement_probes(v0: UpperSet) -> list[Vec]:
+    dim = v0.cone.dim
     probes: list[Vec] = []
-    for p in pts:
-        for i in range(f.cone.dim):
+    for p in _value_sample_points(v0):
+        for i in range(dim):
             for s in (Fraction(1, 4), Fraction(-1, 4), Fraction(1), Fraction(-1)):
-                q = tuple(p[j] + (s if j == i else 0) for j in range(f.cone.dim))
+                q = tuple(p[j] + (s if j == i else 0) for j in range(dim))
                 if not member(v0, q):
                     probes.append(q)
     return list(dict.fromkeys(probes))[:10]
@@ -402,28 +423,21 @@ def _complement_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfi
 def check_lc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Lower continuity: every neighborhood of every z0 in f(x0) keeps
     meeting f(x) for x near x0."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    v0 = f.evaluate(x0)
-    if v0.is_empty:
+    s = _Scan(f, x0, cfg)
+    if s.v0.is_empty:
         return Verdict.holds(note="holds by force outside dom f")
-    fan = _fan(f, cfg)
-    scan = _Scan(f, x0, cfg)
-    examined = 0
-    for z0 in _value_sample_points(v0):
-        dist_sq_at = cache(lambda x: _point_gap_sq(f.evaluate(x), z0, fan))
-        kind, wit, eps, levels = scan.sweep(
-            lambda eps: lambda x, _e=eps * eps: dist_sq_at(x) > _e
-        )
-        examined = max(examined, levels)
-        if kind == "persistent":
-            return Verdict.fails(
-                replace(wit, z=z0, radius=eps, detail="values miss a ball around z0"),
-                resolution=examined,
-            )
-        if kind == "mixed":
-            return Verdict.inconclusive(resolution=examined, note="undecided ball test")
-    return Verdict.holds(resolution=examined)
+
+    def ball_test(z0: Vec):
+        dist_sq_at = cache(lambda x: _point_gap_sq(f.evaluate(x), z0, s.fan))
+        return s.sweep(lambda eps: lambda x, _e=eps * eps: dist_sq_at(x) > _e)
+
+    z0, (kind, wit, eps, _), examined = s.first(_value_sample_points(s.v0), ball_test)
+    return _verdict(
+        kind,
+        examined,
+        lambda: replace(wit, z=z0, radius=eps, detail="values miss a ball around z0"),
+        "undecided ball test",
+    )
 
 
 def _point_gap_sq(v: UpperSet, z0: Vec, fan: Sequence[Vec]) -> Ext:
@@ -442,22 +456,16 @@ def _point_gap_sq(v: UpperSet, z0: Vec, fan: Sequence[Vec]) -> Ext:
 
 def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Efficiency: one bounded box meets every nearby value."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    v0 = f.evaluate(x0)
-    fan = _fan(f, cfg)
-    anchors: list[Vec] = []
-    if not v0.is_empty:
-        anchors.extend(_value_sample_points(v0))
+    s = _Scan(f, x0, cfg)
+    anchors = [] if s.v0.is_empty else list(_value_sample_points(s.v0))
     anchors.append((ZERO,) * f.cone.dim)
     sizes = sorted({_WINDOW, _WINDOW / 4, Fraction(1)}, reverse=True)
-    scan = _Scan(f, x0, cfg)
     examined = 0
     best_mixed = False
     for anchor in anchors:
         for size in sizes:
             box = Polyhedron.box([(a - size, a + size) for a in anchor])
-            kind, _, levels = scan.classify(lambda x: _box_misses_value(f.evaluate(x), box, fan))
+            kind, _, levels = s.classify(lambda x: _box_misses_value(f.evaluate(x), box, s.fan))
             examined = max(examined, levels)
             if kind == "clean":
                 return Verdict.holds(
@@ -468,7 +476,7 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 best_mixed = True
     # The largest candidate box already misses values arbitrarily close.
     big = Polyhedron.box([(-_WINDOW, _WINDOW)] * f.cone.dim)
-    kind, wit, levels = scan.classify(lambda x: _box_misses_value(f.evaluate(x), big, fan))
+    kind, wit, levels = s.classify(lambda x: _box_misses_value(f.evaluate(x), big, s.fan))
     examined = max(examined, levels)
     if kind == "persistent" and not best_mixed:
         return Verdict.fails(
@@ -503,16 +511,14 @@ def _box_misses_value(v: UpperSet, box: Polyhedron, fan: Sequence[Vec]) -> Optio
 
 def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Lattice boundedness above near x0: one point inside all nearby values."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    fan = _fan(f, cfg)
-    levels = cfg.radii.values(cfg.confirm_levels)
-    dirs = _x_dirs(f.domain_dim)
+    s = _Scan(f, x0, cfg)
+    levels = s.cfg.radii.values(s.cfg.confirm_levels)
     # Exists-a-neighborhood search, descending through the radius grid.
     for k, delta in enumerate(levels):
-        certified = f.box_value_intersection(x0, delta)
+        certified = f.box_value_intersection(s.x0, delta)
         if certified is None:
-            a = _sampled_common_point(f, x0, delta, dirs, fan, cfg)
+            values = s.common_values(delta)
+            a = None if values is None else _sampled_common_point(values, s.fan)
             note = "common point verified at sampled x"
         else:
             a = certified.lowest_point(zeros(f.cone.dim))
@@ -521,38 +527,22 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             return Verdict.holds(witness=Witness(z=a, radius=delta), note=note, resolution=k)
     # Failure side: sampled intersections stay empty at the finest level and
     # at every confirmation level below it.
-    for delta in levels[cfg.radii.levels :]:
-        rows = _stacked_rows(map(f.evaluate, _sampled_xs(x0, delta, dirs)), fan)
+    for delta in levels[s.cfg.radii.levels :]:
+        rows = _stacked_rows(map(f.evaluate, s.sampled_xs(delta)), s.fan)
         if rows is not None and not Polyhedron(f.cone.dim, rows).is_empty:
             return Verdict.inconclusive(note="no common point found, emptiness not certified")
     return Verdict.fails(
-        Witness(x=x0, radius=levels[-1], detail="sampled values share no point"),
+        Witness(x=s.x0, radius=levels[-1], detail="sampled values share no point"),
         resolution=len(levels),
     )
 
 
-def _sampled_xs(x0: Vec, delta: Fraction, dirs: Sequence[Vec], inner: int = 3) -> list[Vec]:
-    xs = [x0]
-    d = delta
-    for _ in range(inner):
-        xs.extend(_level_samples(x0, d, dirs))
-        d = d / 2
-    return xs
-
-
-def _sampled_common_point(
-    f: SetValuedMap,
-    x0: Vec,
-    delta: Fraction,
-    dirs: Sequence[Vec],
-    fan: Sequence[Vec],
-    cfg: CheckerConfig,
-) -> Optional[Vec]:
-    values = [f.evaluate(x) for x in _sampled_xs(x0, delta, dirs)]
-    if any(v.is_empty for v in values):
-        return None
+def _sampled_common_point(values: Sequence[UpperSet], fan: Sequence[Vec]) -> Optional[Vec]:
+    """A point of every value: the lowest point of their stacked rows if it
+    lies in each, else the first sample point of the first value that does."""
+    dim = values[0].cone.dim
     candidates: list[Vec] = []
-    a = Polyhedron(f.cone.dim, _stacked_rows(values, fan)).lowest_point(zeros(f.cone.dim))
+    a = Polyhedron(dim, _stacked_rows(values, fan)).lowest_point(zeros(dim))
     if a is not None:
         candidates.append(a)
     candidates.extend(_value_sample_points(values[0]))
@@ -581,55 +571,43 @@ def _stacked_rows(values: Iterable[UpperSet], fan: Sequence[Vec]) -> Optional[li
 def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Upper lattice semicontinuity: points of f(x0) are approximated by
     points common to all nearby values."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    v0 = f.evaluate(x0)
-    if v0.is_empty:
+    s = _Scan(f, x0, cfg)
+    if s.v0.is_empty:
         return Verdict.holds(note="vacuous outside dom f")
-    fan = _fan(f, cfg)
-    dirs = _x_dirs(f.domain_dim)
     examined = 0
-    for z0 in _value_sample_points(v0):
-        for eps in cfg.z_radii.values():
-            found, levels = _uls_search(f, x0, z0, eps, dirs, fan, cfg)
+    for z0 in _value_sample_points(s.v0):
+        for eps in s.cfg.z_radii.values():
+            found, levels = _uls_search(s, z0, eps)
             examined = max(examined, levels)
             if found:
                 continue
             # Failure side at this (z0, eps): the sampled common set stays
             # farther than eps from z0 at every level plus confirmation.
-            for delta in cfg.radii.values(cfg.confirm_levels):
-                rows = _stacked_rows(map(f.evaluate, _sampled_xs(x0, delta, dirs)), fan)
+            for delta in s.cfg.radii.values(s.cfg.confirm_levels):
+                rows = _stacked_rows(map(f.evaluate, s.sampled_xs(delta)), s.fan)
                 if rows is not None and Polyhedron(f.cone.dim, rows).dist_sq(z0) <= eps * eps:
                     return Verdict.inconclusive(
                         resolution=examined, note="common-point search undecided"
                     )
             return Verdict.fails(
-                Witness(x=x0, z=z0, radius=eps, detail="no common point near z0"),
+                Witness(x=s.x0, z=z0, radius=eps, detail="no common point near z0"),
                 resolution=examined,
             )
     return Verdict.holds(resolution=examined)
 
 
-def _uls_search(
-    f: SetValuedMap,
-    x0: Vec,
-    z0: Vec,
-    eps: Fraction,
-    dirs: Sequence[Vec],
-    fan: Sequence[Vec],
-    cfg: CheckerConfig,
-) -> tuple[bool, int]:
-    levels = cfg.radii.values(cfg.radii.levels)
+def _uls_search(s: _Scan, z0: Vec, eps: Fraction) -> tuple[bool, int]:
+    levels = s.cfg.radii.values(s.cfg.radii.levels)
     for k, delta in enumerate(levels):
-        certified = f.box_value_intersection(x0, delta)
+        certified = s.f.box_value_intersection(s.x0, delta)
         if certified is not None and not certified.is_empty:
             if certified.dist_sq(z0) <= eps * eps:
                 return True, k
             continue
-        values = [f.evaluate(x) for x in _sampled_xs(x0, delta, dirs)]
-        if any(v.is_empty for v in values):
+        values = s.common_values(delta)
+        if values is None:
             continue
-        for cand in _ball_candidates(z0, eps, f.cone):
+        for cand in _ball_candidates(z0, eps, s.f.cone):
             if all(member(v, cand) for v in values):
                 return True, k
     return False, len(levels)
@@ -653,16 +631,12 @@ def _ball_candidates(z0: Vec, eps: Fraction, cone: Cone) -> list[Vec]:
 def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     """Lower lattice semicontinuity: no point outside f(x0) is approached by
     nearby values arbitrarily closely."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    v0 = f.evaluate(x0)
-    fan = _fan(f, cfg)
-    scan = _Scan(f, x0, cfg)
+    s = _Scan(f, x0, cfg)
     examined = 0
-    for z0 in _outside_probes(f, x0, v0, cfg):
+    for z0 in _outside_probes(s.v0, f.cone):
         # Failure side first: exact membership of z0 in values arbitrarily
         # close to x0 (persistence plus confirmation).
-        kind, wit, levels = scan.classify(lambda x: member(f.evaluate(x), z0))
+        kind, wit, levels = s.classify(lambda x: member(f.evaluate(x), z0))
         examined = max(examined, levels)
         if kind == "persistent":
             return Verdict.fails(
@@ -670,9 +644,9 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 resolution=examined,
             )
         # Holds side: some (delta, eps) separates z0 from all nearby values.
-        for eps in cfg.z_radii.values():
-            kind, _, levels = scan.classify(
-                lambda x, _e=eps * eps: _point_gap_sq(f.evaluate(x), z0, fan) <= _e
+        for eps in s.cfg.z_radii.values():
+            kind, _, levels = s.classify(
+                lambda x, _e=eps * eps: _point_gap_sq(f.evaluate(x), z0, s.fan) <= _e
             )
             examined = max(examined, levels)
             if kind == "clean":
@@ -682,21 +656,21 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     return Verdict.holds(resolution=examined)
 
 
-def _outside_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) -> list[Vec]:
+def _outside_probes(v0: UpperSet, cone: Cone) -> list[Vec]:
     probes: list[Vec] = []
     grid = [Fraction(k) for k in (-4, -2, -1, 0, 1, 2, 4)]
-    if f.cone.dim == 1:
+    if cone.dim == 1:
         cand = [(g,) for g in grid]
-    elif f.cone.dim == 2:
+    elif cone.dim == 2:
         cand = [(a, b) for a in grid for b in grid]
     else:
-        cand = [tuple(g for _ in range(f.cone.dim)) for g in grid]
+        cand = [tuple(g for _ in range(cone.dim)) for g in grid]
     for p in cand:
         if not member(v0, p):
             probes.append(p)
     near = []
     for p in _value_sample_points(v0) if not v0.is_empty else []:
-        for g in f.cone.generators:
+        for g in cone.generators:
             m = max((abs(c) for c in g), default=ZERO)
             if m == 0:
                 continue
@@ -704,6 +678,16 @@ def _outside_probes(f: SetValuedMap, x0: Vec, v0: UpperSet, cfg: CheckerConfig) 
             if not member(v0, q):
                 near.append(q)
     return list(dict.fromkeys(probes + near))[:14]
+
+
+def _scalarizations(
+    f: SetValuedMap, base: DirectionBase, mode: str
+) -> dict[Vec, Callable[[Vec], Ext]]:
+    """The memoized scalarization x -> phi_z*(x) of every base direction z*,
+    once mode is checked."""
+    if mode not in ("usc", "lsc"):
+        raise ValueError("mode must be 'usc' or 'lsc'")
+    return {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
 
 
 def check_scalar_semicontinuity(
@@ -714,28 +698,21 @@ def check_scalar_semicontinuity(
     mode: str = "usc",
 ) -> Verdict:
     """Upper/lower semicontinuity of every scalarization over the base."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    if mode not in ("usc", "lsc"):
-        raise ValueError("mode must be 'usc' or 'lsc'")
-    scan = _Scan(f, x0, cfg)
-    examined = 0
-    for zs in base.directions:
-        phi = cache(partial(scalarize_eval, f, zs))
-        # A value of +inf is automatically usc, one of -inf automatically lsc.
-        if phi(x0) == (POS_INF if mode == "usc" else NEG_INF):
-            continue
-        kind, wit, eps, levels = _scalar_scan(scan, {zs: phi}, mode)
-        examined = max(examined, levels)
-        if kind == "persistent":
-            return Verdict.fails(
-                replace(wit, detail=f"{mode} gap of at least {eps} persists"),
-                resolution=examined,
-                note=f"direction {zs}",
-            )
-        if kind == "mixed":
-            return Verdict.inconclusive(resolution=examined, note=f"direction {zs} undecided")
-    return Verdict.holds(resolution=examined)
+    phis = _scalarizations(f, base, mode)
+    s = _Scan(f, x0, cfg)
+    # A value of +inf is automatically usc, one of -inf automatically lsc.
+    automatic = POS_INF if mode == "usc" else NEG_INF
+    zs, (kind, wit, eps, _), examined = s.first(
+        (zs for zs, phi in phis.items() if phi(s.x0) != automatic),
+        lambda zs: _scalar_scan(s, {zs: phis[zs]}, mode),
+    )
+    return _verdict(
+        kind,
+        examined,
+        lambda: replace(wit, detail=f"{mode} gap of at least {eps} persists"),
+        f"direction {zs} undecided",
+        fails_note=f"direction {zs}",
+    )
 
 
 def check_uniform(
@@ -747,22 +724,16 @@ def check_uniform(
 ) -> Verdict:
     """Uniform semicontinuity of the scalarizations over a certified base:
     one radius must serve every base direction simultaneously."""
-    cfg = cfg or default_config()
-    x0 = vec(x0)
-    if mode not in ("usc", "lsc"):
-        raise ValueError("mode must be 'usc' or 'lsc'")
+    phis = _scalarizations(f, base, mode)
     if not certify_base(base):
         return Verdict.inconclusive(note="direction base failed certification")
-    phis = {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
     kind, wit, eps, examined = _scalar_scan(_Scan(f, x0, cfg), phis, mode)
-    if kind == "persistent":
-        return Verdict.fails(
-            replace(wit, radius=eps, detail="no shared radius serves the base"),
-            resolution=examined,
-        )
-    if kind == "mixed":
-        return Verdict.inconclusive(resolution=examined, note="uniform condition undecided")
-    return Verdict.holds(resolution=examined)
+    return _verdict(
+        kind,
+        examined,
+        lambda: replace(wit, radius=eps, detail="no shared radius serves the base"),
+        "uniform condition undecided",
+    )
 
 
 def _scalar_scan(
