@@ -677,7 +677,7 @@ def _outside_probes(v0: UpperSet, cone: Cone) -> list[Vec]:
             q = tuple(a - c / m for a, c in zip(p, g))
             if not member(v0, q):
                 near.append(q)
-    return list(dict.fromkeys(probes + near))[:14]
+    return list(dict.fromkeys(near + probes))[:14]
 
 
 def _scalarizations(

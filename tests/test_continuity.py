@@ -16,6 +16,7 @@ from upperset.continuity import (
     check_hlc,
     check_huc,
     check_lc,
+    check_lls,
     check_scalar_semicontinuity,
     check_uc,
     check_uniform,
@@ -29,6 +30,7 @@ from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affin
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron
 from upperset.maps import (
+    AffineBody,
     AffineForm,
     PiecewiseBody,
     ScaledBody,
@@ -274,3 +276,21 @@ def test_uniform_over_an_uncertified_base_is_inconclusive():
     for mode in ("usc", "lsc"):
         v = check_uniform(f, (0,), base, TINY, mode)
         assert v == Verdict.inconclusive(note="direction base failed certification")
+
+
+def test_lls_fails_where_a_point_outside_f_x0_stays_in_nearby_values():
+    # f(0) = C and f(x) = (-1, -1) + C for x != 0: (-1, 0) lies outside f(0)
+    # and in every other value.  In the plane the probe grid alone has more
+    # non-members of C than the 14 probe slots, so the points just below
+    # f(0) go first.
+    shifted = AffineBody(
+        normals=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        offsets=(Fraction(-1), Fraction(-1)),
+        x_coeffs=((Fraction(0),), (Fraction(0),)),
+    )
+    at_zero = PiecewiseBody(((Fraction(-1),), Fraction(0)), constant_cone_body(ORTHANT, 1), shifted)
+    spike = SetValuedMap(1, ORTHANT, PiecewiseBody(((Fraction(1),), Fraction(0)), at_zero, shifted))
+    v = check_lls(spike, (0,), default_config().light())
+    assert v.is_fails and v.witness.z == (-1, 0)
+    assert not member(spike.evaluate((0,)), v.witness.z)
+    assert member(spike.evaluate(v.witness.x), v.witness.z)
