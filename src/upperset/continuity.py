@@ -657,27 +657,22 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
 
 
 def _outside_probes(v0: UpperSet, cone: Cone) -> list[Vec]:
-    probes: list[Vec] = []
-    grid = [Fraction(k) for k in (-4, -2, -1, 0, 1, 2, 4)]
-    if cone.dim == 1:
-        cand = [(g,) for g in grid]
-    elif cone.dim == 2:
-        cand = [(a, b) for a in grid for b in grid]
-    else:
-        cand = [tuple(g for _ in range(cone.dim)) for g in grid]
-    for p in cand:
-        if not member(v0, p):
-            probes.append(p)
-    near = []
-    for p in _value_sample_points(v0) if not v0.is_empty else []:
-        for g in cone.generators:
-            m = max((abs(c) for c in g), default=ZERO)
-            if m == 0:
-                continue
-            q = tuple(a - c / m for a, c in zip(p, g))
-            if not member(v0, q):
-                near.append(q)
-    return list(dict.fromkeys(near + probes))[:14]
+    """Up to 14 points outside f(x0): first its sample points moved back
+    along each cone generator, then the grid {-4, -2, -1, 0, 1, 2, 4}^m."""
+    near = (
+        tuple(a - c / max(map(abs, g)) for a, c in zip(p, g))
+        for p in (() if v0.is_empty else _value_sample_points(v0))
+        for g in cone.generators
+        if any(g)
+    )
+    grid = itertools.product([Fraction(k) for k in (-4, -2, -1, 0, 1, 2, 4)], repeat=cone.dim)
+    probes: dict[Vec, None] = {}
+    for q in itertools.chain(near, grid):
+        if len(probes) == 14:
+            break
+        if q not in probes and not member(v0, q):
+            probes[q] = None
+    return list(probes)
 
 
 def _scalarizations(

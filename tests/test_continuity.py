@@ -8,6 +8,7 @@ import pytest
 
 from upperset.continuity import (
     MATRIX_KEYS,
+    _outside_probes,
     _value_sample_points,
     CheckerConfig,
     Grid,
@@ -294,3 +295,13 @@ def test_lls_fails_where_a_point_outside_f_x0_stays_in_nearby_values():
     assert v.is_fails and v.witness.z == (-1, 0)
     assert not member(spike.evaluate((0,)), v.witness.z)
     assert member(spike.evaluate(v.witness.x), v.witness.z)
+
+
+def test_outside_probes_leave_the_diagonal_in_three_dimensions():
+    # The probe grid is the whole product {-4, ..., 4}^3, not its diagonal.
+    cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    f = SetValuedMap(1, cone, constant_cone_body(cone, 1))
+    probes = _outside_probes(f.evaluate((0,)), cone)
+    assert (-4, -4, -2) in probes
+    assert not any(member(f.evaluate((0,)), p) for p in probes)
+    assert check_lls(f, (0,), TINY).is_holds
