@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Cone, DualPair, Polyhedron, require_dual_direction
+from .geometry import DualPair, Polyhedron, require_dual_direction
 from .linalg import NEG_INF, POS_INF, Ext, Vec, dot, vec
 from .sets import UpperSet
 
@@ -141,13 +141,5 @@ def neg_conjugate_scalar_route(f, pair: DualPair) -> NegConjugateValue:
     if phi is None:
         raise ValueError("map admits no closed-form scalarization")
     offset = scalar_conjugate(phi, pair.xstar)
-    return NegConjugateValue(pair, _halfspace_value(f.cone, pair.zstar, offset), offset)
-
-
-def _halfspace_value(cone: Cone, zstar: Vec, offset: Ext) -> UpperSet:
-    if offset == POS_INF:
-        return UpperSet.universal(cone)
-    if offset == NEG_INF:
-        return UpperSet.empty(cone)
-    row = (tuple(-c for c in zstar), -offset)
-    return UpperSet(cone, pieces=[Polyhedron(cone.dim, [row])])
+    value = UpperSet.from_supports(f.cone, [(pair.zstar, offset)])
+    return NegConjugateValue(pair, value, offset)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conjugate import PiecewiseLinearFn, _halfspace_value, scalar_conjugate
+from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
 from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
@@ -268,7 +268,7 @@ def fundamental_duality(
         family.entries[zs] = ystar
         # _attained_dual_vector verified phi*(0, y*) = -v, the offset of the
         # negative conjugate's halfspace at ((0, y*), z*).
-        halfspaces.append(_halfspace_value(f.cone, zs, -v))
+        halfspaces.append(UpperSet.from_supports(f.cone, [(zs, -v)]))
         supports.append((zs, -v))
         row.update(
             {

@@ -11,7 +11,6 @@ from upperset.conjugate import (
     AffinePiece,
     NegConjugateValue,
     PiecewiseLinearFn,
-    _halfspace_value,
     max_affine,
     neg_conjugate_scalar_route,
     scalar_conjugate,
@@ -133,7 +132,7 @@ def neg_conjugate_direct(f, pair: DualPair, x_grid: Sequence[Vec]) -> NegConjuga
         v = s + dot(pair.xstar, vec(x))
         if v > best:
             best = v
-    return NegConjugateValue(pair, _halfspace_value(f.cone, pair.zstar, best), best)
+    return NegConjugateValue(pair, UpperSet.from_supports(f.cone, [(pair.zstar, best)]), best)
 
 
 def abs_fn():
