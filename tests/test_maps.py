@@ -9,8 +9,8 @@ import pytest
 from upperset.continuity import IMPLICATIONS
 from upperset.corpus import builtin_fixtures, parabola_dilation_fixture, random_convex_affine_maps
 from upperset.duality import BivariateMap
-from upperset.geometry import Cone
-from upperset.linalg import POS_INF
+from upperset.geometry import Cone, Polyhedron, dual_cone
+from upperset.linalg import POS_INF, dot, norm1
 from upperset.maps import (
     AffineBody,
     AffineForm,
@@ -156,6 +156,116 @@ def random_piecewise_convex_maps(seed: int, count: int) -> list[SetValuedMap]:
         branches = (body, empty) if rng.random() < 0.5 else (empty, body)
         out.append(SetValuedMap(1, g.cone, PiecewiseBody(guard, *branches), name=f"rand-guard-{seed}-{i}"))
     return out
+
+
+# -- the recursive guard walk, kept as the oracle of the leaf list --------------
+
+
+def _guard_side(guard, x0, r):
+    """The guard's value on the whole l-inf box of radius r around x0, or
+    None when the box straddles the guard."""
+    g, h = guard
+    center, reach = dot(g, x0), r * norm1(g)
+    if center - reach >= h:
+        return True
+    if center + reach < h:
+        return False
+    return None
+
+
+def _is_constant_empty(body) -> bool:
+    if not isinstance(body, AffineBody) or not body.fixed_normals:
+        return False
+    return any(
+        all(c == 0 for c in n) and all(c == 0 for c in body.x_coeffs[i]) and body.offsets[i] > 0
+        for i, n in enumerate(body.normals)
+    )
+
+
+def _body_convex(body) -> bool:
+    if isinstance(body, AffineBody):
+        return body.fixed_normals
+    if isinstance(body, ScaledBody):
+        return body.base.is_convex
+    t_empty = _is_constant_empty(body.when_true)
+    f_empty = _is_constant_empty(body.when_false)
+    if t_empty and f_empty:
+        return True
+    if t_empty:
+        return _body_convex(body.when_false)
+    if f_empty:
+        return _body_convex(body.when_true)
+    return False
+
+
+def _body_convex_valued(body) -> bool:
+    if isinstance(body, AffineBody):
+        return True
+    if isinstance(body, ScaledBody):
+        return body.base.is_convex
+    return _body_convex_valued(body.when_true) and _body_convex_valued(body.when_false)
+
+
+def _evaluate_body(f: SetValuedMap, body, x):
+    if isinstance(body, AffineBody):
+        rows = body.rows_at(x)
+        for n, _ in rows:
+            if not dual_cone(f.cone).contains(tuple(-c for c in n)):
+                raise MapError(f"normal {n} leaves the positive dual cone")
+        return UpperSet(f.cone, pieces=[Polyhedron(f.cone.dim, rows)])
+    if isinstance(body, ScaledBody):
+        a = body.alpha(x)
+        return UpperSet.empty(f.cone) if a < 0 else scale(body.base, a)
+    n, b = body.guard
+    return _evaluate_body(f, body.when_true if dot(n, x) >= b else body.when_false, x)
+
+
+def _box_value_intersection(f: SetValuedMap, x0, radius):
+    body = f.body
+    while isinstance(body, PiecewiseBody):
+        side = _guard_side(body.guard, x0, radius)
+        if side is None:
+            return None
+        body = body.when_true if side else body.when_false
+    if not isinstance(body, AffineBody) or not body.fixed_normals:
+        return None
+    if _is_constant_empty(body):
+        return Polyhedron.empty(f.cone.dim)
+    rows = [
+        (n, body.offsets[i] + dot(body.x_coeffs[i], x0) + radius * norm1(body.x_coeffs[i]))
+        for i, n in enumerate(body.normals)
+    ]
+    return Polyhedron(f.cone.dim, rows)
+
+
+def random_guard_body(rng: random.Random, n: int, depth: int):
+    """A seeded guard tree of at most ``depth`` nested guards over the plane
+    orthant, with affine, tilting, scaled and constant-empty leaves; guards
+    and offsets are small integers, so grids of halves hit the boundaries."""
+    if depth and rng.random() < 0.7:
+        guard = (tuple(F(rng.randint(-1, 1)) for _ in range(n)), F(rng.randint(-2, 2)))
+        return PiecewiseBody(guard, random_guard_body(rng, n, depth - 1), random_guard_body(rng, n, depth - 1))
+    kind = rng.choice(("affine", "tilting", "scaled", "empty"))
+    if kind == "empty":
+        return constant_empty_body(n, 2)
+    if kind == "scaled":
+        pieces = [embed_point([rng.randint(-2, 2), rng.randint(-2, 2)], ORTHANT).pieces[0]]
+        if rng.random() < 0.3:
+            pieces.append(embed_point([rng.randint(-2, 2), rng.randint(-2, 2)], ORTHANT).pieces[0])
+        coeffs = [rng.randint(-1, 1) for _ in range(n)]
+        return ScaledBody(UpperSet(ORTHANT, pieces=pieces), AffineForm.of(coeffs, rng.randint(-1, 2)))
+    rows = rng.randint(1, 2)
+    normals = tuple((F(rng.randint(0, 2)), F(rng.randint(0, 2))) for _ in range(rows))
+    offsets = tuple(F(rng.randint(-2, 2)) for _ in range(rows))
+    x_coeffs = tuple(tuple(F(rng.randint(-1, 1)) for _ in range(n)) for _ in range(rows))
+    x_normals = None
+    if kind == "tilting":
+        x_normals = tuple(tuple((F(0), F(rng.randint(0, 1))) for _ in range(n)) for _ in range(rows))
+    return AffineBody(normals, offsets, x_coeffs, x_normals)
+
+
+def _value_rows(v):
+    return None if v.is_empty else [p.rows for p in v.pieces]
 
 
 class TestEvaluate:
@@ -442,6 +552,55 @@ class TestGraphInterior:
         # the empty leaf, whose region is empty.
         for x0 in (F(0), Fraction(1, 1000)):
             assert graph_interior_witness(f, [x0]).status is Status.HOLDS, x0
+
+
+def _has_empty_subtree(body) -> bool:
+    """Whether some guard of the tree has only constant-empty leaves below it."""
+    if not isinstance(body, PiecewiseBody):
+        return False
+
+    def all_empty(b):
+        if isinstance(b, PiecewiseBody):
+            return all_empty(b.when_true) and all_empty(b.when_false)
+        return _is_constant_empty(b)
+
+    return all_empty(body) or _has_empty_subtree(body.when_true) or _has_empty_subtree(body.when_false)
+
+
+class TestLeafList:
+    """Every answer about the branches agrees with the recursive guard walk."""
+
+    def test_matches_the_recursive_walk(self):
+        rng = random.Random(19)
+        halves = [F(k) / 2 for k in range(-5, 6)]
+        counts = dict.fromkeys(("convex", "values", "errors", "boxes", "exact boxes"), 0)
+        for i in range(80):
+            n = 1 + i % 2
+            body = random_guard_body(rng, n, 3)
+            f = SetValuedMap(n, ORTHANT, body, name=f"rand-tree-{i}")
+            assert f.convex_valued == _body_convex_valued(body)
+            if not _has_empty_subtree(body):
+                assert f.convex == _body_convex(body), i
+                counts["convex"] += 1
+            xs = [(a,) for a in halves] if n == 1 else [(a, b) for a in halves[::2] for b in halves[::2]]
+            for x in xs:
+                try:
+                    expected = _value_rows(_evaluate_body(f, body, x))
+                except MapError:
+                    with pytest.raises(MapError):
+                        f.evaluate(x)
+                    counts["errors"] += 1
+                else:
+                    assert _value_rows(f.evaluate(x)) == expected, (i, x)
+                    counts["values"] += 1
+                for r in (F(0), Fraction(1, 2), F(1)):
+                    got, want = f.box_value_intersection(x, r), _box_value_intersection(f, x, r)
+                    assert (got is None) == (want is None), (i, x, r)
+                    counts["boxes"] += 1
+                    if want is not None:
+                        assert got.rows == want.rows and got.is_empty == want.is_empty
+                        counts["exact boxes"] += 1
+        assert counts["convex"] >= 60 and counts["errors"] >= 40 and counts["exact boxes"] >= 200, counts
 
 
 class TestJsonSchema:
