@@ -9,9 +9,17 @@ Maps are drawn from a closed constructor family rather than arbitrary code:
 * ``ScaledBody``: f(x) = alpha(x) . A for an upper closed convex base A and
   an affine nonnegative alpha, with the convention 0 . A = C (so scaled
   families stay defined at the parameter boundary).
-* ``PiecewiseBody``: a single affine guard inequality selecting between two
-  sub-bodies; the guard-true branch wins on the boundary.  Used for
-  "empty below a threshold" style maps.
+* ``PiecewiseBody``: a single affine guard inequality g.x >= h selecting
+  between two sub-bodies.  The guard rule: the true branch wins on the
+  boundary, so the false side is strict, g.x < h.  Used for "empty below a
+  threshold" style maps.
+
+A map flattens its guard tree once into ``SetValuedMap.leaves``: one
+``Leaf`` per affine or scaled body, whose region is the guard rows on its
+path (a false side negated and flagged strict).  The regions partition R^n
+(the critical regions of multiparametric LP), and every question about the
+branches reads that list: evaluation, box certificates, convexity, domain
+pieces, graph-interior boxes and the closed-form scalarizations.
 
 Every constructor instance evaluates to a value in the lattice; an affine
 value whose row normal leaves the positive dual cone is rejected when it is
@@ -20,6 +28,7 @@ evaluated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -110,6 +119,15 @@ class AffineBody:
             for n, q, l in zip(self.normals, self.offsets, self.x_coeffs)
         ]
 
+    def box_rows(self, x0: Vec, r: Fraction) -> list[Constraint]:
+        """The rows n_i . z >= q_i + l_i . x0 + r |l_i|_1 of a constant-normal
+        body: each row's worst case over the l-inf box of radius r around
+        x0, so the polyhedron they cut out lies in every value over the box."""
+        return [
+            (n, q + dot(l, x0) + r * norm1(l))
+            for n, q, l in zip(self.normals, self.offsets, self.x_coeffs)
+        ]
+
 
 @dataclass(frozen=True)
 class ScaledBody:
@@ -119,7 +137,7 @@ class ScaledBody:
 
 @dataclass(frozen=True)
 class PiecewiseBody:
-    guard: Constraint            # g . x >= h; true branch wins on the boundary
+    guard: Constraint            # g . x >= h
     when_true: "Body"
     when_false: "Body"
 
@@ -127,20 +145,60 @@ class PiecewiseBody:
 Body = AffineBody | ScaledBody | PiecewiseBody
 
 
+@dataclass(frozen=True)
+class Leaf:
+    """One leaf of a guard tree: ``body`` gives the value on the region
+    {x : g.x >= h for every row (g, h)}, with > on the rows flagged strict."""
+
+    rows: tuple[Constraint, ...]
+    strict: tuple[bool, ...]
+    body: AffineBody | ScaledBody
+
+    def contains_box(self, x0: Vec, r: Fraction = ZERO) -> bool:
+        """Whether the l-inf box of radius r around x0 lies in the region;
+        with r = 0, whether x0 does."""
+        for (g, h), st in zip(self.rows, self.strict):
+            low = dot(g, x0) - r * norm1(g)
+            if low < h or (st and low == h):
+                return False
+        return True
+
+    @property
+    def empty(self) -> bool:
+        """Empty everywhere: constant normals and a row 0 . z >= q > 0."""
+        b = self.body
+        return (
+            isinstance(b, AffineBody)
+            and b.fixed_normals
+            and any(not any(n) and not any(l) and q > 0 for n, q, l in zip(b.normals, b.offsets, b.x_coeffs))
+        )
+
+    @property
+    def convex(self) -> bool:
+        """Whether the body's graph is convex; alpha(x) A's is exactly when A is."""
+        if isinstance(self.body, AffineBody):
+            return self.body.fixed_normals
+        return self.body.base.is_convex
+
+    @property
+    def convex_valued(self) -> bool:
+        """Affine values are single polyhedra and scaled values are copies of
+        the base; only a polyhedral base with several pieces is not convex."""
+        return isinstance(self.body, AffineBody) or self.body.base.is_convex
+
+
 def _body_leaves(
-    body: Body, region_rows: Sequence[Constraint] = (), strict: tuple[bool, ...] = ()
-) -> Iterator[tuple[list[Constraint], tuple[bool, ...], Body]]:
-    """(region rows, strictness, leaf body) for every leaf of the guard tree,
-    true branch first: the true branch's region gains the guard row, the
-    false branch's its negation, which holds strictly there (g.x < h)."""
+    body: Body, region_rows: tuple[Constraint, ...] = (), strict: tuple[bool, ...] = ()
+) -> Iterator[Leaf]:
+    """The leaves of the guard tree, true branch first: the true branch's
+    region gains the guard row, the false branch's its negation, which holds
+    strictly there (g.x < h)."""
     if isinstance(body, PiecewiseBody):
         g, h = body.guard
-        yield from _body_leaves(body.when_true, [*region_rows, (g, h)], (*strict, False))
-        yield from _body_leaves(
-            body.when_false, [*region_rows, (tuple(-c for c in g), -h)], (*strict, True)
-        )
+        yield from _body_leaves(body.when_true, (*region_rows, (g, h)), (*strict, False))
+        yield from _body_leaves(body.when_false, (*region_rows, (tuple(-c for c in g), -h)), (*strict, True))
     else:
-        yield list(region_rows), strict, body
+        yield Leaf(region_rows, strict, body)
 
 
 def _region_nonempty(rows: Sequence[Constraint], strict: Sequence[bool], n: int) -> bool:
@@ -149,59 +207,6 @@ def _region_nonempty(rows: Sequence[Constraint], strict: Sequence[bool], n: int)
     lifted = [(tuple(g) + (-ONE if st else ZERO,), h) for (g, h), st in zip(rows, strict)]
     lifted.append(((ZERO,) * n + (-ONE,), -ONE))
     return Polyhedron(n + 1, lifted).support((ZERO,) * n + (ONE,)) > 0
-
-
-def _guard_side(guard: Constraint, x0: Vec, r: Fraction) -> Optional[bool]:
-    """The guard's value on the whole l-inf box of radius r around x0, or
-    None when the box straddles the guard."""
-    g, h = guard
-    center, reach = dot(g, x0), r * norm1(g)
-    if center - reach >= h:
-        return True
-    if center + reach < h:
-        return False
-    return None
-
-
-def _body_convex(body: Body) -> bool:
-    if isinstance(body, AffineBody):
-        return body.fixed_normals
-    if isinstance(body, ScaledBody):
-        # alpha(x) A has a convex graph exactly when the base A is convex.
-        return body.base.is_convex
-    # A piecewise map with one constant-empty branch is convex exactly when
-    # the other branch is: empty values make the convexity condition vacuous.
-    t_empty = _is_constant_empty(body.when_true)
-    f_empty = _is_constant_empty(body.when_false)
-    if t_empty and f_empty:
-        return True
-    if t_empty:
-        return _body_convex(body.when_false)
-    if f_empty:
-        return _body_convex(body.when_true)
-    return False
-
-
-def _body_convex_valued(body: Body) -> bool:
-    """Affine values are single polyhedra and scaled values are copies of the
-    base; only a polyhedral base with several pieces can be non-convex."""
-    if isinstance(body, AffineBody):
-        return True
-    if isinstance(body, ScaledBody):
-        return body.base.is_convex
-    return _body_convex_valued(body.when_true) and _body_convex_valued(body.when_false)
-
-
-def _is_constant_empty(body: Body) -> bool:
-    if not isinstance(body, AffineBody):
-        return False
-    if not body.fixed_normals:
-        return False
-    for i, n in enumerate(body.normals):
-        if all(c == 0 for c in n) and all(c == 0 for c in body.x_coeffs[i]):
-            if body.offsets[i] > 0:
-                return True
-    return False
 
 
 def constant_empty_body(n: int, m: int) -> AffineBody:
@@ -236,8 +241,12 @@ class SetValuedMap:
         self.cone = cone
         self.body = body
         self.name = name
-        self.convex = _body_convex(body)
-        self.convex_valued = _body_convex_valued(body)
+        self.leaves = tuple(_body_leaves(body))
+        self.convex_valued = all(leaf.convex_valued for leaf in self.leaves)
+        # Every region is convex and empty values add nothing to the graph, so
+        # the graph is convex when at most one leaf has values, a convex one.
+        live = [leaf for leaf in self.leaves if not leaf.empty]
+        self.convex = len(live) <= 1 and all(leaf.convex for leaf in live)
         self._value_cache: dict[Vec, UpperSet] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -251,13 +260,12 @@ class SetValuedMap:
             raise MapError(f"expected x of dimension {self.domain_dim}")
         if xv in self._value_cache:
             return self._value_cache[xv]
-        value = self._evaluate_body(self.body, xv)
-        self._value_cache[xv] = value
-        return value
-
-    def _evaluate_body(self, body: Body, x: Vec) -> UpperSet:
-        if isinstance(body, AffineBody):
-            rows = body.rows_at(x)
+        body = next(leaf.body for leaf in self.leaves if leaf.contains_box(xv))
+        if isinstance(body, ScaledBody):
+            a = body.alpha(xv)
+            value = UpperSet.empty(self.cone) if a < 0 else scale(body.base, a)
+        else:
+            rows = body.rows_at(xv)
             dual = dual_cone(self.cone)
             for n, _ in rows:
                 if not dual.contains(tuple(-c for c in n)):
@@ -265,15 +273,9 @@ class SetValuedMap:
                         "value is not upper closed at this point: "
                         f"normal {n} leaves the positive dual cone"
                     )
-            return UpperSet(self.cone, pieces=[Polyhedron(self.cone.dim, rows)])
-        if isinstance(body, ScaledBody):
-            a = body.alpha(x)
-            if a < 0:
-                return UpperSet.empty(self.cone)
-            return scale(body.base, a)
-        n, b = body.guard
-        branch = body.when_true if dot(n, x) >= b else body.when_false
-        return self._evaluate_body(branch, x)
+            value = UpperSet(self.cone, pieces=[Polyhedron(self.cone.dim, rows)])
+        self._value_cache[xv] = value
+        return value
 
     # -- domain --------------------------------------------------------------
 
@@ -285,13 +287,13 @@ class SetValuedMap:
         on a guard's boundary where the true branch is empty; a branch whose
         normals move with x keeps its whole region.
         """
-        pieces = [self._domain_of(leaf, rows) for rows, _, leaf in _body_leaves(self.body)]
+        pieces = [self._domain_of(leaf) for leaf in self.leaves]
         return [p for p in pieces if p is not None and not p.is_empty]
 
-    def _domain_of(self, body: Body, region_rows: list[Constraint]) -> Optional[Polyhedron]:
+    def _domain_of(self, leaf: Leaf) -> Optional[Polyhedron]:
         """Where a leaf's value is nonempty within its region; None when the
         leaf is empty throughout."""
-        n = self.domain_dim
+        n, body, region_rows = self.domain_dim, leaf.body, list(leaf.rows)
         if isinstance(body, ScaledBody):
             rows = region_rows + [(body.alpha.coeffs, -body.alpha.const)]
             if body.base.is_empty:
@@ -300,7 +302,7 @@ class SetValuedMap:
                 rows.append((tuple(-c for c in body.alpha.coeffs), body.alpha.const))
             p = Polyhedron(n, rows)
             return None if p.is_empty else p
-        if _is_constant_empty(body):
+        if leaf.empty:
             return None
         if not body.fixed_normals:
             return Polyhedron(n, region_rows)
@@ -313,26 +315,17 @@ class SetValuedMap:
     def box_value_intersection(self, x0: Vec, radius: Fraction) -> Optional[Polyhedron]:
         """Exact polyhedron contained in every f(x), x in the box around x0.
 
-        Available when a single constant-normal affine branch covers the box;
-        row-wise the worst case of q + l.x over an l-inf box is rational.
-        Returns None when no exact certificate is available (the caller then
-        falls back to sampled intersections).
+        Available when the region of a single constant-normal affine leaf
+        holds the whole box; row-wise the worst case of q + l.x over an l-inf
+        box is rational.  Returns None when no exact certificate is available
+        (the caller then falls back to sampled intersections).
         """
-        body = self.body
-        while isinstance(body, PiecewiseBody):
-            side = _guard_side(body.guard, x0, radius)
-            if side is None:
-                return None
-            body = body.when_true if side else body.when_false
-        if not isinstance(body, AffineBody) or not body.fixed_normals:
+        leaf = next((leaf for leaf in self.leaves if leaf.contains_box(x0, radius)), None)
+        if leaf is None or not isinstance(leaf.body, AffineBody) or not leaf.body.fixed_normals:
             return None
-        if _is_constant_empty(body):
+        if leaf.empty:
             return Polyhedron.empty(self.cone.dim)
-        rows: list[Constraint] = []
-        for i, n in enumerate(body.normals):
-            worst = body.offsets[i] + dot(body.x_coeffs[i], x0) + radius * norm1(body.x_coeffs[i])
-            rows.append((n, worst))
-        return Polyhedron(self.cone.dim, rows)
+        return Polyhedron(self.cone.dim, leaf.body.box_rows(x0, radius))
 
 
 # -- graph interior ------------------------------------------------------------
@@ -346,15 +339,16 @@ def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
     box = Polyhedron.box([(c - r, c + r) for c in x0]).rows
     return all(
         _leaf_box_in_graph(f, leaf, x0, z0, r)
-        for rows, strict, leaf in _body_leaves(f.body)
-        if _region_nonempty([*rows, *box], (*strict,) + (False,) * len(box), f.domain_dim)
+        for leaf in f.leaves
+        if _region_nonempty([*leaf.rows, *box], (*leaf.strict,) + (False,) * len(box), f.domain_dim)
     )
 
 
-def _leaf_box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fraction) -> bool:
-    """Whether every value of the leaf ``body`` over the x-box contains the z-box."""
+def _leaf_box_in_graph(f: SetValuedMap, leaf: Leaf, x0: Vec, z0: Vec, r: Fraction) -> bool:
+    """Whether every value of the leaf over the x-box contains the z-box."""
+    body = leaf.body
     if isinstance(body, AffineBody):
-        if _is_constant_empty(body):
+        if leaf.empty:
             return False
         if not body.fixed_normals:
             # Conservative interval bound on the bilinear row terms.
@@ -369,32 +363,14 @@ def _leaf_box_in_graph(f: SetValuedMap, body: Body, x0: Vec, z0: Vec, r: Fractio
                 if margin < slack:
                     return False
             return True
-        for i, n in enumerate(body.normals):
-            lhs = dot(n, z0) - r * norm1(n)
-            rhs = body.offsets[i] + dot(body.x_coeffs[i], x0) + r * norm1(body.x_coeffs[i])
-            if lhs < rhs:
-                return False
-        return True
-    if isinstance(body, ScaledBody):
-        # alpha is affine, the base convex with 0 in it, so values grow with
-        # alpha; checking the z-box corners at the smallest alpha is exact.
-        amin = body.alpha(x0) - r * norm1(body.alpha.coeffs)
-        if amin < 0:
-            return False
-        val = scale(body.base, amin) if amin > 0 else embed_point((ZERO,) * f.cone.dim, f.cone)
-        m = f.cone.dim
-        corners = _box_corners(z0, r, m)
-        return all(member(val, c) for c in corners)
-    raise MapError("unknown body kind")
-
-
-def _box_corners(center: Vec, r: Fraction, dim: int) -> list[Vec]:
-    out = []
-    for mask in range(2**dim):
-        out.append(
-            tuple(center[i] + (r if (mask >> i) & 1 else -r) for i in range(dim))
-        )
-    return out
+        return all(dot(n, z0) - r * norm1(n) >= q for n, q in body.box_rows(x0, r))
+    # alpha is affine, the base convex with 0 in it, so values grow with
+    # alpha; checking the z-box corners at the smallest alpha is exact.
+    amin = body.alpha(x0) - r * norm1(body.alpha.coeffs)
+    if amin < 0:
+        return False
+    val = scale(body.base, amin) if amin > 0 else embed_point((ZERO,) * f.cone.dim, f.cone)
+    return all(member(val, c) for c in itertools.product(*((c - r, c + r) for c in z0)))
 
 
 def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
@@ -415,11 +391,11 @@ def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
             )
     # Exact failure: x0 lies in the closure of a nonempty region where the
     # map is constant-empty, so every x-ball around x0 meets empty values.
-    for rows, strict, leaf in _body_leaves(f.body):
+    for leaf in f.leaves:
         if (
-            _is_constant_empty(leaf)
-            and all(dot(g, x0) >= h for g, h in rows)
-            and _region_nonempty(rows, strict, f.domain_dim)
+            leaf.empty
+            and all(dot(g, x0) >= h for g, h in leaf.rows)
+            and _region_nonempty(leaf.rows, leaf.strict, f.domain_dim)
         ):
             return Verdict.fails(
                 Witness(x=x0, detail="empty values on one side of the guard"),

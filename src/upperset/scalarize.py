@@ -40,7 +40,7 @@ from .linalg import (
     scale_to_canonical,
     vec,
 )
-from .maps import AffineBody, SetValuedMap, _body_leaves, _is_constant_empty
+from .maps import AffineBody, SetValuedMap
 from .simplex import LPStatus, solve_lp
 
 
@@ -208,20 +208,19 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     """
     zs = vec(zstar)
     require_dual_direction(f.cone, zs)
-    branches = list(_body_leaves(f.body))
-    if not all(isinstance(b, AffineBody) and b.fixed_normals for _, _, b in branches):
+    if not all(isinstance(leaf.body, AffineBody) and leaf.body.fixed_normals for leaf in f.leaves):
         return None
     n = f.domain_dim
     m = f.cone.dim
     pieces: list[AffinePiece] = []
     minus_regions: list[Polyhedron] = []
-    for region_rows, _, body in branches:
-        if _is_constant_empty(body):
+    for leaf in f.leaves:
+        if leaf.empty:
             continue
-        lifted = [(row + (ZERO,), q) for row, q in body.graph_rows()]
+        lifted = [(row + (ZERO,), q) for row, q in leaf.body.graph_rows()]
         lifted.append((tuple([ZERO] * n + list(zs) + [Fraction(1)]), ZERO))
         projected = project_out(Polyhedron(n + m + 1, lifted), list(range(n, n + m)))
-        dom_rows: list[Constraint] = list(region_rows)
+        dom_rows: list[Constraint] = list(leaf.rows)
         bounds: list[tuple[Vec, Fraction]] = []
         for row, b in projected.rows:
             t_coeff = row[-1]

@@ -602,6 +602,14 @@ class TestLeafList:
                         counts["exact boxes"] += 1
         assert counts["convex"] >= 60 and counts["errors"] >= 40 and counts["exact boxes"] >= 200, counts
 
+    def test_a_guard_over_empty_leaves_keeps_the_map_convex(self):
+        # C for x < 0 and empty for x >= 0, the empty side split by a second
+        # guard: the graph is the orthant cylinder cut by an open halfspace.
+        inner = PiecewiseBody(((F(1),), F(2)), constant_empty_body(1, 2), constant_empty_body(1, 2))
+        f = SetValuedMap(1, ORTHANT, PiecewiseBody(((F(1),), F(0)), inner, constant_cone_body(ORTHANT, 1)))
+        assert f.convex and not _body_convex(f.body)
+        assert convexity_check(f, seed=2, count=48).status is Status.HOLDS
+
 
 class TestJsonSchema:
     def test_round_trip(self):

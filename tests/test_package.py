@@ -1,4 +1,5 @@
-"""Package hygiene: every public name of ``upperset`` has a use outside the tests.
+"""Package hygiene: every public name of ``upperset`` has a use outside the
+tests, and no module imports another module's private names.
 
 A public top-level function, class or method that nothing in the package
 or the benchmark refers to is a dead entry point: a routine that only the
@@ -64,3 +65,17 @@ def test_no_public_name_is_dead():
                 dead.append(f"{module.name}: {name}")
     assert dead == []
     assert ENTRY_POINTS <= defined
+
+
+def test_no_module_imports_a_private_name():
+    # A private name is one module's own business; a second module that
+    # needs it needs a public name for it.
+    imported = [
+        f"{module.name}: {alias.name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []
