@@ -76,6 +76,20 @@ class PiecewiseLinearFn:
     def never_finite(self) -> bool:
         return not self.pieces
 
+    def fix_tail(self, y) -> "PiecewiseLinearFn":
+        """The slice x -> phi(x, y), with the trailing coordinates fixed at y."""
+        yv = vec(y)
+        k = self.dim - len(yv)
+
+        def cut(region: Polyhedron) -> Polyhedron:
+            return Polyhedron(k, [(n[:k], b - dot(n[k:], yv)) for n, b in region.rows])
+
+        return PiecewiseLinearFn(
+            k,
+            [AffinePiece(cut(p.region), p.coeffs[:k], p.const + dot(p.coeffs[k:], yv)) for p in self.pieces],
+            [cut(r) for r in self.minus_inf_regions],
+        )
+
 
 def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
     """phi*(x*) = sup_x (x*.x - phi(x)): the largest support of a piece's

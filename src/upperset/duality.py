@@ -17,15 +17,20 @@ it (Rockafellar 1970, Thm 10.2).  So the regularity condition holds exactly
 when 0 is interior to that domain, which is read from the rows of dom f: no
 row with a nonzero y-part may be tight at (x0, 0).  No sampled checker runs.
 
-Everything here runs on exact piecewise-linear closed forms: the per
-direction scalar values are supports of each piece's region, read from its
-V-form with no LP; the attained dual vector is read off the exact LP dual
-(the one LP left here, since it needs multipliers) and re-verified against
-the conjugate identity, and equality of the two sides is certified by
-support values on the direction base.  There is no sampled fallback: a
-map whose scalarizations have no closed form (a tilting normal or a scaled
-base) is refused with DualityError, by ``marginal_scalarization`` as by
-every other entry point here.
+Everything here runs on exact piecewise-linear closed forms.  The partial
+infimum is a conjugate: inf_x phi(x, y) = -(phi(., y))*(0) (Rockafellar
+1970), the slice cut by ``PiecewiseLinearFn.fix_tail`` and its conjugate
+read from the supports of each piece's region, with no LP.  Since (x0, 0)
+lies in dom f, phi(x0, 0) < +inf, so each base direction is "improper"
+(phi takes -inf somewhere), "unbounded" (the infimum at y = 0 is -inf) or
+"proper" (finite); the first two contribute the whole space.  For a proper
+direction the attained dual vector is read off the exact LP dual (the one
+LP left here, since it needs multipliers) and re-verified against the
+conjugate identity, and equality of the two sides is certified by support
+values on the direction base.  There is no sampled fallback: a map whose
+scalarizations have no closed form (a tilting normal or a scaled base) is
+refused with DualityError, by ``marginal_scalarization`` as by every other
+entry point here.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Optional, Sequence
 
 from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
-from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
+from .linalg import NEG_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
@@ -69,46 +74,15 @@ class BivariateMap:
 
 
 def marginal_scalarization(f: BivariateMap, zstar, y) -> Ext:
-    """inf over x of the scalarization at (x, y), exactly.
-
-    With the closed piecewise-linear form phi this is the least piece value
-    over the slices of the piece regions at this y; the infimum is -inf when
-    a minus-infinity region of phi is reachable at this y, and +inf when no
-    x puts (x, y) in dom phi.
+    """inf over x of the scalarization phi at (x, y), exactly: the negated
+    conjugate at 0 of the slice phi(., y).  It is -inf when a minus-infinity
+    region of phi is reachable at this y, and +inf when no x puts (x, y) in
+    dom phi.
     """
-    zs = vec(zstar)
-    yv = vec(y)
-    phi = piecewise_scalarization(f.map, zs)
+    phi = piecewise_scalarization(f.map, vec(zstar))
     if phi is None:
         raise DualityError("marginal scalarization needs a closed form")
-    return _pl_partial_infimum(phi, f.n, yv)
-
-
-def _pl_partial_infimum(phi: PiecewiseLinearFn, n_free: int, fixed: Vec) -> Ext:
-    """inf over the first n_free coordinates with the rest fixed: the least
-    piece value over its region's slice, read from the slice's V-form."""
-    for r in phi.minus_inf_regions:
-        if not Polyhedron(n_free, _fix_tail(r.rows, n_free, fixed)).is_empty:
-            return NEG_INF
-    best: Ext = POS_INF
-    for piece in phi.pieces:
-        region = Polyhedron(n_free, _fix_tail(piece.region.rows, n_free, fixed))
-        if region.is_empty:
-            continue
-        s = region.support(tuple(-c for c in piece.coeffs[:n_free]))
-        if s == POS_INF:
-            return NEG_INF
-        best = min(best, -s + dot(piece.coeffs[n_free:], fixed) + piece.const)
-    return best
-
-
-def _fix_tail(rows: Sequence[Constraint], n_free: int, fixed: Vec) -> list[Constraint]:
-    out: list[Constraint] = []
-    for n, b in rows:
-        head = n[:n_free]
-        tail = n[n_free:]
-        out.append((head, b - dot(tail, fixed)))
-    return out
+    return -scalar_conjugate(phi.fix_tail(y), (ZERO,) * f.n)
 
 
 def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Verdict:
@@ -124,9 +98,10 @@ def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Ver
         phi = piecewise_scalarization(f.map, zs)
         if phi is None:
             raise DualityError("marginal scalarization needs a closed form")
-        # sup of z*.z over f_X(0) is the negated marginal scalarization; a
-        # Fraction compares exactly with +-inf.
-        sup_lhs = -_pl_partial_infimum(phi, f.n, y0)
+        # sup of z*.z over f_X(0) is the negated marginal scalarization, the
+        # conjugate at 0 of the slice at y = 0; a Fraction compares exactly
+        # with +-inf.
+        sup_lhs = scalar_conjugate(phi.fix_tail(y0), (ZERO,) * f.n)
         offset = scalar_conjugate(phi, (ZERO,) * f.n + ys)
         if not sup_lhs <= offset:
             return Verdict.fails(
@@ -228,7 +203,7 @@ def fundamental_duality(
     family = DualFamily()
     halfspaces: list[UpperSet] = []
     support_table: list[dict] = []
-    # Support values of f_X(0) in the directions that bound it; -inf makes it empty.
+    # Support values of f_X(0) in the proper directions.
     supports: list[tuple[Vec, Ext]] = []
     for zs in base.directions:
         phi = piecewise_scalarization(f.map, zs)
@@ -240,23 +215,12 @@ def fundamental_duality(
             row["status"] = "improper"
             support_table.append(row)
             continue
-        if phi.never_finite:
-            family.properness[zs] = "degenerate"
-            row["status"] = "degenerate"
-            support_table.append(row)
-            supports.append((zs, NEG_INF))
-            continue
-        v = _pl_partial_infimum(phi, f.n, (ZERO,) * f.p)
+        # phi(x0, 0) < +inf, so the infimum is finite or -inf.
+        v = -scalar_conjugate(phi.fix_tail(y0), (ZERO,) * f.n)
         if v == NEG_INF:
             family.properness[zs] = "unbounded"
             row["status"] = "unbounded"
             support_table.append(row)
-            continue
-        if v == POS_INF:
-            family.properness[zs] = "infeasible-at-0"
-            row["status"] = "infeasible-at-0"
-            support_table.append(row)
-            supports.append((zs, NEG_INF))
             continue
         family.properness[zs] = "proper"
         ystar = _attained_dual_vector(phi, f.n, f.p, v)
@@ -283,9 +247,7 @@ def fundamental_duality(
     lhs = UpperSet.from_supports(f.cone, supports)
     rhs = lattice_sup(halfspaces) if halfspaces else UpperSet.universal(f.cone)
     win = Polyhedron.box([(-10, 10)] * f.cone.dim)
-    # The gap is zero when a direction certified f_X(0) empty.
-    lhs_empty = any(s == NEG_INF for _, s in supports)
-    gap_sq = ZERO if lhs_empty else hausdorff_sq_window(lhs, rhs, win)
+    gap_sq = hausdorff_sq_window(lhs, rhs, win)
     return DualityReport(
         x0=x0,
         lhs=lhs,

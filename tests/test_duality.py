@@ -1,5 +1,5 @@
-"""Fundamental duality: the exact regularity test, the closed-form route's
-imports and the report's JSON."""
+"""Fundamental duality: the partial infimum, the exact regularity test, the
+refusal outside dom f, the closed-form route's imports and the report's JSON."""
 
 import json
 import os
@@ -7,19 +7,72 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import upperset
+from upperset.conjugate import PiecewiseLinearFn
 from upperset.continuity import CheckerConfig, check_scalar_semicontinuity
-from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id
-from upperset.duality import BivariateMap, DualityError, fundamental_duality
-from upperset.geometry import dual_cone
-from upperset.linalg import POS_INF, ZERO, dot, vec
+from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id, random_dual_pairs
+from upperset.duality import BivariateMap, DualityError, fundamental_duality, marginal_scalarization
+from upperset.geometry import Polyhedron, dual_cone
+from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
 from upperset.maps import AffineBody, SetValuedMap
-from upperset.scalarize import DirectionBase
+from upperset.scalarize import DirectionBase, piecewise_scalarization
 from upperset.verdict import Status
 
 from test_conjugate import random_bivariate
+
+
+def pl_partial_infimum(phi: PiecewiseLinearFn, n_free: int, fixed: Vec) -> Ext:
+    """inf over the first n_free coordinates with the rest fixed: the least
+    piece value over its region's slice, read from the slice's V-form."""
+
+    def fix_tail(rows):
+        return [(n[:n_free], b - dot(n[n_free:], fixed)) for n, b in rows]
+
+    for r in phi.minus_inf_regions:
+        if not Polyhedron(n_free, fix_tail(r.rows)).is_empty:
+            return NEG_INF
+    best: Ext = POS_INF
+    for piece in phi.pieces:
+        region = Polyhedron(n_free, fix_tail(piece.region.rows))
+        if region.is_empty:
+            continue
+        s = region.support(tuple(-c for c in piece.coeffs[:n_free]))
+        if s == POS_INF:
+            return NEG_INF
+        best = min(best, -s + dot(piece.coeffs[n_free:], fixed) + piece.const)
+    return best
+
+
+def test_partial_infimum_is_the_negated_conjugate_of_the_slice():
+    rng = random.Random(1112)
+    seen = {"+inf": 0, "-inf": 0, "finite": 0}
+    for k in range(300):
+        f = random_bivariate(rng, HALFLINE_1D if k % 2 else ORTHANT_2D)
+        ((_, zs),) = random_dual_pairs(k, 1, f.cone, 1)
+        phi = piecewise_scalarization(f.map, zs)
+        for y in (Fraction(-1), ZERO, Fraction(3, 2)):
+            v, want = marginal_scalarization(f, zs, (y,)), pl_partial_infimum(phi, 1, (y,))
+            assert (v, type(v)) == (want, type(want)), (f.map.body, zs, y)
+            seen["+inf" if v == POS_INF else "-inf" if v == NEG_INF else "finite"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_point_outside_the_domain_is_refused():
+    # The row 0.z >= x empties the values for x > 0.
+    body = AffineBody(
+        normals=(vec([1, 0]), vec([0, 1]), vec([0, 0])),
+        offsets=(ZERO,) * 3,
+        x_coeffs=(vec([0, 0]), vec([0, 0]), vec([1, 0])),
+    )
+    f = BivariateMap(SetValuedMap(2, ORTHANT_2D, body, name="halfline-domain"), 1, 1)
+    with pytest.raises(DualityError, match="lies outside dom f"):
+        fundamental_duality(f, (Fraction(1),))
+    assert fundamental_duality(f, (ZERO,)).gap_sq == 0
 
 
 def sampled_slice(f: BivariateMap, x0) -> SetValuedMap:
