@@ -633,7 +633,7 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     nearby values arbitrarily closely."""
     s = _Scan(f, x0, cfg)
     examined = 0
-    for z0 in _outside_probes(s.v0, f.cone):
+    for z0 in _outside_probes(s):
         # Failure side first: exact membership of z0 in values arbitrarily
         # close to x0 (persistence plus confirmation).
         kind, wit, levels = s.classify(lambda x: member(f.evaluate(x), z0))
@@ -656,21 +656,32 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     return Verdict.holds(resolution=examined)
 
 
-def _outside_probes(v0: UpperSet, cone: Cone) -> list[Vec]:
-    """Up to 14 points outside f(x0): first its sample points moved back
-    along each cone generator, then the grid {-4, -2, -1, 0, 1, 2, 4}^m."""
-    near = (
-        tuple(a - c / max(map(abs, g)) for a, c in zip(p, g))
-        for p in (() if v0.is_empty else _value_sample_points(v0))
-        for g in cone.generators
-        if any(g)
-    )
-    grid = itertools.product([Fraction(k) for k in (-4, -2, -1, 0, 1, 2, 4)], repeat=cone.dim)
+def _outside_probes(s: _Scan) -> list[Vec]:
+    """Points outside f(x0).  First up to 14: its sample points moved back
+    along each cone generator by a unit step, then the grid
+    {-4, -2, -1, 0, 1, 2, 4}^m.  Then the same moves by each z-radius but 1
+    and the finest, kept where they lie farther than twice the finest
+    z-radius from f(x0); a nearer probe may only separate from nearby
+    values below the finest z-radius."""
+    v0, radii = s.v0, s.cfg.z_radii.values()
+    points = () if v0.is_empty else _value_sample_points(v0)
+
+    def moved(step: Fraction) -> Iterable[Vec]:
+        for p in points:
+            for g in s.f.cone.generators:
+                if any(g):
+                    yield tuple(a - step * c / max(map(abs, g)) for a, c in zip(p, g))
+
+    grid = itertools.product([Fraction(k) for k in (-4, -2, -1, 0, 1, 2, 4)], repeat=s.f.cone.dim)
     probes: dict[Vec, None] = {}
-    for q in itertools.chain(near, grid):
+    for q in itertools.chain(moved(Fraction(1)), grid):
         if len(probes) == 14:
             break
         if q not in probes and not member(v0, q):
+            probes[q] = None
+    floor = (2 * radii[-1]) ** 2
+    for q in itertools.chain.from_iterable(map(moved, radii[1:-1])):
+        if q not in probes and _point_gap_sq(v0, q, s.fan) > floor:
             probes[q] = None
     return list(probes)
 

@@ -8,6 +8,7 @@ import pytest
 
 from upperset.continuity import (
     MATRIX_KEYS,
+    _Scan,
     _outside_probes,
     _value_sample_points,
     CheckerConfig,
@@ -30,6 +31,7 @@ from upperset.continuity import (
 from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron
+from upperset.linalg import vec
 from upperset.maps import (
     AffineBody,
     AffineForm,
@@ -279,29 +281,56 @@ def test_uniform_over_an_uncertified_base_is_inconclusive():
         assert v == Verdict.inconclusive(note="direction base failed certification")
 
 
+def spike_map(normals, offsets) -> SetValuedMap:
+    """f(0) = C and f(x) = {z : N z >= q} for x != 0."""
+    elsewhere = AffineBody(tuple(map(vec, normals)), vec(offsets), ((Fraction(0),),) * len(offsets))
+    at_zero = PiecewiseBody(((Fraction(-1),), Fraction(0)), constant_cone_body(ORTHANT, 1), elsewhere)
+    return SetValuedMap(1, ORTHANT, PiecewiseBody(((Fraction(1),), Fraction(0)), at_zero, elsewhere))
+
+
 def test_lls_fails_where_a_point_outside_f_x0_stays_in_nearby_values():
     # f(0) = C and f(x) = (-1, -1) + C for x != 0: (-1, 0) lies outside f(0)
     # and in every other value.  In the plane the probe grid alone has more
     # non-members of C than the 14 probe slots, so the points just below
     # f(0) go first.
-    shifted = AffineBody(
-        normals=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        offsets=(Fraction(-1), Fraction(-1)),
-        x_coeffs=((Fraction(0),), (Fraction(0),)),
-    )
-    at_zero = PiecewiseBody(((Fraction(-1),), Fraction(0)), constant_cone_body(ORTHANT, 1), shifted)
-    spike = SetValuedMap(1, ORTHANT, PiecewiseBody(((Fraction(1),), Fraction(0)), at_zero, shifted))
+    spike = spike_map([[1, 0], [0, 1]], [-1, -1])
     v = check_lls(spike, (0,), default_config().light())
     assert v.is_fails and v.witness.z == (-1, 0)
     assert not member(spike.evaluate((0,)), v.witness.z)
     assert member(spike.evaluate(v.witness.x), v.witness.z)
 
 
+@pytest.mark.parametrize(
+    "shift, light_fails",
+    [(Fraction(-1, 2), True), (Fraction(-1, 4), True), (Fraction(-1, 8), False)],
+)
+def test_lls_fails_on_approaches_closer_than_one(shift, light_fails):
+    # (shift / 2, 0) lies outside f(0) and in every other value.  The unit
+    # probes miss it; the probes moved back by the finer z-radii find it,
+    # down to twice the finest z-radius: 1/8 under light(), whose finest is
+    # 1/16, so the spike at -1/8 still reads holds there.
+    spike = spike_map([[1, 0], [0, 1]], [shift, shift])
+    v = check_lls(spike, (0,))
+    assert v.is_fails and not member(spike.evaluate((0,)), v.witness.z)
+    assert member(spike.evaluate(v.witness.x), v.witness.z)
+    assert check_lls(spike, (0,), default_config().light()).is_fails == light_fails
+
+
+def test_the_grid_probes_keep_their_slots():
+    # f(x) = {z1 + z2 >= 0} for x != 0: among the first 14 probes only the
+    # grid point (-4, 4) lies in the nearby values, so the probes moved by
+    # sub-unit steps come after all 14.
+    spike = spike_map([[1, 1]], [0])
+    for cfg in (default_config().light(), default_config()):
+        v = check_lls(spike, (0,), cfg)
+        assert v.is_fails and v.witness.z == (-4, 4)
+
+
 def test_outside_probes_leave_the_diagonal_in_three_dimensions():
     # The probe grid is the whole product {-4, ..., 4}^3, not its diagonal.
     cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     f = SetValuedMap(1, cone, constant_cone_body(cone, 1))
-    probes = _outside_probes(f.evaluate((0,)), cone)
+    probes = _outside_probes(_Scan(f, (0,), TINY))
     assert (-4, -4, -2) in probes
     assert not any(member(f.evaluate((0,)), p) for p in probes)
     assert check_lls(f, (0,), TINY).is_holds

@@ -56,9 +56,9 @@ RANDOM_MAPS = {f"rand-affine-{seed}": seed for seed in (1, 2, 3)}
 LIGHT_DIGESTS = {
     ("orthant-halfline", 0): "dc4572550ab0d9e5",
     ("tilted-halfplane", 0): "733c159182a8084f",
-    ("ray-translate", 0): "8f0e4f7288332312",
-    ("ray-translate", 1): "9105b63622ce2f7d",
-    ("ray-translate", 2): "8ff07226a3ab1e40",
+    ("ray-translate", 0): "d54b9c75c1cfdfad",
+    ("ray-translate", 1): "8cd50a91c4c67601",
+    ("ray-translate", 2): "bd44f5cf7a1ee3a1",
     ("parabola-dilation", 0): "6838bf879f31ecf1",
     ("parabola-dilation", 1): "052e1a87ea76bb84",
     ("rand-affine-1", 0): "a23d1b1696a9117b",
