@@ -438,23 +438,11 @@ def _interior_candidates(f: SetValuedMap, x0: Vec, r: Fraction) -> list[Vec]:
             out.append(ip)
     v0 = f.evaluate(x0)
     if not v0.is_polyhedral:
-        # Nudge a membership-certified point up along an interior cone
+        # Grid members of f(x0), each nudged up along an interior cone
         # direction, when the cone has one.
-        base_pts = [
-            vec([1, 2]),
-            vec([0, 1]),
-            vec([2, 2]),
-            (ZERO,) * f.cone.dim,
-        ]
-        bump = None
-        if f.cone.has_interior:
-            gsum = [ZERO] * f.cone.dim
-            for g in f.cone.generators:
-                gsum = [a + b for a, b in zip(gsum, g)]
-            bump = tuple(gsum)
-        for p in base_pts:
-            if len(p) != f.cone.dim:
-                continue
+        bump = tuple(map(sum, zip(*f.cone.generators))) if f.cone.has_interior else None
+        grid = [Fraction(k) for k in (0, 1, 2, -1, -2, 4)]
+        for p in itertools.product(grid, repeat=f.cone.dim):
             if member(v0, p):
                 out.append(p)
                 if bump is not None:

@@ -59,7 +59,7 @@ LIGHT_DIGESTS = {
     ("ray-translate", 0): "d54b9c75c1cfdfad",
     ("ray-translate", 1): "8cd50a91c4c67601",
     ("ray-translate", 2): "bd44f5cf7a1ee3a1",
-    ("parabola-dilation", 0): "6838bf879f31ecf1",
+    ("parabola-dilation", 0): "01bb217256ee7935",
     ("parabola-dilation", 1): "052e1a87ea76bb84",
     ("rand-affine-1", 0): "a23d1b1696a9117b",
     ("rand-affine-2", 0): "4e566bb75724f9cc",
@@ -77,7 +77,7 @@ DEFAULT_DIGESTS = {
 # implication diagram switched off: the raw verdicts it hides stay pinned.
 RAW_LIGHT_DIGESTS = {
     ("tilted-halfplane", 0): "93657a2d42c9906e",
-    ("parabola-dilation", 0): "3b6064727a2ce94b",
+    ("parabola-dilation", 0): "8ab64c485273b48e",
 }
 
 

@@ -36,7 +36,7 @@ from upperset.sets import (
 )
 from upperset.verdict import Status, Verdict, Witness
 
-from test_sets import check_upper_closed
+from test_sets import CallableOracle, check_upper_closed
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
 RAY = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])
@@ -486,6 +486,21 @@ class TestGraphInterior:
     def test_empty_value_fails(self):
         v = graph_interior_witness(halfline_domain_map(), [-2])
         assert v.status is Status.FAILS
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_oracle_value_off_the_plane_holds(self, m):
+        # The value (1, ..., 1) + C given by an oracle: the grid member
+        # (1, ..., 1) lies on its boundary, and its bump (2, ..., 2) carries
+        # the unit box.
+        cone = Cone.from_generators([[int(i == j) for j in range(m)] for i in range(m)])
+        shifted = UpperSet.from_oracle(
+            cone,
+            CallableOracle(lambda u: sum(u) if all(c <= 0 for c in u) else POS_INF, lambda z: min(z) >= 1),
+        )
+        f = SetValuedMap(1, cone, ScaledBody(shifted, AffineForm.of([0], 1)))
+        v = graph_interior_witness(f, [0])
+        assert v.status is Status.HOLDS
+        assert v.witness.z == (2,) * m and v.witness.radius == 1
 
     def test_nested_guard_prunes_the_empty_branch(self):
         # C for x >= 0; for x < 0, C again when x >= -10 and empty below.
