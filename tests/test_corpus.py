@@ -32,7 +32,7 @@ from upperset.duality import (
 )
 from upperset.geometry import Cone
 from upperset.linalg import ZERO, vec
-from upperset.maps import AffineForm, ScaledBody, SetValuedMap
+from upperset.maps import AffineBody, AffineForm, PiecewiseBody, ScaledBody, SetValuedMap
 from upperset.scalarize import DirectionBase, piecewise_scalarization
 from upperset.sets import UpperSet, embed_point
 
@@ -175,6 +175,30 @@ def test_raw_light_matrix_json_is_pinned(fixture_id, index, digest, monkeypatch)
     fx = fixture_by_id(fixture_id)
     matrix = verdict_matrix(fx.map, fx.points[index].at, default_config().light())
     assert matrix.artifacts == [] and _digest(matrix.to_json()) == digest
+
+
+def lifted(body):
+    """The body of F(x, x') = F(x): a dummy last coordinate that no guard,
+    offset, normal or scale reads."""
+    if isinstance(body, PiecewiseBody):
+        g, h = body.guard
+        return PiecewiseBody((g + (ZERO,), h), lifted(body.when_true), lifted(body.when_false))
+    if isinstance(body, ScaledBody):
+        return ScaledBody(body.base, AffineForm(body.alpha.coeffs + (ZERO,), body.alpha.const))
+    x_normals = None
+    if body.x_normals is not None:
+        x_normals = tuple(per_row + ((ZERO,) * len(body.normals[0]),) for per_row in body.x_normals)
+    return AffineBody(body.normals, body.offsets, tuple(l + (ZERO,) for l in body.x_coeffs), x_normals)
+
+
+@pytest.mark.parametrize("fixture_id", ["orthant-halfline", "tilted-halfplane"])
+def test_a_dummy_coordinate_changes_no_verdict(fixture_id):
+    # In two dimensions the scans also walk the corner directions (+-1, +-1).
+    f = fixture_by_id(fixture_id).map
+    flat = _light_matrix(fixture_id, 0)
+    matrix = verdict_matrix(SetValuedMap(2, f.cone, lifted(f.body)), (ZERO, ZERO), default_config().light())
+    assert {k: v.status for k, v in matrix.entries.items()} == {k: v.status for k, v in flat.entries.items()}
+    assert len(matrix.entries) == 13 and matrix.artifacts == flat.artifacts
 
 
 def test_fixture_ids_are_pinned():
