@@ -831,9 +831,11 @@ def verdict_matrix(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Ver
     """Runs every checker at x0 and cross-validates the implication diagram.
 
     The scalarization checkers run over the default direction base of
-    ``cfg.z_fan`` and ``cfg.z_tails``.  Violated implications among decisive
-    entries are resolution artifacts: both offending verdicts are downgraded
-    to inconclusive and the event is recorded on the matrix.
+    ``cfg.z_fan`` and ``cfg.z_tails``, the one base kept on f's cone, so its
+    certification runs once per cone and fan, not once per matrix.  Violated
+    implications among decisive entries are resolution artifacts: both
+    offending verdicts are downgraded to inconclusive and the event is
+    recorded on the matrix.
     """
     cfg = cfg or default_config()
     x0 = vec(x0)

@@ -47,7 +47,7 @@ from .linalg import (
     parse_scalar,
     vec,
 )
-from .sets import UpperSet, embed_point, member, scale
+from .sets import UpperSet, member, scale
 from .verdict import Verdict, Witness
 
 
@@ -364,13 +364,15 @@ def _leaf_box_in_graph(f: SetValuedMap, leaf: Leaf, x0: Vec, z0: Vec, r: Fractio
                     return False
             return True
         return all(dot(n, z0) - r * norm1(n) >= q for n, q in body.box_rows(x0, r))
-    # alpha is affine, the base convex with 0 in it, so values grow with
-    # alpha; checking the z-box corners at the smallest alpha is exact.
-    amin = body.alpha(x0) - r * norm1(body.alpha.coeffs)
+    # alpha is affine, so it spans [amin, amax] over the x-box.  For the
+    # convex base A, {alpha >= 0 : z in alpha A} is an interval (0 A = C), so
+    # checking the z-box corners at both ends is exact.
+    spread = r * norm1(body.alpha.coeffs)
+    amin, amax = body.alpha(x0) - spread, body.alpha(x0) + spread
     if amin < 0:
         return False
-    val = scale(body.base, amin) if amin > 0 else embed_point((ZERO,) * f.cone.dim, f.cone)
-    return all(member(val, c) for c in itertools.product(*((c - r, c + r) for c in z0)))
+    corners = list(itertools.product(*((c - r, c + r) for c in z0)))
+    return all(member(scale(body.base, a), c) for a in dict.fromkeys((amin, amax)) for c in corners)
 
 
 def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:

@@ -63,14 +63,11 @@ def direction_fan(cone: Cone, fan: int = 64, tails: int = 0) -> tuple[Vec, ...]:
     direction) are blended uniformly ``fan`` ways in total; ``tails`` adds
     directions r + 2^-j r' per arc, approaching each ray geometrically.
     Every returned direction lies in C^- and is deduplicated
-    deterministically.  The fan depends on the cone, ``fan`` and ``tails``
-    alone, so it is built once per cone object and (fan, tails) and stored
-    on the cone.
+    deterministically.  These are the directions of
+    ``DirectionBase.default(cone, fan, tails)``, the one base kept per cone
+    object and (fan, tails).
     """
-    fans = cone.__dict__.setdefault("_fans", {})
-    if (fan, tails) not in fans:
-        fans[(fan, tails)] = _fan_of(dual_cone(cone), fan, tails)
-    return fans[(fan, tails)]
+    return DirectionBase.default(cone, fan, tails).directions
 
 
 def _fan_of(dual: Cone, fan: int, tails: int) -> tuple[Vec, ...]:
@@ -144,7 +141,14 @@ class DirectionBase:
 
     @staticmethod
     def default(cone: Cone, fan: int = 64, tails: int = 0) -> "DirectionBase":
-        return DirectionBase(cone, direction_fan(cone, fan, tails))
+        """The base of ``direction_fan(cone, fan, tails)``.  It depends on the
+        cone, ``fan`` and ``tails`` alone, so it is built once per cone object
+        and (fan, tails) and stored on the cone; every caller then shares
+        one base object and ``certify_base``'s answer on it."""
+        bases = cone.__dict__.setdefault("_bases", {})
+        if (fan, tails) not in bases:
+            bases[(fan, tails)] = DirectionBase(cone, _fan_of(dual_cone(cone), fan, tails))
+        return bases[(fan, tails)]
 
 
 def certify_base(base: DirectionBase) -> bool:
@@ -153,7 +157,9 @@ def certify_base(base: DirectionBase) -> bool:
     {y : d.y <= 0 for d in B, |y_i| <= 1} is zero.
 
     The answer depends on the base alone, so it is computed once per base
-    object and stored on it.
+    object and stored on it.  ``DirectionBase.default`` keeps one base per
+    cone object and (fan, tails), so a default base is certified once per
+    cone and fan, however many matrices read it.
     """
     cached = base.__dict__.get("_generates_dual")
     if cached is not None:

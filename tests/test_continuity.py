@@ -28,7 +28,7 @@ from upperset.continuity import (
     enforce_diagram,
     verdict_matrix,
 )
-from upperset.corpus import builtin_fixtures, fixture_by_id, random_convex_affine_maps
+from upperset.corpus import ORTHANT_2D, builtin_fixtures, fixture_by_id, random_convex_affine_maps
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron
 from upperset.linalg import vec
@@ -46,6 +46,7 @@ from upperset.scalarize import DirectionBase
 from upperset.sets import UpperSet, member, set_order_leq, upper_closure
 from upperset.verdict import Status, Verdict, Witness
 
+from test_scalarize import fresh_cone, on_cone
 from test_sets import orthant_oracle
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -191,12 +192,15 @@ class TestRemainingLps:
 
     def test_light_matrices_solve_only_separation_lps(self, lp_calls):
         cfg = default_config().light()
+        # Over a fresh twin of the cone, whose base no earlier test has
+        # certified, so the separation LPs run here.
+        cone = fresh_cone(ORTHANT_2D)
         for f, x0 in (
             (fixture_by_id("orthant-halfline").map, (0,)),
             (fixture_by_id("tilted-halfplane").map, (0,)),
             (random_convex_affine_maps(1, 1)[0], (1,)),
         ):
-            verdict_matrix(f, x0, cfg)
+            verdict_matrix(on_cone(f, cone), x0, cfg)
         assert lp_calls and {caller for caller, _ in lp_calls} == {"certify_base"}
 
     def test_piece_against_an_uncovering_union_solves_no_lp(self, lp_calls):

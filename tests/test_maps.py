@@ -1,5 +1,6 @@
 """Set-valued map constructors: evaluation, convexity, graph interior, JSON."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -501,6 +502,27 @@ class TestGraphInterior:
         v = graph_interior_witness(f, [0])
         assert v.status is Status.HOLDS
         assert v.witness.z == (2,) * m and v.witness.radius == 1
+
+    def test_scaled_box_holds_at_the_largest_alpha_too(self):
+        # f(x) = (x + 1) A with A = (1, 1) + C given by an oracle.  A misses
+        # 0, so the values move up as alpha grows: the unit box around
+        # (1, (2, 2)) meets (1, (3/2, 3/2)), and (3/2, 3/2) is not in f(1).
+        shifted = UpperSet.from_oracle(
+            ORTHANT,
+            CallableOracle(lambda u: sum(u) if all(c <= 0 for c in u) else POS_INF, lambda z: min(z) >= 1),
+        )
+        f = SetValuedMap(1, ORTHANT, ScaledBody(shifted, AffineForm.of([1], 1)))
+        assert not member(f.evaluate([1]), (F(3) / 2, F(3) / 2))
+        v = graph_interior_witness(f, [1])
+        assert v.status is not Status.FAILS
+        if v.status is Status.HOLDS:
+            assert (v.witness.z, v.witness.radius) != ((2, 2), 1)
+            # alpha moves with x and A is convex, so the z-box corners at the
+            # x-box ends decide the box.
+            (x0,), z0, r = v.witness.x, v.witness.z, v.witness.radius
+            for x in (x0 - r, x0 + r):
+                for corner in itertools.product(*((c - r, c + r) for c in z0)):
+                    assert member(f.evaluate([x]), corner), (x, corner)
 
     def test_nested_guard_prunes_the_empty_branch(self):
         # C for x >= 0; for x < 0, C again when x >= -10 and empty below.

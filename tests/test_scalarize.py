@@ -7,8 +7,10 @@ import pytest
 
 from upperset import scalarize
 from upperset.continuity import default_config, verdict_matrix
+from upperset.corpus import ORTHANT_2D, fixture_by_id, random_convex_affine_maps
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import NEG_INF, POS_INF
+from upperset.maps import SetValuedMap
 from upperset.scalarize import (
     DirectionBase,
     certify_base,
@@ -31,6 +33,17 @@ from test_sets import point_polyhedron, sets_equal
 
 def F(x):
     return Fraction(x)
+
+
+def fresh_cone(cone: Cone) -> Cone:
+    """A twin of the cone with nothing stored on it yet: no dual, fans or
+    bases, so whatever a test counts is not left over from an earlier one."""
+    return Cone(cone.dim, cone.generators, cone.halfspaces)
+
+
+def on_cone(f: SetValuedMap, cone: Cone) -> SetValuedMap:
+    """The map f rebuilt over the given cone object."""
+    return SetValuedMap(f.domain_dim, cone, f.body, name=f.name)
 
 
 def reconstruct(f, x, base: DirectionBase) -> UpperSet:
@@ -159,16 +172,17 @@ def certification_lps(monkeypatch) -> list:
 class TestCertifyBaseCache:
     def test_second_call_solves_no_lp(self, certification_lps):
         calls = certification_lps
-        base = DirectionBase.default(ORTHANT, 4)
+        cone = fresh_cone(ORTHANT)
+        base = DirectionBase.default(cone, 4)
         assert certify_base(base) is True
         solved = len(calls)
-        assert solved == len(dual_cone(ORTHANT).generators)
+        assert solved == len(dual_cone(cone).generators)
         assert certify_base(base) is True
         assert len(calls) == solved
 
     def test_failed_certification_is_cached(self, certification_lps):
         calls = certification_lps
-        base = DirectionBase(ORTHANT, ((F(-1), F(0)),))
+        base = DirectionBase(fresh_cone(ORTHANT), ((F(-1), F(0)),))
         assert certify_base(base) is False
         solved = len(calls)
         assert certify_base(base) is False
@@ -188,9 +202,51 @@ class TestCertifyBaseCache:
             assert "_generates_dual" not in scaled.__dict__
             assert cached is True and certify_base(scaled) is True
 
-    def test_one_lp_per_extreme_ray_per_matrix(self, certification_lps):
-        verdict_matrix(halfline_domain_map(), [0], default_config().light())
-        assert len(certification_lps) == len(dual_cone(ORTHANT).generators)
+    def test_one_lp_per_extreme_ray_per_cone(self, certification_lps):
+        cone = fresh_cone(ORTHANT)
+        f = on_cone(halfline_domain_map(), cone)
+        for x0 in ([0], [1]):
+            verdict_matrix(f, x0, default_config().light())
+        assert len(certification_lps) == len(dual_cone(cone).generators)
+
+
+class TestBasePerCone:
+    """``DirectionBase.default`` keeps one base per cone object and (fan,
+    tails), so every matrix over one cone reads one certification."""
+
+    def test_one_base_per_cone_fan_and_tails(self):
+        cone = fresh_cone(ORTHANT)
+        base = DirectionBase.default(cone, 4, 2)
+        assert DirectionBase.default(cone, 4, 2) is base
+        assert direction_fan(cone, 4, 2) is base.directions
+        assert DirectionBase.default(cone, 4) is not base
+        twin = fresh_cone(cone)
+        assert DirectionBase.default(twin, 4, 2) is not base
+        assert DirectionBase.default(twin, 4, 2) == base
+
+    def test_matrices_over_one_cone_certify_its_base_once(self, lp_calls):
+        cone = fresh_cone(ORTHANT_2D)
+        maps = [
+            fixture_by_id("orthant-halfline").map,
+            fixture_by_id("tilted-halfplane").map,
+            random_convex_affine_maps(1, 1)[0],
+        ]
+        for f in maps:
+            verdict_matrix(on_cone(f, cone), [0], default_config().light())
+        assert len(lp_calls) == len(dual_cone(cone).generators)
+
+    def test_warm_bases_change_no_matrix(self):
+        cfg = default_config().light()
+        points = ([-1], [0], [F(1) / 2])
+        cone = fresh_cone(ORTHANT_2D)
+        maps = random_convex_affine_maps(5, 4)
+        warm = [verdict_matrix(on_cone(f, cone), x0, cfg).to_json() for f in maps for x0 in points]
+        cold = []
+        for f in maps:
+            for x0 in points:
+                cone.__dict__.pop("_bases", None)
+                cold.append(verdict_matrix(on_cone(f, cone), x0, cfg).to_json())
+        assert cold == warm
 
 
 class TestConePassCache:
@@ -208,7 +264,7 @@ class TestConePassCache:
         ids=["orthant", "ray", "halfplane", "wedge-3d"],
     )
     def test_second_query_runs_no_pass(self, cone, dd_passes):
-        fresh = Cone(cone.dim, cone.generators, cone.halfspaces)
+        fresh = fresh_cone(cone)
         queries = {
             "dual_cone": lambda: dual_cone(fresh),
             "direction_fan": lambda: direction_fan(fresh, 8, 2),
@@ -241,7 +297,7 @@ class TestConePassCache:
         # The passes that the cone's dual, fan and flags take on a twin of
         # the cone that has none of them stored yet.
         dd_passes.clear()
-        twin = Cone(f.cone.dim, f.cone.generators, f.cone.halfspaces)
+        twin = fresh_cone(f.cone)
         direction_fan(twin, cfg.z_fan, cfg.z_tails)
         assert (twin.pointed, twin.has_interior) == (f.cone.pointed, f.cone.has_interior)
         cone_passes = {(rows, dim) for _, rows, dim in dd_passes}
