@@ -41,7 +41,6 @@ from .linalg import (
     vec,
 )
 from .maps import AffineBody, SetValuedMap
-from .simplex import LPStatus, solve_lp
 
 
 def _unitize(u: Vec) -> Vec:
@@ -152,9 +151,15 @@ class DirectionBase:
 
 
 def certify_base(base: DirectionBase) -> bool:
-    """cone(B) = C^-, the finite-base condition behind the uniform theorems:
-    no extreme ray r of C^- separates from B, that is, max r.y over
-    {y : d.y <= 0 for d in B, |y_i| <= 1} is zero.
+    """cone(B) = C^-, the finite-base condition behind the uniform theorems.
+
+    B lies in C^- (``DirectionBase`` checks it), so cone(B) is inside C^-,
+    and its polar cone(B)^- = {y : d.y <= 0 for d in B} contains
+    (C^-)^- = C.  Both cones are closed, so by the bipolar theorem they are
+    equal exactly when that polar lies inside C, that is, when every
+    generator of the polar, lineality vectors included, is in C.  The polar
+    comes from one double-description pass over the rows -d.y >= 0, and
+    each generator is checked against C's integer rows.
 
     The answer depends on the base alone, so it is computed once per base
     object and stored on it.  ``DirectionBase.default`` keeps one base per
@@ -164,20 +169,8 @@ def certify_base(base: DirectionBase) -> bool:
     cached = base.__dict__.get("_generates_dual")
     if cached is not None:
         return cached
-    dim = base.cone.dim
-    generates = True
-    for r in dual_cone(base.cone).generators:
-        rows: list[Constraint] = [(tuple(-c for c in d), ZERO) for d in base.directions]
-        for i in range(dim):
-            e = [ZERO] * dim
-            e[i] = Fraction(1)
-            rows.append((tuple(e), Fraction(-1)))
-            e[i] = Fraction(-1)
-            rows.append((tuple(e), Fraction(-1)))
-        res = solve_lp(r, rows, sense="max")
-        if res.status is not LPStatus.OPTIMAL or res.value > 0:
-            generates = False
-            break
+    polar = Cone.from_halfspaces([tuple(-c for c in d) for d in base.directions], base.cone.dim)
+    generates = all(base.cone.contains(g) for g in polar.generators)
     return base.__dict__.setdefault("_generates_dual", generates)
 
 

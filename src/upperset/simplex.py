@@ -1,16 +1,14 @@
 """Exact rational linear programming.
 
-Two callers are left.  ``scalarize.certify_base`` certifies that a
-direction base generates C^- by one separation LP per extreme ray of C^-,
-once per base object; a default base is kept on its cone, so that runs
-once per cone and fan.  ``duality._attained_dual_vector`` reads an
-attained dual vector off the LP's multipliers (``want_dual``).  Both have
-double-description replacements (a hull of the base directions; the facets
-of the lifted epigraph of the marginal), which the benchmark cannot yet
-tell apart from a peak-RSS regression, since its RSS reading counts the
-garbage that each pass's re-import leaves.  Every point the geometry
-returns is read off a V-form (``geometry.Polyhedron.lowest_point``), never
-off this solver.
+One caller is left: ``duality._attained_dual_vector`` reads an attained
+dual vector off the LP's multipliers (``want_dual``).  It stays until the
+epigraph of the marginal replaces it: a double-description read of y*
+keeps every check, but the benchmark cannot yet tell it apart from a
+peak-RSS regression, since its RSS reading counts the garbage that each
+pass's re-import leaves.  Base certification (``scalarize.certify_base``)
+reads the polar cone of the base off one double description instead, and
+every point the geometry returns is read off a V-form
+(``geometry.Polyhedron.lowest_point``), never off this solver.
 
 A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
 pivoting rule throughout, so runs terminate and are deterministic: the same

@@ -187,13 +187,14 @@ class TestOracleValues:
 
 
 class TestRemainingLps:
-    """Every point the checkers read comes off a V-form; the one LP left on
-    the matrix route is the base certification's separation LP."""
+    """Every point the checkers read comes off a V-form, and the base
+    certification reads the polar cone of the base off one double
+    description, so the matrix route solves no LP."""
 
-    def test_light_matrices_solve_only_separation_lps(self, lp_calls):
+    def test_light_matrices_solve_no_lp(self, lp_calls):
         cfg = default_config().light()
         # Over a fresh twin of the cone, whose base no earlier test has
-        # certified, so the separation LPs run here.
+        # certified, so the certification runs here.
         cone = fresh_cone(ORTHANT_2D)
         for f, x0 in (
             (fixture_by_id("orthant-halfline").map, (0,)),
@@ -201,7 +202,8 @@ class TestRemainingLps:
             (random_convex_affine_maps(1, 1)[0], (1,)),
         ):
             verdict_matrix(on_cone(f, cone), x0, cfg)
-        assert lp_calls and {caller for caller, _ in lp_calls} == {"certify_base"}
+        assert "_generates_dual" in DirectionBase.default(cone, cfg.z_fan, cfg.z_tails).__dict__
+        assert lp_calls == []
 
     def test_piece_against_an_uncovering_union_solves_no_lp(self, lp_calls):
         # Neither piece holds the orthant, and their union misses the origin.

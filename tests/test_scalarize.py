@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from upperset import scalarize
 from upperset.continuity import default_config, verdict_matrix
 from upperset.corpus import ORTHANT_2D, fixture_by_id, random_convex_affine_maps
-from upperset.geometry import Cone, Polyhedron, dual_cone
-from upperset.linalg import NEG_INF, POS_INF
+from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone
+from upperset.linalg import NEG_INF, POS_INF, ZERO
 from upperset.maps import SetValuedMap
 from upperset.scalarize import (
     DirectionBase,
@@ -19,6 +18,7 @@ from upperset.scalarize import (
     scalarize_eval,
 )
 from upperset.sets import UpperSet, set_order_leq, upper_closure
+from upperset.simplex import LPStatus, solve_lp
 
 from test_maps import (
     ORTHANT,
@@ -155,38 +155,127 @@ class TestCertifyBase:
         assert certify_base(base) is False
 
 
-@pytest.fixture
-def certification_lps(monkeypatch) -> list:
-    """Arguments of every LP that scalarize solves (only certify_base does)."""
-    calls = []
-    real = scalarize.solve_lp
+def separation_lp_generates(base: DirectionBase) -> bool:
+    """cone(B) = C^- by separation LPs, the formulation ``certify_base``
+    replaced: no generator r of C^- separates from B, that is, max r.y over
+    {y : d.y <= 0 for d in B, |y_i| <= 1} is zero for every r."""
+    dim = base.cone.dim
+    for r in dual_cone(base.cone).generators:
+        rows = [(tuple(-c for c in d), ZERO) for d in base.directions]
+        for i in range(dim):
+            for s in (1, -1):
+                e = [ZERO] * dim
+                e[i] = F(s)
+                rows.append((tuple(e), F(-1)))
+        res = solve_lp(r, rows, sense="max")
+        if res.status is not LPStatus.OPTIMAL or res.value > 0:
+            return False
+    return True
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(scalarize, "solve_lp", counting)
-    return calls
+def seeded_cones(rng: random.Random, dim: int):
+    """Ordering cones in R^dim from both constructors: random generators or
+    normals, so some have lineality and some lack interior (their C^- has
+    lineality), plus the orthant, the trivial cone {0} and, in the plane,
+    the ray cone, whose C^- is a half-plane."""
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    yield Cone.from_generators(unit)
+    yield Cone.from_halfspaces(unit + [tuple(-c for c in u) for u in unit])
+    if dim == 2:
+        yield RAY
+    for _ in range(6):
+        vectors = [[rng.randint(-2, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim + 1))]
+        try:
+            if rng.random() < 0.5:
+                yield Cone.from_generators(vectors)
+            else:
+                yield Cone.from_halfspaces(vectors, dim)
+        except OrderConeError:
+            continue
 
+
+def rescaled(rng: random.Random, d) -> tuple:
+    """d times a random positive rational."""
+    lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return tuple(lam * c for c in d)
+
+
+def blend(vectors, weights) -> tuple:
+    """The combination of the vectors with the given weights."""
+    return tuple(sum(w * v[i] for w, v in zip(weights, vectors)) for i in range(len(vectors[0])))
+
+
+def seeded_bases(rng: random.Random, cone: Cone):
+    """Bases in C^-: all of its generators or a random subset of them, plus
+    up to three random nonnegative blends of them, each direction rescaled."""
+    gens = list(dual_cone(cone).generators)
+    for _ in range(4):
+        keep = gens if rng.random() < 0.3 else [g for g in gens if rng.random() < 0.6]
+        blends = [blend(gens, [rng.randint(0, 2) for _ in gens]) for _ in range(rng.randint(0, 3))]
+        dirs = [rescaled(rng, d) for d in keep + blends if any(d)]
+        if dirs:
+            yield DirectionBase(cone, tuple(dirs))
+
+
+class TestCertifyBaseOracle:
+    """``certify_base`` reads the polar cone of the base off one double
+    description; the separation LPs it replaced serve as the oracle."""
+
+    def test_matches_separation_lps_on_seeded_bases(self):
+        rng = random.Random(20261019)
+        verdicts = {True: 0, False: 0}
+        by_dim = {}
+        kinds = {"dual lineality": 0, "trivial cone": 0}
+        # Fewer rounds where the oracle's LPs grow: 8 generators of C^- in m = 4.
+        for dim, rounds in ((1, 6), (2, 6), (3, 4), (4, 2)):
+            for _ in range(rounds):
+                for cone in seeded_cones(rng, dim):
+                    for base in seeded_bases(rng, cone):
+                        got = certify_base(base)
+                        assert got == separation_lp_generates(base), (cone, base.directions)
+                        # cone(B) does not change when each direction is rescaled.
+                        scaled = DirectionBase(cone, tuple(rescaled(rng, d) for d in base.directions))
+                        assert certify_base(scaled) == got
+                        verdicts[got] += 1
+                        by_dim[dim] = by_dim.get(dim, 0) + 1
+                        kinds["dual lineality"] += not dual_cone(cone).pointed
+                        kinds["trivial cone"] += not cone.generators
+        assert sum(verdicts.values()) >= 500, verdicts
+        assert verdicts[True] >= 200 and verdicts[False] >= 150, verdicts
+        assert min(by_dim.values()) >= 60, by_dim
+        assert kinds["dual lineality"] >= 150 and kinds["trivial cone"] >= 75, kinds
+
+    def test_trivial_cone(self):
+        # C = {0}, so C^- is the plane: a base generates it exactly when it
+        # spans it positively, and then its polar is {0}.
+        trivial = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]])
+        base = DirectionBase(trivial, ((F(1), F(0)), (F(0), F(1)), (F(-1), F(-1))))
+        assert certify_base(base) is True
+        half = DirectionBase(trivial, ((F(1), F(0)), (F(-1), F(0)), (F(0), F(1))))
+        assert certify_base(half) is False
 
 class TestCertifyBaseCache:
-    def test_second_call_solves_no_lp(self, certification_lps):
-        calls = certification_lps
+    """Certification runs one double-description pass, for the polar cone
+    of the base, the first time a base is certified, and none after."""
+
+    def test_second_call_solves_no_lp(self, dd_passes, lp_calls):
         cone = fresh_cone(ORTHANT)
         base = DirectionBase.default(cone, 4)
+        dd_passes.clear()
         assert certify_base(base) is True
-        solved = len(calls)
-        assert solved == len(dual_cone(cone).generators)
+        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays"]
+        dd_passes.clear()
         assert certify_base(base) is True
-        assert len(calls) == solved
+        assert dd_passes == [] and lp_calls == []
 
-    def test_failed_certification_is_cached(self, certification_lps):
-        calls = certification_lps
+    def test_failed_certification_is_cached(self, dd_passes):
         base = DirectionBase(fresh_cone(ORTHANT), ((F(-1), F(0)),))
+        dd_passes.clear()
         assert certify_base(base) is False
-        solved = len(calls)
+        assert len(dd_passes) == 1
+        dd_passes.clear()
         assert certify_base(base) is False
-        assert len(calls) == solved > 0
+        assert dd_passes == []
 
     @pytest.mark.parametrize("radius", [Fraction(1), Fraction(5, 2)])
     def test_cached_equals_fresh(self, radius):
@@ -202,12 +291,22 @@ class TestCertifyBaseCache:
             assert "_generates_dual" not in scaled.__dict__
             assert cached is True and certify_base(scaled) is True
 
-    def test_one_lp_per_extreme_ray_per_cone(self, certification_lps):
+    def test_one_pass_per_cone(self, dd_passes):
         cone = fresh_cone(ORTHANT)
+        dual_cone(cone)
         f = on_cone(halfline_domain_map(), cone)
+        dd_passes.clear()
         for x0 in ([0], [1]):
             verdict_matrix(f, x0, default_config().light())
-        assert len(certification_lps) == len(dual_cone(cone).generators)
+        assert certification_passes(dd_passes, cone) == 1
+
+
+def certification_passes(dd_passes: list, cone: Cone) -> int:
+    """How many of the recorded passes built a cone from rows.  Once the
+    cone's dual is built, the matrix route builds no other cone, so these
+    are ``certify_base``'s polar-cone passes."""
+    assert "_dual" in cone.__dict__
+    return [caller for caller, _, _ in dd_passes].count("_cone_rays")
 
 
 class TestBasePerCone:
@@ -224,8 +323,10 @@ class TestBasePerCone:
         assert DirectionBase.default(twin, 4, 2) is not base
         assert DirectionBase.default(twin, 4, 2) == base
 
-    def test_matrices_over_one_cone_certify_its_base_once(self, lp_calls):
+    def test_matrices_over_one_cone_certify_its_base_once(self, dd_passes):
         cone = fresh_cone(ORTHANT_2D)
+        dual_cone(cone)
+        dd_passes.clear()
         maps = [
             fixture_by_id("orthant-halfline").map,
             fixture_by_id("tilted-halfplane").map,
@@ -233,7 +334,7 @@ class TestBasePerCone:
         ]
         for f in maps:
             verdict_matrix(on_cone(f, cone), [0], default_config().light())
-        assert len(lp_calls) == len(dual_cone(cone).generators)
+        assert certification_passes(dd_passes, cone) == 1
 
     def test_warm_bases_change_no_matrix(self):
         cfg = default_config().light()
@@ -250,8 +351,8 @@ class TestBasePerCone:
 
 
 class TestConePassCache:
-    """Double-description passes, counted the way TestCertifyBaseCache counts
-    LPs: a cone's polyhedron, dual and fans are built once per cone object."""
+    """Double-description passes, counted as TestCertifyBaseCache counts
+    them: a cone's polyhedron, dual and fans are built once per cone object."""
 
     @pytest.mark.parametrize(
         "cone",

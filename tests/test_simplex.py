@@ -275,8 +275,9 @@ def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
 
 
 def _tall_instances():
-    """Separation LPs shaped like certify_base's: 2 variables, one row
-    -d.y >= 0 per direction of a light()-sized fan, and the box |y_i| <= 1."""
+    """Separation LPs of the shape certification used to solve: 2
+    variables, one row -d.y >= 0 per direction of a light()-sized fan, and
+    the box |y_i| <= 1."""
     for gens, want_dual in (([[1, 0], [0, 1]], False), ([[2, 1], [-1, 3]], True)):
         cone = Cone.from_generators(gens)
         rows = [(tuple(-c for c in d), ZERO) for d in direction_fan(cone, 8, 10)]
