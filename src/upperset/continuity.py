@@ -67,7 +67,7 @@ from .linalg import (
     zeros,
 )
 from .maps import SetValuedMap, graph_interior_witness
-from .scalarize import DirectionBase, certify_base, direction_fan, scalarize_eval
+from .scalarize import DirectionBase, certify_base, scalarize_eval
 from .sets import UpperSet, member, outer_polyhedron
 from .verdict import Verdict, Witness
 
@@ -94,6 +94,9 @@ class Grid:
 class CheckerConfig:
     radii: Grid = field(default_factory=Grid)
     z_radii: Grid = field(default_factory=lambda: Grid(levels=6))
+    # The direction base's size in every m: z_fan bounds the total number
+    # of small simplices its cells of C^- are cut into, and z_tails the
+    # dyadic tails along each cell edge.
     z_fan: int = 32
     z_tails: int = 24
     confirm_levels: int = 4
@@ -154,7 +157,7 @@ class _Scan:
 
     @cached_property
     def fan(self) -> tuple[Vec, ...]:
-        return direction_fan(self.f.cone, self.cfg.z_fan, self.cfg.z_tails)
+        return DirectionBase.default(self.f.cone, self.cfg.z_fan, self.cfg.z_tails).directions
 
     def sampled_xs(self, delta: Fraction) -> list[Vec]:
         """x0 and the level samples at delta, delta / 2 and delta / 4."""

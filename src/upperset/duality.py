@@ -266,8 +266,8 @@ def _attained_dual_vector(
 
     The primal is min t over {(x, y, t) : t >= a_j.(x,y) + c_j on each
     piece, dom rows, y = 0}; the multipliers on the y = 0 rows give the
-    candidate, which is then re-verified against the conjugate identity
-    (both orientations are tried, making the sign convention irrelevant).
+    candidate, which is re-verified against the conjugate identity before
+    a few deterministic probes around it are tried.
     """
     rows: list[Constraint] = []
     dim = n + p + 1
@@ -294,12 +294,6 @@ def _attained_dual_vector(
         lam_pos = res.dual[eq_start + 2 * k]
         lam_neg = res.dual[eq_start + 2 * k + 1]
         candidate.append(lam_pos - lam_neg)
-    for sign in (1, -1):
-        ystar = tuple(sign * c for c in candidate)
-        target = (ZERO,) * n + ystar
-        if scalar_conjugate(phi, target) == -value:
-            return ystar
-    # Fall back to a small deterministic search around the candidate.
     for probe in _dual_probes(candidate):
         target = (ZERO,) * n + probe
         if scalar_conjugate(phi, target) == -value:
@@ -308,6 +302,7 @@ def _attained_dual_vector(
 
 
 def _dual_probes(candidate: Sequence[Fraction]) -> list[Vec]:
+    """The candidate itself first, then a small deterministic search around it."""
     probes: list[Vec] = []
     deltas = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
     if len(candidate) == 1:

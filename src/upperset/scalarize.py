@@ -12,15 +12,18 @@ from constant-normal affine branches also get exact piecewise-linear closed
 forms of their scalarizations (``piecewise_scalarization``).
 
 Direction bases are rational vectors spanning the negative dual cone of the
-ordering cone: convex blends between consecutive extreme rays (a uniform
-fan) plus optional dyadic tail directions creeping toward each ray.  The
-tails make unbounded support gaps detectable at matching dyadic scales, and
-directions are rescaled to exact unit Euclidean length whenever the squared
-norm is a perfect rational square, so support comparisons stay rational.
+ordering cone, built the same way in every dimension: C^- is covered by
+simplicial cells of its generators, each cell is subdivided edgewise (a
+uniform fan), and optional dyadic tail directions creep along each cell's
+edges toward its generators.  The tails make unbounded support gaps
+detectable at matching dyadic scales, and directions are rescaled to exact
+unit Euclidean length whenever the squared norm is a perfect rational
+square, so support comparisons stay rational.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +38,8 @@ from .linalg import (
     Constraint,
     Ext,
     Vec,
-    is_zero,
     norm2_sq,
+    nullspace,
     scale_to_canonical,
     vec,
 )
@@ -55,72 +58,58 @@ def _unitize(u: Vec) -> Vec:
     return scale_to_canonical(u)
 
 
-def direction_fan(cone: Cone, fan: int = 64, tails: int = 0) -> tuple[Vec, ...]:
-    """Rational directions positively spanning C^-.
-
-    Consecutive extreme rays of C^- (in angular order around an interior
-    direction) are blended uniformly ``fan`` ways in total; ``tails`` adds
-    directions r + 2^-j r' per arc, approaching each ray geometrically.
-    Every returned direction lies in C^- and is deduplicated
-    deterministically.  These are the directions of
-    ``DirectionBase.default(cone, fan, tails)``, the one base kept per cone
-    object and (fan, tails).
-    """
-    return DirectionBase.default(cone, fan, tails).directions
+def _det(rows: tuple[Vec, ...]) -> Fraction:
+    """Laplace expansion along the first row; m <= 4 keeps it small."""
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = ([r[:j] + r[j + 1 :] for r in rows[1:]] for j in range(len(rows)))
+    return sum((-1) ** j * rows[0][j] * _det(minor) for j, minor in enumerate(minors))
 
 
 def _fan_of(dual: Cone, fan: int, tails: int) -> tuple[Vec, ...]:
-    gens = [scale_to_canonical(g) for g in dual.generators]
-    gens = list(dict.fromkeys(gens))
-    if dual.dim == 1 or len(gens) == 1:
-        return tuple(_unitize(g) for g in gens)
-    if dual.dim != 2:
-        # Desk-scale cap: blend generator pairs once at higher dimensions.
-        out = [_unitize(g) for g in gens]
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                d = tuple(a + b for a, b in zip(gens[i], gens[j]))
-                if not is_zero(d) and dual.contains(d):
-                    out.append(_unitize(d))
-        return tuple(dict.fromkeys(out))
+    """Rational directions positively spanning C^-, in every dimension.
 
-    ref = tuple(sum(g[i] for g in gens) for i in range(2))
-    if is_zero(ref):
-        ref = gens[0]
-    ref_angle = math.atan2(float(ref[1]), float(ref[0]))
+    Cells: the linearly independent k-subsets of C^-'s distinct generators,
+    k their rank, in combination order; when k = m >= 2 each is oriented to
+    a positive determinant, and the cells are sorted by their vertices'
+    positions.  They cover C^- (Caratheodory), lineality included.  Each
+    cell is subdivided edgewise to the largest depth d >= 1 with
+    cells * d^(k-1) <= ``fan``, so ``fan`` counts the small simplices in
+    total, and its grid points sum(c_i / d) g_i (sum c = d) are taken with
+    c_2..c_k in product order.  ``tails`` then adds a + 2^-j b and
+    2^-j a + b for j = 1..tails along every edge (a, b) of the cell,
+    approaching each generator geometrically.  Directions are unitized and
+    kept at first sight.
+    """
+    m = dual.dim
+    gens = list(dict.fromkeys(scale_to_canonical(g) for g in dual.generators))
+    k = m - len(nullspace(gens, m))
+    pos = {g: i for i, g in enumerate(gens)}
+    cells = []
+    for cell in itertools.combinations(gens, k):
+        if len(nullspace(cell, m)) == m - k:
+            if k == m >= 2 and _det(cell) < 0:
+                cell = cell[:-2] + (cell[-1], cell[-2])
+            cells.append(cell)
+    cells.sort(key=lambda cell: [pos[g] for g in cell])
+    d = 1
+    while k > 1 and len(cells) * (d + 1) ** (k - 1) <= fan:
+        d += 1
+    out: dict[Vec, None] = {}
 
-    def rel_angle(g: Vec) -> float:
-        a = math.atan2(float(g[1]), float(g[0])) - ref_angle
-        while a <= -math.pi:
-            a += 2 * math.pi
-        while a > math.pi:
-            a -= 2 * math.pi
-        return a
+    def push(weights, vertices) -> None:
+        point = tuple(sum(w * v[i] for w, v in zip(weights, vertices)) for i in range(m))
+        out.setdefault(_unitize(point))
 
-    ordered = sorted(gens, key=rel_angle)
-    arcs = list(zip(ordered, ordered[1:]))
-    if not arcs:
-        return tuple(_unitize(g) for g in ordered)
-    per_arc = max(1, fan // len(arcs))
-    weights = [Fraction(i, per_arc) for i in range(per_arc + 1)]
-    out: list[Vec] = []
-    seen: set[Vec] = set()
-
-    def push(d: Vec) -> None:
-        if is_zero(d) or not dual.contains(d):
-            return
-        u = _unitize(d)
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-
-    for a, b in arcs:
-        for w in weights:
-            push(tuple((1 - w) * ai + w * bi for ai, bi in zip(a, b)))
-        for j in range(1, tails + 1):
-            t = Fraction(1, 2**j)
-            push(tuple(ai + t * bi for ai, bi in zip(a, b)))
-            push(tuple(t * ai + bi for ai, bi in zip(a, b)))
+    for cell in cells:
+        for rest in itertools.product(range(d + 1), repeat=k - 1):
+            if sum(rest) <= d:
+                push([Fraction(c, d) for c in (d - sum(rest),) + rest], cell)
+        for a, b in itertools.combinations(cell, 2):
+            for j in range(1, tails + 1):
+                t = Fraction(1, 2**j)
+                push((1, t), (a, b))
+                push((t, 1), (a, b))
     return tuple(out)
 
 
@@ -140,10 +129,10 @@ class DirectionBase:
 
     @staticmethod
     def default(cone: Cone, fan: int = 64, tails: int = 0) -> "DirectionBase":
-        """The base of ``direction_fan(cone, fan, tails)``.  It depends on the
-        cone, ``fan`` and ``tails`` alone, so it is built once per cone object
-        and (fan, tails) and stored on the cone; every caller then shares
-        one base object and ``certify_base``'s answer on it."""
+        """The base of ``_fan_of(C^-, fan, tails)``.  It depends on the cone,
+        ``fan`` and ``tails`` alone, so it is built once per cone object and
+        (fan, tails) and stored on the cone; every caller then shares one
+        base object and ``certify_base``'s answer on it."""
         bases = cone.__dict__.setdefault("_bases", {})
         if (fan, tails) not in bases:
             bases[(fan, tails)] = DirectionBase(cone, _fan_of(dual_cone(cone), fan, tails))

@@ -25,7 +25,7 @@ from upperset.maps import (
     map_from_json,
     map_to_json,
 )
-from upperset.scalarize import direction_fan
+from upperset.scalarize import DirectionBase
 from upperset.sets import (
     SupportOracle,
     UpperSet,
@@ -79,7 +79,7 @@ def convexity_check(f: SetValuedMap, seed: int = 0, count: int = 24) -> Verdict:
             cmpres = set_order_leq(vm, minkowski_sum(scale(v1, t), scale(v2, 1 - t)))
             violated, z = not cmpres.value, cmpres.witness
         else:
-            fan = direction_fan(f.cone, 64)
+            fan = DirectionBase.default(f.cone, 64).directions
             violated = any(t * v1.support(u) + (1 - t) * v2.support(u) > vm.support(u) for u in fan)
             z = None
         if violated:

@@ -1,5 +1,6 @@
 """Package hygiene: every public name of ``upperset`` has a use outside the
-tests, and no module imports another module's private names.
+tests, no module imports another module's private names, and no module
+computes in floats.
 
 A public top-level function, class or method that nothing in the package
 or the benchmark refers to is a dead entry point: a routine that only the
@@ -79,3 +80,25 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_")
     ]
     assert imported == []
+
+
+# The math names an exact module may use: integer arithmetic and the
+# infinities that bound extended reals.
+EXACT_MATH = {"gcd", "lcm", "isqrt", "isinf", "inf"}
+
+
+def test_no_module_computes_in_floats():
+    # Every value the package computes is a Fraction or +-inf: no module
+    # converts to float or reaches for float math (angles, roots, logs).
+    inexact = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                inexact.append(f"{module.name}:{node.lineno}: float(...)")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+                if node.attr not in EXACT_MATH:
+                    inexact.append(f"{module.name}:{node.lineno}: math.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                names = {alias.name for alias in node.names}
+                inexact.extend(f"{module.name}:{node.lineno}: math.{n}" for n in sorted(names - EXACT_MATH))
+    assert inexact == []

@@ -1,19 +1,27 @@
 """Scalarizations, direction bases, closed forms and reconstruction."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from upperset.continuity import default_config, verdict_matrix
-from upperset.corpus import ORTHANT_2D, fixture_by_id, random_convex_affine_maps
+from upperset.continuity import CheckerConfig, _Scan, default_config, verdict_matrix
+from upperset.corpus import (
+    HALFLINE_1D,
+    ORTHANT_2D,
+    RAY_CONE_2D,
+    fixture_by_id,
+    random_convex_affine_maps,
+)
 from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone
-from upperset.linalg import NEG_INF, POS_INF, ZERO
+from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, nullspace, scale_to_canonical
 from upperset.maps import SetValuedMap
 from upperset.scalarize import (
     DirectionBase,
+    _unitize,
     certify_base,
-    direction_fan,
     piecewise_scalarization,
     scalarize_eval,
 )
@@ -111,34 +119,173 @@ class TestScalarizeEval:
                     assert vm <= t * v1 + (1 - t) * v2
 
 
+def base_dirs(cone: Cone, fan: int, tails: int = 0) -> tuple:
+    """The directions of the cone's default base."""
+    return DirectionBase.default(cone, fan, tails).directions
+
+
 class TestDirectionFan:
     def test_extreme_rays_present(self):
-        fan = direction_fan(ORTHANT, 8)
-        assert (F(-1), F(0)) in fan and (F(0), F(-1)) in fan
+        dirs = base_dirs(ORTHANT, 8)
+        assert (F(-1), F(0)) in dirs and (F(0), F(-1)) in dirs
 
     def test_all_directions_in_dual(self):
-        fan = direction_fan(ORTHANT, 16, tails=6)
-        for d in fan:
+        for d in base_dirs(ORTHANT, 16, tails=6):
             assert all(c <= 0 for c in d)
 
     def test_tails_have_dyadic_slopes(self):
-        fan = direction_fan(ORTHANT, 4, tails=4)
         slopes = set()
-        for d in fan:
+        for d in base_dirs(ORTHANT, 4, tails=4):
             if d[0] != 0:
                 slopes.add(d[1] / d[0])
         for j in range(1, 5):
             assert F(1) / 2**j in slopes
 
     def test_halfplane_dual_fan(self):
-        fan = direction_fan(RAY, 8)
+        dirs = base_dirs(RAY, 8)
         # C^- is the lower halfplane; the fan must span it, not a slice.
-        assert any(d[0] > 0 for d in fan) and any(d[0] < 0 for d in fan)
-        assert all(d[1] <= 0 for d in fan)
+        assert any(d[0] > 0 for d in dirs) and any(d[0] < 0 for d in dirs)
+        assert all(d[1] <= 0 for d in dirs)
 
     def test_one_dimensional(self):
         cone = Cone.from_generators([[1]])
-        assert direction_fan(cone, 8) == ((F(-1),),)
+        assert base_dirs(cone, 8) == ((F(-1),),)
+
+
+# -- the cell fan against the plane's angular fan ---------------------------------
+
+
+def angular_fan(cone: Cone, fan: int, tails: int) -> tuple:
+    """The fan of C^- as the package built it before one construction
+    served every m, kept as the oracle for m <= 2: in the plane the
+    generators are sorted by float angle around their sum, each arc between
+    neighbours is blended ``fan // arcs`` ways, and ``tails`` adds
+    r + 2^-j r' and 2^-j r + r' per arc."""
+    dual = dual_cone(cone)
+    gens = list(dict.fromkeys(scale_to_canonical(g) for g in dual.generators))
+    if dual.dim == 1 or len(gens) == 1:
+        return tuple(_unitize(g) for g in gens)
+    assert dual.dim == 2
+    ref = tuple(sum(g[i] for g in gens) for i in range(2))
+    if is_zero(ref):
+        ref = gens[0]
+    ref_angle = math.atan2(float(ref[1]), float(ref[0]))
+
+    def rel_angle(g) -> float:
+        a = math.atan2(float(g[1]), float(g[0])) - ref_angle
+        while a <= -math.pi:
+            a += 2 * math.pi
+        while a > math.pi:
+            a -= 2 * math.pi
+        return a
+
+    ordered = sorted(gens, key=rel_angle)
+    arcs = list(zip(ordered, ordered[1:]))
+    per_arc = max(1, fan // len(arcs))
+    out: dict = {}
+
+    def push(d) -> None:
+        if not is_zero(d) and dual.contains(d):
+            out.setdefault(_unitize(d))
+
+    for a, b in arcs:
+        for i in range(per_arc + 1):
+            w = Fraction(i, per_arc)
+            push(tuple((1 - w) * ai + w * bi for ai, bi in zip(a, b)))
+        for j in range(1, tails + 1):
+            t = Fraction(1, 2**j)
+            push(tuple(ai + t * bi for ai, bi in zip(a, b)))
+            push(tuple(t * ai + bi for ai, bi in zip(a, b)))
+    return tuple(out)
+
+
+FAN_SETTINGS = [(32, 24), (8, 10), (16, 0), (4, 0), (2, 0)]
+TRIVIAL_2D = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1], [0, -1]])
+ORTHANT_3D = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+ORTHANT_4D = Cone.from_generators([[int(i == j) for j in range(4)] for i in range(4)])
+WEDGE_3D = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+# {z1, z2 >= 0} in R^3: C has lineality, so C^- lacks interior.
+SLAB_3D = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0]], 3)
+
+
+def seeded_plane_cones(seed: int, count: int) -> list[Cone]:
+    """Plane ordering cones with entries in [-4, 4], alternating the two
+    constructors; C = {0}, whose C^- is the whole plane, is left out."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        vectors = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(rng.randint(1, 3))]
+        try:
+            if len(cones) % 2:
+                cone = Cone.from_halfspaces(vectors, 2)
+            else:
+                cone = Cone.from_generators(vectors)
+        except (OrderConeError, ValueError):
+            continue
+        if cone.generators:
+            cones.append(cone)
+    return cones
+
+
+def same_rays(dirs) -> set:
+    return {scale_to_canonical(d) for d in dirs}
+
+
+class TestCellFan:
+    """One construction builds the fan in every m: cells of C^-'s
+    generators, each subdivided edgewise, with dyadic tails along every
+    cell edge.  In the plane and on the line it returns the angular fan's
+    directions in the angular fan's order."""
+
+    def test_plane_fans_equal_the_angular_fan(self):
+        line = Cone.from_halfspaces([[1, 2], [-1, -2]])
+        ray = Cone.from_generators([[1, 0], [-1, 0], [0, 1]])
+        corpus = [ORTHANT_2D, RAY_CONE_2D, HALFLINE_1D, Cone.from_halfspaces([[1], [-1]]), line, ray]
+        cones = corpus + seeded_plane_cones(1315, 220)
+        kinds = {"C^- a ray or a line": 0, "C^- with lineality": 0, "pointed C^-": 0}
+        for cone in cones:
+            dual = dual_cone(cone)
+            for fan_size, tails in FAN_SETTINGS:
+                assert base_dirs(cone, fan_size, tails) == angular_fan(cone, fan_size, tails), (cone, fan_size, tails)
+            if cone.dim == 2:
+                rank = 2 - len(nullspace(dual.generators, 2))
+                kinds["C^- a ray or a line" if rank == 1 else "pointed C^-" if dual.pointed else "C^- with lineality"] += 1
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_whole_plane_dual_has_every_quadrant(self):
+        # The angular fan sorted around gens[0] here and left out the
+        # quadrant between -e1 and -e2; the cells cover all four.
+        for fan_size, tails in ((8, 10), (32, 24)):
+            rays = same_rays(base_dirs(TRIVIAL_2D, fan_size, tails))
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                assert (F(s1), F(s2)) in rays
+        assert certify_base(DirectionBase.default(TRIVIAL_2D, 8, 10)) is True
+
+    @pytest.mark.parametrize(
+        "cone", [ORTHANT_3D, WEDGE_3D, SLAB_3D, ORTHANT_4D], ids=["orthant-3d", "wedge-3d", "slab-3d", "orthant-4d"]
+    )
+    def test_higher_dimensional_fans(self, cone):
+        dual = dual_cone(cone)
+        gens = list(dict.fromkeys(scale_to_canonical(g) for g in dual.generators))
+        sizes = [len(base_dirs(cone, fan_size, tails)) for fan_size, tails in ((4, 0), (8, 10), (32, 24))]
+        assert sizes == sorted(set(sizes)), sizes
+        for fan_size, tails in ((8, 10), (32, 24)):
+            base = DirectionBase.default(cone, fan_size, tails)
+            for d in base.directions:
+                assert all(isinstance(c, Fraction) for c in d)
+                assert not is_zero(d) and dual.contains(d)
+            # Two generators share a cell exactly when they are independent.
+            rays = same_rays(base.directions)
+            for r, s in itertools.permutations(gens, 2):
+                if len(nullspace([r, s], cone.dim)) == cone.dim - 2:
+                    for j in range(1, tails + 1):
+                        tail = tuple(a + F(1) / 2**j * b for a, b in zip(r, s))
+                        assert scale_to_canonical(tail) in rays, (r, s, j)
+            assert certify_base(base) is True
+
+    def test_light_and_default_fans_differ_in_3d(self):
+        light, default = default_config().light(), default_config()
+        assert base_dirs(ORTHANT_3D, light.z_fan, light.z_tails) != base_dirs(ORTHANT_3D, default.z_fan, default.z_tails)
 
 
 class TestCertifyBase:
@@ -317,7 +464,8 @@ class TestBasePerCone:
         cone = fresh_cone(ORTHANT)
         base = DirectionBase.default(cone, 4, 2)
         assert DirectionBase.default(cone, 4, 2) is base
-        assert direction_fan(cone, 4, 2) is base.directions
+        scan = _Scan(constant_map(cone), [0], CheckerConfig(z_fan=4, z_tails=2))
+        assert scan.fan is base.directions
         assert DirectionBase.default(cone, 4) is not base
         twin = fresh_cone(cone)
         assert DirectionBase.default(twin, 4, 2) is not base
@@ -368,7 +516,7 @@ class TestConePassCache:
         fresh = fresh_cone(cone)
         queries = {
             "dual_cone": lambda: dual_cone(fresh),
-            "direction_fan": lambda: direction_fan(fresh, 8, 2),
+            "default_base": lambda: DirectionBase.default(fresh, 8, 2),
             "pointed": lambda: fresh.pointed,
             "has_interior": lambda: fresh.has_interior,
             "contains": lambda: fresh.contains(cone.generators[-1]),
@@ -399,7 +547,7 @@ class TestConePassCache:
         # the cone that has none of them stored yet.
         dd_passes.clear()
         twin = fresh_cone(f.cone)
-        direction_fan(twin, cfg.z_fan, cfg.z_tails)
+        DirectionBase.default(twin, cfg.z_fan, cfg.z_tails)
         assert (twin.pointed, twin.has_interior) == (f.cone.pointed, f.cone.has_interior)
         cone_passes = {(rows, dim) for _, rows, dim in dd_passes}
         assert cone_passes and not second & cone_passes

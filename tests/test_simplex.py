@@ -8,7 +8,7 @@ import pytest
 from upperset import simplex
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import NEG_INF, ONE, POS_INF, ZERO, dot, vec
-from upperset.scalarize import direction_fan
+from upperset.scalarize import DirectionBase
 from upperset.simplex import LPStatus, solve_lp
 
 
@@ -280,7 +280,7 @@ def _tall_instances():
     the box |y_i| <= 1."""
     for gens, want_dual in (([[1, 0], [0, 1]], False), ([[2, 1], [-1, 3]], True)):
         cone = Cone.from_generators(gens)
-        rows = [(tuple(-c for c in d), ZERO) for d in direction_fan(cone, 8, 10)]
+        rows = [(tuple(-c for c in d), ZERO) for d in DirectionBase.default(cone, 8, 10).directions]
         for i in range(2):
             for s in (1, -1):
                 e = [ZERO, ZERO]
