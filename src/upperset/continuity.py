@@ -58,7 +58,6 @@ from .linalg import (
     NEG_INF,
     POS_INF,
     ZERO,
-    Constraint,
     Ext,
     Vec,
     dot,
@@ -172,6 +171,19 @@ class _Scan:
         values = [self.f.evaluate(x) for x in self.sampled_xs(delta)]
         return None if any(v.is_empty for v in values) else values
 
+    def stacked(self, values: Iterable[UpperSet]) -> Optional[Polyhedron]:
+        """A polyhedron containing the intersection of the values: a
+        one-piece value gives its own rows, any other its outer
+        approximation on the fan.  None at the first empty value, since then
+        the values share no point."""
+        rows = []
+        for v in values:
+            if v.is_empty:
+                return None
+            one_piece = v.is_polyhedral and len(v.pieces) == 1
+            rows.extend((v.pieces[0] if one_piece else outer_polyhedron(v, self.fan)).rows)
+        return Polyhedron(self.f.cone.dim, rows)
+
     def level(
         self, k: int, violated: Callable[[Vec], Optional[bool]]
     ) -> tuple[Optional[bool], Optional[Witness]]:
@@ -209,9 +221,12 @@ class _Scan:
             # that vanish below the grid let the exists-delta side win.
             for k in range(K + 1, K + 1 + self.cfg.confirm_levels):
                 examined += 1
-                flag, witness = self.level(k, violated)
-                if flag is not True:
+                flag, hit = self.level(k, violated)
+                if flag is None:
+                    return "mixed", witness, examined
+                if flag is False:
                     return "clean", None, examined
+                witness = hit
             return "persistent", witness, examined
         if flags[-1] is False:
             return "clean", None, examined
@@ -464,26 +479,25 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     anchors.append((ZERO,) * f.cone.dim)
     sizes = sorted({_WINDOW, _WINDOW / 4, Fraction(1)}, reverse=True)
     examined = 0
-    best_mixed = False
+    persistent = True
     for anchor in anchors:
         for size in sizes:
             box = Polyhedron.box([(a - size, a + size) for a in anchor])
-            kind, _, levels = s.classify(lambda x: _box_misses_value(f.evaluate(x), box, s.fan))
+            kind, wit, levels = s.classify(lambda x: _box_misses_value(f.evaluate(x), box, s.fan))
             examined = max(examined, levels)
             if kind == "clean":
                 return Verdict.holds(
                     resolution=examined,
                     note=f"box of radius {size} around {anchor} meets nearby values",
                 )
-            if kind == "mixed":
-                best_mixed = True
-    # The largest candidate box already misses values arbitrarily close.
-    big = Polyhedron.box([(-_WINDOW, _WINDOW)] * f.cone.dim)
-    kind, wit, levels = s.classify(lambda x: _box_misses_value(f.evaluate(x), big, s.fan))
-    examined = max(examined, levels)
-    if kind == "persistent" and not best_mixed:
+            persistent = persistent and kind == "persistent"
+            if size == _WINDOW:
+                # The last anchor is the origin, so this ends as the witness
+                # of the window box itself.
+                window_wit = wit
+    if persistent:
         return Verdict.fails(
-            replace(wit, detail="nearby values miss every window-scale box"),
+            replace(window_wit, detail="nearby values miss every window-scale box"),
             resolution=examined,
             note="bounded sets searched up to window scale",
         )
@@ -521,7 +535,7 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
         certified = f.box_value_intersection(s.x0, delta)
         if certified is None:
             values = s.common_values(delta)
-            a = None if values is None else _sampled_common_point(values, s.fan)
+            a = None if values is None else _sampled_common_point(s, values)
             note = "common point verified at sampled x"
         else:
             a = certified.lowest_point(zeros(f.cone.dim))
@@ -531,8 +545,8 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     # Failure side: sampled intersections stay empty at the finest level and
     # at every confirmation level below it.
     for delta in levels[s.cfg.radii.levels :]:
-        rows = _stacked_rows(map(f.evaluate, s.sampled_xs(delta)), s.fan)
-        if rows is not None and not Polyhedron(f.cone.dim, rows).is_empty:
+        common = s.stacked(map(f.evaluate, s.sampled_xs(delta)))
+        if common is not None and not common.is_empty:
             return Verdict.inconclusive(note="no common point found, emptiness not certified")
     return Verdict.fails(
         Witness(x=s.x0, radius=levels[-1], detail="sampled values share no point"),
@@ -540,12 +554,11 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     )
 
 
-def _sampled_common_point(values: Sequence[UpperSet], fan: Sequence[Vec]) -> Optional[Vec]:
+def _sampled_common_point(s: _Scan, values: Sequence[UpperSet]) -> Optional[Vec]:
     """A point of every value: the lowest point of their stacked rows if it
     lies in each, else the first sample point of the first value that does."""
-    dim = values[0].cone.dim
     candidates: list[Vec] = []
-    a = Polyhedron(dim, _stacked_rows(values, fan)).lowest_point(zeros(dim))
+    a = s.stacked(values).lowest_point(zeros(s.f.cone.dim))
     if a is not None:
         candidates.append(a)
     candidates.extend(_value_sample_points(values[0]))
@@ -553,22 +566,6 @@ def _sampled_common_point(values: Sequence[UpperSet], fan: Sequence[Vec]) -> Opt
         if all(member(v, a) for v in values):
             return a
     return None
-
-
-def _stacked_rows(values: Iterable[UpperSet], fan: Sequence[Vec]) -> Optional[list[Constraint]]:
-    """Rows of a polyhedron containing the intersection of the values: a
-    one-piece value gives its own rows, any other its outer approximation on
-    the fan.  None at the first empty value, since then the values share no
-    point."""
-    rows: list[Constraint] = []
-    for v in values:
-        if v.is_empty:
-            return None
-        if v.is_polyhedral and len(v.pieces) == 1:
-            rows.extend(v.pieces[0].rows)
-        else:
-            rows.extend(outer_polyhedron(v, fan).rows)
-    return rows
 
 
 def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
@@ -587,8 +584,8 @@ def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             # Failure side at this (z0, eps): the sampled common set stays
             # farther than eps from z0 at every level plus confirmation.
             for delta in s.cfg.radii.values(s.cfg.confirm_levels):
-                rows = _stacked_rows(map(f.evaluate, s.sampled_xs(delta)), s.fan)
-                if rows is not None and Polyhedron(f.cone.dim, rows).dist_sq(z0) <= eps * eps:
+                common = s.stacked(map(f.evaluate, s.sampled_xs(delta)))
+                if common is not None and common.dist_sq(z0) <= eps * eps:
                     return Verdict.inconclusive(
                         resolution=examined, note="common-point search undecided"
                     )

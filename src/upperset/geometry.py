@@ -7,15 +7,15 @@ polyhedron, by the double description method.  ``is_empty``, ``support``,
 ``contained_in``, ``minimal_face_points``, ``excess_sq`` and
 ``affine_dim`` read the V-form, and so does every point a query returns:
 ``lowest_point`` is the last V-form point that minimizes a direction, and
-``interior_point`` and ``violation_witness`` are lowest points of a lifted
-polyhedron and of ``self``; every recession direction returned is a V-form
-ray or +- lineality vector.  A cone carries both generators and halfspaces
-and is the b = 0 polyhedron of its halfspaces, built once per cone:
-membership and pointedness read that polyhedron, and the negative dual cone
-is built once and kept on the cone.  Conversions between the two cone
-representations (``_cone_rays``) run by the same double description on the
-homogeneous rows.  No query here solves an LP; the documented dimension cap
-is m <= 4.
+``interior_point`` and ``strict_point`` (a point strictly inside the rows
+flagged strict) are lowest points of a lifted polyhedron; every recession
+direction returned is a V-form ray or +- lineality vector.  A cone carries
+both generators and halfspaces and is the b = 0 polyhedron of its
+halfspaces, built once per cone: membership and pointedness read that
+polyhedron, and the negative dual cone is built once and kept on the cone.
+Conversions between the two cone representations (``_cone_rays``) run by
+the same double description on the homogeneous rows.  No query here solves
+an LP; the documented dimension cap is m <= 4.
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
 
@@ -71,8 +71,6 @@ from .linalg import (
     scale_to_canonical,
     solve_affine,
     vec,
-    vadd,
-    vscale,
     zeros,
 )
 
@@ -707,23 +705,16 @@ class Polyhedron:
             return True
         return all(-self.support(tuple(-x for x in n)) >= b for n, b in other.rows)
 
-    def violation_witness(self, other: "Polyhedron") -> Vec | None:
-        """A point of self outside other, or None when self <= other: per row
-        of ``other``, self's lowest point along its normal, or a ray walk."""
-        if self.is_empty:
-            return None
-        for r, (n, b) in zip(other._int_rows, other.rows):
-            low = self.lowest_point(n)
-            if low is None:
-                base = self.minimal_face_points[0]
-                ray = self._escape([r])
-                t = Fraction(1)
-                while dot(n, vadd(base, vscale(t, ray))) >= b:
-                    t *= 2
-                return vadd(base, vscale(t, ray))
-            if dot(n, low) < b:
-                return low
-        return None
+
+def strict_point(dim: int, rows: Sequence[Constraint], strict: Sequence[bool]) -> Vec | None:
+    """A z in R^dim with n.z >= b on every row (n, b), strictly on the rows
+    flagged in ``strict``, or None when there is none: the lowest point of
+    -s over {(z, s) : n.z - s >= b on strict rows, n.z >= b on the others,
+    s <= 1}, kept when its margin s is positive."""
+    lifted = [(tuple(n) + (Fraction(-1) if st else ZERO,), b) for (n, b), st in zip(rows, strict)]
+    lifted.append(((ZERO,) * dim + (Fraction(-1),), Fraction(-1)))
+    low = Polyhedron(dim + 1, lifted).lowest_point((ZERO,) * dim + (Fraction(-1),))
+    return None if low is None or low[-1] <= 0 else low[:-1]
 
 
 def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ...]]) -> Polyhedron:

@@ -61,15 +61,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(t: Fraction, a: Vec) -> Vec:
-    t = frac(t)
-    return tuple(t * x for x in a)
-
-
 def norm1(a: Vec) -> Fraction:
     return sum((abs(x) for x in a), ZERO)
 

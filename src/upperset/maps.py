@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .geometry import Cone, Polyhedron, dual_cone, project_out
+from .geometry import Cone, Polyhedron, dual_cone, project_out, strict_point
 from .linalg import (
-    ONE,
     ZERO,
     Constraint,
     Mat,
@@ -201,14 +200,6 @@ def _body_leaves(
         yield Leaf(region_rows, strict, body)
 
 
-def _region_nonempty(rows: Sequence[Constraint], strict: Sequence[bool], n: int) -> bool:
-    """Whether some x in R^n satisfies the rows, strictly where flagged: the
-    largest margin s <= 1 on the strict rows is positive."""
-    lifted = [(tuple(g) + (-ONE if st else ZERO,), h) for (g, h), st in zip(rows, strict)]
-    lifted.append(((ZERO,) * n + (-ONE,), -ONE))
-    return Polyhedron(n + 1, lifted).support((ZERO,) * n + (ONE,)) > 0
-
-
 def constant_empty_body(n: int, m: int) -> AffineBody:
     """A body evaluating to the empty set everywhere (0 . z >= 1)."""
     return AffineBody(
@@ -340,7 +331,7 @@ def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
     return all(
         _leaf_box_in_graph(f, leaf, x0, z0, r)
         for leaf in f.leaves
-        if _region_nonempty([*leaf.rows, *box], (*leaf.strict,) + (False,) * len(box), f.domain_dim)
+        if strict_point(f.domain_dim, [*leaf.rows, *box], (*leaf.strict,) + (False,) * len(box)) is not None
     )
 
 
@@ -397,7 +388,7 @@ def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
         if (
             leaf.empty
             and all(dot(g, x0) >= h for g, h in leaf.rows)
-            and _region_nonempty(leaf.rows, leaf.strict, f.domain_dim)
+            and strict_point(f.domain_dim, leaf.rows, leaf.strict) is not None
         ):
             return Verdict.fails(
                 Witness(x=x0, detail="empty values on one side of the guard"),

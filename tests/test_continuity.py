@@ -11,6 +11,7 @@ from upperset.continuity import (
     _Scan,
     _outside_probes,
     _value_sample_points,
+    _verdict,
     CheckerConfig,
     Grid,
     VerdictMatrix,
@@ -340,3 +341,28 @@ def test_outside_probes_leave_the_diagonal_in_three_dimensions():
     assert (-4, -4, -2) in probes
     assert not any(member(f.evaluate((0,)), p) for p in probes)
     assert check_lls(f, (0,), TINY).is_holds
+
+
+class TestClassify:
+    """``_Scan.classify`` on synthetic level flags.  Under ``TINY`` the grid
+    is levels 0 to 2, level 3 confirms a violation, and levels 3 and 4 are
+    the descent below the grid."""
+
+    SCAN = _Scan(SetValuedMap(1, ORTHANT, constant_cone_body(ORTHANT, 1)), (0,), TINY)
+
+    def classify(self, flag_at):
+        # A sample at x = +-2^-k belongs to level k.
+        return self.SCAN.classify(lambda x: flag_at(abs(x[0]).denominator.bit_length() - 1))
+
+    def test_undecided_everywhere_is_mixed(self):
+        kind, _, levels = self.classify(lambda k: None)
+        assert (kind, levels) == ("mixed", 5)
+        verdict = _verdict(kind, levels, Witness, "undecided")
+        assert verdict == Verdict.inconclusive(note="undecided", resolution=5)
+
+    def test_a_clean_finest_level_is_clean_after_undecided_ones(self):
+        assert self.classify(lambda k: False if k == 2 else None) == ("clean", None, 3)
+
+    def test_an_undecided_confirmation_level_is_mixed(self):
+        kind, witness, levels = self.classify(lambda k: True if k <= 2 else None)
+        assert (kind, levels) == ("mixed", 4) and witness.radius == Fraction(1, 4)

@@ -22,6 +22,7 @@ from upperset.geometry import (
     dual_cone,
     project_out,
     require_dual_direction,
+    strict_point,
 )
 from upperset.linalg import (
     NEG_INF,
@@ -33,9 +34,7 @@ from upperset.linalg import (
     nullspace,
     scale_to_canonical,
     solve_affine,
-    vadd,
     vec,
-    vscale,
     zeros,
 )
 from upperset.sets import minkowski_sum, upper_closure
@@ -46,6 +45,14 @@ from test_linalg import matrix_rank, vsub
 
 def F(x):
     return Fraction(x)
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vscale(t, a):
+    return tuple(t * x for x in a)
 
 
 ORTHANT_2D = Cone.from_generators([[1, 0], [0, 1]])
@@ -234,8 +241,19 @@ class TestPolyhedron:
         outer = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])
         assert inner.contained_in(outer)
         assert not outer.contained_in(inner)
-        w = outer.violation_witness(inner)
-        assert w is not None and outer.contains(w) and not inner.contains(w)
+
+    def test_strict_point(self):
+        rows = [([1, 0], 0), ([0, 1], 0), ([-1, -1], -1)]
+        w = strict_point(2, rows, [True, True, False])
+        assert w is not None and 0 < min(w) and sum(w) <= 1
+        # The triangle's rows all strict, then one edge of it made strict
+        # from the outside: a point of the open triangle, then none.
+        assert strict_point(2, rows, [True] * 3) is not None
+        assert strict_point(2, rows + [([1, 1], 1)], [False] * 3 + [True]) is None
+        assert strict_point(2, rows + [([1, 1], 1)], [False] * 4) is not None
+        # A zero row holds strictly only with a negative offset.
+        assert strict_point(1, [([0], 0)], [True]) is None
+        assert strict_point(1, [([0], -1)], [True]) == (0,)
 
     def test_translate_scale(self):
         p = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])
@@ -530,8 +548,9 @@ def support_rank_affine_dim(p):
 
 class TestPointReadersOracle:
     """Points read off the V-form answer as the LPs did: ``lowest_point``,
-    the feasible point ``lowest_point(0)``, ``interior_point`` and
-    ``violation_witness``; and ``affine_dim`` as the support-per-row rank."""
+    the feasible point ``lowest_point(0)``, ``interior_point`` and a point
+    of p strictly outside a row of q (``strict_point``); and ``affine_dim``
+    as the support-per-row rank."""
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_lps(self, seed):
@@ -567,7 +586,9 @@ class TestPointReadersOracle:
                 q = Polyhedron(dim, kept)
             contained = feasible.status is LPStatus.INFEASIBLE or lp_contained_in(p, q)
             assert p.contained_in(q) == contained
-            witness = p.violation_witness(q)
+            cuts = ([*p.rows, (tuple(-x for x in n), -b)] for n, b in q.rows)
+            flags = [False] * len(p.rows) + [True]
+            witness = next(filter(None, (strict_point(dim, rows, flags) for rows in cuts)), None)
             assert (witness is None) == contained, (p.rows, q.rows)
             if witness is not None:
                 assert p.contains(witness) and not q.contains(witness)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upperset import sets
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from test_geometry import recession_rays
 from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, vec
@@ -150,6 +151,108 @@ class TestOrder:
     def test_universal_is_least(self):
         a = translate_of_cone([5, 5])
         assert set_order_leq(UpperSet.universal(ORTHANT), a)
+
+    @pytest.mark.parametrize(
+        "t, witness",
+        [
+            (F(1) / 2, None),
+            (F(33) / 64, (F(63) / 128, F(65) / 128)),
+            (F(3) / 4, (F(3) / 8, F(5) / 8)),
+        ],
+    )
+    def test_union_cover_is_decided_exactly(self, t, witness):
+        # q = {z >= 0, z1 + z2 >= 1} lies in no single piece, and the two
+        # pieces {z1 >= 1/2} and {z2 >= t} cover it exactly when t <= 1/2.
+        q = Polyhedron(2, [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)])
+        a = UpperSet(ORTHANT, pieces=[
+            Polyhedron(2, [([1, 0], 0), ([0, 1], 0), ([1, 0], F(1) / 2)]),
+            Polyhedron(2, [([1, 0], 0), ([0, 1], 0), ([0, 1], t)]),
+        ])
+        b = UpperSet(ORTHANT, pieces=[q])
+        assert not any(q.contained_in(p) for p in a.pieces)
+        order = set_order_leq(a, b)
+        assert order.exact and order.value == (witness is None) and order.witness == witness
+        if witness is not None:
+            assert member(b, witness) and not member(a, witness)
+
+    def test_empty_set_is_below_nothing_nonempty(self):
+        b = lattice_inf([translate_of_cone([1, 0]), translate_of_cone([0, 2])])
+        order = set_order_leq(UpperSet.empty(ORTHANT), b)
+        assert not order.value and order.exact and member(b, order.witness)
+
+
+# -- the order on unions against a grid of points ------------------------------
+
+
+def _orthant(m):
+    return Cone.from_generators([[int(i == j) for j in range(m)] for i in range(m)])
+
+
+def _upper_row(rng, m):
+    """A row n.z >= c with n in {0, 1, 2}^m nonzero, so upper closed on the
+    orthant, and c a half-integer in [0, 3]."""
+    n = tuple(rng.randint(0, 2) for _ in range(m))
+    return (n, F(rng.randint(0, 6)) / 2) if any(n) else _upper_row(rng, m)
+
+
+def _upper_piece(rng, m):
+    """z >= 0 and one or two random upper rows."""
+    rows = [(tuple(int(i == j) for j in range(m)), 0) for i in range(m)]
+    return Polyhedron(m, rows + [_upper_row(rng, m) for _ in range(rng.randint(1, 2))])
+
+
+def random_union_pair(rng, m):
+    """(a, b) over the orthant: b one random piece q; a either 1 to 4 random
+    pieces, or q cut once along each coordinate, so that the cuts cover q
+    together or leave a corner of it uncovered."""
+    q = _upper_piece(rng, m)
+    if rng.random() < 0.5:
+        pieces = [_upper_piece(rng, m) for _ in range(rng.randint(1, 4))]
+    else:
+        cuts = [(tuple(int(i == j) for j in range(m)), F(rng.randint(1, 3)) / 2) for i in range(m)]
+        pieces = [Polyhedron(m, q.rows + (cut,)) for cut in cuts]
+    cone = _orthant(m)
+    return UpperSet(cone, pieces=pieces), UpperSet(cone, pieces=[q])
+
+
+def test_order_on_unions_matches_a_point_grid():
+    # A False carries a point of b outside every piece of a; no True is
+    # refuted by a point of the half-integer grid on [0, 4]^m.
+    seen = {"holds": 0, "fails": 0, "covered by the union only": 0, "fails on a union": 0}
+    grid = [F(k) / 2 for k in range(9)]
+    for seed in range(320):
+        rng = random.Random(seed)
+        m = 2 + seed % 2
+        a, b = random_union_pair(rng, m)
+        order = set_order_leq(a, b)
+        assert order.exact
+        if order.value:
+            for z in itertools.product(grid, repeat=m):
+                assert member(a, z) or not member(b, z), (seed, z)
+            seen["holds"] += 1
+            single = any(b.pieces[0].contained_in(p) for p in a.pieces)
+            seen["covered by the union only"] += not single
+        else:
+            assert member(b, order.witness) and not member(a, order.witness), seed
+            seen["fails"] += 1
+            seen["fails on a union"] += len(a.pieces) > 1
+    assert seen["holds"] >= 100 and seen["fails"] >= 100, seen
+    assert seen["covered by the union only"] >= 10 and seen["fails on a union"] >= 100, seen
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_inf_and_sup_orders_take_the_one_piece_path(m, monkeypatch):
+    # inf(A, B) <= A and A <= sup(A, B) are settled by one piece's
+    # containment, with no strict-feasibility pass.
+    passes = []
+    real = sets.strict_point
+    monkeypatch.setattr(sets, "strict_point", lambda *args: passes.append(args) or real(*args))
+    cone = _orthant(m)
+    rng = random.Random(1112 + m)
+    for _ in range(20):
+        A, B = (upper_closure(Polyhedron(m, _box_cut(rng, m, m)), cone) for _ in range(2))
+        assert set_order_leq(lattice_inf([A, B]), A) and set_order_leq(A, lattice_sup([A, B]))
+    assert passes == []
 
 
 class TestLattice:
