@@ -27,17 +27,25 @@ exists-delta side.
 
 Every sampled checker starts from one per-point context, ``_Scan(f, x0,
 cfg)``: the resolved config, x0 as a vector, the map, the direction fan of
-C^- and the x-directions, with f(x0) evaluated on first use.
-``_Scan.level`` reads one x-radius level, ``_Scan.classify`` turns the level
-flags into persistent, clean or mixed, and ``_Scan.first(family, run)`` is
-the for-all loop: it runs each member of a family up to the first run that
-is not clean.  ``_Scan.sweep`` is ``first`` over the epsilon grid; lc runs
-it over the points z0 of f(x0), the scalar check over the base directions.
-One rule, ``_verdict``, turns a kind into a verdict: persistent fails with
-the checker's witness, mixed is inconclusive with its note, clean holds.
-The usc/lsc threshold of a scalarization is ``_scalar_violated``; the
-per-direction and the uniform scalar checks run the same multi-direction
-scan (``_scalar_scan``).
+C^- and the x-directions, with f(x0) evaluated on first use.  The scan
+builds the x-samples of each radius level once (``_Scan.samples``);
+``_Scan.level`` and ``_Scan.sampled_xs`` both read them.  ``_Scan.level``
+flags one x-radius level, ``_Scan.classify`` turns the level flags into
+persistent, clean or mixed, and ``_Scan.first(family, run)`` is the for-all
+loop: it runs each member of a family up to the first run that is not
+clean.  ``_Scan.sweep`` is ``first`` over the epsilon grid; lc runs it over
+the points z0 of f(x0), the scalar check over the base directions.  One
+rule, ``_verdict``, turns a kind into a verdict: persistent fails with the
+checker's witness, mixed is inconclusive with its note, clean holds.
+
+The per-direction and the uniform scalar checks run the same
+multi-direction scan (``_scalar_scan``).  Each epsilon fixes one bound per
+direction from phi(x0), and leaves out the directions that cannot break
+(``_scalar_bounds``); a sample then breaks a direction when phi(x) reaches
+its bound, one comparison (``_broken_direction``), which also names a
+persistent witness's direction.  phi(x) reads the support of f(x) at z*
+without checking z* again: the direction base checked each of its
+directions once.
 
 The side condition (BN) of the implication diagram, some bounded B and
 neighborhood V of zero with V <= B - C, holds in every finite-dimensional
@@ -48,6 +56,7 @@ constant True.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -66,7 +75,7 @@ from .linalg import (
     zeros,
 )
 from .maps import SetValuedMap, graph_interior_witness
-from .scalarize import DirectionBase, certify_base, scalarize_eval
+from .scalarize import DirectionBase, certify_base, scalarization_value
 from .sets import UpperSet, member, outer_polyhedron
 from .verdict import Verdict, Witness
 
@@ -149,6 +158,7 @@ class _Scan:
         self.x0 = vec(x0)
         self.cfg = cfg or default_config()
         self.dirs = _x_dirs(f.domain_dim)
+        self._samples: dict[int, list[Vec]] = {}
 
     @cached_property
     def v0(self) -> UpperSet:
@@ -158,17 +168,22 @@ class _Scan:
     def fan(self) -> tuple[Vec, ...]:
         return DirectionBase.default(self.f.cone, self.cfg.z_fan, self.cfg.z_tails).directions
 
-    def sampled_xs(self, delta: Fraction) -> list[Vec]:
-        """x0 and the level samples at delta, delta / 2 and delta / 4."""
-        xs = [self.x0]
-        for k in range(3):
-            xs.extend(_level_samples(self.x0, delta / 2**k, self.dirs))
+    def samples(self, k: int) -> list[Vec]:
+        """The x-samples of level k, x0 + 2^-k d over the x-directions d;
+        built once per scan."""
+        xs = self._samples.get(k)
+        if xs is None:
+            xs = self._samples[k] = _level_samples(self.x0, Fraction(1, 2**k), self.dirs)
         return xs
 
-    def common_values(self, delta: Fraction) -> Optional[list[UpperSet]]:
-        """The values at ``sampled_xs(delta)``, or None when one is empty
-        (the values then share no point)."""
-        values = [self.f.evaluate(x) for x in self.sampled_xs(delta)]
+    def sampled_xs(self, k: int) -> list[Vec]:
+        """x0 and the samples of levels k, k + 1 and k + 2."""
+        return [self.x0, *self.samples(k), *self.samples(k + 1), *self.samples(k + 2)]
+
+    def common_values(self, k: int) -> Optional[list[UpperSet]]:
+        """The values at ``sampled_xs(k)``, or None when one is empty (the
+        values then share no point)."""
+        values = [self.f.evaluate(x) for x in self.sampled_xs(k)]
         return None if any(v.is_empty for v in values) else values
 
     def stacked(self, values: Iterable[UpperSet]) -> Optional[Polyhedron]:
@@ -189,12 +204,11 @@ class _Scan:
     ) -> tuple[Optional[bool], Optional[Witness]]:
         """Flag of x-radius level k: True with a witness at the first violated
         sample, otherwise None if some sample was undecidable, else False."""
-        delta = Fraction(1, 2**k)
         flag: Optional[bool] = False
-        for x in _level_samples(self.x0, delta, self.dirs):
+        for x in self.samples(k):
             r = violated(x)
             if r is True:
-                return True, Witness(x=x, radius=delta)
+                return True, Witness(x=x, radius=Fraction(1, 2**k))
             if r is None:
                 flag = None
         return flag, None
@@ -534,7 +548,7 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     for k, delta in enumerate(levels):
         certified = f.box_value_intersection(s.x0, delta)
         if certified is None:
-            values = s.common_values(delta)
+            values = s.common_values(k)
             a = None if values is None else _sampled_common_point(s, values)
             note = "common point verified at sampled x"
         else:
@@ -544,8 +558,8 @@ def check_lba(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             return Verdict.holds(witness=Witness(z=a, radius=delta), note=note, resolution=k)
     # Failure side: sampled intersections stay empty at the finest level and
     # at every confirmation level below it.
-    for delta in levels[s.cfg.radii.levels :]:
-        common = s.stacked(map(f.evaluate, s.sampled_xs(delta)))
+    for k in range(s.cfg.radii.levels, len(levels)):
+        common = s.stacked(map(f.evaluate, s.sampled_xs(k)))
         if common is not None and not common.is_empty:
             return Verdict.inconclusive(note="no common point found, emptiness not certified")
     return Verdict.fails(
@@ -583,8 +597,8 @@ def check_uls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 continue
             # Failure side at this (z0, eps): the sampled common set stays
             # farther than eps from z0 at every level plus confirmation.
-            for delta in s.cfg.radii.values(s.cfg.confirm_levels):
-                common = s.stacked(map(f.evaluate, s.sampled_xs(delta)))
+            for k in range(s.cfg.radii.levels + 1 + s.cfg.confirm_levels):
+                common = s.stacked(map(f.evaluate, s.sampled_xs(k)))
                 if common is not None and common.dist_sq(z0) <= eps * eps:
                     return Verdict.inconclusive(
                         resolution=examined, note="common-point search undecided"
@@ -604,7 +618,7 @@ def _uls_search(s: _Scan, z0: Vec, eps: Fraction) -> tuple[bool, int]:
             if certified.dist_sq(z0) <= eps * eps:
                 return True, k
             continue
-        values = s.common_values(delta)
+        values = s.common_values(k)
         if values is None:
             continue
         for cand in _ball_candidates(z0, eps, s.f.cone):
@@ -686,14 +700,20 @@ def _outside_probes(s: _Scan) -> list[Vec]:
     return list(probes)
 
 
+# phi(x) breaks the threshold of each mode at phi(x) >= bound (usc) or
+# phi(x) <= bound (lsc).
+_BREAKS = {"usc": operator.ge, "lsc": operator.le}
+
+
 def _scalarizations(
     f: SetValuedMap, base: DirectionBase, mode: str
 ) -> dict[Vec, Callable[[Vec], Ext]]:
     """The memoized scalarization x -> phi_z*(x) of every base direction z*,
-    once mode is checked."""
-    if mode not in ("usc", "lsc"):
+    once mode is checked.  The base has checked that each z* lies in
+    C^- \\ {0}, so phi reads the support of f(x) at z* directly."""
+    if mode not in _BREAKS:
         raise ValueError("mode must be 'usc' or 'lsc'")
-    return {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
+    return {zs: cache(partial(scalarization_value, f, zs)) for zs in base.directions}
 
 
 def check_scalar_semicontinuity(
@@ -742,35 +762,61 @@ def check_uniform(
     )
 
 
+# (z*, phi, a value of phi): a base direction, its memoized scalarization
+# and that scalarization at x0 or, once eps is fixed, the bound it breaks at.
+_Scalar = tuple[Vec, Callable[[Vec], Ext], Ext]
+
+
+def _scalar_bounds(at_x0: Iterable[_Scalar], mode: str, eps: Fraction) -> list[_Scalar]:
+    """The bound of each direction that can break the eps threshold, from
+    its value v0 = phi(x0).
+
+    usc breaks at phi(x) >= v0 + eps (>= -1/eps when v0 = -inf) and lsc at
+    phi(x) <= v0 - eps (<= 1/eps when v0 = +inf); a direction with v0 = +inf
+    never breaks usc and one with v0 = -inf never breaks lsc, so it is left
+    out.
+    """
+    if mode == "usc":
+        return [
+            (zs, phi, -1 / eps if v0 == NEG_INF else v0 + eps)
+            for zs, phi, v0 in at_x0
+            if v0 != POS_INF
+        ]
+    return [
+        (zs, phi, 1 / eps if v0 == POS_INF else v0 - eps)
+        for zs, phi, v0 in at_x0
+        if v0 != NEG_INF
+    ]
+
+
+def _broken_direction(bounds: Iterable[_Scalar], mode: str, x: Vec) -> Optional[Vec]:
+    """The first direction of bounds whose phi(x) breaks its bound, or None."""
+    breaks = _BREAKS[mode]
+    for zs, phi, bound in bounds:
+        if breaks(phi(x), bound):
+            return zs
+    return None
+
+
 def _scalar_scan(
     scan: _Scan, phis: dict[Vec, Callable[[Vec], Ext]], mode: str
 ) -> tuple[str, Optional[Witness], Optional[Fraction], int]:
     """Sweeps the scalar threshold of mode over the scalarizations phis (one
     per direction) at once: x is violated at eps when some direction is.
-    Returns the sweep's (kind, witness, eps, examined); a persistent witness
-    names the first direction violated at its x."""
-    scalars = [(zs, phi, phi(scan.x0)) for zs, phi in phis.items()]
+    Each eps fixes the bounds once, so a sample costs one comparison per
+    direction.  Returns the sweep's (kind, witness, eps, examined); a
+    persistent witness names the first direction violated at its x."""
+    at_x0 = [(zs, phi, phi(scan.x0)) for zs, phi in phis.items()]
 
     def violated_at(eps: Fraction) -> Callable[[Vec], bool]:
-        return lambda x: any(_scalar_violated(mode, v0, phi(x), eps) for _, phi, v0 in scalars)
+        bounds = _scalar_bounds(at_x0, mode, eps)
+        return lambda x: _broken_direction(bounds, mode, x) is not None
 
     kind, wit, eps, examined = scan.sweep(violated_at)
     if kind == "persistent":
-        bad = next(zs for zs, phi, v0 in scalars if _scalar_violated(mode, v0, phi(wit.x), eps))
-        wit = replace(wit, direction=bad)
+        bounds = _scalar_bounds(at_x0, mode, eps)
+        wit = replace(wit, direction=_broken_direction(bounds, mode, wit.x))
     return kind, wit, eps, examined
-
-
-def _scalar_violated(mode: str, v0: Ext, vx: Ext, eps: Fraction) -> bool:
-    """Whether phi(x) = vx breaks the eps threshold around phi(x0) = v0.
-
-    usc breaks at vx >= v0 + eps (vx >= -1/eps when v0 = -inf) and lsc at
-    vx <= v0 - eps (vx <= 1/eps when v0 = +inf); v0 = +inf never breaks usc
-    and v0 = -inf never breaks lsc.
-    """
-    if mode == "usc":
-        return v0 != POS_INF and vx >= (-1 / eps if v0 == NEG_INF else v0 + eps)
-    return v0 != NEG_INF and vx <= (1 / eps if v0 == POS_INF else v0 - eps)
 
 
 # -- the matrix -------------------------------------------------------------------

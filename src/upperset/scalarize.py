@@ -166,12 +166,12 @@ def certify_base(base: DirectionBase) -> bool:
 # -- evaluation ------------------------------------------------------------------
 
 
-def scalarize_eval(f: SetValuedMap, zstar, x) -> Ext:
+def scalarization_value(f: SetValuedMap, zstar: Vec, x) -> Ext:
     """phi(x) = -sup{ z*.z : z in f(x) }; +inf on empty values, -inf when the
-    support is unbounded."""
-    zs = vec(zstar)
-    require_dual_direction(f.cone, zs)
-    s = f.evaluate(x).support(zs)
+    support is unbounded.  z* is not checked here: the callers read it off a
+    ``DirectionBase``, which checks that each of its directions lies in
+    C^- \\ {0}."""
+    s = f.evaluate(x).support(zstar)
     if s == NEG_INF:
         return POS_INF
     if s == POS_INF:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from upperset import geometry, simplex
+from upperset import geometry, sets, simplex
 
 
 @pytest.fixture
@@ -36,4 +36,19 @@ def dd_passes(monkeypatch) -> list:
         return real(rows, dim)
 
     monkeypatch.setattr(geometry, "_double_description", counting)
+    return calls
+
+
+@pytest.fixture
+def support_reads(monkeypatch) -> list:
+    """(calling function's name, the upper set, the direction) of every
+    ``UpperSet.support`` call."""
+    calls = []
+    real = sets.UpperSet.support
+
+    def counting(self, u):
+        calls.append((sys._getframe(1).f_code.co_name, self, u))
+        return real(self, u)
+
+    monkeypatch.setattr(sets.UpperSet, "support", counting)
     return calls

@@ -1,15 +1,23 @@
 """Checker layer structure: the implication diagram, side conditions and
 checker settings, on hand-built matrices and small maps."""
 
+import itertools
 import json
+import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
+from upperset import continuity
 from upperset.continuity import (
     MATRIX_KEYS,
     _Scan,
+    _broken_direction,
     _outside_probes,
+    _scalar_bounds,
     _value_sample_points,
     _verdict,
     CheckerConfig,
@@ -32,7 +40,7 @@ from upperset.continuity import (
 from upperset.corpus import ORTHANT_2D, builtin_fixtures, fixture_by_id, random_convex_affine_maps
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron
-from upperset.linalg import vec
+from upperset.linalg import NEG_INF, POS_INF, ZERO, vec
 from upperset.maps import (
     AffineBody,
     AffineForm,
@@ -47,7 +55,7 @@ from upperset.scalarize import DirectionBase
 from upperset.sets import UpperSet, member, set_order_leq, upper_closure
 from upperset.verdict import Status, Verdict, Witness
 
-from test_scalarize import fresh_cone, on_cone
+from test_scalarize import fresh_cone, on_cone, scalarize_eval
 from test_sets import orthant_oracle
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -366,3 +374,176 @@ class TestClassify:
     def test_an_undecided_confirmation_level_is_mixed(self):
         kind, witness, levels = self.classify(lambda k: True if k <= 2 else None)
         assert (kind, levels) == ("mixed", 4) and witness.radius == Fraction(1, 4)
+
+
+# -- the scalar route before it fixed one bound per eps, as the oracle ----------
+
+
+def _scalar_violated(mode: str, v0, vx, eps: Fraction) -> bool:
+    """Whether phi(x) = vx breaks the eps threshold around phi(x0) = v0.
+
+    usc breaks at vx >= v0 + eps (vx >= -1/eps when v0 = -inf) and lsc at
+    vx <= v0 - eps (vx <= 1/eps when v0 = +inf); v0 = +inf never breaks usc
+    and v0 = -inf never breaks lsc.
+    """
+    if mode == "usc":
+        return v0 != POS_INF and vx >= (-1 / eps if v0 == NEG_INF else v0 + eps)
+    return v0 != NEG_INF and vx <= (1 / eps if v0 == POS_INF else v0 - eps)
+
+
+def _oracle_scalarizations(f, base, mode):
+    """phi_z* for every base direction, each checking z* at every x."""
+    if mode not in ("usc", "lsc"):
+        raise ValueError("mode must be 'usc' or 'lsc'")
+    return {zs: cache(partial(scalarize_eval, f, zs)) for zs in base.directions}
+
+
+def _oracle_scalar_scan(scan, phis, mode):
+    """The sweep with the threshold rule applied afresh to every direction
+    at every sample, unbreakable directions included."""
+    scalars = [(zs, phi, phi(scan.x0)) for zs, phi in phis.items()]
+
+    def violated_at(eps):
+        return lambda x: any(_scalar_violated(mode, v0, phi(x), eps) for _, phi, v0 in scalars)
+
+    kind, wit, eps, examined = scan.sweep(violated_at)
+    if kind == "persistent":
+        bad = next(zs for zs, phi, v0 in scalars if _scalar_violated(mode, v0, phi(wit.x), eps))
+        wit = replace(wit, direction=bad)
+    return kind, wit, eps, examined
+
+
+# Values of phi on both sides of zero, fractional ones and both infinities.
+EXTENDED = (NEG_INF, Fraction(-2), Fraction(-1, 3), ZERO, Fraction(1, 2), POS_INF)
+LIGHT_EPS = default_config().light().z_radii.values()
+
+
+class TestScalarThreshold:
+    """One bound per direction and eps against the threshold rule it
+    replaced."""
+
+    @pytest.mark.parametrize("mode", ["usc", "lsc"])
+    def test_bound_breaks_exactly_where_the_rule_does(self, mode):
+        for eps, v0, vx in itertools.product(LIGHT_EPS, EXTENDED, EXTENDED):
+            bounds = _scalar_bounds([((ZERO,), lambda x: vx, v0)], mode, eps)
+            broken = _broken_direction(bounds, mode, ()) is not None
+            assert broken == _scalar_violated(mode, v0, vx, eps), (v0, vx, eps)
+
+    @pytest.mark.parametrize("mode", ["usc", "lsc"])
+    def test_witness_direction_is_the_rules_first(self, mode):
+        # Each direction (i,) has its own phi(x0) and phi(x); a seeded list
+        # of them in seeded order, unbreakable directions among them.
+        rng = random.Random(24)
+        pairs = list(itertools.product(EXTENDED, EXTENDED))
+        outcomes = Counter()
+        for _ in range(300):
+            chosen = rng.sample(range(len(pairs)), rng.randint(1, 6))
+            at_x0 = [((Fraction(i),), lambda x, vx=pairs[i][1]: vx, pairs[i][0]) for i in chosen]
+            for eps in LIGHT_EPS:
+                want = next(
+                    (zs for zs, phi, v0 in at_x0 if _scalar_violated(mode, v0, phi(()), eps)),
+                    None,
+                )
+                got = _broken_direction(_scalar_bounds(at_x0, mode, eps), mode, ())
+                assert got == want
+                outcomes["none" if got is None else "direction"] += 1
+        assert outcomes["none"] and outcomes["direction"]
+
+
+def _scalar_verdicts(f, x0, cfg) -> list:
+    """The JSON of both scalar checkers in both modes over f's default base."""
+    base = DirectionBase.default(f.cone, cfg.z_fan, cfg.z_tails)
+    return [
+        check(f, x0, base, cfg, mode).to_json()
+        for check in (check_scalar_semicontinuity, check_uniform)
+        for mode in ("usc", "lsc")
+    ]
+
+
+def _domain_edges(f) -> list:
+    """The points x where a zero-normal row 0 >= q + l x of a random affine
+    map changes sign, ends of its domain."""
+    body = f.body
+    rows = zip(body.normals, body.offsets, body.x_coeffs)
+    return [(-q / l[0],) for n, q, l in rows if not any(n) and l[0]]
+
+
+class TestScalarRouteOracle:
+    """The scalar checkers against the route they replaced, swapped in for
+    ``_scalarizations`` and ``_scalar_scan``: the same verdicts, notes and
+    witnesses, under ``light()``."""
+
+    def test_matches_the_old_route(self, monkeypatch):
+        cfg = default_config().light()
+        rng = random.Random(24)
+        cases = [
+            (fixture_by_id("tilted-halfplane").map, (ZERO,)),
+            # A value given by an oracle, not by rows.
+            (fixture_by_id("parabola-dilation").map, (Fraction(1),)),
+        ]
+        for seed in (1, 2, 3):
+            for f in random_convex_affine_maps(seed, 4):
+                cases.append((f, (Fraction(rng.randint(-8, 8), 4),)))
+                cases.extend((f, edge) for edge in _domain_edges(f))
+        statuses = Counter()
+        for f, x0 in cases:
+            got = _scalar_verdicts(f, x0, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(continuity, "_scalarizations", _oracle_scalarizations)
+                m.setattr(continuity, "_scalar_scan", _oracle_scalar_scan)
+                assert got == _scalar_verdicts(f, x0, cfg), (f.name, x0)
+            statuses.update(v["status"] for v in got)
+        assert len(cases) >= 16
+        assert statuses["holds"] and statuses["fails"] >= 8, statuses
+
+
+class TestScalarReads:
+    """orthant-halfline at 0 under ``light()``: every base direction reads
+    phi(0) = 0, and phi(x) is 0 for x > 0 and +inf for x < 0, where the
+    value is empty.  Over a fresh cone, so the default base and its
+    certification are built inside the checked calls."""
+
+    def setup_method(self):
+        self.cfg = default_config().light()
+        self.f = on_cone(fixture_by_id("orthant-halfline").map, fresh_cone(ORTHANT))
+        self.base = DirectionBase.default(self.f.cone, self.cfg.z_fan, self.cfg.z_tails)
+
+    def test_uniform_reads_each_direction_once_per_x(self, support_reads):
+        d = len(self.base.directions)
+        grid, confirm = self.cfg.radii.levels + 1, self.cfg.confirm_levels
+        for mode, reads in (
+            # usc fails at the first eps: at every grid and confirmation
+            # level +2^-k reads every direction and -2^-k breaks the first.
+            ("usc", d + (grid + confirm) * (d + 1)),
+            # lsc never breaks: both samples of every grid level read every
+            # direction at the first eps and hit the memo at the others.
+            ("lsc", d + grid * 2 * d),
+        ):
+            support_reads.clear()
+            check_uniform(self.f, (0,), self.base, self.cfg, mode)
+            assert {caller for caller, _, _ in support_reads} == {"scalarization_value"}
+            per_read = Counter((id(value), u) for _, value, u in support_reads)
+            assert max(per_read.values()) == 1, mode
+            assert len(support_reads) == reads, mode
+
+    @pytest.mark.parametrize(
+        "check, mode, levels",
+        [
+            (check_uniform, "usc", 12),
+            (check_uniform, "lsc", 9),
+            # Every direction runs the same 12 levels on the scan's samples.
+            (check_scalar_semicontinuity, "usc", 12),
+            (check_scalar_semicontinuity, "lsc", 9),
+        ],
+    )
+    def test_one_scan_builds_each_level_once(self, check, mode, levels, monkeypatch):
+        built = []
+        real = continuity._level_samples
+
+        def counting(x0, delta, dirs):
+            built.append(delta)
+            return real(x0, delta, dirs)
+
+        monkeypatch.setattr(continuity, "_level_samples", counting)
+        check(self.f, (0,), self.base, self.cfg, mode)
+        assert sorted(built, reverse=True) == [Fraction(1, 2**k) for k in range(levels)]

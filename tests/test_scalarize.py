@@ -15,15 +15,15 @@ from upperset.corpus import (
     fixture_by_id,
     random_convex_affine_maps,
 )
-from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone
-from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, nullspace, scale_to_canonical
+from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone, require_dual_direction
+from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, nullspace, scale_to_canonical, vec
 from upperset.maps import SetValuedMap
 from upperset.scalarize import (
     DirectionBase,
     _unitize,
     certify_base,
     piecewise_scalarization,
-    scalarize_eval,
+    scalarization_value,
 )
 from upperset.sets import UpperSet, set_order_leq, upper_closure
 from upperset.simplex import LPStatus, solve_lp
@@ -52,6 +52,21 @@ def fresh_cone(cone: Cone) -> Cone:
 def on_cone(f: SetValuedMap, cone: Cone) -> SetValuedMap:
     """The map f rebuilt over the given cone object."""
     return SetValuedMap(f.domain_dim, cone, f.body, name=f.name)
+
+
+def scalarize_eval(f: SetValuedMap, zstar, x):
+    """phi(x) = -sup{ z*.z : z in f(x) } with z* checked to lie in
+    C^- \\ {0}; +inf on empty values, -inf when the support is unbounded.
+    The oracle for ``scalarization_value``, which leaves the check to the
+    direction base its callers read z* from."""
+    zs = vec(zstar)
+    require_dual_direction(f.cone, zs)
+    s = f.evaluate(x).support(zs)
+    if s == NEG_INF:
+        return POS_INF
+    if s == POS_INF:
+        return NEG_INF
+    return -s
 
 
 def reconstruct(f, x, base: DirectionBase) -> UpperSet:
@@ -117,6 +132,18 @@ class TestScalarizeEval:
                 v2 = scalarize_eval(f, zs, [x2])
                 if not any(isinstance(v, float) for v in (vm, v1, v2)):
                     assert vm <= t * v1 + (1 - t) * v2
+
+    def test_unchecked_value_matches_the_oracle(self):
+        # Over a default base, whose directions the base has checked, the
+        # package's value equals the checked one, +-inf included.
+        seen = set()
+        for f in (tilted_halfplane_map(), halfline_domain_map(), ray_translate_map()):
+            for zs in base_dirs(f.cone, 8, 2):
+                for x in ((F(-2),), (F(-1),), (ZERO,), (Fraction(1, 3),), (F(1),)):
+                    value = scalarization_value(f, zs, x)
+                    assert value == scalarize_eval(f, zs, x)
+                    seen.add(value if isinstance(value, float) else "finite")
+        assert seen == {POS_INF, NEG_INF, "finite"}
 
 
 def base_dirs(cone: Cone, fan: int, tails: int = 0) -> tuple:
