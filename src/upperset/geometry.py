@@ -41,6 +41,13 @@ core as it stands; ``minimal_face_points`` and the cone rays read the tight
 rows from the masks and order their faces by a fraction-free rank test.  A
 Fraction is built only for a value that is returned.
 
+Every exact elimination of the package is one integer elimination here.
+Forward elimination (``_eliminate``) gives the first basis of a row set and
+the public ``rank``; back-elimination to reduced form (``_reduced``) gives
+the kernel basis that ``_cone_rays`` needs for the lineality and the face
+point of ``minimal_face_points`` when P has lineality; and the Bareiss Gram
+solve (``_solve_gram``) serves ``dist_sq``.
+
 Euclidean quantities are exposed as *squared* distances so that every
 comparison against a rational tolerance stays exact.
 """
@@ -67,9 +74,7 @@ from .linalg import (
     frac,
     is_zero,
     norm1,
-    nullspace,
     scale_to_canonical,
-    solve_affine,
     vec,
     zeros,
 )
@@ -103,18 +108,13 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
     the order a scan of row subsets in ``itertools.combinations`` order
     meets them.
     """
-    rows = [n for n in normals if not is_zero(n)]
-    lin = nullspace(rows, dim)
-    work = [_integer_row(n) for n in rows]
-    for l in lin:
-        work.append(_integer_row(l))
-        work.append(tuple(-x for x in work[-1]))
+    work = [_integer_row(n) for n in normals if not is_zero(n)]
+    lin = [c for l in _kernel(work, dim) for c in (l, tuple(-x for x in l))]
+    work += lin
     vf = _double_description([n + (0,) for n in work], dim)
     rays = [(g[:-1], m) for g, m in zip(vf.gens, vf.tight) if not g[-1]]
     rays.sort(key=lambda ray: _first_basis(work, _bits(ray[1] >> 1), dim - 1))
-    return [scale_to_canonical(c) for l in lin for c in (l, tuple(-x for x in l))] + [
-        scale_to_canonical(vec(r)) for r, _ in rays
-    ]
+    return [scale_to_canonical(vec(r)) for r in lin + [r for r, _ in rays]]
 
 
 class VForm(NamedTuple):
@@ -238,29 +238,86 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _first_basis(normals: Sequence[tuple[int, ...]], indices: Iterable[int], rank: int) -> tuple[int, ...]:
-    """The lexicographically least subset of ``indices`` whose integer
-    normals are ``rank`` independent vectors: greedy in index order.
-
-    Each candidate is reduced, fraction-free, against the echelon rows of
-    the normals chosen so far; it is independent of them iff a nonzero
-    entry is left (Bareiss 1968 for the integer-preserving step).
+def _eliminate(
+    rows: Sequence[tuple[int, ...]], indices: Iterable[int], limit: int | None
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Forward elimination, fraction-free: greedy in index order, each row
+    of ``indices`` is reduced against the echelon rows kept so far and kept
+    iff a nonzero entry is left (Bareiss 1968 for the integer-preserving
+    step), until ``limit`` rows are kept.  Returns (index, pivot column,
+    primitive row) per kept row; the pivot column is the row's first nonzero
+    entry, and every later echelon row is zero there.
     """
-    chosen: list[int] = []
-    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, primitive row)
+    echelon: list[tuple[int, int, tuple[int, ...]]] = []
     for i in indices:
-        v = normals[i]
-        for c, e in echelon:
+        v = rows[i]
+        for _, c, e in echelon:
             if v[c]:
                 f, g = e[c], v[c]
                 v = tuple(f * x - g * y for x, y in zip(v, e))
         c = next((j for j, x in enumerate(v) if x), None)
         if c is not None:
-            echelon.append((c, _primitive(v)))
-            chosen.append(i)
-            if len(chosen) == rank:
+            echelon.append((i, c, _primitive(v)))
+            if len(echelon) == limit:
                 break
-    return tuple(chosen)
+    return echelon
+
+
+def _first_basis(rows: Sequence[tuple[int, ...]], indices: Iterable[int], limit: int) -> tuple[int, ...]:
+    """The lexicographically least subset of ``indices`` whose integer rows
+    are ``limit`` independent vectors."""
+    return tuple(i for i, _, _ in _eliminate(rows, indices, limit))
+
+
+def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+    """The rank of a list of rational vectors, exactly."""
+    rows = [_integer_row(v) for v in vectors]
+    return len(_eliminate(rows, range(len(rows)), None))
+
+
+def _reduced(rows: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
+    """The reduced row echelon form of integer rows, up to a nonzero scale
+    per row: (pivot column, primitive row) in increasing pivot column, each
+    row zero at every other pivot column.  Back elimination on the forward
+    echelon, last row first."""
+    echelon = [(c, e) for _, c, e in _eliminate(rows, range(len(rows)), None)]
+    for k in reversed(range(len(echelon))):
+        c, e = echelon[k]
+        for j in range(k):
+            cj, ej = echelon[j]
+            if ej[c]:
+                echelon[j] = cj, _primitive([e[c] * x - ej[c] * y for x, y in zip(ej, e)])
+    # The pivot columns are distinct, so the sort never compares rows.
+    return sorted(echelon)
+
+
+def _kernel(rows: Sequence[tuple[int, ...]], dim: int) -> list[tuple[int, ...]]:
+    """A basis of {z in R^dim : n.z = 0 for every integer row n}: per free
+    column f in increasing order, the primitive vector positive at f and
+    zero at the other free columns."""
+    red = _reduced(rows)
+    pivots = {c for c, _ in red}
+    scale = math.lcm(*(e[c] for c, e in red))
+    basis = []
+    for f in range(dim):
+        if f not in pivots:
+            z = [0] * dim
+            z[f] = scale
+            for c, e in red:
+                z[c] = -e[f] * (scale // e[c])
+            basis.append(_primitive(z))
+    return basis
+
+
+def _affine_point(rows: Sequence[tuple[int, ...]], dim: int) -> Vec | None:
+    """The solution of n.z = b for the integer rows n + (b,) that is 0 at
+    every free coordinate; None when there is no solution."""
+    z = [ZERO] * dim
+    for c, e in _reduced(rows):
+        if c == dim:
+            return None
+        z[c] = Fraction(e[-1], e[c])
+    return tuple(z)
 
 
 def _solve_gram(gram: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
@@ -537,8 +594,8 @@ class Polyhedron:
         vf = self.vform
         if not vf.gens:
             return []
-        rank = self.dim - len(vf.lin)
-        if rank == 0:
+        size = self.dim - len(vf.lin)
+        if size == 0:
             # Every normal is zero and every offset <= 0, so P holds the origin.
             return [zeros(self.dim)]
         normals = [r[:-1] for r in self._int_rows]
@@ -546,9 +603,9 @@ class Polyhedron:
         for g, mask in zip(vf.gens, vf.tight):
             if not g[-1]:
                 continue
-            basis = _first_basis(normals, _bits(mask >> 1), rank)
+            basis = _first_basis(normals, _bits(mask >> 1), size)
             if vf.lin:
-                p, _ = solve_affine([self.rows[i][0] for i in basis], [self.rows[i][1] for i in basis])
+                p = _affine_point([self._int_rows[i] for i in basis], self.dim)
             else:
                 p = tuple(Fraction(x, g[-1]) for x in g[:-1])
             faces.append((basis, p))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .conjugate import AffinePiece, PiecewiseLinearFn, max_affine
-from .geometry import Cone, Polyhedron, dual_cone, project_out, require_dual_direction
+from .geometry import Cone, Polyhedron, dual_cone, project_out, rank, require_dual_direction
 from .linalg import (
     NEG_INF,
     POS_INF,
@@ -39,7 +39,6 @@ from .linalg import (
     Ext,
     Vec,
     norm2_sq,
-    nullspace,
     scale_to_canonical,
     vec,
 )
@@ -83,11 +82,11 @@ def _fan_of(dual: Cone, fan: int, tails: int) -> tuple[Vec, ...]:
     """
     m = dual.dim
     gens = list(dict.fromkeys(scale_to_canonical(g) for g in dual.generators))
-    k = m - len(nullspace(gens, m))
+    k = rank(gens)
     pos = {g: i for i, g in enumerate(gens)}
     cells = []
     for cell in itertools.combinations(gens, k):
-        if len(nullspace(cell, m)) == m - k:
+        if rank(cell) == k:
             if k == m >= 2 and _det(cell) < 0:
                 cell = cell[:-2] + (cell[-1], cell[-2])
             cells.append(cell)

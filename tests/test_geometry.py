@@ -14,32 +14,33 @@ from upperset.geometry import (
     OrderConeError,
     Polyhedron,
     VForm,
+    _affine_point,
     _cone_rays,
     _double_description,
     _idot,
     _integer_row,
+    _kernel,
     _primitive,
     dual_cone,
     project_out,
+    rank,
     require_dual_direction,
     strict_point,
 )
 from upperset.linalg import (
     NEG_INF,
     POS_INF,
-    _row_reduce,
     dot,
     is_zero,
     norm2_sq,
-    nullspace,
     scale_to_canonical,
-    solve_affine,
     vec,
     zeros,
 )
 from upperset.sets import minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
+from linalg_oracle import _row_reduce, nullspace, solve_affine
 from test_linalg import matrix_rank, vsub
 
 
@@ -639,6 +640,47 @@ class TestConeRaysOracle:
             seen["zero cone"] += not expected
             seen["several rays"] += len(expected) - 2 * lin >= 2
             seen["repeated rows"] += len(set(map(scale_to_canonical, normals))) < len(normals)
+        assert min(seen.values()) >= 40, seen
+
+
+class TestEliminationOracle:
+    """The integer elimination's rank, kernel basis and face point equal the
+    Fraction Gauss-Jordan oracle's, exactly and in the same order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_gauss_jordan(self, seed):
+        rng = random.Random(300 + seed)
+        seen = {"zero row": 0, "repeated row": 0, "dependent": 0, "inconsistent": 0}
+        for _ in range(300):
+            dim = rng.randint(1, 5)
+            rows = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.random()
+                if rows and kind < 0.15:
+                    rows.append(rng.choice(rows))
+                elif len(rows) >= 2 and kind < 0.35:
+                    # A combination of two rows, its offset moved off it at times.
+                    (n1, b1), (n2, b2) = rng.sample(rows, 2)
+                    s, t = rational(rng, -2, 2, 3), rational(rng, -2, 2, 3)
+                    n = vadd(vscale(s, n1), vscale(t, n2))
+                    rows.append((n, s * b1 + t * b2 + rng.choice((0, 0, 1))))
+                elif kind < 0.42:
+                    rows.append((zeros(dim), rng.choice((F(0), F(1)))))
+                else:
+                    rows.append((random_vec(rng, dim, -2, 2, 3), rational(rng, -3, 3, 3)))
+            normals = [n for n, _ in rows]
+            pivots = _row_reduce([list(n) for n in normals])[1]
+            assert rank(normals) == len(pivots), rows
+            kernel = _kernel([_integer_row(n) for n in normals], dim)
+            assert [scale_to_canonical(vec(k)) for k in kernel] == [
+                scale_to_canonical(k) for k in nullspace(normals, dim)
+            ], rows
+            expected = solve_affine(normals, [b for _, b in rows])[0] if rows else zeros(dim)
+            assert _affine_point([_integer_row(n + (b,)) for n, b in rows], dim) == expected, rows
+            seen["zero row"] += any(is_zero(n) for n in normals)
+            seen["repeated row"] += len(set(rows)) < len(rows)
+            seen["dependent"] += len(pivots) < len(rows)
+            seen["inconsistent"] += expected is None
         assert min(seen.values()) >= 40, seen
 
 

@@ -1,23 +1,24 @@
-"""Rational vector helpers and exact linear solves."""
+"""Rational vector helpers, and the exact linear solves of ``geometry``'s
+integer elimination."""
 
 import pytest
 from fractions import Fraction
 
+from upperset.geometry import _affine_point, _integer_row, _kernel, rank
 from upperset.linalg import (
     Vec,
-    _row_reduce,
     dot,
     format_scalar,
     frac,
     norm1,
     norm2_sq,
-    nullspace,
     parse_scalar,
-    solve_affine,
     vec,
     POS_INF,
     NEG_INF,
 )
+
+from linalg_oracle import _row_reduce
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -28,6 +29,13 @@ def matrix_rank(a) -> int:
     rows = [list(r) for r in a]
     _, pivots = _row_reduce(rows)
     return len(pivots)
+
+
+def solve(a, b):
+    """``(particular, kernel basis)`` of ``A x = b`` by the integer
+    elimination; particular is None when the system is inconsistent."""
+    rows = [_integer_row(vec(ai) + (frac(bi),)) for ai, bi in zip(a, b)]
+    return _affine_point(rows, len(a[0])), _kernel([r[:-1] for r in rows], len(a[0]))
 
 
 def test_frac_accepts_strings_and_ints():
@@ -51,14 +59,14 @@ def test_norms():
 
 def test_solve_affine_unique():
     a = [vec([2, 1]), vec([1, -1])]
-    sol, basis = solve_affine(a, [frac(3), frac(0)])
+    sol, basis = solve(a, [frac(3), frac(0)])
     assert sol == (Fraction(1), Fraction(1))
     assert basis == []
 
 
 def test_solve_affine_underdetermined():
     a = [vec([1, 1, 0])]
-    sol, basis = solve_affine(a, [frac(2)])
+    sol, basis = solve(a, [frac(2)])
     assert sol is not None
     assert dot(a[0], sol) == 2
     assert len(basis) == 2
@@ -68,13 +76,13 @@ def test_solve_affine_underdetermined():
 
 def test_solve_affine_inconsistent():
     a = [vec([1, 1]), vec([2, 2])]
-    sol, _ = solve_affine(a, [frac(1), frac(3)])
+    sol, _ = solve(a, [frac(1), frac(3)])
     assert sol is None
 
 
 def test_rank_and_nullspace():
-    assert matrix_rank([vec([1, 2]), vec([2, 4])]) == 1
-    ns = nullspace([vec([1, 2])])
+    assert rank([vec([1, 2]), vec([2, 4])]) == 1
+    ns = _kernel([(1, 2)], 2)
     assert len(ns) == 1
     assert dot(vec([1, 2]), ns[0]) == 0
 
@@ -85,17 +93,18 @@ def test_scalar_formatting_round_trip():
 
 
 def test_solve_affine_stays_exact_on_int_input():
-    sol, basis = solve_affine([(1, 2), (3, 4)], [1, 1])
+    sol, basis = solve([(1, 2), (3, 4)], [1, 1])
     assert sol == (-1, 1) and basis == []
     assert all(type(x) is Fraction for x in sol)
-    sol, _ = solve_affine([(3, 0), (0, 1)], [1, 1])
+    sol, _ = solve([(3, 0), (0, 1)], [1, 1])
     assert sol == (Fraction(1, 3), Fraction(1))
-    ns = nullspace([(2, 4, 0)])
-    assert all(type(x) is Fraction for d in ns for x in d)
+    # The kernel basis is integral: primitive int vectors, no rounding.
+    ns = _kernel([(2, 4, 0)], 3)
+    assert all(type(x) is int for d in ns for x in d)
     assert all(dot((2, 4, 0), d) == 0 for d in ns)
 
 
 def test_matrix_rank_exact_on_large_ints():
     # Floats would round 10**17 + 1 to 10**17 and read rank 1.
-    assert matrix_rank([(10**17, 1), (10**17 + 1, 1)]) == 2
-    assert matrix_rank([(10**17, 1), (2 * 10**17, 2)]) == 1
+    assert rank([(10**17, 1), (10**17 + 1, 1)]) == 2
+    assert rank([(10**17, 1), (2 * 10**17, 2)]) == 1

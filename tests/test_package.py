@@ -102,3 +102,23 @@ def test_no_module_computes_in_floats():
                 names = {alias.name for alias in node.names}
                 inexact.extend(f"{module.name}:{node.lineno}: math.{n}" for n in sorted(names - EXACT_MATH))
     assert inexact == []
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_used():
+    # An import that its module never reads is left over from a move; the
+    # names a module imports should say what it depends on.
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text())
+        used = set(_references(tree))
+        unused += [f"{module.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
+    assert unused == []

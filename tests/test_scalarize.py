@@ -16,7 +16,7 @@ from upperset.corpus import (
     random_convex_affine_maps,
 )
 from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone, require_dual_direction
-from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, nullspace, scale_to_canonical, vec
+from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, scale_to_canonical, vec
 from upperset.maps import SetValuedMap
 from upperset.scalarize import (
     DirectionBase,
@@ -28,6 +28,7 @@ from upperset.scalarize import (
 from upperset.sets import UpperSet, set_order_leq, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
+from linalg_oracle import nullspace
 from test_maps import (
     ORTHANT,
     RAY,
