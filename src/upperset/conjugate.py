@@ -106,7 +106,7 @@ def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
     best: Ext = NEG_INF
     for p in phi.pieces:
         s = p.region.support(tuple(a - b for a, b in zip(xs, p.coeffs)))
-        if s == POS_INF:
+        if type(s) is float and s > 0:
             return POS_INF
         best = max(best, s - p.const)
     return best

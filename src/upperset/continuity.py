@@ -29,14 +29,18 @@ Every sampled checker starts from one per-point context, ``_Scan(f, x0,
 cfg)``: the resolved config, x0 as a vector, the map, the direction fan of
 C^- and the x-directions, with f(x0) evaluated on first use.  The scan
 builds the x-samples of each radius level once (``_Scan.samples``);
-``_Scan.level`` and ``_Scan.sampled_xs`` both read them.  ``_Scan.level``
-flags one x-radius level, ``_Scan.classify`` turns the level flags into
-persistent, clean or mixed, and ``_Scan.first(family, run)`` is the for-all
-loop: it runs each member of a family up to the first run that is not
-clean.  ``_Scan.sweep`` is ``first`` over the epsilon grid; lc runs it over
-the points z0 of f(x0), the scalar check over the base directions.  One
-rule, ``_verdict``, turns a kind into a verdict: persistent fails with the
-checker's witness, mixed is inconclusive with its note, clean holds.
+``_Scan.level`` and ``_Scan.sampled_xs`` both read them.  x0 and the
+samples carry their hash (``linalg.HashedVec``): they compare and hash like
+plain tuples, but the memos that the checkers key on x (phi per direction,
+``gap_at``, ``dist_sq_at``) and the map's value cache hash each of them
+once, not once per read.  ``_Scan.level`` flags one x-radius level,
+``_Scan.classify`` turns the level flags into persistent, clean or mixed,
+and ``_Scan.first(family, run)`` is the for-all loop: it runs each member
+of a family up to the first run that is not clean.  ``_Scan.sweep`` is
+``first`` over the epsilon grid; lc runs it over the points z0 of f(x0),
+the scalar check over the base directions.  One rule, ``_verdict``, turns a
+kind into a verdict: persistent fails with the checker's witness, mixed is
+inconclusive with its note, clean holds.
 
 The per-direction and the uniform scalar checks run the same
 multi-direction scan (``_scalar_scan``).  Each epsilon fixes one bound per
@@ -64,10 +68,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import Cone, Polyhedron
 from .linalg import (
-    NEG_INF,
     POS_INF,
     ZERO,
     Ext,
+    HashedVec,
     Vec,
     dot,
     norm2_sq,
@@ -143,7 +147,7 @@ def _x_dirs(n: int) -> list[Vec]:
 
 
 def _level_samples(x0: Vec, delta: Fraction, dirs: Sequence[Vec]) -> list[Vec]:
-    return [tuple(a + delta * d for a, d in zip(x0, dd)) for dd in dirs]
+    return [HashedVec(a + delta * d for a, d in zip(x0, dd)) for dd in dirs]
 
 
 class _Scan:
@@ -155,7 +159,7 @@ class _Scan:
 
     def __init__(self, f: SetValuedMap, x0, cfg: CheckerConfig | None):
         self.f = f
-        self.x0 = vec(x0)
+        self.x0 = HashedVec(vec(x0))
         self.cfg = cfg or default_config()
         self.dirs = _x_dirs(f.domain_dim)
         self._samples: dict[int, list[Vec]] = {}
@@ -334,11 +338,12 @@ def _support_gap_sq(
     direction: Optional[Vec] = None
     for u in fan:
         sa, sb = support_a(u), support_b(u)
-        if sa == NEG_INF:
+        if type(sa) is float and sa < 0:
             return ZERO, None
-        if sb == POS_INF:
+        if type(sb) is float and sb > 0:
             continue
-        if sa == POS_INF or sb == NEG_INF:
+        # What is left infinite is sa = +inf or sb = -inf.
+        if type(sa) is float or type(sb) is float:
             return POS_INF, u
         gap = sa - sb
         if gap <= 0:
@@ -368,7 +373,7 @@ def _enlargement_gap_sq(
         wit: Optional[Witness] = None
         for pa in a.pieces:
             value, at = pa.excess_sq(b.pieces[0])
-            if value == POS_INF:
+            if type(value) is float:
                 return POS_INF, Witness(direction=at, detail="recession escape")
             if value > worst:
                 worst, wit = value, Witness(z=at)
@@ -726,10 +731,8 @@ def check_scalar_semicontinuity(
     """Upper/lower semicontinuity of every scalarization over the base."""
     phis = _scalarizations(f, base, mode)
     s = _Scan(f, x0, cfg)
-    # A value of +inf is automatically usc, one of -inf automatically lsc.
-    automatic = POS_INF if mode == "usc" else NEG_INF
     zs, (kind, wit, eps, _), examined = s.first(
-        (zs for zs, phi in phis.items() if phi(s.x0) != automatic),
+        (zs for zs, phi in phis.items() if not _automatic(phi(s.x0), mode)),
         lambda zs: _scalar_scan(s, {zs: phis[zs]}, mode),
     )
     return _verdict(
@@ -767,33 +770,49 @@ def check_uniform(
 _Scalar = tuple[Vec, Callable[[Vec], Ext], Ext]
 
 
+def _automatic(v0: Ext, mode: str) -> bool:
+    """Whether phi(x0) = v0 makes phi semicontinuous at x0 in mode whatever
+    phi does nearby: +inf is automatically usc, -inf automatically lsc."""
+    return type(v0) is float and (v0 > 0) == (mode == "usc")
+
+
 def _scalar_bounds(at_x0: Iterable[_Scalar], mode: str, eps: Fraction) -> list[_Scalar]:
     """The bound of each direction that can break the eps threshold, from
     its value v0 = phi(x0).
 
     usc breaks at phi(x) >= v0 + eps (>= -1/eps when v0 = -inf) and lsc at
-    phi(x) <= v0 - eps (<= 1/eps when v0 = +inf); a direction with v0 = +inf
-    never breaks usc and one with v0 = -inf never breaks lsc, so it is left
-    out.
+    phi(x) <= v0 - eps (<= 1/eps when v0 = +inf); a direction whose v0 is
+    ``_automatic`` never breaks, so it is left out.
     """
     if mode == "usc":
         return [
-            (zs, phi, -1 / eps if v0 == NEG_INF else v0 + eps)
+            (zs, phi, -1 / eps if type(v0) is float else v0 + eps)
             for zs, phi, v0 in at_x0
-            if v0 != POS_INF
+            if not _automatic(v0, mode)
         ]
     return [
-        (zs, phi, 1 / eps if v0 == POS_INF else v0 - eps)
+        (zs, phi, 1 / eps if type(v0) is float else v0 - eps)
         for zs, phi, v0 in at_x0
-        if v0 != NEG_INF
+        if not _automatic(v0, mode)
     ]
 
 
 def _broken_direction(bounds: Iterable[_Scalar], mode: str, x: Vec) -> Optional[Vec]:
-    """The first direction of bounds whose phi(x) breaks its bound, or None."""
+    """The first direction of bounds whose phi(x) breaks its bound, or None.
+
+    An infinite phi(x) breaks by its sign alone: +inf breaks usc and -inf
+    lsc.  A finite one is compared with its bound, a Fraction, cross-
+    multiplied over the positive denominators, as Fraction's own comparison
+    does without its ``numbers`` ABC checks; the scans run this thousands
+    of times per matrix.
+    """
     breaks = _BREAKS[mode]
     for zs, phi, bound in bounds:
-        if breaks(phi(x), bound):
+        v = phi(x)
+        if type(v) is float:
+            if (v > 0) == (mode == "usc"):
+                return zs
+        elif breaks(v.numerator * bound.denominator, bound.numerator * v.denominator):
             return zs
     return None
 

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
-from .linalg import NEG_INF, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
+from .linalg import ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import AffineBody, SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
@@ -217,7 +217,7 @@ def fundamental_duality(
             continue
         # phi(x0, 0) < +inf, so the infimum is finite or -inf.
         v = -scalar_conjugate(phi.fix_tail(y0), (ZERO,) * f.n)
-        if v == NEG_INF:
+        if type(v) is float and v < 0:
             family.properness[zs] = "unbounded"
             row["status"] = "unbounded"
             support_table.append(row)

@@ -628,10 +628,11 @@ class Polyhedron:
         v = vec(z)
         _check_dim(self.dim, v)
         cache = self.__dict__.setdefault("_dist_cache", {})
-        if v not in cache:
+        d = cache.get(v)
+        if d is None:
             k, kv = _scaled(v)
-            cache[v] = self._dist_sq_scaled(kv, k)
-        return cache[v]
+            d = cache[v] = self._dist_sq_scaled(kv, k)
+        return d
 
     def _dist_sq_scaled(self, kv: tuple[int, ...], k: int) -> Ext:
         """``dist_sq`` at z = kv / k for integers kv and k > 0, in ints."""

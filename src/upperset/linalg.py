@@ -6,7 +6,14 @@ tuples of :class:`fractions.Fraction`; matrices are tuples of row vectors.
 Extended values (suprema of unbounded programs, empty-set conventions) are
 represented by ``math.inf`` / ``-math.inf``, which order correctly against
 Fractions, so "extended rational" means ``Fraction | float`` with only the
-two infinities allowed as floats.
+two infinities allowed as floats.  Code therefore tells an infinity by its
+type and sign (``type(s) is float and s > 0`` is +inf), never by ``==``
+against ``POS_INF`` / ``NEG_INF``: comparing a Fraction with a float runs
+the ``numbers`` ABC checks of ``Fraction``'s comparison, about 40 times the
+cost of the type test in CPython 3.11.
+
+``HashedVec`` is a Vec that keeps its hash, for points that key many
+cache reads.
 
 This module holds exact scalars and vectors only.  Elimination (ranks,
 kernels, affine solves) is ``geometry``'s integer elimination.
@@ -47,7 +54,20 @@ def frac(value) -> Fraction:
 
 
 def vec(values: Iterable) -> Vec:
-    return tuple(frac(v) for v in values)
+    return tuple(v if type(v) is Fraction else frac(v) for v in values)
+
+
+class HashedVec(tuple):
+    """A Vec that computes its hash once: it compares and hashes like the
+    plain tuple of its Fractions.  A Fraction's hash is a modular inverse
+    in pure Python, so a point that keys many cache reads carries it."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = tuple.__hash__(self)
+            return h
 
 
 def zeros(n: int) -> Vec:
@@ -91,10 +111,8 @@ def scale_to_canonical(a: Vec) -> Vec:
 def format_scalar(x: Ext) -> str:
     """Stable string form for reports: '3/7', '2', '+inf', '-inf'."""
     if isinstance(x, float):
-        if x == POS_INF:
-            return "+inf"
-        if x == NEG_INF:
-            return "-inf"
+        if math.isinf(x):
+            return "+inf" if x > 0 else "-inf"
         raise ValueError(f"non-infinite float {x!r} in exact context")
     return str(x)
 

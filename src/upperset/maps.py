@@ -37,6 +37,7 @@ from .geometry import Cone, Polyhedron, dual_cone, project_out, strict_point
 from .linalg import (
     ZERO,
     Constraint,
+    HashedVec,
     Mat,
     Vec,
     dot,
@@ -249,8 +250,11 @@ class SetValuedMap:
         xv = vec(x)
         if len(xv) != self.domain_dim:
             raise MapError(f"expected x of dimension {self.domain_dim}")
-        if xv in self._value_cache:
-            return self._value_cache[xv]
+        # x itself is the key when it carries its hash: it equals xv, and
+        # hashing xv would hash each of its Fractions again.
+        value = self._value_cache.get(x if type(x) is HashedVec else xv)
+        if value is not None:
+            return value
         body = next(leaf.body for leaf in self.leaves if leaf.contains_box(xv))
         if isinstance(body, ScaledBody):
             a = body.alpha(xv)

@@ -32,8 +32,6 @@ from typing import Optional
 from .conjugate import AffinePiece, PiecewiseLinearFn, max_affine
 from .geometry import Cone, Polyhedron, dual_cone, project_out, rank, require_dual_direction
 from .linalg import (
-    NEG_INF,
-    POS_INF,
     ZERO,
     Constraint,
     Ext,
@@ -169,13 +167,8 @@ def scalarization_value(f: SetValuedMap, zstar: Vec, x) -> Ext:
     """phi(x) = -sup{ z*.z : z in f(x) }; +inf on empty values, -inf when the
     support is unbounded.  z* is not checked here: the callers read it off a
     ``DirectionBase``, which checks that each of its directions lies in
-    C^- \\ {0}."""
-    s = f.evaluate(x).support(zstar)
-    if s == NEG_INF:
-        return POS_INF
-    if s == POS_INF:
-        return NEG_INF
-    return -s
+    C^- \\ {0}.  Negation maps the support's -inf and +inf to +inf and -inf."""
+    return -f.evaluate(x).support(zstar)
 
 
 # -- closed forms ----------------------------------------------------------------

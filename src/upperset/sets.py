@@ -135,7 +135,8 @@ class UpperSet:
         if self.pieces is not None:
             return len(self.pieces) == 0
         # The support at 0 is -inf exactly on the empty set.
-        return self.oracle.support((ZERO,) * self.cone.dim) == NEG_INF
+        s = self.oracle.support((ZERO,) * self.cone.dim)
+        return type(s) is float and s < 0
 
     @property
     def is_convex(self) -> bool:
@@ -146,12 +147,14 @@ class UpperSet:
         if self.pieces is not None:
             if not self.pieces:
                 return NEG_INF
+            # best stays -inf, a float, until a finite support is read.
             best: Ext = NEG_INF
             for p in self.pieces:
                 s = p.support(uv)
-                if s == POS_INF:
-                    return POS_INF
-                if s > best:
+                if type(s) is float:
+                    if s > 0:
+                        return POS_INF
+                elif type(best) is float or s > best:
                     best = s
             return best
         return self.oracle.support(uv)
@@ -302,10 +305,10 @@ def _support_rows(supports: Iterable[tuple[Vec, Ext]]) -> Optional[list[Constrai
     first -inf, so an iterator computes no support value past that one."""
     rows: list[Constraint] = []
     for u, s in supports:
-        if s == NEG_INF:
-            return None
-        if s != POS_INF:
+        if type(s) is not float:
             rows.append((tuple(-x for x in u), -s))
+        elif s < 0:
+            return None
     return rows
 
 

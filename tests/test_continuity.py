@@ -37,10 +37,16 @@ from upperset.continuity import (
     enforce_diagram,
     verdict_matrix,
 )
-from upperset.corpus import ORTHANT_2D, builtin_fixtures, fixture_by_id, random_convex_affine_maps
+from upperset.corpus import (
+    ORTHANT_2D,
+    RAY_CONE_2D,
+    builtin_fixtures,
+    fixture_by_id,
+    random_convex_affine_maps,
+)
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron
-from upperset.linalg import NEG_INF, POS_INF, ZERO, vec
+from upperset.linalg import NEG_INF, POS_INF, ZERO, HashedVec, vec
 from upperset.maps import (
     AffineBody,
     AffineForm,
@@ -349,6 +355,97 @@ def test_outside_probes_leave_the_diagonal_in_three_dimensions():
     assert (-4, -4, -2) in probes
     assert not any(member(f.evaluate((0,)), p) for p in probes)
     assert check_lls(f, (0,), TINY).is_holds
+
+
+def far_cut_map(c) -> SetValuedMap:
+    """Over ``RAY_CONE_2D`` ({0} x R+, so C^- = {y : y2 <= 0}): f(x) = {z :
+    z2 >= 0} for x <= 0 and f(x) = {z : z2 >= 0, -z1 + z2 >= -c} for x > 0.
+
+    For c >= 0, lc fails at 0: z0 = (c + 2, 0) lies in f(0), and every f(x)
+    with x > 0 lies at distance sqrt(2) from it, since z1 - z2 <= c there.
+    f(0)'s sample points are (0, 0) and (-5, 5), which every such cut keeps;
+    for c < 0 the cut leaves out (0, 0).
+    """
+    upper = AffineBody((vec([0, 1]),), vec([0]), (vec([0]),))
+    cut = AffineBody((vec([0, 1]), vec([-1, 1])), vec([0, -c]), (vec([0]), vec([0])))
+    return SetValuedMap(1, RAY_CONE_2D, PiecewiseBody((vec([-1]), ZERO), upper, cut))
+
+
+CONFIGS = {"light": default_config().light(), "default": default_config()}
+
+
+class TestFarCutLc:
+    """The far cut: lc fails at 0 away from f(0)'s sample points, where the
+    sampled lc check does not look."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lc probes only f(x0)'s sample points; direction 4 decides lc exactly",
+    )
+    @pytest.mark.parametrize("cfg", ["light", "default"])
+    @pytest.mark.parametrize("c", [5, 30])
+    def test_lc_fails_where_the_cut_misses_the_sample_points(self, c, cfg):
+        assert check_lc(far_cut_map(c), (0,), CONFIGS[cfg]).is_fails
+
+    @pytest.mark.parametrize("cfg", ["light", "default"])
+    def test_lc_fails_where_the_cut_reaches_a_sample_point(self, cfg):
+        f = far_cut_map(-5)
+        v = check_lc(f, (0,), CONFIGS[cfg])
+        assert v.is_fails and v.witness.z == (0, 0)
+        assert f.evaluate(v.witness.x).dist_sq(v.witness.z) > v.witness.radius**2
+
+    @pytest.mark.parametrize("cfg", ["light", "default"])
+    def test_cminus_usc_fails(self, cfg):
+        # At z* = (a, -1) with 0 < a <= 1, phi(0) = -inf and phi(x) = -a c
+        # for x > 0.
+        f, config = far_cut_map(5), CONFIGS[cfg]
+        base = DirectionBase.default(f.cone, config.z_fan, config.z_tails)
+        v = check_scalar_semicontinuity(f, (0,), base, config, "usc")
+        assert v.is_fails
+        zs, x = v.witness.direction, v.witness.x
+        assert scalarize_eval(f, zs, (0,)) == NEG_INF
+        assert scalarize_eval(f, zs, x) == -zs[0] * 5 and x[0] > 0
+
+
+class TestSample:
+    """x0 and the level samples of a scan are HashedVecs: they compare and
+    hash like the plain tuples of their Fractions, and keep that hash."""
+
+    SCAN = _Scan(fixture_by_id("orthant-halfline").map, (Fraction(1, 3),), TINY)
+
+    def samples(self):
+        return [self.SCAN.x0, *self.SCAN.samples(0), *self.SCAN.samples(5)]
+
+    def test_compare_and_hash_like_plain_tuples(self):
+        for x in self.samples():
+            plain = tuple(x)
+            assert type(x) is HashedVec and type(plain) is tuple
+            assert x == plain and plain == x and not x != plain
+            # Once computed, then read back.
+            assert hash(x) == hash(plain) and hash(x) == hash(plain)
+        assert self.SCAN.x0 == (Fraction(1, 3),)
+
+    def test_a_value_cached_under_one_is_found_under_the_other(self):
+        f = self.SCAN.f
+        phi = cache(lambda x: object())
+        for x in self.samples():
+            plain = tuple(x)
+            assert phi(x) is phi(plain)
+            assert phi(tuple(-c for c in x)) is phi(HashedVec(-c for c in x))
+            assert {plain: x}[x] is x and {x: plain}[plain] is plain
+            assert f.evaluate(x) is f.evaluate(plain)
+
+    def test_a_warm_value_read_hashes_no_fraction(self, monkeypatch):
+        # The map's value cache reads a sample under its own kept hash.
+        f = self.SCAN.f
+        for x in self.samples():
+            f.evaluate(x)
+        hashed = []
+        real = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or real(q))
+        values = [f.evaluate(x) for x in self.samples()]
+        assert hashed == []
+        assert values == [f.evaluate(tuple(x)) for x in self.samples()] and hashed
 
 
 class TestClassify:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from upperset.geometry import _affine_point, _integer_row, _kernel, rank
 from upperset.linalg import (
+    HashedVec,
     Vec,
     dot,
     format_scalar,
@@ -90,6 +91,30 @@ def test_rank_and_nullspace():
 def test_scalar_formatting_round_trip():
     for x in (Fraction(3, 7), Fraction(-2), POS_INF, NEG_INF):
         assert parse_scalar(format_scalar(x)) == x
+    assert [format_scalar(x) for x in (POS_INF, -POS_INF, NEG_INF)] == ["+inf", "-inf", "-inf"]
+    for x in (0.5, 0.0, float("nan")):
+        with pytest.raises(ValueError):
+            format_scalar(x)
+
+
+def test_vec_passes_fractions_through():
+    q = Fraction(2, 3)
+    v = vec([q, 1, "1/4"])
+    assert type(v) is tuple and v == (q, Fraction(1), Fraction(1, 4))
+    assert v[0] is q and all(type(c) is Fraction for c in v)
+    for bad in ([0.5], [True]):
+        with pytest.raises(TypeError):
+            vec(bad)
+
+
+def test_hashed_vec_hashes_each_fraction_once(monkeypatch):
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashed.append(q) or real(q))
+    x = HashedVec((Fraction(1, 3), Fraction(-2, 7)))
+    assert len({hash(x) for _ in range(5)}) == 1
+    assert hashed == list(x)
+    assert x == tuple(x) and hash(x) == hash(tuple(x))
 
 
 def test_solve_affine_stays_exact_on_int_input():

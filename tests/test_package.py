@@ -122,3 +122,32 @@ def test_every_import_is_used():
         used = set(_references(tree))
         unused += [f"{module.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+INFINITIES = {"POS_INF", "NEG_INF"}
+
+
+def _named(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_infinities_are_told_apart_by_type():
+    # An extended value's only floats are +inf and -inf, so its type and
+    # sign say which one it is.  ``==`` or ``!=`` against POS_INF or NEG_INF
+    # runs Fraction's comparison with a float, through the ``numbers`` ABC
+    # checks, on every Fraction it meets.
+    compared = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                named = {_named(left), _named(right)}
+                if isinstance(op, (ast.Eq, ast.NotEq)) and named & INFINITIES:
+                    compared.append(f"{module.name}:{node.lineno}")
+    assert sorted(set(compared)) == []

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from upperset.corpus import (
     HALFLINE_1D,
     ORTHANT_2D,
     RAY_CONE_2D,
+    builtin_fixtures,
     fixture_by_id,
     random_convex_affine_maps,
 )
@@ -643,3 +645,81 @@ class TestClosedForm:
 
     def test_no_closed_form_for_tilting_normals(self):
         assert piecewise_scalarization(tilted_halfplane_map(), (-1, -1)) is None
+
+
+def seeded_point(rng: random.Random, dim: int, bound: int) -> tuple:
+    """A point of quarters in [-bound/4, bound/4]^dim."""
+    return tuple(Fraction(rng.randint(-bound, bound), 4) for _ in range(dim))
+
+
+def _extended_kind(value) -> str:
+    """'finite' for a Fraction, '+inf' or '-inf' for an infinite float, and
+    the type and value of anything else."""
+    if type(value) is Fraction:
+        return "finite"
+    if type(value) is float and math.isinf(value):
+        return "+inf" if value > 0 else "-inf"
+    return f"{type(value).__name__} {value!r}"
+
+
+class TestExtendedReads:
+    """The reads the checkers run thousands of times return a Fraction or
+    an infinite float, never an int or a finite float, since the package
+    tells an infinity from a Fraction by its type alone."""
+
+    def test_reads_are_fractions_or_infinities(self, monkeypatch):
+        kinds = Counter()
+
+        def record(owner, name):
+            real = getattr(owner, name)
+
+            def recorded(*args):
+                value = real(*args)
+                kinds[owner.__name__, name, _extended_kind(value)] += 1
+                return value
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        for owner in (Polyhedron, UpperSet):
+            record(owner, "support")
+            record(owner, "dist_sq")
+        rng = random.Random(26)
+        cases = []
+        for fixture in builtin_fixtures():
+            f = getattr(fixture.map, "map", fixture.map)
+            if fixture.points:
+                steps = (0, Fraction(1, 2), Fraction(-1, 8))
+                xs = [tuple(a + d for a in point.at) for point in fixture.points for d in steps]
+            else:
+                xs = [seeded_point(rng, f.domain_dim, 8) for _ in range(4)]
+            cases.append((f, xs))
+        for seed in (1, 2, 3):
+            for f in random_convex_affine_maps(seed, 4):
+                cases.append((f, [seeded_point(rng, 1, 8) for _ in range(4)]))
+        cfg = default_config().light()
+        for f, xs in cases:
+            directions = DirectionBase.default(f.cone, cfg.z_fan, cfg.z_tails).directions
+            for x in xs:
+                value = f.evaluate(x)
+                for zs in directions:
+                    phi = scalarization_value(f, zs, x)
+                    kinds["scalarization_value", _extended_kind(phi)] += 1
+                if value.is_polyhedral:
+                    for _ in range(3):
+                        value.dist_sq(seeded_point(rng, f.cone.dim, 12))
+        wrong = [key for key in kinds if key[-1] not in ("finite", "+inf", "-inf")]
+        assert wrong == []
+        assert len(cases) == 19
+        # The kinds each read can return here: a value's pieces are never
+        # empty, so a piece's support is never -inf and its distance never
+        # +inf; an empty value has support -inf and distance +inf.
+        expected = {
+            ("Polyhedron", "support"): {"finite", "+inf"},
+            ("UpperSet", "support"): {"finite", "+inf", "-inf"},
+            ("scalarization_value",): {"finite", "+inf", "-inf"},
+            ("Polyhedron", "dist_sq"): {"finite"},
+            ("UpperSet", "dist_sq"): {"finite", "+inf"},
+        }
+        assert {key[:-1] for key in kinds} == set(expected)
+        for read, want in expected.items():
+            assert {kind for *r, kind in kinds if tuple(r) == read} == want, read
