@@ -24,6 +24,15 @@ already known, so every reduced cost and ratio equals the dense Bland
 tableau's, and the pivot sequence, vertex, ray and dual are exactly those a
 dense tableau would produce.
 
+Every tableau entry is a ``Fraction``, but the arithmetic runs on the
+entries' numerators and denominators: an update ``x - f * y`` is one
+``Fraction(numerator, denominator)`` built from the integers of x, f and y,
+so each updated entry costs one Fraction and no operator dispatch, and the
+ratio test compares ``rhs / a`` by integer cross-multiplication without
+building the ratio.  Fraction normalizes what it is given, so every entry
+equals the one the Fraction operators would give, and the pivot sequence,
+vertex, ray and dual are still the dense Bland tableau's.
+
 The public entry point solves
 
     maximize / minimize  c . z    subject to    n_i . z >= b_i
@@ -74,43 +83,64 @@ def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) 
     ``tableau`` may carry the reduced-cost row after the constraint rows; it
     is updated like any other row.  Zeros of the pivot row leave every other
     row unchanged, so skipping them yields the same Fractions as a dense
-    pivot.
+    pivot.  The arithmetic runs on numerators and denominators: each updated
+    entry is built as one ``Fraction(numerator, denominator)``, which
+    normalizes it to the value the Fraction operators would give.
     """
     pr = tableau[row]
     pv = pr[col]
     nz = [j for j, x in enumerate(pr) if x]
-    if pv != 1:
+    pn, pd = pv.numerator, pv.denominator
+    if pn != pd:
         for j in nz:
-            pr[j] /= pv
+            x = pr[j]
+            pr[j] = Fraction(x.numerator * pd, x.denominator * pn)
+    terms = [(j, pr[j].numerator, pr[j].denominator) for j in nz]
     for r in tableau:
         f = r[col]
         if f and r is not pr:
-            for j in nz:
-                r[j] -= f * pr[j]
+            _subtract_multiple(r, f, terms)
     basis[row] = col
+
+
+def _subtract_multiple(r: list[Fraction], f: Fraction, terms: list[tuple[int, int, int]]) -> None:
+    """``r[j] -= f * y`` for each ``(j, yn, yd)`` in ``terms``, y = yn / yd,
+    storing one Fraction per entry."""
+    fn, fd = f.numerator, f.denominator
+    for j, yn, yd in terms:
+        x = r[j]
+        xd = x.denominator
+        d = fd * yd
+        r[j] = Fraction(x.numerator * d - fn * yn * xd, xd * d)
 
 
 def _bland_step(tableau: list[list[Fraction]], basis: list[int]) -> int | None:
     """One simplex step under Bland's rule on a tableau whose last row holds
     the reduced costs.
 
-    Returns the entering column when the step is unbounded (no leaving row),
-    ``None`` after a successful pivot; raises StopIteration at optimality.
+    The ratio ``r[-1] / a`` of a row is kept as its integer numerator and
+    positive denominator and compared by cross-multiplication.  Returns the
+    entering column when the step is unbounded (no leaving row), ``None``
+    after a successful pivot; raises StopIteration at optimality.
     """
     reduced = tableau[-1]
-    enter = next((j for j in range(len(reduced) - 1) if reduced[j] < 0), None)
+    enter = next((j for j in range(len(reduced) - 1) if reduced[j].numerator < 0), None)
     if enter is None:
         raise StopIteration
     leave = None
-    best: Fraction | None = None
+    best_n = best_d = 0
     for i in range(len(basis)):
         r = tableau[i]
         a = r[enter]
-        if a > 0:
-            ratio = r[-1] / a
-            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                best = ratio
-                leave = i
+        an = a.numerator
+        if an > 0:
+            rhs = r[-1]
+            n, d = rhs.numerator * a.denominator, rhs.denominator * an
+            if leave is not None:
+                lhs, other = n * best_d, best_n * d
+                if lhs > other or (lhs == other and basis[i] > basis[leave]):
+                    continue
+            best_n, best_d, leave = n, d, i
     if leave is None:
         return enter
     _pivot(tableau, basis, leave, enter)
@@ -125,10 +155,9 @@ def _reduced_costs(
     red = list(c) + [ZERO]
     for i, bi in enumerate(basis):
         cb = c[bi]
-        if cb != 0:
-            for j, x in enumerate(tableau[i]):
-                if x:
-                    red[j] -= cb * x
+        if cb:
+            terms = [(j, x.numerator, x.denominator) for j, x in enumerate(tableau[i]) if x]
+            _subtract_multiple(red, cb, terms)
     return red
 
 
@@ -207,7 +236,7 @@ def solve_lp(
     m = len(cons)
     if m == 0:
         if all(x == 0 for x in c_obj):
-            return LPResult(LPStatus.OPTIMAL, ZERO, (ZERO,) * dim, ())
+            return LPResult(LPStatus.OPTIMAL, ZERO, (ZERO,) * dim, () if want_dual else None)
         ray = c_obj if negate else vec([-x for x in c_obj])
         return LPResult(LPStatus.UNBOUNDED, ray=ray)
 

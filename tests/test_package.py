@@ -1,6 +1,6 @@
 """Package hygiene: every public name of ``upperset`` has a use outside the
-tests, no module imports another module's private names, and no module
-computes in floats.
+tests, no module imports another module's private names, no module
+computes in floats, and none reads Fraction's private internals.
 
 A public top-level function, class or method that nothing in the package
 or the benchmark refers to is a dead entry point: a routine that only the
@@ -151,3 +151,22 @@ def test_infinities_are_told_apart_by_type():
                 if isinstance(op, (ast.Eq, ast.NotEq)) and named & INFINITIES:
                     compared.append(f"{module.name}:{node.lineno}")
     assert sorted(set(compared)) == []
+
+
+# Fraction's private names differ between the Python versions the package
+# supports: the ``_normalize`` keyword exists only up to 3.11 and
+# ``_from_coprime_ints`` only from 3.12.  Exact kernels read ``.numerator``
+# and ``.denominator`` and build ``Fraction(int, int)``.
+FRACTION_ATTRIBUTES = {"_numerator", "_denominator", "_from_coprime_ints"}
+FRACTION_KEYWORDS = {"_normalize"}
+
+
+def test_no_module_reaches_into_fraction_internals():
+    private = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in FRACTION_ATTRIBUTES:
+                private.append(f"{module.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.keyword) and node.arg in FRACTION_KEYWORDS:
+                private.append(f"{module.name}:{node.lineno}: {node.arg}=")
+    assert private == []

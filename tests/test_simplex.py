@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from upperset import simplex
+from upperset import duality, simplex
+from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id
+from upperset.duality import DualityError, fundamental_duality
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import NEG_INF, ONE, POS_INF, ZERO, dot, vec
 from upperset.scalarize import DirectionBase
 from upperset.simplex import LPStatus, solve_lp
+
+from test_duality import admissible_bivariate
 
 
 def F(x):
@@ -57,6 +61,9 @@ class TestSolveLP:
     def test_no_constraints(self):
         res = solve_lp(vec([0, 0]), [], sense="max")
         assert res.status is LPStatus.OPTIMAL and res.value == 0
+        # The dual is set only when it was requested; with no rows it is empty.
+        assert res.dual is None
+        assert solve_lp(vec([0, 0]), [], sense="max", want_dual=True).dual == ()
         res = solve_lp(vec([1, 0]), [], sense="min")
         assert res.status is LPStatus.UNBOUNDED
 
@@ -253,13 +260,15 @@ def _dense_simplex_standard(c, a, b, log):
 
 def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
     """solve_lp on the sparse kernel and on the dense reference, with the
-    (row, column) of every pivot each one made, the dual's solve included."""
+    (row, column) of every pivot each one made, the dual's solve included.
+    Every entry of the sparse tableau is a Fraction after each pivot."""
     sparse_log, dense_log = [], []
     sparse_pivot = simplex._pivot
 
     def logged_pivot(tableau, basis, row, col):
         sparse_log.append((row, col))
         sparse_pivot(tableau, basis, row, col)
+        assert all(type(x) is Fraction for r in tableau for x in r)
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_pivot", logged_pivot)
@@ -310,7 +319,51 @@ def _small_instances():
         yield c, cons, rng.choice(["max", "min"]), rng.random() < 0.5
 
 
+def _duality_instances(monkeypatch):
+    """Every program ``duality._attained_dual_vector`` solves on the three
+    duality fixtures at 0 (abs-pair-2d on a 2-direction base, as its pinned
+    report) and on 30 seeded random bivariate maps at x0 in {-1, 0, 1}.
+    Points outside dom f, refusals and failed attainments still leave the
+    programs solved before them."""
+    calls = []
+
+    def recording(objective, constraints, sense="max", want_dual=False):
+        calls.append((objective, constraints, sense, want_dual))
+        return solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+
+    cases = []
+    for fixture_id in ("abs-bivariate", "pl-profile", "abs-pair-2d"):
+        f = fixture_by_id(fixture_id).map
+        cases.append((f, (ZERO,), DirectionBase.default(f.cone, 2) if fixture_id == "abs-pair-2d" else None))
+    rng = random.Random(1315)
+    for k in range(30):
+        f = admissible_bivariate(rng, ORTHANT_2D if k % 4 == 0 else HALFLINE_1D)
+        cases += [(f, vec([x]), None) for x in (-1, 0, 1)]
+    with monkeypatch.context() as mp:
+        mp.setattr(duality, "solve_lp", recording)
+        for f, x0, base in cases:
+            try:
+                fundamental_duality(f, x0, base)
+            except DualityError:
+                pass
+    return calls
+
+
 class TestDenseReference:
+    def test_duality_traffic_matches(self, monkeypatch):
+        calls = _duality_instances(monkeypatch)
+        assert len(calls) >= 40 and max(len(rows) for _, rows, _, _ in calls) >= 30
+        optimal = 0
+        for objective, rows, sense, want_dual in calls:
+            assert want_dual
+            sparse, dense, sparse_log, dense_log = _solve_both(
+                monkeypatch, objective, rows, sense, want_dual
+            )
+            assert sparse == dense
+            assert sparse_log == dense_log
+            optimal += sparse.status is LPStatus.OPTIMAL
+        assert optimal >= 30
+
     def test_tall_degenerate_instances_match(self, monkeypatch):
         for objective, rows, sense, want_dual in _tall_instances():
             assert len(rows) >= 30 and sum(b == 0 for _, b in rows) >= 26
