@@ -11,11 +11,11 @@ intersection over all dual pairs, and produces one maximizing y* per proper
 scalarization direction, provided the scalarizations of the slice f(x0, .)
 are upper semicontinuous at the origin for every direction.
 
-For the constant-normal affine maps accepted here, each slice scalarization
-is polyhedral convex: continuous on its domain, dom f(x0, .), and +inf off
-it (Rockafellar 1970, Thm 10.2).  So the regularity condition holds exactly
-when 0 is interior to that domain, which is read from the rows of dom f: no
-row with a nonzero y-part may be tight at (x0, 0).  No sampled checker runs.
+A map accepted here has one leaf, with a polyhedral graph, so each slice
+scalarization is polyhedral convex, continuous on dom f(x0, .) and +inf off
+it (Rockafellar 1970, Thm 10.2).  Regularity then holds exactly when 0 is
+interior to that domain: no row of dom f with a nonzero y-part is tight at
+(x0, 0).  No sampled checker runs.
 
 Everything here runs on exact piecewise-linear closed forms.  The partial
 infimum is a conjugate: inf_x phi(x, y) = -(phi(., y))*(0) (Rockafellar
@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
 from .linalg import ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
-from .maps import AffineBody, SetValuedMap
+from .maps import SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
 from .simplex import LPStatus, solve_lp
@@ -174,8 +174,8 @@ def fundamental_duality(
 
     Preconditions checked before running: (x0, 0) lies in dom f, and every
     scalarization of the slice f(x0, .) is upper semicontinuous at 0, which
-    for a constant-normal affine body means that no row of dom f with a
-    nonzero y-part is tight at (x0, 0); a violation refuses with a
+    for a map of one leaf with a polyhedral graph means that no row of dom f
+    with a nonzero y-part is tight at (x0, 0); a violation refuses with a
     diagnostic.  Improper directions contribute the whole space and drop
     out; directions whose scalar infimum is unbounded below are flagged and
     likewise contribute the whole space.
@@ -185,9 +185,9 @@ def fundamental_duality(
     y0 = (ZERO,) * f.p
     if f.evaluate(x0, y0).is_empty:
         raise DualityError(f"(x0, 0) = ({x0}, {y0}) lies outside dom f")
-    body = f.map.body
-    if not isinstance(body, AffineBody) or not body.fixed_normals:
-        raise DualityError("slices require a constant-normal affine body")
+    leaves = f.map.leaves
+    if len(leaves) != 1 or leaves[0].graph_rows is None:
+        raise DualityError("slices require a map of one leaf with a polyhedral graph")
     for piece in f.map.domain_pieces():
         for n, b in piece.rows:
             if any(n[f.n :]) and dot(n, x0 + y0) == b:

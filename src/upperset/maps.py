@@ -17,9 +17,11 @@ Maps are drawn from a closed constructor family rather than arbitrary code:
 A map flattens its guard tree once into ``SetValuedMap.leaves``: one
 ``Leaf`` per affine or scaled body, whose region is the guard rows on its
 path (a false side negated and flagged strict).  The regions partition R^n
-(the critical regions of multiparametric LP), and every question about the
-branches reads that list: evaluation, box certificates, convexity, domain
-pieces, graph-interior boxes and the closed-form scalarizations.
+(the critical regions of multiparametric LP).  Each leaf answers for its own
+kind, and no other module tells the kinds apart.  A constant-normal affine
+leaf's graph is one polyhedron (Robinson 1981), read three ways: projected
+for the domain, and row by row at its worst over an x-box or a product box
+for the box certificates; the closed-form scalarizations project it too.
 
 Every constructor instance evaluates to a value in the lattice; an affine
 value whose row normal leaves the positive dual cone is rejected when it is
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .geometry import Cone, Polyhedron, dual_cone, project_out, strict_point
@@ -111,23 +114,6 @@ class AffineBody:
             for i in range(len(self.normals))
         ]
 
-    def graph_rows(self) -> list[Constraint]:
-        """The graph {(x, z) : N z >= q + L x} of a constant-normal body, as
-        rows (-l_i, n_i) . (x, z) >= q_i."""
-        return [
-            (tuple(-c for c in l) + tuple(n), q)
-            for n, q, l in zip(self.normals, self.offsets, self.x_coeffs)
-        ]
-
-    def box_rows(self, x0: Vec, r: Fraction) -> list[Constraint]:
-        """The rows n_i . z >= q_i + l_i . x0 + r |l_i|_1 of a constant-normal
-        body: each row's worst case over the l-inf box of radius r around
-        x0, so the polyhedron they cut out lies in every value over the box."""
-        return [
-            (n, q + dot(l, x0) + r * norm1(l))
-            for n, q, l in zip(self.normals, self.offsets, self.x_coeffs)
-        ]
-
 
 @dataclass(frozen=True)
 class ScaledBody:
@@ -148,7 +134,8 @@ Body = AffineBody | ScaledBody | PiecewiseBody
 @dataclass(frozen=True)
 class Leaf:
     """One leaf of a guard tree: ``body`` gives the value on the region
-    {x : g.x >= h for every row (g, h)}, with > on the rows flagged strict."""
+    {x : g.x >= h for every row (g, h)}, with > on the rows flagged strict.
+    Its answers read ``graph_rows`` where it has a graph, else its body."""
 
     rows: tuple[Constraint, ...]
     strict: tuple[bool, ...]
@@ -163,15 +150,20 @@ class Leaf:
                 return False
         return True
 
+    @cached_property
+    def graph_rows(self) -> Optional[tuple[Constraint, ...]]:
+        """The graph {(x, z) : N z >= q + L x} of a constant-normal body, as
+        rows (-l_i, n_i) . (x, z) >= q_i; None for tilting and scaled bodies."""
+        b = self.body
+        if not isinstance(b, AffineBody) or not b.fixed_normals:
+            return None
+        rows = zip(b.normals, b.offsets, b.x_coeffs)
+        return tuple((tuple(-c for c in l) + tuple(n), q) for n, q, l in rows)
+
     @property
     def empty(self) -> bool:
-        """Empty everywhere: constant normals and a row 0 . z >= q > 0."""
-        b = self.body
-        return (
-            isinstance(b, AffineBody)
-            and b.fixed_normals
-            and any(not any(n) and not any(l) and q > 0 for n, q, l in zip(b.normals, b.offsets, b.x_coeffs))
-        )
+        """Empty everywhere: a graph row 0 . (x, z) >= q > 0."""
+        return any(not any(a) and q > 0 for a, q in self.graph_rows or ())
 
     @property
     def convex(self) -> bool:
@@ -185,6 +177,83 @@ class Leaf:
         """Affine values are single polyhedra and scaled values are copies of
         the base; only a polyhedral base with several pieces is not convex."""
         return isinstance(self.body, AffineBody) or self.body.base.is_convex
+
+    def value(self, x: Vec, cone: Cone) -> UpperSet:
+        """The value at x, over the cone C; a normal outside C^- raises."""
+        b = self.body
+        if isinstance(b, ScaledBody):
+            a = b.alpha(x)
+            return UpperSet.empty(cone) if a < 0 else scale(b.base, a)
+        rows = b.rows_at(x)
+        dual = dual_cone(cone)
+        for n, _ in rows:
+            if not dual.contains(tuple(-c for c in n)):
+                msg = f"value is not upper closed at this point: normal {n} leaves the positive dual cone"
+                raise MapError(msg)
+        return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+
+    def domain(self, n: int, m: int) -> Optional[Polyhedron]:
+        """Where the value is nonempty in the region, x in R^n and z in R^m:
+        the graph cut by the region, projected onto x.  None when the leaf
+        is empty throughout; a tilting leaf keeps its whole region."""
+        b, region = self.body, list(self.rows)
+        if self.graph_rows is not None:
+            if self.empty:
+                return None
+            pad = (ZERO,) * m
+            lifted = [*self.graph_rows, *((tuple(g) + pad, h) for g, h in region)]
+            return project_out(Polyhedron(n + m, lifted), list(range(n, n + m)))
+        if isinstance(b, AffineBody):
+            return Polyhedron(n, region)
+        rows = region + [(b.alpha.coeffs, -b.alpha.const)]
+        if b.base.is_empty:
+            # 0 . A = C even for an empty A: the value is nonempty only
+            # where alpha(x) = 0.
+            rows.append((tuple(-c for c in b.alpha.coeffs), b.alpha.const))
+        p = Polyhedron(n, rows)
+        return None if p.is_empty else p
+
+    def inner(self, x0: Vec, r: Fraction, m: int) -> Optional[Polyhedron]:
+        """A polyhedron in R^m inside every value over the l-inf box of
+        radius r around x0: each graph row (-l, n) . (x, z) >= q at its
+        worst, n . z >= q + l . x0 + r |l|_1.  None without a graph."""
+        if self.graph_rows is None:
+            return None
+        if self.empty:
+            return Polyhedron.empty(m)
+        k = len(x0)
+        return Polyhedron(m, [(a[k:], q - dot(a[:k], x0) + r * norm1(a[:k])) for a, q in self.graph_rows])
+
+    def holds_box(self, x0: Vec, z0: Vec, r: Fraction) -> bool:
+        """Whether every value over the l-inf box of radius r around x0
+        contains the l-inf box of radius r around z0."""
+        b = self.body
+        if self.graph_rows is not None:
+            xz = (*x0, *z0)
+            return all(dot(a, xz) - r * norm1(a) >= q for a, q in self.graph_rows)
+        if isinstance(b, AffineBody):
+            # Conservative interval bound on the bilinear row terms.
+            for i in range(len(b.normals)):
+                margin = dot(b.normals[i], z0) - b.offsets[i] - dot(b.x_coeffs[i], x0)
+                slack = r * (norm1(b.normals[i]) + norm1(b.x_coeffs[i]))
+                for k, mv in enumerate(b.x_normals[i]):
+                    margin += x0[k] * dot(mv, z0)
+                    slack += r * (abs(x0[k]) * norm1(mv) + abs(dot(mv, z0)) + r * norm1(mv))
+                if margin < slack:
+                    return False
+            return True
+        # alpha is affine, so it spans [amin, amax] over the x-box.  For a
+        # convex A, {alpha >= 0 : z in alpha A} is an interval (0 A = C), so
+        # the z-box corners at both ends put the box in every alpha A
+        # between.  A union is not convex: one piece must hold every corner.
+        spread = r * norm1(b.alpha.coeffs)
+        amin, amax = b.alpha(x0) - spread, b.alpha(x0) + spread
+        if amin < 0:
+            return False
+        corners = list(itertools.product(*((c - r, c + r) for c in z0)))
+        base, ends = b.base, dict.fromkeys((amin, amax))
+        parts = [base] if base.is_convex else [UpperSet(base.cone, pieces=[p]) for p in base.pieces]
+        return any(all(member(scale(part, a), c) for a in ends for c in corners) for part in parts)
 
 
 def _body_leaves(
@@ -255,20 +324,7 @@ class SetValuedMap:
         value = self._value_cache.get(x if type(x) is HashedVec else xv)
         if value is not None:
             return value
-        body = next(leaf.body for leaf in self.leaves if leaf.contains_box(xv))
-        if isinstance(body, ScaledBody):
-            a = body.alpha(xv)
-            value = UpperSet.empty(self.cone) if a < 0 else scale(body.base, a)
-        else:
-            rows = body.rows_at(xv)
-            dual = dual_cone(self.cone)
-            for n, _ in rows:
-                if not dual.contains(tuple(-c for c in n)):
-                    raise MapError(
-                        "value is not upper closed at this point: "
-                        f"normal {n} leaves the positive dual cone"
-                    )
-            value = UpperSet(self.cone, pieces=[Polyhedron(self.cone.dim, rows)])
+        value = next(leaf for leaf in self.leaves if leaf.contains_box(xv)).value(xv, self.cone)
         self._value_cache[xv] = value
         return value
 
@@ -282,45 +338,20 @@ class SetValuedMap:
         on a guard's boundary where the true branch is empty; a branch whose
         normals move with x keeps its whole region.
         """
-        pieces = [self._domain_of(leaf) for leaf in self.leaves]
+        pieces = [leaf.domain(self.domain_dim, self.cone.dim) for leaf in self.leaves]
         return [p for p in pieces if p is not None and not p.is_empty]
-
-    def _domain_of(self, leaf: Leaf) -> Optional[Polyhedron]:
-        """Where a leaf's value is nonempty within its region; None when the
-        leaf is empty throughout."""
-        n, body, region_rows = self.domain_dim, leaf.body, list(leaf.rows)
-        if isinstance(body, ScaledBody):
-            rows = region_rows + [(body.alpha.coeffs, -body.alpha.const)]
-            if body.base.is_empty:
-                # 0 . A = C even for an empty A: the value is nonempty only
-                # where alpha(x) = 0.
-                rows.append((tuple(-c for c in body.alpha.coeffs), body.alpha.const))
-            p = Polyhedron(n, rows)
-            return None if p.is_empty else p
-        if leaf.empty:
-            return None
-        if not body.fixed_normals:
-            return Polyhedron(n, region_rows)
-        pad = (ZERO,) * self.cone.dim
-        lifted = body.graph_rows() + [(tuple(r) + pad, b) for r, b in region_rows]
-        return project_out(Polyhedron(n + self.cone.dim, lifted), list(range(n, n + self.cone.dim)))
 
     # -- exact box certificates (constant-normal affine branches) ------------
 
     def box_value_intersection(self, x0: Vec, radius: Fraction) -> Optional[Polyhedron]:
         """Exact polyhedron contained in every f(x), x in the box around x0.
 
-        Available when the region of a single constant-normal affine leaf
-        holds the whole box; row-wise the worst case of q + l.x over an l-inf
-        box is rational.  Returns None when no exact certificate is available
-        (the caller then falls back to sampled intersections).
+        Available when the region of a single leaf with a polyhedral graph
+        holds the whole box (``Leaf.inner``); otherwise None, and the caller
+        falls back to sampled intersections.
         """
         leaf = next((leaf for leaf in self.leaves if leaf.contains_box(x0, radius)), None)
-        if leaf is None or not isinstance(leaf.body, AffineBody) or not leaf.body.fixed_normals:
-            return None
-        if leaf.empty:
-            return Polyhedron.empty(self.cone.dim)
-        return Polyhedron(self.cone.dim, leaf.body.box_rows(x0, radius))
+        return None if leaf is None else leaf.inner(x0, radius, self.cone.dim)
 
 
 # -- graph interior ------------------------------------------------------------
@@ -333,41 +364,10 @@ def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
     cannot matter, even where the box straddles one of its guards."""
     box = Polyhedron.box([(c - r, c + r) for c in x0]).rows
     return all(
-        _leaf_box_in_graph(f, leaf, x0, z0, r)
+        leaf.holds_box(x0, z0, r)
         for leaf in f.leaves
         if strict_point(f.domain_dim, [*leaf.rows, *box], (*leaf.strict,) + (False,) * len(box)) is not None
     )
-
-
-def _leaf_box_in_graph(f: SetValuedMap, leaf: Leaf, x0: Vec, z0: Vec, r: Fraction) -> bool:
-    """Whether every value of the leaf over the x-box contains the z-box."""
-    body = leaf.body
-    if isinstance(body, AffineBody):
-        if leaf.empty:
-            return False
-        if not body.fixed_normals:
-            # Conservative interval bound on the bilinear row terms.
-            for i in range(len(body.normals)):
-                margin = dot(body.normals[i], z0) - body.offsets[i] - dot(body.x_coeffs[i], x0)
-                slack = r * (norm1(body.normals[i]) + norm1(body.x_coeffs[i]))
-                if body.x_normals is not None:
-                    for k in range(f.domain_dim):
-                        mv = body.x_normals[i][k]
-                        margin += x0[k] * dot(mv, z0)
-                        slack += r * (abs(x0[k]) * norm1(mv) + abs(dot(mv, z0)) + r * norm1(mv))
-                if margin < slack:
-                    return False
-            return True
-        return all(dot(n, z0) - r * norm1(n) >= q for n, q in body.box_rows(x0, r))
-    # alpha is affine, so it spans [amin, amax] over the x-box.  For the
-    # convex base A, {alpha >= 0 : z in alpha A} is an interval (0 A = C), so
-    # checking the z-box corners at both ends is exact.
-    spread = r * norm1(body.alpha.coeffs)
-    amin, amax = body.alpha(x0) - spread, body.alpha(x0) + spread
-    if amin < 0:
-        return False
-    corners = list(itertools.product(*((c - r, c + r) for c in z0)))
-    return all(member(scale(body.base, a), c) for a in dict.fromkeys((amin, amax)) for c in corners)
 
 
 def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
@@ -420,17 +420,13 @@ def _interior_candidates(f: SetValuedMap, x0: Vec, r: Fraction) -> list[Vec]:
     polyhedral = True
     for x in samples:
         v = f.evaluate(x)
-        if v.is_empty:
-            polyhedral = False
-            break
-        if not v.is_polyhedral:
+        if v.is_empty or not v.is_polyhedral:
             polyhedral = False
             break
         for p in v.pieces:
             stacked.extend(p.rows)
-    if polyhedral and stacked:
-        common = Polyhedron(f.cone.dim, stacked)
-        ip = common.interior_point()
+    if polyhedral:
+        ip = _inner_point(Polyhedron(f.cone.dim, stacked))
         if ip is not None:
             out.append(ip)
     v0 = f.evaluate(x0)
@@ -444,12 +440,17 @@ def _interior_candidates(f: SetValuedMap, x0: Vec, r: Fraction) -> list[Vec]:
                 out.append(p)
                 if bump is not None:
                     out.append(tuple(a + b for a, b in zip(p, bump)))
-    elif v0.is_polyhedral and not out:
-        for p in v0.pieces:
-            ip = p.interior_point()
-            if ip is not None:
-                out.append(ip)
+    elif not out:
+        out += [ip for ip in map(_inner_point, v0.pieces) if ip is not None]
     return list(dict.fromkeys(out))
+
+
+def _inner_point(p: Polyhedron) -> Optional[Vec]:
+    """An interior point of p; the origin where p is the whole space, with
+    no nonzero row normal, and ``interior_point`` has no margin to grow."""
+    if any(any(n) for n, _ in p.rows):
+        return p.interior_point()
+    return None if p.is_empty else (ZERO,) * p.dim
 
 
 # -- JSON fixture schema --------------------------------------------------------

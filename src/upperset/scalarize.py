@@ -7,8 +7,8 @@ The scalarization of a map f in a dual direction z* is
 the negative support value of f(x); it is +inf exactly where f(x) is empty
 and -inf where the support is unbounded.  A convex value f(x) is the
 intersection of the halfspaces {z : z*.z <= -phi(x)} over z* in C^-; the
-checkers read the scalarizations over a finite direction base.  Maps built
-from constant-normal affine branches also get exact piecewise-linear closed
+checkers read the scalarizations over a finite direction base.  Maps whose
+leaves all have polyhedral graphs also get exact piecewise-linear closed
 forms of their scalarizations (``piecewise_scalarization``).
 
 Direction bases are rational vectors spanning the negative dual cone of the
@@ -40,7 +40,7 @@ from .linalg import (
     scale_to_canonical,
     vec,
 )
-from .maps import AffineBody, SetValuedMap
+from .maps import SetValuedMap
 
 
 def _unitize(u: Vec) -> Vec:
@@ -175,20 +175,20 @@ def scalarization_value(f: SetValuedMap, zstar: Vec, x) -> Ext:
 
 
 def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearFn]:
-    """Exact piecewise-linear closed form of the scalarization, when the map
-    is built from constant-normal affine branches.
+    """Exact piecewise-linear closed form of the scalarization, when every
+    leaf has a polyhedral graph G (``Leaf.graph_rows``); None otherwise.
 
-    The epigraph {(x, t) : t >= phi(x)} is the projection of the lifted
-    polyhedron {(x, z, t) : N z >= q + L x, z*.z + t >= 0}.  ``project_out``
-    gives its facets, whose t-coefficients are nonnegative: rows with
-    positive coefficient are the affine lower bounds (phi is their maximum;
-    each is a facet, so none is redundant) and rows without t cut out
-    dom f.  Branches with no lower bounding row have phi = -inf across
-    their domain.
+    On a leaf, the epigraph {(x, t) : t >= phi(x)} is the projection of
+    {(x, z, t) : (x, z) in G, z*.z + t >= 0}.  ``project_out`` gives its
+    facets, whose t-coefficients are nonnegative: rows with positive
+    coefficient are the affine lower bounds (phi is their maximum; each is
+    a facet, so none is redundant) and rows without t, with the leaf's
+    region, cut out its domain.  Leaves with no lower bounding row have
+    phi = -inf across their domain.
     """
     zs = vec(zstar)
     require_dual_direction(f.cone, zs)
-    if not all(isinstance(leaf.body, AffineBody) and leaf.body.fixed_normals for leaf in f.leaves):
+    if any(leaf.graph_rows is None for leaf in f.leaves):
         return None
     n = f.domain_dim
     m = f.cone.dim
@@ -197,7 +197,7 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     for leaf in f.leaves:
         if leaf.empty:
             continue
-        lifted = [(row + (ZERO,), q) for row, q in leaf.body.graph_rows()]
+        lifted = [(row + (ZERO,), q) for row, q in leaf.graph_rows]
         lifted.append((tuple([ZERO] * n + list(zs) + [Fraction(1)]), ZERO))
         projected = project_out(Polyhedron(n + m + 1, lifted), list(range(n, n + m)))
         dom_rows: list[Constraint] = list(leaf.rows)
@@ -207,12 +207,10 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
             xs_part = row[:-1]
             if t_coeff == 0:
                 dom_rows.append((xs_part, b))
+            elif t_coeff < 0:
+                raise AssertionError("epigraph projection produced an upper bound")
             else:
-                if t_coeff < 0:
-                    raise AssertionError("epigraph projection produced an upper bound")
-                bounds.append(
-                    (tuple(-c / t_coeff for c in xs_part), b / t_coeff)
-                )
+                bounds.append((tuple(-c / t_coeff for c in xs_part), b / t_coeff))
         dom = Polyhedron(n, dom_rows)
         if dom.is_empty:
             continue

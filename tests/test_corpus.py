@@ -62,7 +62,7 @@ LIGHT_DIGESTS = {
     ("parabola-dilation", 0): "01bb217256ee7935",
     ("parabola-dilation", 1): "052e1a87ea76bb84",
     ("rand-affine-1", 0): "a23d1b1696a9117b",
-    ("rand-affine-2", 0): "4e566bb75724f9cc",
+    ("rand-affine-2", 0): "f4e3466be27c9611",
     ("rand-affine-3", 0): "734c6b6fad99dab7",
 }
 

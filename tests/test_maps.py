@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from upperset.continuity import IMPLICATIONS
-from upperset.corpus import builtin_fixtures, parabola_dilation_fixture, random_convex_affine_maps
+from upperset.corpus import RAY_CONE_2D, builtin_fixtures, parabola_dilation_fixture, random_convex_affine_maps
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import POS_INF, dot, norm1
@@ -20,6 +20,7 @@ from upperset.maps import (
     ScaledBody,
     SetValuedMap,
     constant_cone_body,
+    _box_in_graph,
     constant_empty_body,
     graph_interior_witness,
     map_from_json,
@@ -503,6 +504,35 @@ class TestGraphInterior:
         assert v.status is Status.HOLDS
         assert v.witness.z == (2,) * m and v.witness.radius == 1
 
+    def test_whole_plane_values_hold_at_the_origin(self):
+        # f(x) = {z : 0.z >= -x}: the whole plane for x >= 0.  No row of a
+        # value has a nonzero normal, so no margin picks a point, and the
+        # origin is the candidate.
+        f = SetValuedMap(1, ORTHANT, AffineBody(normals=((F(0), F(0)),), offsets=(F(0),), x_coeffs=((F(-1),),)))
+        v = graph_interior_witness(f, [1])
+        assert v.status is Status.HOLDS
+        assert (v.witness.z, v.witness.radius) == ((0, 0), 1)
+        # Constant whole-plane values, with no row at all, read the same.
+        v = graph_interior_witness(SetValuedMap(1, ORTHANT, AffineBody((), (), ())), [0])
+        assert v.status is Status.HOLDS and v.witness.z == (0, 0)
+
+    def test_union_base_needs_one_piece_for_the_whole_box(self):
+        # A = {z1 <= 0} u {z1 >= 1} over {0} x R+, alpha = 1.  Every corner
+        # of the unit box around (1/2, 0) lies in one piece or the other,
+        # but its centre lies in neither.
+        union = UpperSet(
+            RAY_CONE_2D,
+            pieces=[Polyhedron(2, [((-1, 0), 0)]), Polyhedron(2, [((1, 0), 1)])],
+        )
+        f = SetValuedMap(1, RAY_CONE_2D, ScaledBody(union, AffineForm.of([0], 1)))
+        x0, z0, r = (F(0),), (F(1) / 2, F(0)), F(1)
+        assert all(member(f.evaluate(x0), c) for c in itertools.product(*((c - r, c + r) for c in z0)))
+        assert not member(f.evaluate(x0), z0)
+        assert not _box_in_graph(f, x0, z0, r)
+        # A box inside one piece is inside the graph.
+        assert _box_in_graph(f, x0, (F(3), F(0)), r)
+        assert _box_in_graph(f, x0, (F(-2), F(0)), r)
+
     def test_scaled_box_holds_at_the_largest_alpha_too(self):
         # f(x) = (x + 1) A with A = (1, 1) + C given by an oracle.  A misses
         # 0, so the values move up as alpha grows: the unit box around
@@ -646,6 +676,30 @@ class TestLeafList:
         f = SetValuedMap(1, ORTHANT, PiecewiseBody(((F(1),), F(0)), inner, constant_cone_body(ORTHANT, 1)))
         assert f.convex and not _body_convex(f.body)
         assert convexity_check(f, seed=2, count=48).status is Status.HOLDS
+
+
+class TestLeafGraph:
+    def test_slices_and_domains_match_the_values(self):
+        # In its region, a leaf's graph sliced at x is f(x), and its domain
+        # piece holds x exactly where f(x) is nonempty.
+        rng = random.Random(23)
+        halves = [F(k) / 2 for k in range(-5, 6)]
+        counts = dict.fromkeys(("empty", "nonempty"), 0)
+        for i in range(60):
+            n = 1 + i % 2
+            f = SetValuedMap(n, ORTHANT, random_guard_body(rng, n, 3))
+            xs = [(a,) for a in halves] if n == 1 else list(itertools.product(halves[::2], repeat=2))
+            for leaf in f.leaves:
+                if leaf.graph_rows is None:
+                    continue
+                domain = leaf.domain(n, 2)
+                for x in filter(leaf.contains_box, xs):
+                    cut = Polyhedron(2, [(a[n:], q - dot(a[:n], x)) for a, q in leaf.graph_rows])
+                    value, graph_slice = f.evaluate(x), UpperSet(ORTHANT, pieces=[cut])
+                    assert set_order_leq(value, graph_slice) and set_order_leq(graph_slice, value), (i, x)
+                    assert (domain is not None and domain.contains(x)) == (not value.is_empty), (i, x)
+                    counts["empty" if value.is_empty else "nonempty"] += 1
+        assert min(counts.values()) >= 300, counts
 
 
 class TestJsonSchema:

@@ -170,3 +170,22 @@ def test_no_module_reaches_into_fraction_internals():
             elif isinstance(node, ast.keyword) and node.arg in FRACTION_KEYWORDS:
                 private.append(f"{module.name}:{node.lineno}: {node.arg}=")
     assert private == []
+
+
+# The leaf kinds belong to ``maps``, where each leaf answers every question
+# about itself, and to ``corpus``, which builds the fixtures.  Any other
+# module asks a leaf, so a new reader adds no kind switch of its own.
+LEAF_KIND_NAMES = {"AffineBody", "ScaledBody", "PiecewiseBody", "fixed_normals"}
+LEAF_KIND_OWNERS = {"maps.py", "corpus.py"}
+
+
+def test_only_maps_and_corpus_name_the_leaf_kinds():
+    named = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name in LEAF_KIND_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            name = node.name if isinstance(node, ast.alias) else _named(node)
+            if name in LEAF_KIND_NAMES:
+                named.append(f"{module.name}:{node.lineno}: {name}")
+    assert named == []

@@ -19,7 +19,7 @@ from upperset.corpus import (
 )
 from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone, require_dual_direction
 from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, scale_to_canonical, vec
-from upperset.maps import SetValuedMap
+from upperset.maps import AffineBody, PiecewiseBody, SetValuedMap, constant_cone_body, constant_empty_body
 from upperset.scalarize import (
     DirectionBase,
     _unitize,
@@ -36,6 +36,7 @@ from test_maps import (
     RAY,
     constant_map,
     halfline_domain_map,
+    random_guard_body,
     ray_translate_map,
     tilted_halfplane_map,
 )
@@ -631,8 +632,6 @@ class TestClosedForm:
     def test_minus_inf_branch(self):
         # f(x) = whole plane as an upper set: support +inf, phi = -inf.
         cone = ORTHANT
-        from upperset.maps import AffineBody, SetValuedMap
-
         f = SetValuedMap(
             1,
             cone,
@@ -645,6 +644,70 @@ class TestClosedForm:
 
     def test_no_closed_form_for_tilting_normals(self):
         assert piecewise_scalarization(tilted_halfplane_map(), (-1, -1)) is None
+
+
+def _guards(body):
+    if isinstance(body, PiecewiseBody):
+        yield body.guard
+        yield from _guards(body.when_true)
+        yield from _guards(body.when_false)
+
+
+def _off_the_guards(body, x) -> bool:
+    """Whether x lies off every guard hyperplane g.x = h; a guard with g = 0
+    is constant and has none."""
+    return all(not any(g) or sum(a * b for a, b in zip(g, x)) != h for g, h in _guards(body))
+
+
+class TestClosedFormsOnGuardTrees:
+    """On seeded guard trees whose leaves are all constant-normal affine or
+    constant empty, the closed form equals the pointwise scalarization off
+    the guard hyperplanes, +-inf included."""
+
+    def test_match_pointwise_values_off_the_guards(self):
+        rng = random.Random(13)
+        directions = DirectionBase.default(ORTHANT, 4).directions
+        quarters = [Fraction(k, 4) for k in range(-12, 13)]
+        trees, kinds = 0, Counter()
+        for i in range(400):
+            n = 1 + i % 2
+            body = random_guard_body(rng, n, 3)
+            f = SetValuedMap(n, ORTHANT, body)
+            forms = [piecewise_scalarization(f, u) for u in directions]
+            if forms[0] is None:
+                assert all(form is None for form in forms)
+                continue
+            trees += 1
+            xs = [(a,) for a in quarters] if n == 1 else list(itertools.product(quarters[::2], repeat=2))
+            for x in xs:
+                if not _off_the_guards(body, x):
+                    continue
+                for u, phi in zip(directions, forms):
+                    value = scalarization_value(f, u, x)
+                    assert phi(x) == value, (i, x, u)
+                    kinds[_extended_kind(value)] += 1
+        assert trees >= 80
+        assert set(kinds) == {"finite", "+inf", "-inf"} and sum(kinds.values()) >= 40000, kinds
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at a guard boundary whose true leaf has no finite piece, the false "
+        "side's closed region claims the point (ROADMAP, Verified defects)",
+    )
+    @pytest.mark.parametrize(
+        "true_branch, value",
+        [
+            (constant_empty_body(1, 2), POS_INF),
+            (AffineBody(normals=(), offsets=(), x_coeffs=()), NEG_INF),
+        ],
+        ids=["empty", "whole-plane"],
+    )
+    def test_boundary_of_a_true_branch_without_finite_values(self, true_branch, value):
+        # C on the false side x < 0; at x = 0 the true branch decides.
+        body = PiecewiseBody(((F(1),), F(0)), true_branch, constant_cone_body(ORTHANT, 1))
+        f = SetValuedMap(1, ORTHANT, body)
+        assert scalarization_value(f, (-1, -1), (F(0),)) == value
+        assert piecewise_scalarization(f, (-1, -1))((F(0),)) == value
 
 
 def seeded_point(rng: random.Random, dim: int, bound: int) -> tuple:
