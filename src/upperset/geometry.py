@@ -25,7 +25,11 @@ by one pass on the dual cone whose extreme rays are the facets.  A Minkowski
 sum (``Polyhedron.__add__``: the pairwise sums of points, the rays and the
 lineality of both) and a projection (``project_out``: the generators with
 the eliminated coordinates dropped) are generator arithmetic on the V-forms
-followed by that one step, so both are exact in every dimension.
+followed by that one step, so both are exact in every dimension.  The
+same step hands over the V-form of its output when that is pointed and
+full-dimensional: the extreme generators are read off the dual pass's
+masks, so each V-form comes from one pass.  ``contained_in`` reads a
+support only for the rows of ``other`` that self does not carry itself.
 
 The hot queries run in Python ints.  Each polyhedron keeps its rows once as
 integer rows (a positive multiple of ``n + (b,)``), and the V-form keeps
@@ -127,6 +131,13 @@ class VForm(NamedTuple):
     for row i.  ``lin`` is an integer basis (l, 0) of the lineality space.
     A point becomes Fractions only where it is returned
     (``Polyhedron.minimal_face_points``).
+
+    The generators come in the order of the pass that built them, or, when
+    ``_hull`` hands the V-form over, in the order of its input generators.
+    The two orders can differ, so among tied generators ``lowest_point`` (the
+    last minimizer), ``excess_sq``'s witness (the first maximizer) and
+    ``_escape`` (the first escaping ray) may pick a different one on a hull
+    output than on a copy of it built from its rows.
     """
 
     gens: list[tuple[int, ...]]
@@ -152,43 +163,57 @@ def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
     Every vector is kept primitive (its entries divided by their gcd), which
     changes no ray's direction and keeps the arithmetic in Python ints.
     """
+    gcd = math.gcd
     hom = [(0,) * dim + (1,)] + [r[:-1] + (-r[-1],) for r in rows]
     lin = [(0,) * i + (1,) + (0,) * (dim - i) for i in range(dim + 1)]
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []  # bitmask of the rows tight on each ray
     for i, a in enumerate(hom):
         bit = 1 << i
-        k = next((j for j, l in enumerate(lin) if sum(map(mul, a, l))), None)
-        if k is not None:
-            r0 = lin.pop(k)
-            v0 = sum(map(mul, a, r0))
+        r0 = None
+        for k, l in enumerate(lin):
+            v0 = sum(map(mul, a, l))
+            if v0:
+                r0 = lin.pop(k)
+                break
+        if r0 is not None:
             if v0 < 0:
                 r0, v0 = tuple(-x for x in r0), -v0
-
-            def shift(v: tuple[int, ...]) -> tuple[int, ...]:
-                c = sum(map(mul, a, v))
-                return _primitive([v0 * x - c * y for x, y in zip(v, r0)]) if c else v
-
-            lin = [shift(l) for l in lin]
-            rays = [shift(r) for r in rays] + [r0]
-            tight = [m | bit for m in tight] + [bit - 1]
+            # Shift the other lineality vectors and the rays onto the row's
+            # hyperplane, in place.
+            for vs in (lin, rays):
+                for j, v in enumerate(vs):
+                    c = sum(map(mul, a, v))
+                    if c:
+                        w = [v0 * x - c * y for x, y in zip(v, r0)]
+                        g = gcd(*w)
+                        vs[j] = tuple(x // g for x in w) if g > 1 else tuple(w)
+            rays.append(r0)
+            tight = [m | bit for m in tight]
+            tight.append(bit - 1)
             continue
         # The first row pivots, so a ray is there from then on.
-        vals = [sum(map(mul, a, r)) for r in rays]
-        if min(vals) >= 0:
-            tight = [m | bit if v == 0 else m for m, v in zip(tight, vals)]
+        new_rays, new_tight, pos, neg = [], [], [], []
+        for r, m in zip(rays, tight):
+            v = sum(map(mul, a, r))
+            if v > 0:
+                new_rays.append(r)
+                new_tight.append(m)
+                pos.append((v, r, m))
+            elif v < 0:
+                neg.append((v, r, m))
+            else:
+                new_rays.append(r)
+                new_tight.append(m | bit)
+        if not neg:
+            tight = new_tight
             continue
-        pos = [j for j, v in enumerate(vals) if v > 0]
-        neg = [j for j, v in enumerate(vals) if v < 0]
         # Two rays are adjacent only if they share enough tight rows for
         # their common face to be 2-dimensional modulo the lineality.
         need = dim - 1 - len(lin)
-        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
-        new_tight = [m | bit if v == 0 else m for m, v in zip(tight, vals) if v >= 0]
-        for p in pos:
-            vp, rp, mp = vals[p], rays[p], tight[p]
-            for q in neg:
-                common = mp & tight[q]
+        for vp, rp, mp in pos:
+            for vq, rq, mq in neg:
+                common = mp & mq
                 if common.bit_count() < need:
                     continue
                 # p and q contain their common rows; a third mask that does
@@ -200,11 +225,12 @@ def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
                         if count > 2:
                             break
                 else:
-                    vq = vals[q]
-                    new_rays.append(_primitive([vp * y - vq * x for x, y in zip(rp, rays[q])]))
+                    w = [vp * y - vq * x for x, y in zip(rp, rq)]
+                    g = gcd(*w)
+                    new_rays.append(tuple(x // g for x in w) if g > 1 else tuple(w))
                     new_tight.append(common | bit)
         rays, tight = new_rays, new_tight
-        if all(r[-1] == 0 for r in rays):
+        if not any(r[-1] for r in rays):
             # K lies in t = 0 from here on: P is empty.
             return VForm([], [], [])
     return VForm(rays, tight, lin)
@@ -627,7 +653,9 @@ class Polyhedron:
         """
         v = vec(z)
         _check_dim(self.dim, v)
-        cache = self.__dict__.setdefault("_dist_cache", {})
+        cache = self.__dict__.get("_dist_cache")
+        if cache is None:
+            cache = self.__dict__["_dist_cache"] = {}
         d = cache.get(v)
         if d is None:
             k, kv = _scaled(v)
@@ -756,12 +784,20 @@ class Polyhedron:
         return _hull(self.dim, rays + points, a.lin + b.lin)
 
     def contained_in(self, other: "Polyhedron") -> bool:
-        """Exact containment self <= other for convex polyhedra."""
+        """Exact containment self <= other for convex polyhedra: every row
+        (n, b) of ``other`` holds on self, n.z >= b.  A row whose integer row
+        self carries too holds on self already, so only the other rows read a
+        support: ``self is other`` reads none, and neither does
+        ``a.intersect(b)`` against ``a``, which carries a's integer rows.
+        The match is incomplete on purpose: a scaled copy of a row is not
+        matched and is read like any other row."""
         if self.dim != other.dim:
             raise DimensionMismatch("containment of unequal dimensions")
-        if self.is_empty:
+        held = set(self._int_rows)
+        rest = [nb for nb, r in zip(other.rows, other._int_rows) if r not in held]
+        if not rest or self.is_empty:
             return True
-        return all(-self.support(tuple(-x for x in n)) >= b for n, b in other.rows)
+        return all(-self.support(tuple(-x for x in n)) >= b for n, b in rest)
 
 
 def strict_point(dim: int, rows: Sequence[Constraint], strict: Sequence[bool]) -> Vec | None:
@@ -786,25 +822,55 @@ def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ..
     rows of an implicit equation, and the ray with n = 0 (the face t >= 0)
     is dropped.  The rows are irredundant, each scaled to largest normal
     entry 1.  No generator with t > 0 means the empty set.
+
+    The same pass also gives the output's V-form, handed over so that no
+    second pass rebuilds it.  The dual pass's mask of each facet holds the
+    bits of the generators tight on it, so each generator's mask over the
+    output rows is read off those masks (bit 0 when t = 0), and the V-form
+    keeps the generators whose mask lies strictly inside no other one's:
+    a generator that is not extreme lies inside a face of dimension >= 2,
+    whose extreme rays are generators tight on strictly more rows.  This
+    holds when cone(gens) + span(lin) is pointed and full-dimensional, so
+    the V-form is handed over only when ``lin`` is zero, the dual pass
+    finds no lineality (no implicit equation) and no generator is tight on
+    every row (no lineality among the generators); otherwise the output
+    builds its V-form by its own pass.
     """
-    rows = list(dict.fromkeys(_primitive(g) + (0,) for g in gens if any(g)))
+    gens = list(dict.fromkeys(_primitive(g) for g in gens if any(g)))
+    rows = [g + (0,) for g in gens]
     for l in lin:
         if any(l):
             rows += [l + (0,), tuple(-x for x in l) + (0,)]
-    if not any(r[-2] for r in rows):
+    if not any(g[-1] for g in gens):
         return Polyhedron.empty(dim)
     vf = _double_description(rows, dim + 1)
-    facets = [g[:-1] for g in vf.gens if not g[-1]]
-    facets += [c for l in vf.lin for c in (l[:-1], tuple(-x for x in l[:-1]))]
+    facets = [(g[:-1], m) for g, m in zip(vf.gens, vf.tight) if not g[-1]]
+    facets += [(c, 0) for l in vf.lin for c in (l[:-1], tuple(-x for x in l[:-1]))]
     out, int_rows = [], []
-    for f in facets:
+    # masks[k] is generator k's V-form mask over the output rows: bit 0 when
+    # t = 0, and bit j + 1 when row j is tight on it, which the dual pass
+    # records as bit k + 1 of facet j's mask.
+    masks = [0 if g[-1] else 1 for g in gens]
+    for f, tight in facets:
         m = max((abs(x) for x in f[:-1]), default=0)
         if m:
             out.append((tuple(Fraction(x, m) for x in f[:-1]), Fraction(-f[-1], m)))
             # (n, s) is primitive, so n + (-s,) is the row's ``_integer_row``.
             int_rows.append(f[:-1] + (-f[-1],))
+            bit = 1 << len(out)
+            for k in _bits(tight >> 1):
+                if k < len(gens):
+                    masks[k] |= bit
     p = Polyhedron(dim, out)
     p.__dict__["_int_rows"] = int_rows
+    full = (2 << len(out)) - 1
+    # len(rows) == len(gens): no row came from ``lin``.
+    if len(rows) == len(gens) and not vf.lin and full not in masks:
+        extreme = [
+            k for k, mk in enumerate(masks)
+            if not any(m & mk == mk and m != mk for m in masks)
+        ]
+        p.__dict__["vform"] = VForm([gens[k] for k in extreme], [masks[k] for k in extreme], [])
     return p
 
 

@@ -91,11 +91,10 @@ class UpperSet:
             raise ValueError("exactly one of pieces / oracle must be given")
         self.cone = cone
         if pieces is not None:
-            kept = tuple(p for p in pieces if not p.is_empty)
-            for p in kept:
+            for p in pieces:
                 if p.dim != cone.dim:
                     raise DimensionMismatch("piece dimension differs from cone")
-            self.pieces: Optional[tuple[Polyhedron, ...]] = kept
+            self.pieces: Optional[tuple[Polyhedron, ...]] = tuple(p for p in pieces if not p.is_empty)
             self.oracle = None
         else:
             self.pieces = None

@@ -949,3 +949,137 @@ def test_lattice_operations_solve_no_lp(lp_calls):
     half = Fraction(1, 2)
     assert supports == [(2, 1, 3), (1, 3, 4), (3 * half, 2, 7 * half), (5 * half, 6, 17 * half),
                         (3, 5, 8), (9 * half, 11, 31 * half), (3, 5, 8)]
+
+
+def boxed_random(rng, dim):
+    """Seeded rows, cut by a box half the time so that pointed polyhedra
+    are common too, and by the hyperplane z1 = 1 a third of the time."""
+    rows = random_rows(rng, dim, den=3)
+    if rng.random() < 0.5:
+        rows += Polyhedron.box([(-2, 2)] * dim).rows
+    if rng.random() < 1 / 3:
+        e = (1,) + (0,) * (dim - 1)
+        rows += [(e, 1), (vscale(-1, e), -1)]
+    return Polyhedron(dim, rows)
+
+
+class TestHullHandsOverItsVForm:
+    """``_hull`` hands over the V-form of a pointed, full-dimensional output,
+    equal to the one a fresh pass on its rows gives, and leaves the others
+    to their own pass."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equal_to_a_fresh_pass(self, seed):
+        rng = random.Random(700 + seed)
+        seen = {"handed over": 0, "lineality": 0, "lower-dimensional": 0, "sum": 0, "projection": 0}
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                kind = "sum"
+                p = boxed_random(rng, dim) + boxed_random(rng, dim)
+            else:
+                kind = "projection"
+                p = project_out(boxed_random(rng, dim + 1), [rng.randrange(dim + 1)])
+            handed = p.__dict__.get("vform")
+            if p == Polyhedron.empty(dim):
+                continue
+            fresh = _double_description(p._int_rows, dim)
+            # A handed-over V-form lists its generators in input order.
+            if handed is not None:
+                assert set(zip(handed.gens, handed.tight)) == set(zip(fresh.gens, fresh.tight)), p.rows
+                assert len(handed.gens) == len(fresh.gens) and handed.lin == fresh.lin
+                seen["handed over"] += 1
+                seen[kind] += 1
+            else:
+                # Only lineality, on either side of the pass, keeps it back.
+                assert fresh.lin or p.affine_dim < dim, p.rows
+                seen["lineality" if fresh.lin else "lower-dimensional"] += 1
+        assert min(seen.values()) >= 25, seen
+
+
+# {z1 + z2 + z3 >= 1, z1 <= 4, z2 <= 2, z3 <= 3}, with vertices (4, 2, -5),
+# (-4, 2, 3) and (4, -6, 3).
+CUT_SIMPLEX = [((1, 1, 1), 1), ((-1, 0, 0), -4), ((0, -1, 0), -2), ((0, 0, -1), -3)]
+
+
+class TestHullPassCounts:
+    """A polyhedron that ``_hull`` returns reads its V-form without a second
+    pass; cones are built here, so no earlier test has warmed them."""
+
+    def test_closure_and_one_support_read(self, dd_passes):
+        cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        a = upper_closure(Polyhedron.box([(0, 1), (1, 3), (-1, 2)]), cone)
+        assert a.support((-1, -1, -2)) == 1
+        # The cone's generators and polyhedron, the box, then the hull.
+        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays", "vform", "vform", "_hull"]
+        dd_passes.clear()
+        b = upper_closure(Polyhedron(3, CUT_SIMPLEX), cone)
+        assert b.support((-1, 0, 0)) == 4
+        assert [caller for caller, _, _ in dd_passes] == ["vform", "_hull"]
+
+    def test_sum_of_two_closures_and_one_support_read(self, dd_passes):
+        cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        a = upper_closure(Polyhedron.box([(0, 1), (1, 3), (-1, 2)]), cone)
+        b = upper_closure(Polyhedron(3, CUT_SIMPLEX), cone)
+        dd_passes.clear()
+        assert minkowski_sum(a, b).support((-2, -1, -1)) == 3
+        assert [caller for caller, _, _ in dd_passes] == ["_hull"]
+
+    def test_projection_emptiness_and_one_support_read(self, dd_passes):
+        lifted = Polyhedron(3, [((1, 0, 0), 0), ((0, 1, -1), -1), ((-1, -1, -1), -5), ((0, 0, 1), -2)])
+        q = project_out(lifted, [2])
+        # {z1 >= 0, z2 >= -3, z1 + z2 <= 7}
+        assert not q.is_empty and q.support((1, 1)) == 7
+        assert [caller for caller, _, _ in dd_passes] == ["vform", "_hull"]
+
+
+def support_contained_in(p, q):
+    """p <= q read off p's support on every row of q, as before rows were
+    matched."""
+    return p.is_empty or all(-p.support(tuple(-x for x in n)) >= b for n, b in q.rows)
+
+
+class TestContainmentSkipsHeldRows:
+    """``contained_in`` answers as the all-rows support test does, and reads
+    no support for a row that self carries."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_the_support_test(self, seed, monkeypatch):
+        rng = random.Random(800 + seed)
+        reads = []
+        real = Polyhedron.support
+
+        def counting(self, direction):
+            reads.append(direction)
+            return real(self, direction)
+
+        seen = {"intersection": 0, "identical": 0, "scaled": 0, "translated": 0, "unrelated": 0,
+                "contained": 0, "not contained": 0}
+        for _ in range(150):
+            dim = rng.randint(1, 4)
+            a = Polyhedron(dim, random_rows(rng, dim, den=3))
+            b = Polyhedron(dim, random_rows(rng, dim, den=3))
+            doubled = Polyhedron(dim, [(vscale(2, n), 2 * c) for n, c in a.rows])
+            pairs = [
+                ("intersection", a.intersect(b), a),
+                ("intersection", a.intersect(b), b),
+                ("identical", a, a),
+                ("scaled", a, doubled),
+                ("scaled", doubled, a),
+                # The same normals with other offsets share no row.
+                ("translated", a, a.translate(random_vec(rng, dim, -1, 1, den=2))),
+                ("translated", a.translate(random_vec(rng, dim, -1, 1, den=2)), a),
+                ("unrelated", a, b),
+            ]
+            for kind, p, q in pairs:
+                expected = support_contained_in(p, q)
+                monkeypatch.setattr(Polyhedron, "support", counting)
+                reads.clear()
+                got = p.contained_in(q)
+                monkeypatch.setattr(Polyhedron, "support", real)
+                assert got == expected, (kind, p.rows, q.rows)
+                if kind == "identical" or (kind == "intersection" and q is a):
+                    assert reads == [], kind
+                seen[kind] += 1
+                seen["contained" if got else "not contained"] += 1
+        assert min(seen.values()) >= 150, seen

@@ -189,3 +189,21 @@ def test_only_maps_and_corpus_name_the_leaf_kinds():
             if name in LEAF_KIND_NAMES:
                 named.append(f"{module.name}:{node.lineno}: {name}")
     assert named == []
+
+
+# Every double-description pass goes through the routines that the kernel
+# oracle and the ``dd_passes`` fixture watch: only ``geometry`` runs the
+# kernel or reads generators back as facets.
+KERNEL_NAMES = {"_double_description", "_hull"}
+
+
+def test_only_geometry_names_the_kernel():
+    named = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            name = node.name if isinstance(node, ast.alias) else _named(node)
+            if name in KERNEL_NAMES:
+                named.append(f"{module.name}:{node.lineno}: {name}")
+    assert named == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upperset import sets
-from upperset.geometry import Cone, Polyhedron, dual_cone
+from upperset.geometry import Cone, DimensionMismatch, Polyhedron, dual_cone
 from test_geometry import recession_rays
 from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, vec
 from upperset.sets import (
@@ -447,6 +447,13 @@ class TestInvariants:
             minkowski_sum(translate_of_cone([1, 0]), translate_of_cone([0, 1])),
         ):
             assert check_upper_closed(s)
+
+    @pytest.mark.parametrize("piece", [Polyhedron.empty(3), Polyhedron.box([(0, 1)] * 3)])
+    def test_a_piece_of_the_wrong_dimension_is_refused(self, piece):
+        # Empty or not: an empty piece is dropped only after its dimension
+        # is checked.
+        with pytest.raises(DimensionMismatch):
+            UpperSet(ORTHANT, pieces=[piece])
 
 
 # -- exactness of closures and sums against a brute-force V-form ---------------
