@@ -27,20 +27,24 @@ exists-delta side.
 
 Every sampled checker starts from one per-point context, ``_Scan(f, x0,
 cfg)``: the resolved config, x0 as a vector, the map, the direction fan of
-C^- and the x-directions, with f(x0) evaluated on first use.  The scan
-builds the x-samples of each radius level once (``_Scan.samples``);
-``_Scan.level`` and ``_Scan.sampled_xs`` both read them.  x0 and the
-samples carry their hash (``linalg.HashedVec``): they compare and hash like
-plain tuples, but the memos that the checkers key on x (phi per direction,
-``gap_at``, ``dist_sq_at``) and the map's value cache hash each of them
-once, not once per read.  ``_Scan.level`` flags one x-radius level,
-``_Scan.classify`` turns the level flags into persistent, clean or mixed,
-and ``_Scan.first(family, run)`` is the for-all loop: it runs each member
-of a family up to the first run that is not clean.  ``_Scan.sweep`` is
-``first`` over the epsilon grid; lc runs it over the points z0 of f(x0),
-the scalar check over the base directions.  One rule, ``_verdict``, turns a
-kind into a verdict: persistent fails with the checker's witness, mixed is
-inconclusive with its note, clean holds.
+C^- and the x-directions, with f(x0) evaluated on first use.  The
+x-samples of each radius level are built once per map and x0 and kept on
+the map with x0 (``_Scan.samples``), so every scan of a matrix, and of a
+later matrix at the same point, reads the same objects; ``_Scan.level`` and
+``_Scan.sampled_xs`` both read them.  x0 and the samples carry their hash
+(``linalg.HashedVec``): they compare and hash like plain tuples, but the
+memos that the checkers key on x (phi per direction, ``gap_at``,
+``dist_sq_at``) and the map's value cache hash each of them once, not once
+per read, and the value cache, keyed by the samples themselves, matches a
+hit by identity.  The base directions are ``HashedVec``s too, and each
+keeps the integer form of its first support read.  ``_Scan.level`` flags
+one x-radius level, ``_Scan.classify`` turns the level flags into
+persistent, clean or mixed, and ``_Scan.first(family, run)`` is the
+for-all loop: it runs each member of a family up to the first run that is
+not clean.  ``_Scan.sweep`` is ``first`` over the epsilon grid; lc runs it
+over the points z0 of f(x0), the scalar check over the base directions.
+One rule, ``_verdict``, turns a kind into a verdict: persistent fails with
+the checker's witness, mixed is inconclusive with its note, clean holds.
 
 The per-direction and the uniform scalar checks run the same
 multi-direction scan (``_scalar_scan``).  Each epsilon fixes one bound per
@@ -159,10 +163,12 @@ class _Scan:
 
     def __init__(self, f: SetValuedMap, x0, cfg: CheckerConfig | None):
         self.f = f
-        self.x0 = HashedVec(vec(x0))
+        x0 = HashedVec(vec(x0))
+        # The first scan at x0 stores its x0 with the samples, and every
+        # later scan at x0 reads that object.
+        self.x0, self._samples = f.x_samples.setdefault(x0, (x0, {}))
         self.cfg = cfg or default_config()
         self.dirs = _x_dirs(f.domain_dim)
-        self._samples: dict[int, list[Vec]] = {}
 
     @cached_property
     def v0(self) -> UpperSet:
@@ -174,7 +180,8 @@ class _Scan:
 
     def samples(self, k: int) -> list[Vec]:
         """The x-samples of level k, x0 + 2^-k d over the x-directions d;
-        built once per scan."""
+        built once per map and x0 and kept on the map, so every scan at x0
+        reads the same objects."""
         xs = self._samples.get(k)
         if xs is None:
             xs = self._samples[k] = _level_samples(self.x0, Fraction(1, 2**k), self.dirs)

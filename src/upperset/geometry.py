@@ -72,6 +72,7 @@ from .linalg import (
     ZERO,
     Constraint,
     Ext,
+    HashedVec,
     Mat,
     Vec,
     dot,
@@ -559,13 +560,25 @@ class Polyhedron:
 
     def support(self, direction) -> Ext:
         """sup { d.z : z in P }: -inf when empty, +inf when unbounded; the
-        value at ``_lowest`` of -k d for k d integral."""
-        d = vec(direction)
-        _check_dim(self.dim, d)
+        value at ``_lowest`` of -k d for k d integral.
+
+        A ``HashedVec`` direction of this dimension keeps its integer form
+        (k, k d, the key -k d + (0,)) from its first read, so the base
+        directions that every scan reads are scaled once.
+        """
+        hashed = type(direction) is HashedVec and len(direction) == self.dim
+        form = direction.__dict__.get("_support_form") if hashed else None
+        if form is None:
+            d = vec(direction)
+            _check_dim(self.dim, d)
+            k, kd = _scaled(d)
+            form = (k, kd, tuple(-x for x in kd) + (0,))
+            if hashed:
+                direction._support_form = form
         if self.is_empty:
             return NEG_INF
-        k, kd = _scaled(d)
-        g = self._lowest(tuple(-x for x in kd) + (0,))
+        k, kd, h = form
+        g = self._lowest(h)
         return POS_INF if g is None else Fraction(_idot(kd, g), g[-1] * k)
 
     def lowest_point(self, direction) -> Vec | None:

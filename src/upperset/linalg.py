@@ -13,7 +13,7 @@ the ``numbers`` ABC checks of ``Fraction``'s comparison, about 40 times the
 cost of the type test in CPython 3.11.
 
 ``HashedVec`` is a Vec that keeps its hash, for points that key many
-cache reads.
+cache reads and for directions read many times.
 
 This module holds exact scalars and vectors only.  Elimination (ranks,
 kernels, affine solves) is ``geometry``'s integer elimination.
@@ -60,7 +60,13 @@ def vec(values: Iterable) -> Vec:
 class HashedVec(tuple):
     """A Vec that computes its hash once: it compares and hashes like the
     plain tuple of its Fractions.  A Fraction's hash is a modular inverse
-    in pure Python, so a point that keys many cache reads carries it."""
+    in pure Python, so a point that keys many cache reads carries it.
+
+    Its entries are Fractions already, so readers take it as it is, without
+    ``vec``.  Two kinds are kept and read many times: a map's x-samples,
+    one object per point, which key its value cache, so a hit matches by
+    identity; and the directions of a default ``DirectionBase``, on which
+    ``Polyhedron.support`` keeps the integer form of its first read."""
 
     def __hash__(self) -> int:
         try:

@@ -309,6 +309,9 @@ class SetValuedMap:
         live = [leaf for leaf in self.leaves if not leaf.empty]
         self.convex = len(live) <= 1 and all(leaf.convex for leaf in live)
         self._value_cache: dict[Vec, UpperSet] = {}
+        # x0 and the x-samples by radius level of the continuity scans at
+        # x0, so that every scan at one point reads the same HashedVecs.
+        self.x_samples: dict[Vec, tuple[Vec, dict[int, list[Vec]]]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SetValuedMap({self.name or type(self.body).__name__}, n={self.domain_dim})"
@@ -320,12 +323,15 @@ class SetValuedMap:
         if len(xv) != self.domain_dim:
             raise MapError(f"expected x of dimension {self.domain_dim}")
         # x itself is the key when it carries its hash: it equals xv, and
-        # hashing xv would hash each of its Fractions again.
-        value = self._value_cache.get(x if type(x) is HashedVec else xv)
+        # hashing xv would hash each of its Fractions again.  Stored under
+        # x, a shared sample's later reads match by identity, with no
+        # Fraction comparison.
+        key = x if type(x) is HashedVec else xv
+        value = self._value_cache.get(key)
         if value is not None:
             return value
         value = next(leaf for leaf in self.leaves if leaf.contains_box(xv)).value(xv, self.cone)
-        self._value_cache[xv] = value
+        self._value_cache[key] = value
         return value
 
     # -- domain --------------------------------------------------------------

@@ -35,6 +35,7 @@ from .linalg import (
     ZERO,
     Constraint,
     Ext,
+    HashedVec,
     Vec,
     norm2_sq,
     scale_to_canonical,
@@ -129,10 +130,13 @@ class DirectionBase:
         """The base of ``_fan_of(C^-, fan, tails)``.  It depends on the cone,
         ``fan`` and ``tails`` alone, so it is built once per cone object and
         (fan, tails) and stored on the cone; every caller then shares one
-        base object and ``certify_base``'s answer on it."""
+        base object and ``certify_base``'s answer on it.  Its directions are
+        ``HashedVec``s, which keep their hash and the integer form of their
+        first support read, for every scan over the cone."""
         bases = cone.__dict__.setdefault("_bases", {})
         if (fan, tails) not in bases:
-            bases[(fan, tails)] = DirectionBase(cone, _fan_of(dual_cone(cone), fan, tails))
+            directions = tuple(map(HashedVec, _fan_of(dual_cone(cone), fan, tails)))
+            bases[(fan, tails)] = DirectionBase(cone, directions)
         return bases[(fan, tails)]
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .geometry import Cone, DimensionMismatch, Polyhedron, strict_point
-from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, Vec, frac, vec
+from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, HashedVec, Vec, frac, vec
 
 
 class SupportOracle:
@@ -142,7 +142,9 @@ class UpperSet:
         return self.pieces is None or len(self.pieces) <= 1
 
     def support(self, u) -> Ext:
-        uv = vec(u)
+        # A HashedVec holds Fractions already, and each piece keeps its
+        # integer form on it (``Polyhedron.support``).
+        uv = u if type(u) is HashedVec else vec(u)
         if self.pieces is not None:
             if not self.pieces:
                 return NEG_INF

@@ -644,3 +644,73 @@ class TestScalarReads:
         monkeypatch.setattr(continuity, "_level_samples", counting)
         check(self.f, (0,), self.base, self.cfg, mode)
         assert sorted(built, reverse=True) == [Fraction(1, 2**k) for k in range(levels)]
+
+
+class TestSharedSamples:
+    """orthant-halfline under ``light()``: the x-samples of each level are
+    built once per map and x0, and a second matrix at the same point reads
+    them again.  Over a fresh cone, so the default base, and the support
+    form that each of its directions keeps, are built in the checked
+    calls."""
+
+    def setup_method(self):
+        self.cfg = default_config().light()
+        self.f = on_cone(fixture_by_id("orthant-halfline").map, fresh_cone(ORTHANT))
+
+    def counted_builds(self, monkeypatch) -> list:
+        built = []
+        real = continuity._level_samples
+
+        def counting(x0, delta, dirs):
+            built.append((x0, delta))
+            return real(x0, delta, dirs)
+
+        monkeypatch.setattr(continuity, "_level_samples", counting)
+        return built
+
+    def test_a_matrix_builds_each_level_once_per_point(self, monkeypatch):
+        built = self.counted_builds(monkeypatch)
+        for x0 in ((0,), (1,)):
+            verdict_matrix(self.f, x0, self.cfg)
+        assert max(Counter(built).values()) == 1
+        for x0 in ((0,), (1,)):
+            deltas = {delta for x, delta in built if x == x0}
+            # Every grid level at least, by the 13 checkers together.
+            assert deltas >= set(self.cfg.radii.values()), x0
+
+    def test_a_second_matrix_at_the_point_builds_and_compares_nothing(self, monkeypatch):
+        first = verdict_matrix(self.f, (0,), self.cfg).to_json()
+        # The value cache is keyed by the shared x0 and samples themselves.
+        keys = {id(x) for x in self.f._value_cache}
+        for x0, levels in self.f.x_samples.values():
+            assert id(x0) in keys and all(id(x) in keys for xs in levels.values() for x in xs)
+        base = DirectionBase.default(self.f.cone, self.cfg.z_fan, self.cfg.z_tails)
+        forms = {d: d.__dict__["_support_form"] for d in base.directions}
+        cached = len(self.f._value_cache)
+        built = self.counted_builds(monkeypatch)
+        # Fraction.__eq__ calls inside evaluate's reads of a HashedVec x.
+        compared, shared_reads, inside = [], [], [False]
+        real_eq, real_evaluate = Fraction.__eq__, SetValuedMap.evaluate
+
+        def eq(a, b):
+            if inside[0]:
+                compared.append((a, b))
+            return real_eq(a, b)
+
+        def evaluate(f, x):
+            inside[0] = type(x) is HashedVec
+            shared_reads.append(inside[0])
+            try:
+                return real_evaluate(f, x)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(Fraction, "__eq__", eq)
+        monkeypatch.setattr(SetValuedMap, "evaluate", evaluate)
+        second = verdict_matrix(self.f, (0,), self.cfg).to_json()
+        monkeypatch.undo()
+        assert second == first
+        assert built == [] and compared == []
+        assert sum(shared_reads) >= 100 and len(self.f._value_cache) == cached
+        # Each base direction kept the form of its first read.
+        assert all(d.__dict__["_support_form"] is form for d, form in forms.items())

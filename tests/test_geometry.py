@@ -30,6 +30,7 @@ from upperset.geometry import (
 from upperset.linalg import (
     NEG_INF,
     POS_INF,
+    HashedVec,
     dot,
     is_zero,
     norm2_sq,
@@ -37,7 +38,7 @@ from upperset.linalg import (
     vec,
     zeros,
 )
-from upperset.sets import minkowski_sum, upper_closure
+from upperset.sets import UpperSet, minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
 from linalg_oracle import _row_reduce, nullspace, solve_affine
@@ -1083,3 +1084,57 @@ class TestContainmentSkipsHeldRows:
                 seen[kind] += 1
                 seen["contained" if got else "not contained"] += 1
         assert min(seen.values()) >= 150, seen
+
+
+def _orthant(m):
+    return Cone.from_generators([[int(i == j) for j in range(m)] for i in range(m)])
+
+
+class TestHashedDirectionSupport:
+    """A ``HashedVec`` direction reads the support that its plain tuple
+    reads, from ``Polyhedron.support`` and ``UpperSet.support``, and its
+    integer form is computed on its first read only."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_the_plain_tuple(self, seed, monkeypatch):
+        rng = random.Random(900 + seed)
+        real = geometry._scaled
+        seen = {"-inf": 0, "+inf": 0, "finite": 0, "lineality": 0, "pointed": 0, "union": 0}
+        for m in (1, 2, 3):
+            polys = [Polyhedron(m, random_rows(rng, m, den=3)) for _ in range(40)]
+            # The V-form pass scales the rows; run it before counting.
+            for p in polys:
+                if not p.is_empty:
+                    seen["lineality" if p.vform.lin else "pointed"] += 1
+            values = [UpperSet(_orthant(m), pieces=polys[i : i + 1 + i % 3]) for i in range(0, 40, 4)]
+            seen["union"] += sum(len(v.pieces) > 1 for v in values)
+            directions = [random_vec(rng, m, -3, 3, den=4) for _ in range(12)]
+            plain = [
+                ([p.support(d) for p in polys], [v.support(d) for v in values]) for d in directions
+            ]
+            hashed = [HashedVec(d) for d in directions]
+            scaled = []
+            monkeypatch.setattr(geometry, "_scaled", lambda a: scaled.append(a) or real(a))
+            for _ in range(2):
+                for h, want in zip(hashed, plain):
+                    assert ([p.support(h) for p in polys], [v.support(h) for v in values]) == want
+            monkeypatch.setattr(geometry, "_scaled", real)
+            # Each direction is scaled at its first read, then read off its form.
+            assert len(scaled) == len(hashed), m
+            for got, _ in plain:
+                for s in got:
+                    seen["finite" if type(s) is Fraction else "+inf" if s > 0 else "-inf"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_a_wrong_dimension_still_raises(self):
+        d = HashedVec((F(-1), F(-2)))
+        pointed = Polyhedron(2, [((1, 0), 0), ((0, 1), 1)])
+        assert pointed.support(d) == -2 and "_support_form" in d.__dict__
+        for p in (Polyhedron.full(3), Polyhedron.empty(3), Polyhedron.full(1)):
+            with pytest.raises(DimensionMismatch):
+                p.support(d)
+        with pytest.raises(DimensionMismatch):
+            UpperSet(_orthant(3), pieces=[Polyhedron.full(3)]).support(d)
+        with pytest.raises(DimensionMismatch):
+            pointed.support(HashedVec((F(1), F(0), F(0))))
+        assert pointed.support(d) == -2
