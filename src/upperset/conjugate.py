@@ -19,20 +19,19 @@ when f is empty (conjugate identically -inf).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import DualPair, Polyhedron, require_dual_direction
 from .linalg import NEG_INF, POS_INF, Ext, Vec, dot, vec
 from .sets import UpperSet
 
 
-@dataclass(frozen=True)
 class AffinePiece:
-    region: Polyhedron
-    coeffs: Vec
-    const: Fraction
+    def __init__(self, region: Polyhedron, coeffs: Vec, const: Fraction):
+        self.region = region
+        self.coeffs = coeffs
+        self.const = const
 
     def value(self, x: Vec) -> Fraction:
         return dot(self.coeffs, x) + self.const
@@ -132,8 +131,7 @@ def max_affine(dim: int, bounds: Sequence[tuple[Vec, Fraction]], dom_rows=()) ->
 # -- set-valued negative conjugate ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class NegConjugateValue:
+class NegConjugateValue(NamedTuple):
     """Value of the negative conjugate at one dual pair: a halfspace, the
     empty set, or the whole space."""
 

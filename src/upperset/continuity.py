@@ -65,10 +65,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import Cone, Polyhedron
 from .linalg import (
@@ -92,24 +91,21 @@ from .verdict import Verdict, Witness
 _WINDOW = Fraction(10)
 
 
-@dataclass(frozen=True)
 class Grid:
     """Dyadic radius grid {2^-k : k = 0..levels}."""
 
-    levels: int = 12
-
-    def __post_init__(self):
-        if self.levels < 0:
+    def __init__(self, levels: int = 12):
+        if levels < 0:
             raise ValueError("a radius grid needs levels >= 0")
+        self.levels = levels
 
     def values(self, extra: int = 0) -> list[Fraction]:
         return [Fraction(1, 2**k) for k in range(self.levels + 1 + extra)]
 
 
-@dataclass(frozen=True)
-class CheckerConfig:
-    radii: Grid = field(default_factory=Grid)
-    z_radii: Grid = field(default_factory=lambda: Grid(levels=6))
+class CheckerConfig(NamedTuple):
+    radii: Grid = Grid()
+    z_radii: Grid = Grid(levels=6)
     # The direction base's size in every m: z_fan bounds the total number
     # of small simplices its cells of C^- are cut into, and z_tails the
     # dyadic tails along each cell edge.
@@ -119,8 +115,7 @@ class CheckerConfig:
 
     def light(self) -> "CheckerConfig":
         """Coarser settings for large sweeps."""
-        return replace(
-            self,
+        return self._replace(
             radii=Grid(levels=8),
             z_radii=Grid(levels=4),
             z_fan=8,
@@ -418,7 +413,7 @@ def _hausdorff_check(f: SetValuedMap, x0, cfg: CheckerConfig | None, upper: bool
     def witness() -> Witness:
         detail = gap_at(wit.x)[1] or Witness()
         escape = f"{inner} escapes the enlargement of {outer}"
-        return replace(wit, z=detail.z, radius=eps, direction=detail.direction, detail=escape)
+        return wit._replace(z=detail.z, radius=eps, direction=detail.direction, detail=escape)
 
     undecided = f"violations at radius {eps} neither persist nor vanish"
     return _verdict(kind, examined, witness, undecided)
@@ -437,8 +432,9 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
         kind, wit, levels = s.classify(lambda x: not f.evaluate(x).is_empty)
         approach = "nonempty values approach a point outside dom f"
         held = "empty on a neighborhood; " + note
-        return _verdict(kind, levels, lambda: replace(wit, detail=approach), note, holds_note=held)
-    enlargement = replace(check_huc(f, s.x0, s.cfg), note=note)
+        return _verdict(kind, levels, lambda: wit._replace(detail=approach), note, holds_note=held)
+    huc = check_huc(f, s.x0, s.cfg)
+    enlargement = Verdict(huc.status, huc.witness, huc.resolution, note)
     if enlargement.is_fails:
         return enlargement
     if s.v0.is_polyhedral and max(p.affine_dim for p in s.v0.pieces) < f.cone.dim:
@@ -447,7 +443,7 @@ def check_uc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
             if kind != "clean":
                 hit = "a fixed outside point is hit arbitrarily close"
                 return _verdict(
-                    kind, levels, lambda: replace(wit, z=p, detail=hit), note, fails_note=note
+                    kind, levels, lambda: wit._replace(z=p, detail=hit), note, fails_note=note
                 )
     return enlargement
 
@@ -479,7 +475,7 @@ def check_lc(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
     return _verdict(
         kind,
         examined,
-        lambda: replace(wit, z=z0, radius=eps, detail="values miss a ball around z0"),
+        lambda: wit._replace(z=z0, radius=eps, detail="values miss a ball around z0"),
         "undecided ball test",
     )
 
@@ -523,7 +519,7 @@ def check_eff(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
                 window_wit = wit
     if persistent:
         return Verdict.fails(
-            replace(window_wit, detail="nearby values miss every window-scale box"),
+            window_wit._replace(detail="nearby values miss every window-scale box"),
             resolution=examined,
             note="bounded sets searched up to window scale",
         )
@@ -666,7 +662,7 @@ def check_lls(f: SetValuedMap, x0, cfg: CheckerConfig | None = None) -> Verdict:
         examined = max(examined, levels)
         if kind == "persistent":
             return Verdict.fails(
-                replace(wit, z=z0, detail="outside point belongs to values arbitrarily close"),
+                wit._replace(z=z0, detail="outside point belongs to values arbitrarily close"),
                 resolution=examined,
             )
         # Holds side: some (delta, eps) separates z0 from all nearby values.
@@ -745,7 +741,7 @@ def check_scalar_semicontinuity(
     return _verdict(
         kind,
         examined,
-        lambda: replace(wit, detail=f"{mode} gap of at least {eps} persists"),
+        lambda: wit._replace(detail=f"{mode} gap of at least {eps} persists"),
         f"direction {zs} undecided",
         fails_note=f"direction {zs}",
     )
@@ -767,7 +763,7 @@ def check_uniform(
     return _verdict(
         kind,
         examined,
-        lambda: replace(wit, radius=eps, detail="no shared radius serves the base"),
+        lambda: wit._replace(radius=eps, detail="no shared radius serves the base"),
         "uniform condition undecided",
     )
 
@@ -841,7 +837,7 @@ def _scalar_scan(
     kind, wit, eps, examined = scan.sweep(violated_at)
     if kind == "persistent":
         bounds = _scalar_bounds(at_x0, mode, eps)
-        wit = replace(wit, direction=_broken_direction(bounds, mode, wit.x))
+        wit = wit._replace(direction=_broken_direction(bounds, mode, wit.x))
     return kind, wit, eps, examined
 
 
@@ -865,11 +861,11 @@ MATRIX_KEYS = (
 )
 
 
-@dataclass
 class VerdictMatrix:
-    entries: dict[str, Verdict]
-    side: dict[str, bool]
-    artifacts: list[str] = field(default_factory=list)
+    def __init__(self, entries: dict[str, Verdict], side: dict[str, bool]):
+        self.entries = entries
+        self.side = side
+        self.artifacts: list[str] = []
 
     def to_json(self):
         return {

@@ -23,8 +23,8 @@ continuity behavior each map is known for:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .duality import BivariateMap
 from .geometry import Cone, dual_cone
@@ -77,14 +77,12 @@ def parabola_upper_set(cone: Cone | None = None) -> UpperSet:
     return UpperSet.from_oracle(cone, ParabolaOracle())
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
+class LabeledPoint(NamedTuple):
     at: Vec
     expect: dict[str, str]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     id: str
     map: SetValuedMap | BivariateMap
     points: tuple[LabeledPoint, ...] = ()

@@ -35,7 +35,6 @@ entry point here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,17 +52,16 @@ class DualityError(ValueError):
     """The duality pipeline refuses to run (precondition violated)."""
 
 
-@dataclass(frozen=True)
 class BivariateMap:
-    """A set-valued map on X x Y with the split of coordinates recorded."""
+    """A set-valued map on X x Y with the split of coordinates recorded:
+    X = R^n and Y = R^p."""
 
-    map: SetValuedMap
-    n: int  # dimension of X
-    p: int  # dimension of Y
-
-    def __post_init__(self):
-        if self.map.domain_dim != self.n + self.p:
+    def __init__(self, map: SetValuedMap, n: int, p: int):
+        if map.domain_dim != n + p:
             raise ValueError("split dimensions do not match the underlying map")
+        self.map = map
+        self.n = n
+        self.p = p
 
     @property
     def cone(self) -> Cone:
@@ -120,12 +118,12 @@ def weak_duality_check(f: BivariateMap, pairs: Sequence[tuple[Vec, Vec]]) -> Ver
     return Verdict.holds(resolution=checked, note="inclusion exact on all pairs")
 
 
-@dataclass
 class DualFamily:
     """One maximizing y* per proper scalarization direction."""
 
-    entries: dict[Vec, Vec] = field(default_factory=dict)
-    properness: dict[Vec, str] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[Vec, Vec] = {}
+        self.properness: dict[Vec, str] = {}
 
     def to_json(self):
         return {
@@ -143,15 +141,24 @@ class DualFamily:
         }
 
 
-@dataclass
 class DualityReport:
-    x0: Vec
-    lhs: UpperSet
-    rhs: UpperSet
-    family: DualFamily
-    gap_sq: Ext
-    regularity: dict
-    support_table: list[dict]
+    def __init__(
+        self,
+        x0: Vec,
+        lhs: UpperSet,
+        rhs: UpperSet,
+        family: DualFamily,
+        gap_sq: Ext,
+        regularity: dict,
+        support_table: list[dict],
+    ):
+        self.x0 = x0
+        self.lhs = lhs
+        self.rhs = rhs
+        self.family = family
+        self.gap_sq = gap_sq
+        self.regularity = regularity
+        self.support_table = support_table
 
     def to_json(self):
         return {

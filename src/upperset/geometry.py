@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -375,7 +374,6 @@ def _solve_gram(gram: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] 
     return prev, num
 
 
-@dataclass(frozen=True)
 class Cone:
     """Closed convex polyhedral cone with both representations.
 
@@ -388,9 +386,19 @@ class Cone:
     merely appear as intermediate values (e.g. duals of degenerate cones).
     """
 
-    dim: int
-    generators: Mat
-    halfspaces: Mat
+    def __init__(self, dim: int, generators: Mat, halfspaces: Mat):
+        self.dim = dim
+        self.generators = generators
+        self.halfspaces = halfspaces
+
+    def _key(self) -> tuple[int, Mat, Mat]:
+        return self.dim, self.generators, self.halfspaces
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Cone and self._key() == other._key())
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def from_generators(gens) -> "Cone":
@@ -404,7 +412,7 @@ class Cone:
         dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim))
         halfspaces = tuple(tuple(-c for c in r) for r in dual_rays)
         cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, True)
-        cone.__dict__["_dual"] = Cone._build(
+        cone._dual = Cone._build(
             dim, dual_rays, tuple(tuple(-c for c in x) for x in cone.generators), False
         )
         return cone
@@ -424,8 +432,10 @@ class Cone:
 
     @staticmethod
     def _build(dim: int, gens: Mat, halfspaces: Mat, require_proper: bool) -> "Cone":
-        for g in gens:
-            if any(dot(n, g) < 0 for n in halfspaces):
+        # Positive multiples keep every sign, so the check runs on integer rows.
+        normals = [_integer_row(n) for n in halfspaces]
+        for g in map(_integer_row, gens):
+            if any(_idot(n, g) < 0 for n in normals):
                 raise ValueError("inconsistent cone representations")
         if require_proper and not any(not is_zero(n) for n in halfspaces):
             raise OrderConeError(
@@ -472,8 +482,7 @@ def require_dual_direction(cone: Cone, zstar: Vec) -> None:
         raise ValueError("z* lies outside the negative dual cone")
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(NamedTuple):
     """A dual argument (x*, z*); z* must lie in C^- \\ {0} when conjugating."""
 
     xstar: Vec

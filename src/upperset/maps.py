@@ -31,7 +31,6 @@ evaluated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
@@ -58,12 +57,12 @@ class MapError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class AffineForm:
     """alpha(x) = coeffs . x + const."""
 
-    coeffs: Vec
-    const: Fraction
+    def __init__(self, coeffs: Vec, const: Fraction):
+        self.coeffs = coeffs
+        self.const = const
 
     def __call__(self, x: Vec) -> Fraction:
         return dot(self.coeffs, x) + self.const
@@ -73,21 +72,25 @@ class AffineForm:
         return AffineForm(vec(coeffs), frac(const))
 
 
-@dataclass(frozen=True)
 class AffineBody:
     """Halfspace family {z : N(x) z >= q + L x} with affine N(x)."""
 
-    normals: Mat                      # n_i, one row per constraint, z-space
-    offsets: Vec                      # q_i
-    x_coeffs: Mat                     # l_i, one row per constraint, x-space
-    x_normals: Optional[tuple[Mat, ...]] = None  # per row: one z-vector per x-coord
-
-    def __post_init__(self):
-        rows = len(self.normals)
-        if len(self.offsets) != rows or len(self.x_coeffs) != rows:
+    def __init__(
+        self,
+        normals: Mat,  # n_i, one row per constraint, z-space
+        offsets: Vec,  # q_i
+        x_coeffs: Mat,  # l_i, one row per constraint, x-space
+        x_normals: Optional[tuple[Mat, ...]] = None,  # per row: one z-vector per x-coord
+    ):
+        rows = len(normals)
+        if len(offsets) != rows or len(x_coeffs) != rows:
             raise MapError("row count mismatch in affine body")
-        if self.x_normals is not None and len(self.x_normals) != rows:
+        if x_normals is not None and len(x_normals) != rows:
             raise MapError("x-normal count mismatch in affine body")
+        self.normals = normals
+        self.offsets = offsets
+        self.x_coeffs = x_coeffs
+        self.x_normals = x_normals
 
     @property
     def fixed_normals(self) -> bool:
@@ -115,31 +118,31 @@ class AffineBody:
         ]
 
 
-@dataclass(frozen=True)
 class ScaledBody:
-    base: UpperSet
-    alpha: AffineForm
+    def __init__(self, base: UpperSet, alpha: AffineForm):
+        self.base = base
+        self.alpha = alpha
 
 
-@dataclass(frozen=True)
 class PiecewiseBody:
-    guard: Constraint            # g . x >= h
-    when_true: "Body"
-    when_false: "Body"
+    def __init__(self, guard: Constraint, when_true: Body, when_false: Body):
+        self.guard = guard  # g . x >= h
+        self.when_true = when_true
+        self.when_false = when_false
 
 
 Body = AffineBody | ScaledBody | PiecewiseBody
 
 
-@dataclass(frozen=True)
 class Leaf:
     """One leaf of a guard tree: ``body`` gives the value on the region
     {x : g.x >= h for every row (g, h)}, with > on the rows flagged strict.
     Its answers read ``graph_rows`` where it has a graph, else its body."""
 
-    rows: tuple[Constraint, ...]
-    strict: tuple[bool, ...]
-    body: AffineBody | ScaledBody
+    def __init__(self, rows: tuple[Constraint, ...], strict: tuple[bool, ...], body: AffineBody | ScaledBody):
+        self.rows = rows
+        self.strict = strict
+        self.body = body
 
     def contains_box(self, x0: Vec, r: Fraction = ZERO) -> bool:
         """Whether the l-inf box of radius r around x0 lies in the region;

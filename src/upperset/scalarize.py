@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -111,19 +110,20 @@ def _fan_of(dual: Cone, fan: int, tails: int) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class DirectionBase:
     """Finite direction set B in C^- \\ {0} used for uniform semicontinuity
     and duality; certification records which base conditions hold."""
 
-    cone: Cone
-    directions: tuple[Vec, ...]
-
-    def __post_init__(self):
-        if not self.directions:
+    def __init__(self, cone: Cone, directions: tuple[Vec, ...]):
+        if not directions:
             raise ValueError("empty direction base")
-        for d in self.directions:
-            require_dual_direction(self.cone, d)
+        for d in directions:
+            require_dual_direction(cone, d)
+        self.cone = cone
+        self.directions = directions
+
+    def __eq__(self, other) -> bool:
+        return type(other) is DirectionBase and (self.cone, self.directions) == (other.cone, other.directions)
 
     @staticmethod
     def default(cone: Cone, fan: int = 64, tails: int = 0) -> "DirectionBase":

@@ -26,7 +26,6 @@ sum, window Hausdorff distance) accept polyhedral operands only and raise
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -62,15 +61,16 @@ class ScaledOracle(SupportOracle):
         return self.inner.member(tuple(x / self.t for x in z))
 
 
-@dataclass(frozen=True)
 class OrderResult:
     """Boolean with a witness: for a False, a point of b outside a.  The
     order is decided exactly, so ``exact`` is always True; the field stays
-    because the benchmark's ``lattice`` workload reads it."""
+    because the benchmark's ``lattice`` workload reads it.  Not a tuple,
+    whose truth would ignore ``value``."""
 
-    value: bool
-    exact: bool
-    witness: Vec | None = None
+    def __init__(self, value: bool, exact: bool, witness: Vec | None = None):
+        self.value = value
+        self.exact = exact
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.value

@@ -46,8 +46,8 @@ primal basis was reached.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import ONE, ZERO, Constraint, Ext, Vec, dot, frac, vec
 
@@ -58,8 +58,7 @@ class LPStatus(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of an exact LP solve.
 
     For OPTIMAL: ``value`` is the optimal objective in the requested sense and

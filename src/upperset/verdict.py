@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import Vec, format_scalar
 
@@ -15,8 +15,7 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Concrete data backing a verdict; every field is re-checkable."""
 
     x: Vec | None = None
@@ -40,18 +39,28 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
 class Verdict:
     """holds / fails-with-witness / inconclusive-at-resolution."""
 
-    status: Status
-    witness: Witness | None = None
-    resolution: int | None = None
-    note: str = ""
-
-    def __post_init__(self):
-        if self.status is Status.FAILS and self.witness is None:
+    def __init__(
+        self,
+        status: Status,
+        witness: Witness | None = None,
+        resolution: int | None = None,
+        note: str = "",
+    ):
+        if status is Status.FAILS and witness is None:
             raise ValueError("a failing verdict must carry a witness")
+        self.status = status
+        self.witness = witness
+        self.resolution = resolution
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Verdict and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "Verdict(%s)" % ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
 
     @staticmethod
     def holds(resolution: int | None = None, note: str = "", witness: Witness | None = None) -> "Verdict":

@@ -5,7 +5,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 
@@ -180,6 +179,11 @@ class TestSettings:
     def test_shipped_settings_construct(self):
         assert default_config().light().radii.levels == 8
         assert Grid(levels=0).values() == [Fraction(1)]
+
+    def test_a_failing_verdict_needs_a_witness(self):
+        with pytest.raises(ValueError, match="witness"):
+            Verdict(Status.FAILS)
+        assert Verdict.fails(Witness(detail="hand-built")).is_fails
 
     @pytest.mark.parametrize("checker", [check_scalar_semicontinuity, check_uniform])
     def test_bad_mode_is_rejected(self, checker):
@@ -506,7 +510,7 @@ def _oracle_scalar_scan(scan, phis, mode):
     kind, wit, eps, examined = scan.sweep(violated_at)
     if kind == "persistent":
         bad = next(zs for zs, phi, v0 in scalars if _scalar_violated(mode, v0, phi(wit.x), eps))
-        wit = replace(wit, direction=bad)
+        wit = wit._replace(direction=bad)
     return kind, wit, eps, examined
 
 

@@ -146,6 +146,27 @@ class TestConeContains:
             ORTHANT_2D.contains([1, 2, 3])
 
 
+class TestConeRecord:
+    def test_equal_cones_compare_and_hash_equal(self):
+        a, b = Cone.from_generators([[1, 0], [0, 1]]), Cone.from_generators([[1, 0], [0, 1]])
+        twin = Cone(a.dim, a.generators, a.halfspaces)
+        for c in (b, twin):
+            assert c is not a and c == a and hash(c) == hash(a)
+        assert {a: "orthant"}[twin] == "orthant"
+        assert a != dual_cone(a) and a != RAY_CONE
+
+    def test_inconsistent_representations_are_rejected(self):
+        # z = (1/3, 1) against n = (1, -1/2): n.z = -1/6 < 0, a sign that
+        # the integer rows (1, 3) and (2, -1) keep.
+        with pytest.raises(ValueError, match="inconsistent"):
+            Cone._build(2, ((Fraction(1, 3), F(1)),), ((F(1), Fraction(-1, 2)),), True)
+        with pytest.raises(ValueError, match="inconsistent"):
+            Cone._build(2, ((F(1), F(0)),), ((F(-1), F(0)),), False)
+        # n = (1, -1/4) leaves n.z = 1/12 >= 0.
+        cone = Cone._build(2, ((Fraction(1, 3), F(1)),), ((F(1), Fraction(-1, 4)),), True)
+        assert cone.contains([1, 3])
+
+
 class TestSupportValue:
     def test_orthant(self):
         p = Polyhedron(2, [([1, 0], 0), ([0, 1], 0)])

@@ -678,6 +678,19 @@ class TestLeafList:
         assert convexity_check(f, seed=2, count=48).status is Status.HOLDS
 
 
+class TestBodyKinds:
+    def test_a_body_never_equals_a_body_of_another_kind(self):
+        # No body is a tuple, so none equals a body of another kind or a
+        # tuple of its own fields.
+        affine = constant_cone_body(ORTHANT, 1)
+        scaled = ScaledBody(UpperSet(ORTHANT, pieces=[ORTHANT.polyhedron]), AffineForm.of([1], 0))
+        piecewise = PiecewiseBody(((F(1),), F(0)), affine, scaled)
+        for a, b in itertools.permutations([affine, scaled, piecewise], 2):
+            assert a != b
+        assert scaled != (scaled.base, scaled.alpha)
+        assert piecewise != (piecewise.guard, affine, scaled)
+
+
 class TestLeafGraph:
     def test_slices_and_domains_match_the_values(self):
         # In its region, a leaf's graph sliced at x is f(x), and its domain

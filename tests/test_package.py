@@ -82,6 +82,21 @@ def test_no_module_imports_a_private_name():
     assert imported == []
 
 
+def test_no_module_imports_dataclasses():
+    # Each process pays the package import, and a dataclass generates and
+    # compiles its methods' source while its module is imported: about
+    # 0.7 ms per record, against 0.1 ms for a NamedTuple and 0.01 ms for a
+    # plain class.  Records are NamedTuples or plain classes instead.
+    importing = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert importing == []
+
+
 # The math names an exact module may use: integer arithmetic and the
 # infinities that bound extended reals.
 EXACT_MATH = {"gcd", "lcm", "isqrt", "isinf", "inf"}
