@@ -1,11 +1,11 @@
 """Scalar Legendre-Fenchel conjugation and the set-valued negative conjugate.
 
 The scalar side works on exact piecewise-linear functions: finitely many
-affine pieces over polyhedral regions, an optional region of value -inf, and
-+inf outside.  ``max_affine`` builds the maximum of finitely many affine
-functions over a polyhedron in this form, one piece per function where it
-is largest.  The conjugate is read per piece: the support of each region,
-taken from its V-form, in the direction x* - a (any dimension, no LP).
+affine pieces over ``geometry.Region``s, regions of value -inf, and +inf
+outside.  ``max_affine`` builds the maximum of finitely many affine functions
+over a region in this form, one piece per function where it is largest.  The
+conjugate reads per piece the support of its region's closure, taken from
+its V-form, in the direction x* - a (any dimension, no LP).
 
 The set-valued negative conjugate of a map f at a dual pair (x*, z*) is the
 halfspace
@@ -22,36 +22,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .geometry import DualPair, Polyhedron, require_dual_direction
+from .geometry import DualPair, Polyhedron, Region, require_dual_direction
 from .linalg import NEG_INF, POS_INF, Ext, Vec, dot, vec
 from .sets import UpperSet
 
 
 class AffinePiece:
-    def __init__(self, region: Polyhedron, coeffs: Vec, const: Fraction):
+    def __init__(self, region: Region, coeffs: Vec, const: Fraction):
         self.region = region
         self.coeffs = coeffs
         self.const = const
 
-    def value(self, x: Vec) -> Fraction:
-        return dot(self.coeffs, x) + self.const
-
 
 class PiecewiseLinearFn:
-    """Exact piecewise-linear extended-real function.
-
-    Evaluation scans pieces in order and uses the first region containing the
-    argument; failing that, a matching minus-infinity region gives -inf, and
-    everything else is +inf.  Closed forms produced inside this package have
-    consistent values on overlapping closed regions; branch-combined forms
-    rely on the documented first-match order at branch boundaries.
-    """
+    """Exact piecewise-linear extended-real function: a piece's value on its
+    region, -inf on a minus-infinity region, +inf elsewhere.  The regions of
+    a closed form built here overlap only where pieces agree, so the value
+    does not depend on the order in which they are read."""
 
     def __init__(
         self,
         dim: int,
         pieces: Sequence[AffinePiece] = (),
-        minus_inf_regions: Sequence[Polyhedron] = (),
+        minus_inf_regions: Sequence[Region] = (),
     ):
         self.dim = dim
         self.pieces = tuple(p for p in pieces if not p.region.is_empty)
@@ -61,27 +54,20 @@ class PiecewiseLinearFn:
         xv = vec(x)
         for p in self.pieces:
             if p.region.contains(xv):
-                return p.value(xv)
+                return dot(p.coeffs, xv) + p.const
         for r in self.minus_inf_regions:
             if r.contains(xv):
                 return NEG_INF
         return POS_INF
 
-    @property
-    def improper_below(self) -> bool:
-        return bool(self.minus_inf_regions)
-
-    @property
-    def never_finite(self) -> bool:
-        return not self.pieces
-
     def fix_tail(self, y) -> "PiecewiseLinearFn":
-        """The slice x -> phi(x, y), with the trailing coordinates fixed at y."""
+        """The slice x -> phi(x, y), trailing coordinates fixed at y, flags kept."""
         yv = vec(y)
         k = self.dim - len(yv)
 
-        def cut(region: Polyhedron) -> Polyhedron:
-            return Polyhedron(k, [(n[:k], b - dot(n[k:], yv)) for n, b in region.rows])
+        def cut(region: Region) -> Region:
+            rows = [(n[:k], b - dot(n[k:], yv)) for n, b in region.closure.rows]
+            return Region(Polyhedron(k, rows), region.strict)
 
         return PiecewiseLinearFn(
             k,
@@ -92,37 +78,35 @@ class PiecewiseLinearFn:
 
 def scalar_conjugate(phi: PiecewiseLinearFn, xstar) -> Ext:
     """phi*(x*) = sup_x (x*.x - phi(x)): the largest support of a piece's
-    region in the direction x* - a, less the piece's constant.
+    region's closure in the direction x* - a, less the piece's constant.
 
     Improper phi (a -inf region) conjugates to +inf identically; phi with no
     finite piece (identically +inf) conjugates to -inf.
     """
     xs = vec(xstar)
-    if phi.improper_below:
+    if phi.minus_inf_regions:
         return POS_INF
-    if phi.never_finite:
+    if not phi.pieces:
         return NEG_INF
     best: Ext = NEG_INF
     for p in phi.pieces:
-        s = p.region.support(tuple(a - b for a, b in zip(xs, p.coeffs)))
+        s = p.region.closure.support(tuple(a - b for a, b in zip(xs, p.coeffs)))
         if type(s) is float and s > 0:
             return POS_INF
         best = max(best, s - p.const)
     return best
 
 
-def max_affine(dim: int, bounds: Sequence[tuple[Vec, Fraction]], dom_rows=()) -> PiecewiseLinearFn:
-    """max_j (a_j.x + c_j) over the polyhedron ``dom_rows`` as a consistent
-    piecewise-linear function: bound j's region is where it is largest
-    (regions split at crossings), in the order of ``bounds``."""
+def max_affine(bounds: Sequence[tuple[Vec, Fraction]], dom: Region) -> PiecewiseLinearFn:
+    """max_j (a_j.x + c_j) over the region ``dom`` as a consistent
+    piecewise-linear function: bound j's region is dom where bound j is
+    largest (regions split at crossings), in the order of ``bounds``."""
+    dim = dom.closure.dim
     pieces: list[AffinePiece] = []
     for j, (a_j, c_j) in enumerate(bounds):
-        rows = list(dom_rows)
-        for k, (a_k, c_k) in enumerate(bounds):
-            if k == j:
-                continue
-            rows.append((tuple(x - y for x, y in zip(a_j, a_k)), c_k - c_j))
-        region = Polyhedron(dim, rows)
+        others = (bound for k, bound in enumerate(bounds) if k != j)
+        rows = [(tuple(x - y for x, y in zip(a_j, a_k)), c_k - c_j) for a_k, c_k in others]
+        region = dom.intersect(Region.closed(Polyhedron(dim, rows)))
         if not region.is_empty:
             pieces.append(AffinePiece(region, a_j, c_j))
     return PiecewiseLinearFn(dim, pieces)

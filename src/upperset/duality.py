@@ -214,10 +214,8 @@ def fundamental_duality(
     supports: list[tuple[Vec, Ext]] = []
     for zs in base.directions:
         phi = piecewise_scalarization(f.map, zs)
-        if phi is None:
-            raise DualityError("fundamental duality needs closed-form scalarizations")
         row: dict = {"zstar": [format_scalar(c) for c in zs]}
-        if phi.improper_below:
+        if phi.minus_inf_regions:
             family.properness[zs] = "improper"
             row["status"] = "improper"
             support_table.append(row)
@@ -272,16 +270,16 @@ def _attained_dual_vector(
     """A vector y* with phi*(0, y*) = -value, from the exact LP dual.
 
     The primal is min t over {(x, y, t) : t >= a_j.(x,y) + c_j on each
-    piece, dom rows, y = 0}; the multipliers on the y = 0 rows give the
-    candidate, which is re-verified against the conjugate identity before
-    a few deterministic probes around it are tried.
+    piece, its region's closure, y = 0}; the multipliers on the y = 0 rows
+    give the candidate, re-verified against the conjugate identity before a
+    few deterministic probes around it are tried.
     """
     rows: list[Constraint] = []
     dim = n + p + 1
     for piece in phi.pieces:
         normal = tuple(-c for c in piece.coeffs) + (Fraction(1),)
         rows.append((normal, piece.const))
-        for rn, rb in piece.region.rows:
+        for rn, rb in piece.region.closure.rows:
             rows.append((tuple(rn) + (ZERO,), rb))
     eq_start = len(rows)
     for k in range(p):

@@ -7,12 +7,13 @@ polyhedron, by the double description method.  ``is_empty``, ``support``,
 ``contained_in``, ``minimal_face_points``, ``excess_sq`` and
 ``affine_dim`` read the V-form, and so does every point a query returns:
 ``lowest_point`` is the last V-form point that minimizes a direction, and
-``interior_point`` and ``strict_point`` (a point strictly inside the rows
-flagged strict) are lowest points of a lifted polyhedron; every recession
-direction returned is a V-form ray or +- lineality vector.  A cone carries
-both generators and halfspaces and is the b = 0 polyhedron of its
-halfspaces, built once per cone: membership and pointedness read that
-polyhedron, and the negative dual cone is built once and kept on the cone.
+``interior_point`` and ``Region.point`` are lowest points of a lifted
+polyhedron; a ``Region`` is a polyhedron with some rows strict, the one
+half-open cell of the package.  Every recession direction returned is a
+V-form ray or +- lineality vector.  A cone carries both generators and
+halfspaces and is the b = 0 polyhedron of its halfspaces, built once per
+cone: membership and pointedness read that polyhedron, and the negative
+dual cone is built once and kept on the cone.
 Conversions between the two cone representations (``_cone_rays``) run by
 the same double description on the homogeneous rows.  No query here solves
 an LP; the documented dimension cap is m <= 4.
@@ -101,7 +102,7 @@ def _check_dim(expected: int, v: Vec) -> None:
         raise DimensionMismatch(f"expected dimension {expected}, got {len(v)}")
 
 
-def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
+def _cone_rays(normals: list[Vec], dim: int) -> tuple[list[Vec], VForm | None]:
     """Generators of the cone ``{z : n.z >= 0 for n in normals}``.
 
     Returns lineality basis vectors in +- pairs together with the extreme
@@ -110,7 +111,8 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
     come from one double-description pass and are ordered by the
     lexicographically least basis of dim - 1 rows tight on each, which is
     the order a scan of row subsets in ``itertools.combinations`` order
-    meets them.
+    meets them.  Also returns the pass's V-form when the cone is pointed,
+    since the pass then ran on the nonzero rows alone; else None.
     """
     work = [_integer_row(n) for n in normals if not is_zero(n)]
     lin = [c for l in _kernel(work, dim) for c in (l, tuple(-x for x in l))]
@@ -118,7 +120,7 @@ def _cone_rays(normals: list[Vec], dim: int) -> list[Vec]:
     vf = _double_description([n + (0,) for n in work], dim)
     rays = [(g[:-1], m) for g, m in zip(vf.gens, vf.tight) if not g[-1]]
     rays.sort(key=lambda ray: _first_basis(work, _bits(ray[1] >> 1), dim - 1))
-    return [scale_to_canonical(vec(r)) for r in lin + [r for r, _ in rays]]
+    return [scale_to_canonical(vec(r)) for r in lin + [r for r, _ in rays]], None if lin else vf
 
 
 class VForm(NamedTuple):
@@ -409,7 +411,7 @@ class Cone:
         for x in g:
             _check_dim(dim, x)
         g = [x for x in g if not is_zero(x)]
-        dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim))
+        dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim)[0])
         halfspaces = tuple(tuple(-c for c in r) for r in dual_rays)
         cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, True)
         cone._dual = Cone._build(
@@ -427,8 +429,12 @@ class Cone:
         for x in ns:
             _check_dim(dim, x)
         ns = [x for x in ns if not is_zero(x)]
-        gens = tuple(_cone_rays(ns, dim))
-        return Cone._build(dim, gens, tuple(ns), True)
+        gens, vf = _cone_rays(ns, dim)
+        cone = Cone._build(dim, tuple(gens), tuple(ns), True)
+        if vf is not None:
+            # The pass ran on the polyhedron's own integer rows, in order.
+            cone.polyhedron.__dict__.update(vform=vf, _int_rows=[_integer_row(n) + (0,) for n in ns])
+        return cone
 
     @staticmethod
     def _build(dim: int, gens: Mat, halfspaces: Mat, require_proper: bool) -> "Cone":
@@ -469,7 +475,7 @@ def dual_cone(c: Cone) -> Cone:
     dual = c.__dict__.get("_dual")
     if dual is None:
         normals = tuple(tuple(-x for x in g) for g in c.generators)
-        dual = Cone._build(c.dim, tuple(_cone_rays(list(normals), c.dim)), normals, False)
+        dual = Cone._build(c.dim, tuple(_cone_rays(list(normals), c.dim)[0]), normals, False)
         dual = c.__dict__.setdefault("_dual", dual)
     return dual
 
@@ -822,15 +828,47 @@ class Polyhedron:
         return all(-self.support(tuple(-x for x in n)) >= b for n, b in rest)
 
 
-def strict_point(dim: int, rows: Sequence[Constraint], strict: Sequence[bool]) -> Vec | None:
-    """A z in R^dim with n.z >= b on every row (n, b), strictly on the rows
-    flagged in ``strict``, or None when there is none: the lowest point of
-    -s over {(z, s) : n.z - s >= b on strict rows, n.z >= b on the others,
-    s <= 1}, kept when its margin s is positive."""
-    lifted = [(tuple(n) + (Fraction(-1) if st else ZERO,), b) for (n, b), st in zip(rows, strict)]
-    lifted.append(((ZERO,) * dim + (Fraction(-1),), Fraction(-1)))
-    low = Polyhedron(dim + 1, lifted).lowest_point((ZERO,) * dim + (Fraction(-1),))
-    return None if low is None or low[-1] <= 0 else low[:-1]
+class Region:
+    """A half-open polyhedral cell {z : n.z >= b on every row of ``closure``,
+    > on the rows flagged in ``strict``}: a guard-tree leaf's region, a
+    closed-form piece's, a set-difference cell.  ``closure`` drops the flags
+    and answers supports, faces and rows: a linear function has the same
+    sup on a nonempty region as on its closure."""
+
+    def __init__(self, closure: Polyhedron, strict: tuple[bool, ...]):
+        self.closure = closure
+        self.strict = strict
+
+    @staticmethod
+    def closed(p: Polyhedron) -> "Region":
+        return Region(p, (False,) * len(p.rows))
+
+    def contains(self, z: Vec) -> bool:
+        """Row by row on the integer rows, for z of Fractions or ints."""
+        k, kz = _scaled(z)
+        h = kz + (-k,)
+        for r, st in zip(self.closure._int_rows, self.strict):
+            if (v := _idot(r, h)) < 0 or st and not v:
+                return False
+        return True
+
+    def point(self) -> Vec | None:
+        """A point of the region, or None when it is empty: the lowest point
+        of -s over {(z, s) : n.z - s >= b on strict rows, n.z >= b on the
+        others, s <= 1}, kept when its margin s is positive."""
+        dim, rows = self.closure.dim, zip(self.closure.rows, self.strict)
+        lifted = [(n + (Fraction(-1) if st else ZERO,), b) for (n, b), st in rows]
+        lifted.append(((ZERO,) * dim + (Fraction(-1),), Fraction(-1)))
+        low = Polyhedron(dim + 1, lifted).lowest_point((ZERO,) * dim + (Fraction(-1),))
+        return None if low is None or low[-1] <= 0 else low[:-1]
+
+    @cached_property
+    def is_empty(self) -> bool:
+        """Read off ``point`` where some row is strict, else the closure's V-form."""
+        return self.point() is None if any(self.strict) else self.closure.is_empty
+
+    def intersect(self, other: "Region") -> "Region":
+        return Region(self.closure.intersect(other.closure), self.strict + other.strict)
 
 
 def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ...]]) -> Polyhedron:

@@ -14,14 +14,14 @@ Maps are drawn from a closed constructor family rather than arbitrary code:
   boundary, so the false side is strict, g.x < h.  Used for "empty below a
   threshold" style maps.
 
-A map flattens its guard tree once into ``SetValuedMap.leaves``: one
-``Leaf`` per affine or scaled body, whose region is the guard rows on its
-path (a false side negated and flagged strict).  The regions partition R^n
+A map flattens its guard tree once into ``SetValuedMap.leaves``: one ``Leaf``
+per affine or scaled body, whose ``geometry.Region`` holds the guard rows on
+its path, a false side negated and flagged strict.  The regions partition R^n
 (the critical regions of multiparametric LP).  Each leaf answers for its own
 kind, and no other module tells the kinds apart.  A constant-normal affine
-leaf's graph is one polyhedron (Robinson 1981), read three ways: projected
-for the domain, and row by row at its worst over an x-box or a product box
-for the box certificates; the closed-form scalarizations project it too.
+leaf's graph is one polyhedron (Robinson 1981), read three ways: projected for
+the domain, and row by row at its worst over an x-box or a product box for the
+box certificates; the closed-form scalarizations project it too.
 
 Every constructor instance evaluates to a value in the lattice; an affine
 value whose row normal leaves the positive dual cone is rejected when it is
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .geometry import Cone, Polyhedron, dual_cone, project_out, strict_point
+from .geometry import Cone, Polyhedron, Region, dual_cone, project_out
 from .linalg import (
     ZERO,
     Constraint,
@@ -135,23 +135,13 @@ Body = AffineBody | ScaledBody | PiecewiseBody
 
 
 class Leaf:
-    """One leaf of a guard tree: ``body`` gives the value on the region
-    {x : g.x >= h for every row (g, h)}, with > on the rows flagged strict.
-    Its answers read ``graph_rows`` where it has a graph, else its body."""
+    """One leaf of a guard tree: ``body`` gives the value on ``region``, and
+    the regions of a map's leaves partition R^n.  Its answers read
+    ``graph_rows`` where it has a graph, else its body."""
 
-    def __init__(self, rows: tuple[Constraint, ...], strict: tuple[bool, ...], body: AffineBody | ScaledBody):
-        self.rows = rows
-        self.strict = strict
+    def __init__(self, region: Region, body: AffineBody | ScaledBody):
+        self.region = region
         self.body = body
-
-    def contains_box(self, x0: Vec, r: Fraction = ZERO) -> bool:
-        """Whether the l-inf box of radius r around x0 lies in the region;
-        with r = 0, whether x0 does."""
-        for (g, h), st in zip(self.rows, self.strict):
-            low = dot(g, x0) - r * norm1(g)
-            if low < h or (st and low == h):
-                return False
-        return True
 
     @cached_property
     def graph_rows(self) -> Optional[tuple[Constraint, ...]]:
@@ -196,10 +186,10 @@ class Leaf:
         return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
 
     def domain(self, n: int, m: int) -> Optional[Polyhedron]:
-        """Where the value is nonempty in the region, x in R^n and z in R^m:
-        the graph cut by the region, projected onto x.  None when the leaf
-        is empty throughout; a tilting leaf keeps its whole region."""
-        b, region = self.body, list(self.rows)
+        """Where the value is nonempty in the region's closure, x in R^n and
+        z in R^m: the graph cut by it, projected onto x.  None when the leaf
+        is empty throughout; a tilting leaf keeps its whole closure."""
+        b, region = self.body, list(self.region.closure.rows)
         if self.graph_rows is not None:
             if self.empty:
                 return None
@@ -259,18 +249,18 @@ class Leaf:
         return any(all(member(scale(part, a), c) for a in ends for c in corners) for part in parts)
 
 
-def _body_leaves(
-    body: Body, region_rows: tuple[Constraint, ...] = (), strict: tuple[bool, ...] = ()
-) -> Iterator[Leaf]:
+def _body_leaves(body: Body, region: Region) -> Iterator[Leaf]:
     """The leaves of the guard tree, true branch first: the true branch's
     region gains the guard row, the false branch's its negation, which holds
     strictly there (g.x < h)."""
     if isinstance(body, PiecewiseBody):
-        g, h = body.guard
-        yield from _body_leaves(body.when_true, (*region_rows, (g, h)), (*strict, False))
-        yield from _body_leaves(body.when_false, (*region_rows, (tuple(-c for c in g), -h)), (*strict, True))
+        (g, h), n = body.guard, region.closure.dim
+        true_side = Region(Polyhedron(n, [(g, h)]), (False,))
+        false_side = Region(Polyhedron(n, [(tuple(-c for c in g), -h)]), (True,))
+        yield from _body_leaves(body.when_true, region.intersect(true_side))
+        yield from _body_leaves(body.when_false, region.intersect(false_side))
     else:
-        yield Leaf(region_rows, strict, body)
+        yield Leaf(region, body)
 
 
 def constant_empty_body(n: int, m: int) -> AffineBody:
@@ -305,7 +295,7 @@ class SetValuedMap:
         self.cone = cone
         self.body = body
         self.name = name
-        self.leaves = tuple(_body_leaves(body))
+        self.leaves = tuple(_body_leaves(body, Region.closed(Polyhedron.full(domain_dim))))
         self.convex_valued = all(leaf.convex_valued for leaf in self.leaves)
         # Every region is convex and empty values add nothing to the graph, so
         # the graph is convex when at most one leaf has values, a convex one.
@@ -333,7 +323,7 @@ class SetValuedMap:
         value = self._value_cache.get(key)
         if value is not None:
             return value
-        value = next(leaf for leaf in self.leaves if leaf.contains_box(xv)).value(xv, self.cone)
+        value = next(leaf for leaf in self.leaves if leaf.region.contains(xv)).value(xv, self.cone)
         self._value_cache[key] = value
         return value
 
@@ -343,9 +333,9 @@ class SetValuedMap:
         """Nonempty closed polyhedra whose union contains dom f = {x : f(x)
         nonempty}, at most one per leaf of the guard tree.
 
-        Each leaf's region is closed, so the union may also contain points
-        on a guard's boundary where the true branch is empty; a branch whose
-        normals move with x keeps its whole region.
+        Each piece lies in the closure of its leaf's region, so the union may
+        also contain points on a guard's boundary where the true branch is
+        empty; a branch whose normals move with x keeps its whole closure.
         """
         pieces = [leaf.domain(self.domain_dim, self.cone.dim) for leaf in self.leaves]
         return [p for p in pieces if p is not None and not p.is_empty]
@@ -356,10 +346,11 @@ class SetValuedMap:
         """Exact polyhedron contained in every f(x), x in the box around x0.
 
         Available when the region of a single leaf with a polyhedral graph
-        holds the whole box (``Leaf.inner``); otherwise None, and the caller
-        falls back to sampled intersections.
+        holds the whole box, that is, its corners (``Leaf.inner``); otherwise
+        None, and the caller falls back to sampled intersections.
         """
-        leaf = next((leaf for leaf in self.leaves if leaf.contains_box(x0, radius)), None)
+        corners = list(itertools.product(*((c - radius, c + radius) for c in x0)))
+        leaf = next((leaf for leaf in self.leaves if all(map(leaf.region.contains, corners))), None)
         return None if leaf is None else leaf.inner(x0, radius, self.cone.dim)
 
 
@@ -368,15 +359,11 @@ class SetValuedMap:
 
 def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
     """Exact check that box(x0, r) x box(z0, r) lies inside the graph of f:
-    every leaf of the guard tree whose region (strict on false sides) meets
-    the x-box must contain the box.  A leaf whose region misses the x-box
-    cannot matter, even where the box straddles one of its guards."""
-    box = Polyhedron.box([(c - r, c + r) for c in x0]).rows
-    return all(
-        leaf.holds_box(x0, z0, r)
-        for leaf in f.leaves
-        if strict_point(f.domain_dim, [*leaf.rows, *box], (*leaf.strict,) + (False,) * len(box)) is not None
-    )
+    every leaf of the guard tree whose region meets the x-box must contain
+    the box.  A leaf whose region misses the x-box cannot matter, even where
+    the box straddles one of its guards."""
+    box = Region.closed(Polyhedron.box([(c - r, c + r) for c in x0]))
+    return all(leaf.holds_box(x0, z0, r) for leaf in f.leaves if not leaf.region.intersect(box).is_empty)
 
 
 def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
@@ -398,11 +385,7 @@ def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
     # Exact failure: x0 lies in the closure of a nonempty region where the
     # map is constant-empty, so every x-ball around x0 meets empty values.
     for leaf in f.leaves:
-        if (
-            leaf.empty
-            and all(dot(g, x0) >= h for g, h in leaf.rows)
-            and strict_point(f.domain_dim, leaf.rows, leaf.strict) is not None
-        ):
+        if leaf.empty and leaf.region.closure.contains(x0) and not leaf.region.is_empty:
             return Verdict.fails(
                 Witness(x=x0, detail="empty values on one side of the guard"),
             )

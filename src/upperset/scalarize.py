@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .conjugate import AffinePiece, PiecewiseLinearFn, max_affine
-from .geometry import Cone, Polyhedron, dual_cone, project_out, rank, require_dual_direction
+from .geometry import Cone, Polyhedron, Region, dual_cone, project_out, rank, require_dual_direction
 from .linalg import (
     ZERO,
     Constraint,
@@ -186,9 +186,9 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     {(x, z, t) : (x, z) in G, z*.z + t >= 0}.  ``project_out`` gives its
     facets, whose t-coefficients are nonnegative: rows with positive
     coefficient are the affine lower bounds (phi is their maximum; each is
-    a facet, so none is redundant) and rows without t, with the leaf's
-    region, cut out its domain.  Leaves with no lower bounding row have
-    phi = -inf across their domain.
+    a facet, so none is redundant) and rows without t cut its domain out of
+    the leaf's region, strict rows included.  Leaves with no lower bounding
+    row have phi = -inf across their domain.
     """
     zs = vec(zstar)
     require_dual_direction(f.cone, zs)
@@ -197,14 +197,14 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
     n = f.domain_dim
     m = f.cone.dim
     pieces: list[AffinePiece] = []
-    minus_regions: list[Polyhedron] = []
+    minus_regions: list[Region] = []
     for leaf in f.leaves:
         if leaf.empty:
             continue
         lifted = [(row + (ZERO,), q) for row, q in leaf.graph_rows]
         lifted.append((tuple([ZERO] * n + list(zs) + [Fraction(1)]), ZERO))
         projected = project_out(Polyhedron(n + m + 1, lifted), list(range(n, n + m)))
-        dom_rows: list[Constraint] = list(leaf.rows)
+        dom_rows: list[Constraint] = []
         bounds: list[tuple[Vec, Fraction]] = []
         for row, b in projected.rows:
             t_coeff = row[-1]
@@ -215,11 +215,9 @@ def piecewise_scalarization(f: SetValuedMap, zstar) -> Optional[PiecewiseLinearF
                 raise AssertionError("epigraph projection produced an upper bound")
             else:
                 bounds.append((tuple(-c / t_coeff for c in xs_part), b / t_coeff))
-        dom = Polyhedron(n, dom_rows)
-        if dom.is_empty:
-            continue
+        dom = leaf.region.intersect(Region.closed(Polyhedron(n, dom_rows)))
         if not bounds:
             minus_regions.append(dom)
             continue
-        pieces.extend(max_affine(n, bounds, dom_rows).pieces)
+        pieces.extend(max_affine(bounds, dom).pieces)
     return PiecewiseLinearFn(n, pieces, minus_regions)

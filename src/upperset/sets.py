@@ -11,8 +11,8 @@ normals n all satisfy n.g >= 0 for every generator g of C (so each piece is
 upper closed by construction).  Closed unions of finitely many closed
 polyhedra need no extra closure operator, which is why the infimum below is
 a plain union of pieces.  The order is exact on such unions too: a piece of
-one set lies in the union of the other's pieces unless a strictly feasible
-cut of it (``geometry.strict_point``) escapes every piece.
+one set lies in the union of the other's pieces unless a cell of it cut by
+their rows violated strictly (a ``geometry.Region``) escapes every piece.
 
 A convex value that is not polyhedral is a ``SupportOracle``: its support
 function on C^- and an exact membership test.  A closed convex set is
@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .geometry import Cone, DimensionMismatch, Polyhedron, strict_point
+from .geometry import Cone, DimensionMismatch, Polyhedron, Region
 from .linalg import NEG_INF, POS_INF, ZERO, Constraint, Ext, HashedVec, Vec, frac, vec
 
 
@@ -190,19 +190,18 @@ def embed_point(z, cone: Cone) -> UpperSet:
     return UpperSet(cone, pieces=[cone.polyhedron.translate(z)])
 
 
-def _uncovered_point(
-    q: Polyhedron, pieces: Sequence[Polyhedron], cuts: tuple[Constraint, ...] = ()
-) -> Optional[Vec]:
-    """A point of q outside every piece, or None when the pieces cover q: the
-    polyhedral set difference (Bemporad, Fukuda & Torrisi 2001).  Each piece
-    in turn adds one of its rows (n, b) violated strictly, n.z < b, to the
-    cuts, and a choice of rows is dropped at the first cut that leaves no
-    point of q."""
-    w = strict_point(q.dim, q.rows + cuts, (False,) * len(q.rows) + (True,) * len(cuts))
+def _uncovered_point(cell: Region, pieces: Sequence[Polyhedron]) -> Optional[Vec]:
+    """A point of the cell outside every piece, or None when the pieces cover
+    it: the polyhedral set difference (Bemporad, Fukuda & Torrisi 2001).
+    Each piece in turn cuts the cell by one of its rows (n, b) violated
+    strictly, n.z < b, and a choice of rows is dropped at the first cut that
+    leaves the cell empty."""
+    w = cell.point()
     if w is None or not pieces:
         return w
     for n, b in pieces[0].rows:
-        w = _uncovered_point(q, pieces[1:], cuts + ((tuple(-x for x in n), -b),))
+        cut = Region(Polyhedron(cell.closure.dim, [(tuple(-x for x in n), -b)]), (True,))
+        w = _uncovered_point(cell.intersect(cut), pieces[1:])
         if w is not None:
             return w
     return None
@@ -220,7 +219,7 @@ def set_order_leq(a: UpperSet, b: UpperSet) -> OrderResult:
     for q in b.pieces:
         if any(q.contained_in(p) for p in a.pieces):
             continue
-        w = _uncovered_point(q, a.pieces)
+        w = _uncovered_point(Region.closed(q), a.pieces)
         if w is not None:
             return OrderResult(False, exact=True, witness=w)
     return OrderResult(True, exact=True)

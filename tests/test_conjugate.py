@@ -1,5 +1,6 @@
 """Scalar Legendre-Fenchel conjugation and the set-valued conjugate routes."""
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -17,7 +18,7 @@ from upperset.conjugate import (
 )
 from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id, random_dual_pairs
 from upperset.duality import BivariateMap, marginal_scalarization, weak_duality_check
-from upperset.geometry import DualPair, Polyhedron, require_dual_direction
+from upperset.geometry import DualPair, Polyhedron, Region, require_dual_direction
 from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
 from upperset.maps import AffineBody, SetValuedMap
 from upperset.scalarize import piecewise_scalarization
@@ -41,7 +42,7 @@ def kinks_1d(phi: PiecewiseLinearFn) -> list[Fraction]:
         raise ValueError("kink enumeration is one-dimensional only")
     pts: set[Fraction] = set()
     for p in phi.pieces:
-        for n, b in p.region.rows:
+        for n, b in p.region.closure.rows:
             if n[0] != 0:
                 pts.add(b / n[0])
     return sorted(pts)
@@ -58,32 +59,32 @@ def conjugate_1d(phi: PiecewiseLinearFn) -> PiecewiseLinearFn:
     """
     if phi.dim != 1:
         raise ValueError("one-dimensional instances only")
-    if phi.improper_below:
+    if phi.minus_inf_regions:
         return PiecewiseLinearFn(1)  # identically +inf
-    if phi.never_finite:
-        return PiecewiseLinearFn(1, minus_inf_regions=[Polyhedron.full(1)])
+    if not phi.pieces:
+        return PiecewiseLinearFn(1, minus_inf_regions=[Region.closed(Polyhedron.full(1))])
 
     candidates = kinks_1d(phi)
     dom_rows: list[tuple[Vec, Fraction]] = []
     unbounded_above = any(
-        p.region.support((Fraction(1),)) == POS_INF for p in phi.pieces
+        p.region.closure.support((Fraction(1),)) == POS_INF for p in phi.pieces
     )
     unbounded_below = any(
-        p.region.support((Fraction(-1),)) == POS_INF for p in phi.pieces
+        p.region.closure.support((Fraction(-1),)) == POS_INF for p in phi.pieces
     )
     if unbounded_above:
         # Ultimate slope to the right bounds dom phi* above.
         right = max(
             p.coeffs[0]
             for p in phi.pieces
-            if p.region.support((Fraction(1),)) == POS_INF
+            if p.region.closure.support((Fraction(1),)) == POS_INF
         )
         dom_rows.append(((Fraction(-1),), -right))
     if unbounded_below:
         left = min(
             p.coeffs[0]
             for p in phi.pieces
-            if p.region.support((Fraction(-1),)) == POS_INF
+            if p.region.closure.support((Fraction(-1),)) == POS_INF
         )
         dom_rows.append(((Fraction(1),), left))
     if not candidates:
@@ -91,14 +92,14 @@ def conjugate_1d(phi: PiecewiseLinearFn) -> PiecewiseLinearFn:
         a = phi.pieces[0].coeffs[0]
         c = phi.pieces[0].const
         point = Polyhedron(1, [((Fraction(1),), a), ((Fraction(-1),), -a)])
-        return PiecewiseLinearFn(1, [AffinePiece(point, (ZERO,), -c)])
+        return PiecewiseLinearFn(1, [AffinePiece(Region.closed(point), (ZERO,), -c)])
     slope_consts = []
     for xc in candidates:
         v = phi((xc,))
         if isinstance(v, float):
             continue
         slope_consts.append(((xc,), -v))
-    return max_affine(1, slope_consts, dom_rows)
+    return max_affine(slope_consts, Region.closed(Polyhedron(1, dom_rows)))
 
 
 def fenchel_young_holds(phi: PiecewiseLinearFn, x, xstar) -> bool:
@@ -137,8 +138,8 @@ def neg_conjugate_direct(f, pair: DualPair, x_grid: Sequence[Vec]) -> NegConjuga
 
 def abs_fn():
     """phi(x) = |x| as two affine pieces."""
-    left = Polyhedron(1, [([-1], 0)])
-    right = Polyhedron(1, [([1], 0)])
+    left = Region.closed(Polyhedron(1, [([-1], 0)]))
+    right = Region.closed(Polyhedron(1, [([1], 0)]))
     return PiecewiseLinearFn(
         1,
         [AffinePiece(right, (F(1),), F(0)), AffinePiece(left, (F(-1),), F(0))],
@@ -146,14 +147,14 @@ def abs_fn():
 
 
 def zero_fn():
-    return PiecewiseLinearFn(1, [AffinePiece(Polyhedron.full(1), (F(0),), F(0))])
+    return PiecewiseLinearFn(1, [AffinePiece(Region.closed(Polyhedron.full(1)), (F(0),), F(0))])
 
 
 def improper_fn():
     return PiecewiseLinearFn(
         1,
-        [AffinePiece(Polyhedron(1, [([1], 0)]), (F(0),), F(0))],
-        minus_inf_regions=[Polyhedron(1, [([-1], 0)])],
+        [AffinePiece(Region.closed(Polyhedron(1, [([1], 0)])), (F(0),), F(0))],
+        minus_inf_regions=[Region.closed(Polyhedron(1, [([-1], 0)]))],
     )
 
 
@@ -222,7 +223,7 @@ def random_convex_pl(rng, pieces=4, bounded_domain=False):
     if bounded_domain:
         lo, hi = sorted((rng.randint(-8, 0), rng.randint(1, 8)))
         dom_rows = [((F(1),), F(lo)), ((F(-1),), F(-hi))]
-    return max_affine(1, [((a,), c) for a, c in forms], dom_rows)
+    return max_affine([((a,), c) for a, c in forms], Region.closed(Polyhedron(1, dom_rows)))
 
 
 class TestConjugate1d:
@@ -256,7 +257,7 @@ class TestConjugate1d:
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_fenchel_young(self, a, b, xs):
-        phi = max_affine(1, [((F(a),), F(0)), ((F(b),), F(1))])
+        phi = max_affine([((F(a),), F(0)), ((F(b),), F(1))], Region.closed(Polyhedron.full(1)))
         for x in (F(-2), F(0), F(3)):
             assert fenchel_young_holds(phi, (x,), (F(xs),))
 
@@ -335,14 +336,14 @@ class TestNegConjugateDirect:
 
 def lp_conjugate(phi, xstar):
     """phi*(x*) by one LP per piece: max (x* - a).x over the piece's region."""
-    if phi.improper_below:
+    if phi.minus_inf_regions:
         return POS_INF
-    if phi.never_finite:
+    if not phi.pieces:
         return NEG_INF
     best = NEG_INF
     for p in phi.pieces:
         obj = tuple(a - b for a, b in zip(vec(xstar), p.coeffs))
-        res = solve_lp(obj, list(p.region.rows), sense="max")
+        res = solve_lp(obj, list(p.region.closure.rows), sense="max")
         if res.status is LPStatus.UNBOUNDED:
             return POS_INF
         if res.status is LPStatus.OPTIMAL:
@@ -355,7 +356,7 @@ def lp_partial_infimum(phi, n_free, fixed):
     piece and one feasibility LP per minus-infinity region."""
 
     def sliced(region):
-        return [(n[:n_free], b - dot(n[n_free:], fixed)) for n, b in region.rows]
+        return [(n[:n_free], b - dot(n[n_free:], fixed)) for n, b in region.closure.rows]
 
     for r in phi.minus_inf_regions:
         if solve_lp((F(0),) * n_free, sliced(r), sense="max").status is LPStatus.OPTIMAL:
@@ -379,7 +380,7 @@ def random_pl(rng, dim):
             (vec([rng.randint(-2, 2) for _ in range(dim)]), F(rng.randint(-3, 2)))
             for _ in range(rng.randint(0, dim + 2))
         ]
-        return Polyhedron(dim, rows)
+        return Region.closed(Polyhedron(dim, rows))
 
     pieces = [
         AffinePiece(region(), vec([rng.randint(-3, 3) for _ in range(dim)]), F(rng.randint(-4, 4)))
@@ -402,6 +403,34 @@ def random_bivariate(rng, cone):
     return BivariateMap(SetValuedMap(2, cone, body, name="random-bivariate"), 1, 1)
 
 
+def test_fix_tail_keeps_each_regions_flags():
+    # The slice at y reads as phi at (x, y), strict rows' boundaries included.
+    rng = random.Random(1500)
+    halves = [F(k) / 2 for k in range(-4, 5)]
+    on_a_strict_boundary = 0
+    for _ in range(150):
+        dim = rng.randint(2, 3)
+
+        def region():
+            rows = [(vec([rng.randint(-1, 1) for _ in range(dim)]), F(rng.randint(-2, 1))) for _ in range(3)]
+            return Region(Polyhedron(dim, rows), tuple(rng.random() < 0.5 for _ in rows))
+
+        def regions(fn):
+            return [p.region for p in fn.pieces] + list(fn.minus_inf_regions)
+
+        forms = [(vec([rng.randint(-2, 2) for _ in range(dim)]), F(rng.randint(-2, 2))) for _ in range(3)]
+        phi = PiecewiseLinearFn(dim, [AffinePiece(region(), *form) for form in forms], [region()])
+        y = (F(rng.randint(-1, 1)),)
+        slice_ = phi.fix_tail(y)
+        # The slice's regions are phi's, in order, less the ones cut empty.
+        flags = iter(r.strict for r in regions(phi))
+        assert all(r.strict in flags for r in regions(slice_))
+        for x in itertools.product(halves, repeat=dim - 1):
+            assert slice_(x) == phi(x + y), (x, y)
+            on_a_strict_boundary += any(r.closure.contains(x + y) and not r.contains(x + y) for r in regions(phi))
+    assert on_a_strict_boundary >= 100, on_a_strict_boundary
+
+
 class TestValueRoutesMatchLPs:
     def test_scalar_conjugate(self):
         rng = random.Random(2024)
@@ -412,7 +441,7 @@ class TestValueRoutesMatchLPs:
             for _ in range(3):
                 xs = vec([rng.randint(-3, 3) for _ in range(dim)])
                 v = scalar_conjugate(phi, xs)
-                assert v == lp_conjugate(phi, xs), ([(p.region.rows, p.coeffs) for p in phi.pieces], xs)
+                assert v == lp_conjugate(phi, xs), ([(p.region.closure.rows, p.coeffs) for p in phi.pieces], xs)
                 seen["+inf" if v == POS_INF else "-inf" if v == NEG_INF else "finite"] += 1
         assert min(seen.values()) >= 40, seen
 

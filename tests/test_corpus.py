@@ -223,8 +223,8 @@ def test_closed_form_scalarizations_are_pinned(fixture_id):
         if phi is None:
             out.append(None)
             continue
-        pieces = [[_rows(p.region), [str(c) for c in p.coeffs], str(p.const)] for p in phi.pieces]
-        out.append([pieces, [_rows(r) for r in phi.minus_inf_regions]])
+        pieces = [[_rows(p.region.closure), [str(c) for c in p.coeffs], str(p.const)] for p in phi.pieces]
+        out.append([pieces, [_rows(r.closure) for r in phi.minus_inf_regions]])
     assert _digest(out) == SCALARIZATION_DIGESTS[fixture_id]
 
 
@@ -249,7 +249,7 @@ def test_closed_forms_equal_the_fourier_motzkin_route(fixture_id, monkeypatch):
             x
             for form in (phi, ref)
             for region in [p.region for p in form.pieces] + list(form.minus_inf_regions)
-            for x in region.minimal_face_points
+            for x in region.closure.minimal_face_points
         ]
         points += [
             tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(f.domain_dim))

@@ -33,11 +33,11 @@ def pl_partial_infimum(phi: PiecewiseLinearFn, n_free: int, fixed: Vec) -> Ext:
         return [(n[:n_free], b - dot(n[n_free:], fixed)) for n, b in rows]
 
     for r in phi.minus_inf_regions:
-        if not Polyhedron(n_free, fix_tail(r.rows)).is_empty:
+        if not Polyhedron(n_free, fix_tail(r.closure.rows)).is_empty:
             return NEG_INF
     best: Ext = POS_INF
     for piece in phi.pieces:
-        region = Polyhedron(n_free, fix_tail(piece.region.rows))
+        region = Polyhedron(n_free, fix_tail(piece.region.closure.rows))
         if region.is_empty:
             continue
         s = region.support(tuple(-c for c in piece.coeffs[:n_free]))

@@ -13,6 +13,7 @@ from upperset.geometry import (
     DualPair,
     OrderConeError,
     Polyhedron,
+    Region,
     VForm,
     _affine_point,
     _cone_rays,
@@ -25,7 +26,6 @@ from upperset.geometry import (
     project_out,
     rank,
     require_dual_direction,
-    strict_point,
 )
 from upperset.linalg import (
     NEG_INF,
@@ -73,7 +73,7 @@ def cones_equal(a, b):
 def recession_rays(p):
     """Generators of p's recession cone {d : n_i . d >= 0} by ``_cone_rays``,
     independent of p's V-form; [] when p is empty."""
-    return [] if p.is_empty else _cone_rays([n for n, _ in p.rows], p.dim)
+    return [] if p.is_empty else _cone_rays([n for n, _ in p.rows], p.dim)[0]
 
 
 def brute_force_dual_membership(cone, zstar):
@@ -266,6 +266,9 @@ class TestPolyhedron:
         assert not outer.contained_in(inner)
 
     def test_strict_point(self):
+        def strict_point(dim, rows, strict):
+            return Region(Polyhedron(dim, rows), tuple(strict)).point()
+
         rows = [([1, 0], 0), ([0, 1], 0), ([-1, -1], -1)]
         w = strict_point(2, rows, [True, True, False])
         assert w is not None and 0 < min(w) and sum(w) <= 1
@@ -572,7 +575,7 @@ def support_rank_affine_dim(p):
 class TestPointReadersOracle:
     """Points read off the V-form answer as the LPs did: ``lowest_point``,
     the feasible point ``lowest_point(0)``, ``interior_point`` and a point
-    of p strictly outside a row of q (``strict_point``); and ``affine_dim``
+    of p strictly outside a row of q (``Region.point``); and ``affine_dim``
     as the support-per-row rank."""
 
     @pytest.mark.parametrize("seed", range(2))
@@ -609,9 +612,8 @@ class TestPointReadersOracle:
                 q = Polyhedron(dim, kept)
             contained = feasible.status is LPStatus.INFEASIBLE or lp_contained_in(p, q)
             assert p.contained_in(q) == contained
-            cuts = ([*p.rows, (tuple(-x for x in n), -b)] for n, b in q.rows)
-            flags = [False] * len(p.rows) + [True]
-            witness = next(filter(None, (strict_point(dim, rows, flags) for rows in cuts)), None)
+            cuts = (Region(Polyhedron(dim, [(tuple(-x for x in n), -b)]), (True,)) for n, b in q.rows)
+            witness = next(filter(None, (Region.closed(p).intersect(cut).point() for cut in cuts)), None)
             assert (witness is None) == contained, (p.rows, q.rows)
             if witness is not None:
                 assert p.contains(witness) and not q.contains(witness)
@@ -656,7 +658,7 @@ class TestConeRaysOracle:
             dim = rng.randint(1, 4)
             normals = [n for n, _ in random_rows(rng, dim)]
             expected = enumerated_cone_rays(normals, dim)
-            assert _cone_rays(normals, dim) == expected, (normals, dim)
+            assert _cone_rays(normals, dim)[0] == expected, (normals, dim)
             lin = len(nullspace([n for n in normals if not is_zero(n)], dim))
             seen["lineality"] += lin > 0
             seen["zero cone"] += not expected
@@ -1159,3 +1161,88 @@ class TestHashedDirectionSupport:
         with pytest.raises(DimensionMismatch):
             pointed.support(HashedVec((F(1), F(0), F(0))))
         assert pointed.support(d) == -2
+
+
+class TestConePassHandOver:
+    """A pointed cone from ``from_halfspaces`` keeps its construction pass
+    as its polyhedron's V-form: the pass ran on the same integer rows."""
+
+    def test_wedge_runs_one_pass(self, dd_passes):
+        wedge = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+        assert wedge.pointed and wedge.contains((1, 1, 2)) and not wedge.contains((0, 0, 1))
+        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays"]
+        assert wedge.generators == ((0, 0, -1), (0, 1, 1), (1, 0, 1))
+        assert wedge.halfspaces == ((1, 0, 0), (0, 1, 0), (1, 1, -1))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_equal_to_a_fresh_pass(self, seed):
+        rng = random.Random(1300 + seed)
+        seen = {"pointed": 0, "lineality": 0}
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            try:
+                cone = Cone.from_halfspaces([n for n, _ in random_rows(rng, dim)], dim)
+            except OrderConeError:
+                continue
+            handed = "polyhedron" in cone.__dict__
+            fresh = Polyhedron(dim, [(n, 0) for n in cone.halfspaces])
+            assert handed == (not fresh.vform.lin) == cone.pointed
+            assert cone.polyhedron.vform == fresh.vform and cone.polyhedron._int_rows == fresh._int_rows
+            seen["pointed" if handed else "lineality"] += 1
+        assert min(seen.values()) >= 30, seen
+
+
+def lp_nonempty(dim, rows, strict) -> bool:
+    """Whether some z has n.z >= b on every row, > on the strict ones, by the
+    LP: the largest margin s <= 1 on the strict rows is positive."""
+    lifted = [(tuple(n) + (F(-1) if st else F(0),), b) for (n, b), st in zip(rows, strict)]
+    lifted.append(((F(0),) * dim + (F(-1),), F(-1)))
+    res = solve_lp((F(0),) * dim + (F(1),), lifted, sense="max")
+    return res.status is LPStatus.OPTIMAL and res.value > 0
+
+
+def in_rows(rows, strict, z) -> bool:
+    """The row-by-row definition of a region."""
+    return all(dot(n, z) > b if st else dot(n, z) >= b for (n, b), st in zip(rows, strict))
+
+
+class TestRegion:
+    """``Region`` against its row-by-row definition on seeded regions in
+    dimensions 1 to 3."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_its_rows(self, seed):
+        rng = random.Random(1400 + seed)
+        halves = [Fraction(k, 2) for k in range(-4, 5)]
+        seen = {"empty": 0, "empty by strictness": 0, "nonempty": 0, "on a strict boundary": 0}
+        for _ in range(100):
+            dim = rng.randint(1, 3)
+            regions = []
+            for _ in range(2):
+                rows = random_rows(rng, dim, den=2)
+                strict = tuple(rng.random() < 0.5 for _ in rows)
+                regions.append((rows, strict, Region(Polyhedron(dim, rows), strict)))
+            (rows, strict, region), (rows2, strict2, other) = regions
+            both = region.intersect(other)
+            assert both.closure.rows == region.closure.rows + other.closure.rows
+            assert both.strict == strict + strict2
+            for rows, strict, region in [*regions, (rows + rows2, strict + strict2, both)]:
+                assert region.closure.rows == Polyhedron(dim, rows).rows
+                w = region.point()
+                assert (w is None) == region.is_empty == (not lp_nonempty(dim, rows, strict)), rows
+                assert w is None or in_rows(rows, strict, w)
+                assert region.closure.is_empty == (not lp_nonempty(dim, rows, (False,) * len(rows)))
+                for z in itertools.product(halves if dim < 3 else halves[::2], repeat=dim):
+                    assert region.contains(z) == in_rows(rows, strict, z)
+                    assert region.closure.contains(z) == in_rows(rows, (False,) * len(rows), z)
+                    seen["on a strict boundary"] += region.closure.contains(z) and not region.contains(z)
+                seen["empty" if region.is_empty else "nonempty"] += 1
+                seen["empty by strictness"] += region.is_empty and not region.closure.is_empty
+        assert min(seen.values()) >= 20, seen
+
+    def test_empty_only_through_strictness(self):
+        region = Region(Polyhedron(1, [((1,), 0), ((-1,), 0)]), (False, True))
+        assert region.is_empty and region.point() is None and not region.contains((0,))
+        assert not region.closure.is_empty and region.closure.contains((0,))
+        closed = Region.closed(region.closure)
+        assert closed.strict == (False, False) and closed.point() == (0,)

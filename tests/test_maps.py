@@ -706,7 +706,7 @@ class TestLeafGraph:
                 if leaf.graph_rows is None:
                     continue
                 domain = leaf.domain(n, 2)
-                for x in filter(leaf.contains_box, xs):
+                for x in filter(leaf.region.contains, xs):
                     cut = Polyhedron(2, [(a[n:], q - dot(a[:n], x)) for a, q in leaf.graph_rows])
                     value, graph_slice = f.evaluate(x), UpperSet(ORTHANT, pieces=[cut])
                     assert set_order_leq(value, graph_slice) and set_order_leq(graph_slice, value), (i, x)

@@ -18,7 +18,7 @@ from upperset.corpus import (
     random_convex_affine_maps,
 )
 from upperset.geometry import Cone, OrderConeError, Polyhedron, dual_cone, require_dual_direction
-from upperset.linalg import NEG_INF, POS_INF, ZERO, is_zero, scale_to_canonical, vec
+from upperset.linalg import NEG_INF, POS_INF, ZERO, dot, is_zero, scale_to_canonical, vec
 from upperset.maps import AffineBody, PiecewiseBody, SetValuedMap, constant_cone_body, constant_empty_body
 from upperset.scalarize import (
     DirectionBase,
@@ -559,9 +559,9 @@ class TestConePassCache:
             assert dd_passes == [], name
 
     def test_closures_under_one_cone_build_its_vform_once(self, dd_passes):
+        # Counted from the cone's construction, whose pass is its V-form.
         cone = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
         cone_rows = Polyhedron(3, [(n, 0) for n in cone.halfspaces])._int_rows
-        dd_passes.clear()
         upper_closure(point_polyhedron([1, 2, 3]), cone)
         upper_closure(Polyhedron.box([(0, 1), (-1, 1), (2, 3)]), cone)
         assert [rows for _, rows, _ in dd_passes].count(tuple(cone_rows)) == 1
@@ -665,20 +665,9 @@ class TestClosedFormsOnGuardTrees:
     the guard hyperplanes, +-inf included."""
 
     def test_match_pointwise_values_off_the_guards(self):
-        rng = random.Random(13)
-        directions = DirectionBase.default(ORTHANT, 4).directions
-        quarters = [Fraction(k, 4) for k in range(-12, 13)]
         trees, kinds = 0, Counter()
-        for i in range(400):
-            n = 1 + i % 2
-            body = random_guard_body(rng, n, 3)
-            f = SetValuedMap(n, ORTHANT, body)
-            forms = [piecewise_scalarization(f, u) for u in directions]
-            if forms[0] is None:
-                assert all(form is None for form in forms)
-                continue
+        for body, f, directions, forms, xs in seed13_closed_forms():
             trees += 1
-            xs = [(a,) for a in quarters] if n == 1 else list(itertools.product(quarters[::2], repeat=2))
             for x in xs:
                 if not _off_the_guards(body, x):
                     continue
@@ -689,11 +678,30 @@ class TestClosedFormsOnGuardTrees:
         assert trees >= 80
         assert set(kinds) == {"finite", "+inf", "-inf"} and sum(kinds.values()) >= 40000, kinds
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="at a guard boundary whose true leaf has no finite piece, the false "
-        "side's closed region claims the point (ROADMAP, Verified defects)",
-    )
+    def test_match_pointwise_values_at_the_integer_points(self):
+        # Every guard has integer coefficients, so guard hyperplanes pass
+        # through integer points; the reads there are included.
+        reads, on_guards = 0, 0
+        for body, f, directions, forms, xs in seed13_closed_forms():
+            for x in filter(_integral, xs):
+                on_guards += not _off_the_guards(body, x)
+                for u, phi in zip(directions, forms):
+                    assert phi(x) == scalarization_value(f, u, x), (x, u)
+                    reads += 1
+        assert reads == 13055 and on_guards >= 100, (reads, on_guards)
+
+    def test_regions_that_share_a_point_share_its_value(self):
+        # So a closed form's value does not depend on the order in which
+        # its pieces and -inf regions are read.
+        shared = 0
+        for _, _, _, forms, xs in seed13_closed_forms():
+            for phi, x in itertools.product(forms, filter(_integral, xs)):
+                values = [dot(p.coeffs, x) + p.const for p in phi.pieces if p.region.contains(x)]
+                values += [NEG_INF for r in phi.minus_inf_regions if r.contains(x)]
+                assert len(set(values)) <= 1, (x, values)
+                shared += len(values) > 1
+        assert shared >= 2, shared
+
     @pytest.mark.parametrize(
         "true_branch, value",
         [
@@ -708,6 +716,29 @@ class TestClosedFormsOnGuardTrees:
         f = SetValuedMap(1, ORTHANT, body)
         assert scalarization_value(f, (-1, -1), (F(0),)) == value
         assert piecewise_scalarization(f, (-1, -1))((F(0),)) == value
+
+
+def seed13_closed_forms():
+    """(body, map, directions, closed forms, grid) per seed-13 guard tree
+    with closed forms, in dimensions 1 and 2: quarters in [-3, 3] on the
+    line, halves in [-3, 3]^2 in the plane."""
+    rng = random.Random(13)
+    directions = DirectionBase.default(ORTHANT, 4).directions
+    quarters = [Fraction(k, 4) for k in range(-12, 13)]
+    for i in range(400):
+        n = 1 + i % 2
+        body = random_guard_body(rng, n, 3)
+        f = SetValuedMap(n, ORTHANT, body)
+        forms = [piecewise_scalarization(f, u) for u in directions]
+        if forms[0] is None:
+            assert all(form is None for form in forms)
+            continue
+        xs = [(a,) for a in quarters] if n == 1 else list(itertools.product(quarters[::2], repeat=2))
+        yield body, f, directions, forms, xs
+
+
+def _integral(x) -> bool:
+    return all(c.denominator == 1 for c in x)
 
 
 def seeded_point(rng: random.Random, dim: int, bound: int) -> tuple:

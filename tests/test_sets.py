@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upperset import sets
-from upperset.geometry import Cone, DimensionMismatch, Polyhedron, dual_cone
+from upperset.geometry import Cone, DimensionMismatch, Polyhedron, Region, dual_cone
 from test_geometry import recession_rays
 from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, vec
 from upperset.sets import (
@@ -245,8 +244,8 @@ def test_inf_and_sup_orders_take_the_one_piece_path(m, monkeypatch):
     # inf(A, B) <= A and A <= sup(A, B) are settled by one piece's
     # containment, with no strict-feasibility pass.
     passes = []
-    real = sets.strict_point
-    monkeypatch.setattr(sets, "strict_point", lambda *args: passes.append(args) or real(*args))
+    real = Region.point
+    monkeypatch.setattr(Region, "point", lambda *args: passes.append(args) or real(*args))
     cone = _orthant(m)
     rng = random.Random(1112 + m)
     for _ in range(20):
