@@ -24,9 +24,11 @@ read from the supports of each piece's region, with no LP.  Since (x0, 0)
 lies in dom f, phi(x0, 0) < +inf, so each base direction is "improper"
 (phi takes -inf somewhere), "unbounded" (the infimum at y = 0 is -inf) or
 "proper" (finite); the first two contribute the whole space.  For a proper
-direction the attained dual vector is read off the exact LP dual (the one
-LP left here, since it needs multipliers) and re-verified against the
-conjugate identity, and equality of the two sides is certified by support
+direction the attained dual vector is a Lagrange multiplier of y = 0 in
+the LP of the marginal value v: its dual program is posed and solved
+directly (the one LP left here; the primal is never solved, since v is
+known), its optimum must equal v, and the vector is re-verified against the
+conjugate identity.  Equality of the two sides is certified by support
 values on the direction base.  There is no sampled fallback: a map whose
 scalarizations have no closed form (a tilting normal or a scaled base) is
 refused with DualityError, by ``marginal_scalarization`` as by every other
@@ -40,7 +42,7 @@ from typing import Optional, Sequence
 
 from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
-from .linalg import ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
+from .linalg import ONE, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
 from .maps import SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
@@ -267,38 +269,44 @@ def fundamental_duality(
 def _attained_dual_vector(
     phi: PiecewiseLinearFn, n: int, p: int, value: Fraction
 ) -> Optional[Vec]:
-    """A vector y* with phi*(0, y*) = -value, from the exact LP dual.
+    """A vector y* with phi*(0, y*) = -value, from the exact dual program.
 
     The primal is min t over {(x, y, t) : t >= a_j.(x,y) + c_j on each
-    piece, its region's closure, y = 0}; the multipliers on the y = 0 rows
-    give the candidate, re-verified against the conjugate identity before a
-    few deterministic probes around it are tried.
+    piece, its region's closure, y = 0}, rows N w >= b in that order; its
+    optimal value is the marginal value, already known.  Only its dual is
+    solved: max b.lam s.t. N^T lam = e_t (each equality as a pair of rows),
+    lam >= 0.  Its optimum must equal value (strong duality); the
+    multipliers on the y = 0 rows give the candidate, re-verified against
+    the conjugate identity before a few deterministic probes around it are
+    tried.
     """
     rows: list[Constraint] = []
     dim = n + p + 1
     for piece in phi.pieces:
-        normal = tuple(-c for c in piece.coeffs) + (Fraction(1),)
+        normal = tuple(-c for c in piece.coeffs) + (ONE,)
         rows.append((normal, piece.const))
         for rn, rb in piece.region.closure.rows:
             rows.append((tuple(rn) + (ZERO,), rb))
     eq_start = len(rows)
     for k in range(p):
         e = [ZERO] * dim
-        e[n + k] = Fraction(1)
+        e[n + k] = ONE
         rows.append((tuple(e), ZERO))
-        e[n + k] = Fraction(-1)
+        e[n + k] = -ONE
         rows.append((tuple(e), ZERO))
-    obj = (ZERO,) * (n + p) + (Fraction(1),)
-    res = solve_lp(obj, rows, sense="min", want_dual=True)
-    if res.status is not LPStatus.OPTIMAL or res.dual is None:
+    m = len(rows)
+    dual_rows: list[Constraint] = []
+    for j in range(dim):
+        col = tuple(row[0][j] for row in rows)
+        c = ONE if j == dim - 1 else ZERO
+        dual_rows += [(col, c), (tuple(-x for x in col), -c)]
+    for i in range(m):
+        dual_rows.append((tuple(ONE if k == i else ZERO for k in range(m)), ZERO))
+    res = solve_lp(tuple(b for _, b in rows), dual_rows, sense="max")
+    if res.status is not LPStatus.OPTIMAL or res.value != value:
         return None
-    if res.value != value:
-        return None
-    candidate = []
-    for k in range(p):
-        lam_pos = res.dual[eq_start + 2 * k]
-        lam_neg = res.dual[eq_start + 2 * k + 1]
-        candidate.append(lam_pos - lam_neg)
+    lam = res.point
+    candidate = [lam[eq_start + 2 * k] - lam[eq_start + 2 * k + 1] for k in range(p)]
     for probe in _dual_probes(candidate):
         target = (ZERO,) * n + probe
         if scalar_conjugate(phi, target) == -value:

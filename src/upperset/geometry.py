@@ -15,7 +15,9 @@ halfspaces and is the b = 0 polyhedron of its halfspaces, built once per
 cone: membership and pointedness read that polyhedron, and the negative
 dual cone is built once and kept on the cone.
 Conversions between the two cone representations (``_cone_rays``) run by
-the same double description on the homogeneous rows.  No query here solves
+the same double description on the homogeneous rows; a cone built from
+rows (``from_halfspaces``, every dual cone) keeps that pass as its
+polyhedron's V-form when the pass added no lineality.  No query here solves
 an LP; the documented dimension cap is m <= 4.
 ``dist_sq`` finds the nearest point by the first row subset whose Gram
 system certifies it (nonpositive multipliers, a foot point inside P).
@@ -410,13 +412,10 @@ class Cone:
         dim = len(g[0])
         for x in g:
             _check_dim(dim, x)
-        g = [x for x in g if not is_zero(x)]
-        dual_rays = tuple(_cone_rays([tuple(-c for c in x) for x in g], dim)[0])
-        halfspaces = tuple(tuple(-c for c in r) for r in dual_rays)
-        cone = Cone._build(dim, tuple(scale_to_canonical(x) for x in g), halfspaces, True)
-        cone._dual = Cone._build(
-            dim, dual_rays, tuple(tuple(-c for c in x) for x in cone.generators), False
-        )
+        gens = tuple(scale_to_canonical(x) for x in g if not is_zero(x))
+        dual = Cone._of_rows(dim, tuple(tuple(-c for c in x) for x in gens), False)
+        cone = Cone._build(dim, gens, tuple(tuple(-c for c in r) for r in dual.generators), True)
+        cone._dual = dual
         return cone
 
     @staticmethod
@@ -428,12 +427,19 @@ class Cone:
             dim = len(ns[0])
         for x in ns:
             _check_dim(dim, x)
-        ns = [x for x in ns if not is_zero(x)]
-        gens, vf = _cone_rays(ns, dim)
-        cone = Cone._build(dim, tuple(gens), tuple(ns), True)
+        return Cone._of_rows(dim, tuple(x for x in ns if not is_zero(x)), True)
+
+    @staticmethod
+    def _of_rows(dim: int, halfspaces: Mat, require_proper: bool) -> "Cone":
+        """The cone of nonzero ``halfspaces``, its generators by ``_cone_rays``.
+        When that pass added no lineality rows it ran on the polyhedron's own
+        integer rows, in order, so the polyhedron keeps it as its V-form."""
+        gens, vf = _cone_rays(list(halfspaces), dim)
+        cone = Cone._build(dim, tuple(gens), halfspaces, require_proper)
         if vf is not None:
-            # The pass ran on the polyhedron's own integer rows, in order.
-            cone.polyhedron.__dict__.update(vform=vf, _int_rows=[_integer_row(n) + (0,) for n in ns])
+            cone.polyhedron.__dict__.update(
+                vform=vf, _int_rows=[_integer_row(n) + (0,) for n in halfspaces]
+            )
         return cone
 
     @staticmethod
@@ -474,8 +480,7 @@ def dual_cone(c: Cone) -> Cone:
     cone and kept on it."""
     dual = c.__dict__.get("_dual")
     if dual is None:
-        normals = tuple(tuple(-x for x in g) for g in c.generators)
-        dual = Cone._build(c.dim, tuple(_cone_rays(list(normals), c.dim)[0]), normals, False)
+        dual = Cone._of_rows(c.dim, tuple(tuple(-x for x in g) for g in c.generators), False)
         dual = c.__dict__.setdefault("_dual", dual)
     return dual
 

@@ -1,14 +1,14 @@
 """Exact rational linear programming.
 
-One caller is left: ``duality._attained_dual_vector`` reads an attained
-dual vector off the LP's multipliers (``want_dual``).  It stays until the
-epigraph of the marginal replaces it: a double-description read of y*
-keeps every check, but the benchmark cannot yet tell it apart from a
-peak-RSS regression, since its RSS reading counts the garbage that each
-pass's re-import leaves.  Base certification (``scalarize.certify_base``)
-reads the polar cone of the base off one double description instead, and
-every point the geometry returns is read off a V-form
-(``geometry.Polyhedron.lowest_point``), never off this solver.
+One caller is left: ``duality._attained_dual_vector`` poses the dual
+program of its marginal LP and reads an attained dual vector off its
+optimal point.  It stays until the epigraph of the marginal replaces it: a
+double-description read of y* keeps every check, but the benchmark cannot
+yet tell it apart from a peak-RSS regression, since its RSS reading counts
+the garbage that each pass's re-import leaves.  Base certification
+(``scalarize.certify_base``) reads the polar cone of the base off one
+double description instead, and every point the geometry returns is read
+off a V-form (``geometry.Polyhedron.lowest_point``), never off this solver.
 
 A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
 pivoting rule throughout, so runs terminate and are deterministic: the same
@@ -21,7 +21,7 @@ pivot row's nonzeros and updates the other rows over those columns alone.
 The reduced-cost row is computed once per phase and carried through each
 pivot as one more row.  Both skip only arithmetic whose exact result is
 already known, so every reduced cost and ratio equals the dense Bland
-tableau's, and the pivot sequence, vertex, ray and dual are exactly those a
+tableau's, and the pivot sequence, vertex and ray are exactly those a
 dense tableau would produce.
 
 Every tableau entry is a ``Fraction``, but the arithmetic runs on the
@@ -31,16 +31,14 @@ so each updated entry costs one Fraction and no operator dispatch, and the
 ratio test compares ``rhs / a`` by integer cross-multiplication without
 building the ratio.  Fraction normalizes what it is given, so every entry
 equals the one the Fraction operators would give, and the pivot sequence,
-vertex, ray and dual are still the dense Bland tableau's.
+vertex and ray are still the dense Bland tableau's.
 
 The public entry point solves
 
     maximize / minimize  c . z    subject to    n_i . z >= b_i
 
 with free variables z, reporting an exact optimum, an unbounded improving
-ray, or infeasibility.  Dual multipliers are computed on request by solving
-the dual program explicitly, which keeps them exact regardless of how the
-primal basis was reached.
+ray, or infeasibility.
 """
 
 from __future__ import annotations
@@ -62,17 +60,13 @@ class LPResult(NamedTuple):
     """Outcome of an exact LP solve.
 
     For OPTIMAL: ``value`` is the optimal objective in the requested sense and
-    ``point`` an optimal vertex.  When duals were requested, ``dual`` holds one
-    multiplier per input constraint with ``sum_i dual_i * n_i = c`` and
-    ``sum_i dual_i * b_i = value``; multipliers are >= 0 for minimization and
-    <= 0 for maximization (the natural signs for ``>=`` constraints).  For
-    UNBOUNDED, ``ray`` is a feasible direction improving the objective.
+    ``point`` an optimal vertex.  For UNBOUNDED, ``ray`` is a feasible
+    direction improving the objective.
     """
 
     status: LPStatus
     value: Ext | None = None
     point: Vec | None = None
-    dual: Vec | None = None
     ray: Vec | None = None
 
 
@@ -216,12 +210,7 @@ def _simplex_standard(
     return LPStatus.OPTIMAL, x
 
 
-def solve_lp(
-    objective,
-    constraints: list[Constraint],
-    sense: str = "max",
-    want_dual: bool = False,
-) -> LPResult:
+def solve_lp(objective, constraints: list[Constraint], sense: str = "max") -> LPResult:
     """Solve ``opt c.z  s.t.  n_i.z >= b_i`` with free z, exactly."""
     c_obj = vec(objective)
     dim = len(c_obj)
@@ -235,7 +224,7 @@ def solve_lp(
     m = len(cons)
     if m == 0:
         if all(x == 0 for x in c_obj):
-            return LPResult(LPStatus.OPTIMAL, ZERO, (ZERO,) * dim, () if want_dual else None)
+            return LPResult(LPStatus.OPTIMAL, ZERO, (ZERO,) * dim)
         ray = c_obj if negate else vec([-x for x in c_obj])
         return LPResult(LPStatus.UNBOUNDED, ray=ray)
 
@@ -261,34 +250,4 @@ def solve_lp(
         return LPResult(LPStatus.UNBOUNDED, ray=ray)
     assert xs is not None
     point = tuple(xs[j] - xs[dim + j] for j in range(dim))
-    value = dot(c_obj, point)
-    dual = _solve_dual(c_obj, cons, sense, value) if want_dual else None
-    return LPResult(LPStatus.OPTIMAL, value, point, dual)
-
-
-def _solve_dual(c_obj: Vec, cons: list[Constraint], sense: str, value: Fraction) -> Vec:
-    """Multipliers lam with sum lam_i n_i = c and sum lam_i b_i = value.
-
-    For a max primal over >= constraints the dual is
-    ``min b.lam  s.t.  N^T lam = c, lam <= 0``; for a min primal,
-    ``max b.lam  s.t.  N^T lam = c, lam >= 0``.  Strong duality guarantees
-    solvability whenever the primal had an optimum.
-    """
-    m = len(cons)
-    dim = len(c_obj)
-    rows: list[Constraint] = []
-    for j in range(dim):
-        col = vec([cons[i][0][j] for i in range(m)])
-        rows.append((col, c_obj[j]))
-        rows.append((vec([-x for x in col]), -c_obj[j]))
-    for i in range(m):
-        sign_row = [ZERO] * m
-        sign_row[i] = -ONE if sense == "max" else ONE
-        rows.append((tuple(sign_row), ZERO))
-    b_vec = vec([b for _, b in cons])
-    res = solve_lp(b_vec, rows, sense=("min" if sense == "max" else "max"))
-    if res.status is not LPStatus.OPTIMAL or res.value != value:
-        raise AssertionError("strong duality violated; exact solver bug")
-    assert res.point is not None
-    return res.point
-
+    return LPResult(LPStatus.OPTIMAL, dot(c_obj, point), point)

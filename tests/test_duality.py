@@ -1,23 +1,28 @@
 """Fundamental duality: the partial infimum, the exact regularity test, the
-refusal outside dom f, the closed-form route's imports and the report's JSON."""
+refusal outside dom f, the closed-form route's imports, the report's JSON,
+one LP per proper direction, and a seeded pin of reports and refusals with
+two named draws of it."""
 
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import upperset
-from upperset.conjugate import PiecewiseLinearFn
+from upperset import duality
+from upperset.conjugate import PiecewiseLinearFn, scalar_conjugate
 from upperset.continuity import CheckerConfig, check_scalar_semicontinuity
 from upperset.corpus import HALFLINE_1D, ORTHANT_2D, fixture_by_id, random_dual_pairs
 from upperset.duality import BivariateMap, DualityError, fundamental_duality, marginal_scalarization
 from upperset.geometry import Polyhedron, dual_cone
-from upperset.linalg import NEG_INF, POS_INF, ZERO, Ext, Vec, dot, vec
+from upperset.linalg import NEG_INF, ONE, POS_INF, ZERO, Ext, Vec, dot, vec
 from upperset.maps import AffineBody, SetValuedMap
 from upperset.scalarize import DirectionBase, piecewise_scalarization
 from upperset.verdict import Status
@@ -164,3 +169,83 @@ def test_report_json_writes_an_infinite_gap_as_a_string():
     report.gap_sq = POS_INF
     out = json.loads(json.dumps(report.to_json(), allow_nan=False))
     assert out["gap_sq"] == "+inf"
+
+
+def test_one_lp_per_proper_direction(lp_calls):
+    # The dual program is posed and solved directly: the primal's optimal
+    # value is the marginal value, known already, so no second LP runs.
+    report = fundamental_duality(fixture_by_id("abs-bivariate").map, (ZERO,))
+    proper = [row for row in report.support_table if row["status"] == "proper"]
+    assert proper
+    assert [caller for caller, _ in lp_calls] == ["_attained_dual_vector"] * len(proper)
+
+
+@lru_cache(maxsize=None)
+def seeded_draws() -> tuple[BivariateMap, ...]:
+    """200 admissible random bivariate maps, seed 1315; every fourth is over
+    the orthant."""
+    rng = random.Random(1315)
+    return tuple(admissible_bivariate(rng, ORTHANT_2D if k % 4 == 0 else HALFLINE_1D) for k in range(200))
+
+
+REFUSALS = {
+    "lies outside dom f": "outside the domain",
+    "regularity precondition violated": "regularity",
+    "scalar dual attainment failed": "attainment",
+}
+
+
+def _outcome(f: BivariateMap, x0: Vec):
+    """The report's JSON, or the kind of the refusal."""
+    try:
+        return fundamental_duality(f, x0).to_json()
+    except DualityError as e:
+        (kind,) = [kind for text, kind in REFUSALS.items() if text in str(e)]
+        return kind
+
+
+# First 16 hex digits of sha256(json.dumps(outcomes, sort_keys=True)).
+SEEDED_DUALITY_DIGEST = "fec2690aa01762af"
+
+
+def test_seeded_reports_and_refusals_are_pinned():
+    outcomes = [_outcome(f, vec([x])) for f in seeded_draws() for x in (-1, 0, 1)]
+    kinds = [o for o in outcomes if isinstance(o, str)]
+    assert len(kinds) < len(outcomes) and set(kinds) == set(REFUSALS.values())
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == SEEDED_DUALITY_DIGEST
+
+
+def test_a_probe_attains_where_the_lp_candidate_fails(monkeypatch):
+    # Draw 119: the dual program's multiplier y* = 0 misses the conjugate
+    # identity; the probe y* = 1 attains it.
+    f = seeded_draws()[119]
+    candidates = []
+    probes = duality._dual_probes
+
+    def recording(candidate):
+        candidates.append(tuple(candidate))
+        return probes(candidate)
+
+    monkeypatch.setattr(duality, "_dual_probes", recording)
+    for x in (-1, 0, 1):
+        report = fundamental_duality(f, vec([x]))
+        ((zs, ys),) = report.family.entries.items()
+        v = marginal_scalarization(f, zs, (ZERO,))
+        phi = piecewise_scalarization(f.map, zs)
+        assert scalar_conjugate(phi, (ZERO, ZERO)) != -v
+        assert ys == (ONE,) and scalar_conjugate(phi, (ZERO, ONE)) == -v
+    assert candidates == [(ZERO,)] * 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DualityError,
+    reason="ROADMAP direction 2: neither the dual program's multiplier nor a probe "
+    "attains the conjugate identity, though a proper polyhedral marginal is "
+    "subdifferentiable at 0 (Rockafellar 1970, Thm 23.10)",
+)
+@pytest.mark.parametrize("x", [-1, 0, 1])
+def test_every_proper_direction_of_draw_132_attains(x):
+    # It raises "scalar dual attainment failed" at every point.
+    fundamental_duality(seeded_draws()[132], vec([x]))

@@ -1164,8 +1164,9 @@ class TestHashedDirectionSupport:
 
 
 class TestConePassHandOver:
-    """A pointed cone from ``from_halfspaces`` keeps its construction pass
-    as its polyhedron's V-form: the pass ran on the same integer rows."""
+    """A pointed cone built from rows -- by ``from_halfspaces``, or a dual
+    cone -- keeps its construction pass as its polyhedron's V-form: the pass
+    ran on the same integer rows."""
 
     def test_wedge_runs_one_pass(self, dd_passes):
         wedge = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
@@ -1174,21 +1175,37 @@ class TestConePassHandOver:
         assert wedge.generators == ((0, 0, -1), (0, 1, 1), (1, 0, 1))
         assert wedge.halfspaces == ((1, 0, 0), (0, 1, 0), (1, 1, -1))
 
+    def test_wedge_interior_runs_one_pass(self, dd_passes):
+        # The dual's pass on the rows -g also serves as its polyhedron's.
+        wedge = Cone.from_halfspaces([[1, 0, 0], [0, 1, 0], [1, 1, -1]])
+        dd_passes.clear()
+        assert wedge.has_interior
+        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays"]
+        assert dual_cone(wedge).generators == ((-1, 0, 0), (0, -1, 0), (-1, -1, 1))
+
     @pytest.mark.parametrize("seed", range(2))
     def test_equal_to_a_fresh_pass(self, seed):
+        # Cones from both constructors and their duals; a cone from
+        # generators builds its own polyhedron when it is first read.
         rng = random.Random(1300 + seed)
-        seen = {"pointed": 0, "lineality": 0}
+        seen = {"pointed": 0, "lineality": 0, "from generators": 0}
         for _ in range(200):
             dim = rng.randint(1, 4)
-            try:
-                cone = Cone.from_halfspaces([n for n, _ in random_rows(rng, dim)], dim)
-            except OrderConeError:
-                continue
-            handed = "polyhedron" in cone.__dict__
-            fresh = Polyhedron(dim, [(n, 0) for n in cone.halfspaces])
-            assert handed == (not fresh.vform.lin) == cone.pointed
-            assert cone.polyhedron.vform == fresh.vform and cone.polyhedron._int_rows == fresh._int_rows
-            seen["pointed" if handed else "lineality"] += 1
+            normals = [n for n, _ in random_rows(rng, dim)]
+            cases = []
+            for from_rows in (True, False) if normals else (True,):
+                try:
+                    cone = Cone.from_halfspaces(normals, dim) if from_rows else Cone.from_generators(normals)
+                except OrderConeError:
+                    continue
+                cases += [(cone, from_rows), (dual_cone(cone), True)]
+            for cone, from_rows in cases:
+                handed = "polyhedron" in cone.__dict__
+                fresh = Polyhedron(dim, [(n, 0) for n in cone.halfspaces])
+                assert handed == (from_rows and not fresh.vform.lin)
+                assert cone.pointed == (not fresh.vform.lin)
+                assert cone.polyhedron.vform == fresh.vform and cone.polyhedron._int_rows == fresh._int_rows
+                seen["from generators" if not from_rows else "pointed" if handed else "lineality"] += 1
         assert min(seen.values()) >= 30, seen
 
 

@@ -82,6 +82,20 @@ def test_no_module_imports_a_private_name():
     assert imported == []
 
 
+def test_only_duality_imports_the_simplex():
+    # The LP solver's one caller is ``duality._attained_dual_vector``; every
+    # other question is answered by a double description.
+    importing = sorted(
+        module.name
+        for module in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "simplex" or node.module is None and any(a.name == "simplex" for a in node.names))
+        or isinstance(node, ast.Import) and any(a.name.endswith(".simplex") for a in node.names)
+    )
+    assert importing == ["duality.py"]
+
+
 def test_no_module_imports_dataclasses():
     # Each process pays the package import, and a dataclass generates and
     # compiles its methods' source while its module is imported: about

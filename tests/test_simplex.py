@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -18,6 +19,36 @@ from test_duality import admissible_bivariate
 
 def F(x):
     return Fraction(x)
+
+
+def dual_program(objective, cons, sense):
+    """The dual of ``opt c.z  s.t.  n_i.z >= b_i`` over free z, as the
+    arguments of ``solve_lp``: for a max primal ``min b.lam  s.t.
+    N^T lam = c, lam <= 0``, for a min primal ``max b.lam  s.t.
+    N^T lam = c, lam >= 0``; each equality is a pair of rows, then one sign
+    row per multiplier."""
+    c_obj = vec(objective)
+    cons = [(vec(n), Fraction(b)) for n, b in cons]
+    m = len(cons)
+    rows = []
+    for j in range(len(c_obj)):
+        col = vec([cons[i][0][j] for i in range(m)])
+        rows.append((col, c_obj[j]))
+        rows.append((vec([-x for x in col]), -c_obj[j]))
+    for i in range(m):
+        sign_row = [ZERO] * m
+        sign_row[i] = -ONE if sense == "max" else ONE
+        rows.append((tuple(sign_row), ZERO))
+    return vec([b for _, b in cons]), rows, ("min" if sense == "max" else "max")
+
+
+def solve_dual(objective, cons, sense, value):
+    """The dual program solved; strong duality makes it optimal with the
+    primal's optimal value, and its point holds the multipliers lam with
+    sum lam_i n_i = c and sum lam_i b_i = value."""
+    res = solve_lp(*dual_program(objective, cons, sense))
+    assert res.status is LPStatus.OPTIMAL and res.value == value, "strong duality violated"
+    return res
 
 
 class TestSolveLP:
@@ -61,9 +92,8 @@ class TestSolveLP:
     def test_no_constraints(self):
         res = solve_lp(vec([0, 0]), [], sense="max")
         assert res.status is LPStatus.OPTIMAL and res.value == 0
-        # The dual is set only when it was requested; with no rows it is empty.
-        assert res.dual is None
-        assert solve_lp(vec([0, 0]), [], sense="max", want_dual=True).dual == ()
+        # With no rows the dual has no multipliers.
+        assert solve_dual(vec([0, 0]), [], "max", res.value).point == ()
         res = solve_lp(vec([1, 0]), [], sense="min")
         assert res.status is LPStatus.UNBOUNDED
 
@@ -91,9 +121,9 @@ class TestDuality:
             (vec([0, 1]), F(0)),
         ]
         c = vec([3, 5])
-        res = solve_lp(c, cons, sense="max", want_dual=True)
+        res = solve_lp(c, cons, sense="max")
         assert res.status is LPStatus.OPTIMAL
-        lam = res.dual
+        lam = solve_dual(c, cons, "max", res.value).point
         assert lam is not None
         assert all(li <= 0 for li in lam)
         for j in range(2):
@@ -118,11 +148,11 @@ class TestDuality:
                 cons.append((vec(e), F(-10)))
             c = vec([rng.randint(-3, 3) for _ in range(dim)])
             sense = rng.choice(["max", "min"])
-            res = solve_lp(c, cons, sense=sense, want_dual=True)
+            res = solve_lp(c, cons, sense=sense)
             if res.status is not LPStatus.OPTIMAL:
                 assert res.status is LPStatus.INFEASIBLE
                 continue
-            lam = res.dual
+            lam = solve_dual(c, cons, sense, res.value).point
             assert lam is not None
             for j in range(dim):
                 assert sum(lam[i] * cons[i][0][j] for i in range(len(cons))) == c[j]
@@ -258,10 +288,26 @@ def _dense_simplex_standard(c, a, b, log):
     return LPStatus.OPTIMAL, x
 
 
+class Solved(NamedTuple):
+    """A primal's LPResult and, when requested and the primal is optimal,
+    its dual program's."""
+
+    primal: simplex.LPResult
+    dual: simplex.LPResult | None
+
+
+def _solve(objective, constraints, sense, want_dual) -> Solved:
+    primal = solve_lp(objective, constraints, sense=sense)
+    if not want_dual or primal.status is not LPStatus.OPTIMAL:
+        return Solved(primal, None)
+    return Solved(primal, solve_dual(objective, constraints, sense, primal.value))
+
+
 def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
     """solve_lp on the sparse kernel and on the dense reference, with the
-    (row, column) of every pivot each one made, the dual's solve included.
-    Every entry of the sparse tableau is a Fraction after each pivot."""
+    (row, column) of every pivot each one made, the dual program's solve
+    included.  Every entry of the sparse tableau is a Fraction after each
+    pivot."""
     sparse_log, dense_log = [], []
     sparse_pivot = simplex._pivot
 
@@ -272,14 +318,14 @@ def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_pivot", logged_pivot)
-        sparse = solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+        sparse = _solve(objective, constraints, sense, want_dual)
     with monkeypatch.context() as mp:
         mp.setattr(
             simplex,
             "_simplex_standard",
             lambda c, a, b: _dense_simplex_standard(c, a, b, dense_log),
         )
-        dense = solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+        dense = _solve(objective, constraints, sense, want_dual)
     return sparse, dense, sparse_log, dense_log
 
 
@@ -320,16 +366,17 @@ def _small_instances():
 
 
 def _duality_instances(monkeypatch):
-    """Every program ``duality._attained_dual_vector`` solves on the three
-    duality fixtures at 0 (abs-pair-2d on a 2-direction base, as its pinned
-    report) and on 30 seeded random bivariate maps at x0 in {-1, 0, 1}.
+    """Every program ``duality._attained_dual_vector`` solves, a dual
+    program, on the three duality fixtures at 0 (abs-pair-2d on a
+    2-direction base, as its pinned report) and on 30 seeded random
+    bivariate maps at x0 in {-1, 0, 1}.
     Points outside dom f, refusals and failed attainments still leave the
     programs solved before them."""
     calls = []
 
-    def recording(objective, constraints, sense="max", want_dual=False):
-        calls.append((objective, constraints, sense, want_dual))
-        return solve_lp(objective, constraints, sense=sense, want_dual=want_dual)
+    def recording(objective, constraints, sense="max"):
+        calls.append((objective, constraints, sense))
+        return solve_lp(objective, constraints, sense=sense)
 
     cases = []
     for fixture_id in ("abs-bivariate", "pl-profile", "abs-pair-2d"):
@@ -352,16 +399,15 @@ def _duality_instances(monkeypatch):
 class TestDenseReference:
     def test_duality_traffic_matches(self, monkeypatch):
         calls = _duality_instances(monkeypatch)
-        assert len(calls) >= 40 and max(len(rows) for _, rows, _, _ in calls) >= 30
+        assert len(calls) >= 40 and max(len(rows) for _, rows, _ in calls) >= 30
         optimal = 0
-        for objective, rows, sense, want_dual in calls:
-            assert want_dual
+        for objective, rows, sense in calls:
             sparse, dense, sparse_log, dense_log = _solve_both(
-                monkeypatch, objective, rows, sense, want_dual
+                monkeypatch, objective, rows, sense, False
             )
             assert sparse == dense
             assert sparse_log == dense_log
-            optimal += sparse.status is LPStatus.OPTIMAL
+            optimal += sparse.primal.status is LPStatus.OPTIMAL
         assert optimal >= 30
 
     def test_tall_degenerate_instances_match(self, monkeypatch):
@@ -372,7 +418,7 @@ class TestDenseReference:
             )
             assert sparse == dense
             assert sparse_log == dense_log
-            assert sparse.status is LPStatus.OPTIMAL
+            assert sparse.primal.status is LPStatus.OPTIMAL
             assert (sparse.dual is not None) == want_dual
 
     def test_small_instances_match(self, monkeypatch):
@@ -383,7 +429,7 @@ class TestDenseReference:
             )
             assert sparse == dense
             assert sparse_log == dense_log
-            seen.add((len(objective), sparse.status, sparse.dual is not None))
+            seen.add((len(objective), sparse.primal.status, sparse.dual is not None))
         for dim in (2, 3):
             for status in LPStatus:
                 assert (dim, status, False) in seen
@@ -399,5 +445,5 @@ class TestDenseReference:
     )
     def test_status_cases_match(self, monkeypatch, cons, sense, status):
         sparse, dense, sparse_log, dense_log = _solve_both(monkeypatch, vec([1, 2]), cons, sense, True)
-        assert sparse.status is status
+        assert sparse.primal.status is status
         assert sparse == dense and sparse_log == dense_log
