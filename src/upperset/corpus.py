@@ -14,7 +14,9 @@ continuity behavior each map is known for:
 * ``parabola-dilation``: dilations x . A of a parabola-bounded set; both
   lattice semicontinuity notions hold at x0 = 1 while both Hausdorff
   notions fail, because dilating a set with unbounded curvature displaces
-  far-out points beyond any fixed enlargement.
+  far-out points beyond any fixed enlargement.  Its base A is
+  ``sets.parabola_upper_set``, kept with the other oracles so that the map
+  schema in ``maps`` reads it without importing this module.
 * ``tilted-halfplane``: a halfspace whose normal tilts with x; every
   scalarization is upper semicontinuous at 0, yet lower continuity fails
   there, separating the scalar and set-valued notions.
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 from .duality import BivariateMap
 from .geometry import Cone, dual_cone
-from .linalg import POS_INF, ZERO, Ext, Vec, frac
+from .linalg import ZERO, Vec, frac
 from .maps import (
     AffineBody,
     AffineForm,
@@ -38,43 +40,11 @@ from .maps import (
     constant_cone_body,
     constant_empty_body,
 )
-from .sets import SupportOracle, UpperSet
+from .sets import parabola_upper_set
 
 ORTHANT_2D = Cone.from_generators([[1, 0], [0, 1]])
 RAY_CONE_2D = Cone.from_halfspaces([[1, 0], [-1, 0], [0, 1]])
 HALFLINE_1D = Cone.from_generators([[1]])
-
-
-class ParabolaOracle(SupportOracle):
-    """The upper closed set A + C for A = {z : z2 >= z1^2} and C the plane's
-    nonnegative orthant.
-
-    Support values are analytic: on directions (a, b) with b < 0 the
-    supremum of a z1 + b z2 over the parabola is -a^2 / (4 b); the boundary
-    directions with b = 0 are unbounded unless a = 0.  Membership is exact:
-    (p, q) belongs iff p >= 0 and q >= 0, or p < 0 and q >= p^2.
-    """
-
-    def support(self, u: Vec) -> Ext:
-        a, b = u
-        if a == 0 and b == 0:
-            return ZERO
-        if a > 0 or b > 0:
-            return POS_INF
-        if b == 0:
-            return ZERO if a == 0 else POS_INF
-        return -a * a / (4 * b)
-
-    def member(self, z: Vec) -> bool:
-        p, q = z
-        if p >= 0:
-            return q >= 0
-        return q >= p * p
-
-
-def parabola_upper_set(cone: Cone | None = None) -> UpperSet:
-    cone = cone or ORTHANT_2D
-    return UpperSet.from_oracle(cone, ParabolaOracle())
 
 
 class LabeledPoint(NamedTuple):
@@ -134,7 +104,7 @@ def orthant_halfline_fixture() -> Fixture:
 def parabola_dilation_fixture() -> Fixture:
     body = PiecewiseBody(
         guard=((Fraction(1),), ZERO),
-        when_true=ScaledBody(parabola_upper_set(), AffineForm.of([1], 0)),
+        when_true=ScaledBody(parabola_upper_set(ORTHANT_2D), AffineForm.of([1], 0)),
         when_false=constant_empty_body(1, 2),
     )
     f = SetValuedMap(1, ORTHANT_2D, body, name="parabola-dilation")

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .conjugate import PiecewiseLinearFn, scalar_conjugate
 from .geometry import Cone, Polyhedron
-from .linalg import ONE, ZERO, Constraint, Ext, Vec, dot, format_scalar, vec
+from .linalg import ONE, ZERO, Constraint, Ext, Vec, dot, format_scalar, to_json, vec
 from .maps import SetValuedMap
 from .scalarize import DirectionBase, piecewise_scalarization
 from .sets import UpperSet, hausdorff_sq_window, lattice_sup
@@ -129,21 +129,15 @@ class DualFamily:
 
     def to_json(self):
         return {
-            "entries": [
-                {
-                    "zstar": [format_scalar(c) for c in zs],
-                    "ystar": [format_scalar(c) for c in ys],
-                }
-                for zs, ys in self.entries.items()
-            ],
-            "properness": {
-                " ".join(format_scalar(c) for c in zs): status
-                for zs, status in self.properness.items()
-            },
+            "entries": [{"zstar": to_json(zs), "ystar": to_json(ys)} for zs, ys in self.entries.items()],
+            "properness": {" ".join(to_json(zs)): status for zs, status in self.properness.items()},
         }
 
 
 class DualityReport:
+    """The two sides, the dual family and the gap; the rows of
+    ``support_table`` hold exact values, which only ``to_json`` encodes."""
+
     def __init__(
         self,
         x0: Vec,
@@ -164,11 +158,11 @@ class DualityReport:
 
     def to_json(self):
         return {
-            "x0": [format_scalar(c) for c in self.x0],
+            "x0": to_json(self.x0),
             "family": self.family.to_json(),
-            "gap_sq": format_scalar(self.gap_sq),
+            "gap_sq": to_json(self.gap_sq),
             "regularity": self.regularity,
-            "support_table": self.support_table,
+            "support_table": to_json(self.support_table),
         }
 
 
@@ -216,7 +210,7 @@ def fundamental_duality(
     supports: list[tuple[Vec, Ext]] = []
     for zs in base.directions:
         phi = piecewise_scalarization(f.map, zs)
-        row: dict = {"zstar": [format_scalar(c) for c in zs]}
+        row: dict = {"zstar": zs}
         if phi.minus_inf_regions:
             family.properness[zs] = "improper"
             row["status"] = "improper"
@@ -241,14 +235,7 @@ def fundamental_duality(
         # negative conjugate's halfspace at ((0, y*), z*).
         halfspaces.append(UpperSet.from_supports(f.cone, [(zs, -v)]))
         supports.append((zs, -v))
-        row.update(
-            {
-                "status": "proper",
-                "ystar": [format_scalar(c) for c in ystar],
-                "marginal_value": format_scalar(v),
-                "conjugate_offset": format_scalar(-v),
-            }
-        )
+        row.update(status="proper", ystar=ystar, marginal_value=v, conjugate_offset=-v)
         support_table.append(row)
 
     lhs = UpperSet.from_supports(f.cone, supports)

@@ -521,6 +521,14 @@ class Polyhedron:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _of(dim: int, rows: tuple[Constraint, ...], int_rows: list[tuple[int, ...]]) -> "Polyhedron":
+        """Rows already normalized, stored as given with their integer rows."""
+        p = object.__new__(Polyhedron)
+        p.dim, p.rows = dim, rows
+        p.__dict__["_int_rows"] = int_rows
+        return p
+
+    @staticmethod
     def full(dim: int) -> "Polyhedron":
         return Polyhedron(dim, [])
 
@@ -784,9 +792,7 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise DimensionMismatch("intersection of unequal dimensions")
-        p = Polyhedron(self.dim, list(self.rows) + list(other.rows))
-        p.__dict__["_int_rows"] = self._int_rows + other._int_rows
-        return p
+        return Polyhedron._of(self.dim, self.rows + other.rows, self._int_rows + other._int_rows)
 
     def translate(self, v) -> "Polyhedron":
         t = vec(v)
@@ -926,8 +932,7 @@ def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ..
             for k in _bits(tight >> 1):
                 if k < len(gens):
                     masks[k] |= bit
-    p = Polyhedron(dim, out)
-    p.__dict__["_int_rows"] = int_rows
+    p = Polyhedron._of(dim, tuple(out), int_rows)
     full = (2 << len(out)) - 1
     # len(rows) == len(gens): no row came from ``lin``.
     if len(rows) == len(gens) and not vf.lin and full not in masks:

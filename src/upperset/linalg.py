@@ -15,6 +15,11 @@ cost of the type test in CPython 3.11.
 ``HashedVec`` is a Vec that keeps its hash, for points that key many
 cache reads and for directions read many times.
 
+Reports, verdicts and maps are re-checked through one exact JSON form:
+``to_json`` writes each Fraction or infinity as ``format_scalar`` does
+('3/7', '+inf') and each tuple as a list, and ``from_json`` reads such a
+list back as a tuple of exact scalars.
+
 This module holds exact scalars and vectors only.  Elimination (ranks,
 kernels, affine solves) is ``geometry``'s integer elimination.
 """
@@ -124,6 +129,8 @@ def format_scalar(x: Ext) -> str:
 
 
 def parse_scalar(s) -> Ext:
+    """The scalar that ``format_scalar`` wrote; an int or a string like
+    '0.25' reads exactly too."""
     if isinstance(s, str) and s in ("+inf", "inf"):
         return POS_INF
     if isinstance(s, str) and s == "-inf":
@@ -133,3 +140,24 @@ def parse_scalar(s) -> Ext:
             return s
         raise ValueError("floats are not accepted as rational input")
     return frac(s)
+
+
+def to_json(value):
+    """The exact JSON form of a value: a Fraction or +-inf as
+    ``format_scalar`` writes it, a tuple or list as a list, a dict value by
+    value; anything else (counts, flags, notes) passes through as it is."""
+    if isinstance(value, (Fraction, float)):
+        return format_scalar(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
+
+def from_json(data):
+    """The inverse of ``to_json`` on scalars and nested lists of them: a
+    list reads as a tuple, a scalar through ``parse_scalar``."""
+    if isinstance(data, list):
+        return tuple(from_json(v) for v in data)
+    return parse_scalar(data)

@@ -36,20 +36,8 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .geometry import Cone, Polyhedron, Region, dual_cone, project_out
-from .linalg import (
-    ZERO,
-    Constraint,
-    HashedVec,
-    Mat,
-    Vec,
-    dot,
-    format_scalar,
-    frac,
-    norm1,
-    parse_scalar,
-    vec,
-)
-from .sets import UpperSet, member, scale
+from .linalg import ZERO, Constraint, HashedVec, Mat, Vec, dot, frac, from_json, norm1, to_json, vec
+from .sets import ParabolaOracle, UpperSet, member, parabola_upper_set, scale
 from .verdict import Verdict, Witness
 
 
@@ -446,49 +434,37 @@ def _inner_point(p: Polyhedron) -> Optional[Vec]:
 
 
 # -- JSON fixture schema --------------------------------------------------------
+#
+# A map is its cone's generators, its domain dimension, an optional name and
+# its guard tree, one object per body tagged by "kind".  Every number goes
+# through ``linalg.to_json`` / ``from_json``, exact strings like "3/7".  A
+# scaled base is polyhedral, given by its pieces' rows, or the parabola of
+# ``sets.parabola_upper_set``; no other oracle has a JSON form.
 
 
 def body_to_json(body: Body):
     if isinstance(body, AffineBody):
         out = {
             "kind": "affine_halfspace",
-            "normals": [[format_scalar(c) for c in n] for n in body.normals],
-            "offsets": [format_scalar(b) for b in body.offsets],
-            "x_coeffs": [[format_scalar(c) for c in l] for l in body.x_coeffs],
+            "normals": to_json(body.normals),
+            "offsets": to_json(body.offsets),
+            "x_coeffs": to_json(body.x_coeffs),
         }
         if body.x_normals is not None:
-            out["x_normals"] = [
-                [[format_scalar(c) for c in v] for v in per_row] for per_row in body.x_normals
-            ]
+            out["x_normals"] = to_json(body.x_normals)
         return out
     if isinstance(body, ScaledBody):
-        if not body.base.is_polyhedral:
-            from .corpus import ParabolaOracle
-
-            if not isinstance(body.base.oracle, ParabolaOracle):
-                raise MapError(
-                    f"no JSON form for oracle {type(body.base.oracle).__name__}"
-                )
+        if body.base.is_polyhedral:
+            base = {"kind": "polyhedral", "pieces": to_json([p.rows for p in body.base.pieces])}
+        elif isinstance(body.base.oracle, ParabolaOracle):
             base = {"kind": "parabola"}
         else:
-            base = {
-                "kind": "polyhedral",
-                "pieces": [
-                    [[[format_scalar(c) for c in n], format_scalar(b)] for n, b in p.rows]
-                    for p in body.base.pieces
-                ],
-            }
-        return {
-            "kind": "scaled_base",
-            "base": base,
-            "alpha": {
-                "coeffs": [format_scalar(c) for c in body.alpha.coeffs],
-                "const": format_scalar(body.alpha.const),
-            },
-        }
+            raise MapError(f"no JSON form for oracle {type(body.base.oracle).__name__}")
+        alpha = {"coeffs": to_json(body.alpha.coeffs), "const": to_json(body.alpha.const)}
+        return {"kind": "scaled_base", "base": base, "alpha": alpha}
     return {
         "kind": "piecewise",
-        "guard": [[format_scalar(c) for c in body.guard[0]], format_scalar(body.guard[1])],
+        "guard": to_json(body.guard),
         "when_true": body_to_json(body.when_true),
         "when_false": body_to_json(body.when_false),
     }
@@ -497,57 +473,38 @@ def body_to_json(body: Body):
 def body_from_json(data, cone: Cone):
     kind = data["kind"]
     if kind == "affine_halfspace":
-        x_normals = None
-        if "x_normals" in data:
-            x_normals = tuple(
-                tuple(vec([parse_scalar(c) for c in v]) for v in per_row)
-                for per_row in data["x_normals"]
-            )
         return AffineBody(
-            normals=tuple(vec([parse_scalar(c) for c in n]) for n in data["normals"]),
-            offsets=vec([parse_scalar(b) for b in data["offsets"]]),
-            x_coeffs=tuple(vec([parse_scalar(c) for c in l]) for l in data["x_coeffs"]),
-            x_normals=x_normals,
+            normals=_rows(data["normals"]),
+            offsets=vec(from_json(data["offsets"])),
+            x_coeffs=_rows(data["x_coeffs"]),
+            x_normals=tuple(map(_rows, data["x_normals"])) if "x_normals" in data else None,
         )
     if kind == "scaled_base":
         base_data = data["base"]
         if base_data["kind"] == "parabola":
-            from .corpus import parabola_upper_set
-
             base = parabola_upper_set(cone)
         else:
-            pieces = [
-                Polyhedron(
-                    cone.dim,
-                    [(vec([parse_scalar(c) for c in n]), parse_scalar(b)) for n, b in rows],
-                )
-                for rows in base_data["pieces"]
-            ]
+            pieces = [Polyhedron(cone.dim, rows) for rows in from_json(base_data["pieces"])]
             base = UpperSet(cone, pieces=pieces)
-        alpha = AffineForm(
-            vec([parse_scalar(c) for c in data["alpha"]["coeffs"]]),
-            parse_scalar(data["alpha"]["const"]),
-        )
+        alpha = AffineForm.of(from_json(data["alpha"]["coeffs"]), from_json(data["alpha"]["const"]))
         return ScaledBody(base, alpha)
     if kind == "piecewise":
-        guard = (
-            vec([parse_scalar(c) for c in data["guard"][0]]),
-            parse_scalar(data["guard"][1]),
-        )
         return PiecewiseBody(
-            guard,
+            from_json(data["guard"]),
             body_from_json(data["when_true"], cone),
             body_from_json(data["when_false"], cone),
         )
     raise MapError(f"unknown body kind {kind!r}")
 
 
+def _rows(data) -> Mat:
+    """Rows of rationals: ``vec`` refuses an infinity that ``from_json`` reads."""
+    return tuple(map(vec, from_json(data)))
+
+
 def map_to_json(f: SetValuedMap):
     out = {
-        "cone": {
-            "dim": f.cone.dim,
-            "generators": [[format_scalar(c) for c in g] for g in f.cone.generators],
-        },
+        "cone": {"dim": f.cone.dim, "generators": to_json(f.cone.generators)},
         "domain_dim": f.domain_dim,
         "body": body_to_json(f.body),
     }
@@ -557,9 +514,7 @@ def map_to_json(f: SetValuedMap):
 
 
 def map_from_json(data) -> SetValuedMap:
-    cone = Cone.from_generators(
-        [vec([parse_scalar(c) for c in g]) for g in data["cone"]["generators"]]
-    )
+    cone = Cone.from_generators(from_json(data["cone"]["generators"]))
     body = body_from_json(data["body"], cone)
     return SetValuedMap(
         domain_dim=data["domain_dim"],

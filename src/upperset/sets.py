@@ -18,9 +18,11 @@ A convex value that is not polyhedral is a ``SupportOracle``: its support
 function on C^- and an exact membership test.  A closed convex set is
 determined by its support function (Rockafellar 1970, Thm 13.1), and these
 two are all that ``support``, ``member``, ``is_empty`` and ``scale`` read of
-such a value.  The lattice operations (order, infimum, supremum, Minkowski
-sum, window Hausdorff distance) accept polyhedral operands only and raise
-``ValueError`` on an oracle.
+such a value.  The oracles live here: ``ScaledOracle`` for t A, and
+``ParabolaOracle``, the one oracle a map's JSON can name
+(``parabola_upper_set``).  The lattice operations (order, infimum,
+supremum, Minkowski sum, window Hausdorff distance) accept polyhedral
+operands only and raise ``ValueError`` on an oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +61,39 @@ class ScaledOracle(SupportOracle):
 
     def member(self, z: Vec) -> bool:
         return self.inner.member(tuple(x / self.t for x in z))
+
+
+class ParabolaOracle(SupportOracle):
+    """The upper closed set A + C for A = {z : z2 >= z1^2} and C the plane's
+    nonnegative orthant.
+
+    Support values are analytic: on directions (a, b) with b < 0 the
+    supremum of a z1 + b z2 over the parabola is -a^2 / (4 b); the boundary
+    directions with b = 0 are unbounded unless a = 0.  Membership is exact:
+    (p, q) belongs iff p >= 0 and q >= 0, or p < 0 and q >= p^2.
+    """
+
+    def support(self, u: Vec) -> Ext:
+        a, b = u
+        if a == 0 and b == 0:
+            return ZERO
+        if a > 0 or b > 0:
+            return POS_INF
+        if b == 0:
+            return ZERO if a == 0 else POS_INF
+        return -a * a / (4 * b)
+
+    def member(self, z: Vec) -> bool:
+        p, q = z
+        if p >= 0:
+            return q >= 0
+        return q >= p * p
+
+
+def parabola_upper_set(cone: Cone) -> UpperSet:
+    """A + C of ``ParabolaOracle`` as a value over ``cone``, which is to be
+    the plane's nonnegative orthant."""
+    return UpperSet.from_oracle(cone, ParabolaOracle())
 
 
 class OrderResult:

@@ -6,7 +6,7 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Vec, format_scalar
+from .linalg import Vec, to_json
 
 
 class Status(enum.Enum):
@@ -25,18 +25,7 @@ class Witness(NamedTuple):
     detail: str = ""
 
     def to_json(self):
-        out = {}
-        if self.x is not None:
-            out["x"] = [format_scalar(v) for v in self.x]
-        if self.z is not None:
-            out["z"] = [format_scalar(v) for v in self.z]
-        if self.radius is not None:
-            out["radius"] = format_scalar(self.radius)
-        if self.direction is not None:
-            out["direction"] = [format_scalar(v) for v in self.direction]
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return _present(to_json(self._asdict()))
 
 
 class Verdict:
@@ -87,11 +76,12 @@ class Verdict:
         return self.status is not Status.INCONCLUSIVE
 
     def to_json(self):
-        out = {"status": self.status.value}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        if self.resolution is not None:
-            out["resolution"] = self.resolution
-        if self.note:
-            out["note"] = self.note
-        return out
+        witness = None if self.witness is None else self.witness.to_json()
+        return _present(
+            {"status": self.status.value, "witness": witness, "resolution": self.resolution, "note": self.note}
+        )
+
+
+def _present(fields: dict) -> dict:
+    """The fields that are set, in order: None and the empty note drop out."""
+    return {k: v for k, v in fields.items() if v is not None and v != ""}

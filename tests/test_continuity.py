@@ -14,6 +14,7 @@ from upperset import continuity
 from upperset.continuity import (
     MATRIX_KEYS,
     _Scan,
+    _box_misses_value,
     _broken_direction,
     _outside_probes,
     _scalar_bounds,
@@ -57,7 +58,7 @@ from upperset.maps import (
     graph_interior_witness,
 )
 from upperset.scalarize import DirectionBase
-from upperset.sets import UpperSet, member, set_order_leq, upper_closure
+from upperset.sets import UpperSet, member, parabola_upper_set, set_order_leq, upper_closure
 from upperset.verdict import Status, Verdict, Witness
 
 from test_scalarize import fresh_cone, on_cone, scalarize_eval
@@ -203,6 +204,23 @@ class TestOracleValues:
         f = SetValuedMap(1, cone, ScaledBody(orthant_oracle(cone), AffineForm.of([0], 1)))
         for check in (check_lc, check_uls, check_eff):
             assert check(f, (0,), TINY).status is Status.HOLDS, check.__name__
+
+    @pytest.mark.parametrize(
+        "box, misses",
+        [
+            # The centroid (0, 0) lies in the value.
+            ([(-1, 1), (-1, 1)], False),
+            # -z1 - z2 >= 8 on the box, against sigma = 1/4 in direction (-1, -1).
+            ([(-10, -9), (0, 1)], True),
+            # Below the parabola, z2 < z1^2, but no fan direction separates it.
+            ([(-3, Fraction(-29, 10)), (8, Fraction(42, 5))], None),
+        ],
+    )
+    def test_box_against_an_oracle_value(self, box, misses):
+        # The light fan of the parabola's upper set: its probes decide False,
+        # its separation loop True, and neither decides None.
+        fan = DirectionBase.default(ORTHANT_2D, 8, 10).directions
+        assert _box_misses_value(parabola_upper_set(ORTHANT_2D), Polyhedron.box(box), fan) is misses
 
 
 class TestRemainingLps:

@@ -894,6 +894,38 @@ class TestInheritedIntegerRows:
         assert min(seen.values()) >= 10, seen
 
 
+class TestDerivedRowsStoredAsGiven:
+    """``intersect`` and ``_hull`` hold their rows normalized already, with
+    their integer rows, so they store them as given: no ``__init__`` runs
+    ``vec`` and ``frac`` over them again."""
+
+    def test_no_constructor_pass(self, monkeypatch):
+        rng = random.Random(34)
+        inputs = []
+        while len(inputs) < 40:
+            dim = rng.randint(1, 3)
+            p, q = (Polyhedron(dim, random_rows(rng, dim, den=3)) for _ in range(2))
+            lifted = Polyhedron(dim + 1, random_rows(rng, dim + 1, den=3))
+            if not lifted.is_empty:
+                inputs.append((p, q, lifted, rng.randrange(dim + 1)))
+        inits = []
+        real = Polyhedron.__init__
+
+        def counting(self, dim, rows):
+            inits.append(dim)
+            real(self, dim, rows)
+
+        monkeypatch.setattr(Polyhedron, "__init__", counting)
+        built = [(p.intersect(q), project_out(lifted, [k])) for p, q, lifted, k in inputs]
+        assert inits == []
+        monkeypatch.undo()
+        for both in built:
+            for got in both:
+                fresh = Polyhedron(got.dim, got.rows)
+                assert got == fresh and got._int_rows == fresh_int_rows(fresh)
+                assert all(type(c) is Fraction for n, b in got.rows for c in (*n, b))
+
+
 class TestKernelOracle:
     """The shipped double-description kernel returns the reference pass's
     ``VForm``, order included."""

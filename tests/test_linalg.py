@@ -1,8 +1,12 @@
 """Rational vector helpers, and the exact linear solves of ``geometry``'s
 integer elimination."""
 
+import json
+
 import pytest
 from fractions import Fraction
+from hypothesis import given
+from hypothesis import strategies as st
 
 from upperset.geometry import _affine_point, _integer_row, _kernel, rank
 from upperset.linalg import (
@@ -11,9 +15,11 @@ from upperset.linalg import (
     dot,
     format_scalar,
     frac,
+    from_json,
     norm1,
     norm2_sq,
     parse_scalar,
+    to_json,
     vec,
     POS_INF,
     NEG_INF,
@@ -95,6 +101,22 @@ def test_scalar_formatting_round_trip():
     for x in (0.5, 0.0, float("nan")):
         with pytest.raises(ValueError):
             format_scalar(x)
+
+
+EXACT_SCALARS = st.fractions() | st.sampled_from([POS_INF, NEG_INF])
+NESTED_TUPLES = st.recursive(EXACT_SCALARS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=20)
+
+
+@given(NESTED_TUPLES)
+def test_json_codec_round_trip(x):
+    assert from_json(json.loads(json.dumps(to_json(x), allow_nan=False))) == x
+
+
+def test_json_codec_passes_other_values_through():
+    data = {"x": (Fraction(1, 2), POS_INF), "note": "held", "resolution": 3, "exact": True, "witness": None}
+    assert to_json(data) == {"x": ["1/2", "+inf"], "note": "held", "resolution": 3, "exact": True, "witness": None}
+    with pytest.raises(ValueError):
+        to_json([Fraction(1), 0.5])
 
 
 def test_vec_passes_fractions_through():

@@ -1,5 +1,6 @@
 """Set-valued map constructors: evaluation, convexity, graph interior, JSON."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -715,6 +716,43 @@ class TestLeafGraph:
         assert min(counts.values()) >= 300, counts
 
 
+# First 16 hex digits of sha256(json.dumps(map_to_json(f), sort_keys=True)),
+# one per builtin fixture map: the writer must keep every text
+# byte-identical, so that stored maps read back the same.
+FIXTURE_MAP_DIGESTS = {
+    "ray-translate": "339660c634534fcb",
+    "orthant-halfline": "018a27f310f8883e",
+    "parabola-dilation": "84b92306e40a6e32",
+    "tilted-halfplane": "8e82d5bc5a1c42c0",
+    "abs-bivariate": "96f769b2908f72cc",
+    "pl-profile": "e3cb343adf523e68",
+    "abs-pair-2d": "38534f0b52715afa",
+}
+# The same digest of the 50 seeded guard trees' sorted texts, joined by
+# newlines.
+SEEDED_TREES_DIGEST = "805779dc61dab9dc"
+
+
+def _seeded_tree_maps() -> list[SetValuedMap]:
+    """50 guard trees of depth 3, seed 34, alternately over R and R^2."""
+    rng = random.Random(34)
+    return [SetValuedMap(1 + i % 2, ORTHANT, random_guard_body(rng, 1 + i % 2, 3)) for i in range(50)]
+
+
+def _body_kinds(body) -> set[str]:
+    if isinstance(body, PiecewiseBody):
+        return {"guard"} | _body_kinds(body.when_true) | _body_kinds(body.when_false)
+    if isinstance(body, ScaledBody):
+        return {"multi-piece scaled" if len(body.base.pieces) > 1 else "scaled"}
+    if not any(map(any, body.normals)):
+        return {"empty"}
+    return {"affine" if body.fixed_normals else "tilting"}
+
+
+def _sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestJsonSchema:
     def test_round_trip(self):
         for f in (ray_translate_map(), halfline_domain_map(), tilted_halfplane_map()):
@@ -762,6 +800,41 @@ class TestJsonSchema:
         f = SetValuedMap(1, ORTHANT, ScaledBody(base, AffineForm.of([1], 0)))
         with pytest.raises(ValueError):
             map_to_json(f)
+
+    @pytest.mark.parametrize("key", ["normals", "offsets", "x_coeffs", "x_normals"])
+    def test_infinite_affine_entries_rejected(self, key):
+        data = map_to_json(tilted_halfplane_map())
+        body = data["body"]["when_false"]
+        body[key] = json.loads(json.dumps(body[key]).replace('"0"', '"+inf"').replace('"1"', '"+inf"'))
+        with pytest.raises(TypeError):
+            map_from_json(data)
+
+    @pytest.mark.parametrize("key", ["coeffs", "const"])
+    def test_infinite_scale_rejected(self, key):
+        data = map_to_json(parabola_dilation_fixture().map)
+        alpha = data["body"]["when_true"]["alpha"]
+        alpha[key] = ["+inf"] if key == "coeffs" else "+inf"
+        with pytest.raises(TypeError):
+            map_from_json(data)
+
+    def test_fixture_map_texts_are_pinned(self):
+        digests = {}
+        for fx in builtin_fixtures():
+            f = fx.map.map if isinstance(fx.map, BivariateMap) else fx.map
+            digests[fx.id] = _sha16(json.dumps(map_to_json(f), sort_keys=True))
+        assert digests == FIXTURE_MAP_DIGESTS
+
+    def test_seeded_tree_texts_are_pinned(self):
+        maps = _seeded_tree_maps()
+        kinds = set().union(*(_body_kinds(f.body) for f in maps))
+        assert kinds == {"guard", "affine", "tilting", "scaled", "multi-piece scaled", "empty"}
+        texts = [json.dumps(map_to_json(f), sort_keys=True) for f in maps]
+        assert _sha16("\n".join(texts)) == SEEDED_TREES_DIGEST
+
+    def test_seeded_trees_read_back_to_the_same_json(self):
+        for f in _seeded_tree_maps():
+            data = json.loads(json.dumps(map_to_json(f)))
+            assert map_to_json(map_from_json(data)) == data
 
 
 def ScaledBody_fixture():

@@ -96,6 +96,26 @@ def test_only_duality_imports_the_simplex():
     assert importing == ["duality.py"]
 
 
+# The one import inside a function: ``conjugate`` and ``scalarize`` import
+# each other, so ``conjugate`` reads ``scalarize`` when the function runs.
+# The set may only shrink.
+LOCAL_IMPORTS = {"conjugate.py: neg_conjugate_scalar_route: scalarize"}
+
+
+def test_no_function_imports_a_module():
+    # Every other dependency is a module-level import, so a module's first
+    # lines say what it depends on.
+    local = {
+        f"{module.name}: {fn.name}: {node.module or ''}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(module.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert local == LOCAL_IMPORTS
+
+
 def test_no_module_imports_dataclasses():
     # Each process pays the package import, and a dataclass generates and
     # compiles its methods' source while its module is imported: about
