@@ -173,7 +173,10 @@ def fundamental_duality(
 ) -> DualityReport:
     """Verifies f_X(0) = intersection of (-f*)((0, y*_{z*}), z*) over the
     proper directions of the base, with one attained y* per direction; the
-    gap of the two sides is measured on the box [-10, 10]^m.
+    gap of the two sides is ``hausdorff_sq_window`` on the box [-10, 10]^m.
+    Where the box holds every V-form point of a side and no recession
+    direction of it leaves the other, the box cannot change that side's
+    excess, and the gap reads the unwindowed excess of the side itself.
 
     Preconditions checked before running: (x0, 0) lies in dom f, and every
     scalarization of the slice f(x0, .) is upper semicontinuous at 0, which

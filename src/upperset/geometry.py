@@ -44,7 +44,9 @@ already, and an intersection's rows are its operands'.  ``support``,
 ``contains`` and ``dist_sq`` scale their argument to integers once, and
 ``excess_sq``, the one polyhedral sup-distance (of ``sets`` and of
 ``continuity``), hands each V-form point (z, t) to ``dist_sq``'s integer
-core as it stands; ``minimal_face_points`` and the cone rays read the tight
+core as it stands; given a window that holds every such point, it reads
+them off self's own V-form and builds no cut, since the cut could not
+change the sup; ``minimal_face_points`` and the cone rays read the tight
 rows from the masks and order their faces by a fraction-free rank test.  A
 Fraction is built only for a value that is returned.
 
@@ -738,24 +740,48 @@ class Polyhedron:
                     return Fraction(_idot(num, [resid[i] for i in subset]), det * k * k)
         raise AssertionError("no active set certifies the nearest point")
 
-    def excess_sq(self, other: "Polyhedron") -> tuple[Ext, Vec | None]:
-        """sup over z in self of ``other.dist_sq(z)``, exactly, with what
-        attains it: (0, None) when the sup is 0 (self empty or inside other).
+    def excess_sq(
+        self, other: "Polyhedron", window: "Polyhedron | None" = None
+    ) -> tuple[Ext, Vec | None]:
+        """sup over z in self (cut to ``window`` when one is given) of
+        ``other.dist_sq(z)``, exactly, with what attains it: (0, None) when
+        the sup is 0 (the cut empty or inside other).
 
         Self is conv(points) + cone(rays) + span(lineality) by its V-form.
         The sup is +inf, returned with the escaping direction, when a ray or
         a +- lineality vector d has n.d < 0 for a row n of ``other``: along
         d, z leaves that halfspace at a linear rate.  Otherwise every such d
         is a recession direction of ``other``, along which the distance to
-        the convex ``other`` does not grow, so the sup is the max over the
-        points, each read as it stands; the first point reaching it is
-        returned.
+        the convex ``other`` does not grow (along +-l it stays constant), so
+        the sup is the max over the points, each read as it stands; the
+        first point reaching it is returned.
+
+        A window changes nothing when it holds every V-form point and no
+        direction escapes: the sup over self is then attained at a point of
+        self's V-form, which lies in the cut, so the cut has the same sup
+        (Rockafellar 1970, Sec. 32), whether the window is bounded or not.
+        That case reads self's own V-form, in integers against the window's
+        rows, and returns a point of it as the witness.  Otherwise (a point
+        outside the window, or an escape that the window may stop) the cut
+        ``self.intersect(window)`` builds its own V-form and answers,
+        witness included: a point of the cut, or a recession direction of
+        the cut that leaves ``other``.
         """
         if self.dim != other.dim:
             raise DimensionMismatch("excess of unequal dimensions")
+        if window is not None:
+            # Checked before the rows meet the points, which zip would cut short.
+            if window.dim != self.dim:
+                raise DimensionMismatch("window of unequal dimension")
+            rows = window._int_rows
+            # The point z / t meets an integer row n + (b,) in n.z - b t, a
+            # positive multiple of its residual.
+            points = [g[:-1] + (-g[-1],) for g in self.vform.gens if g[-1]]
+            if not all(_idot(r, h) >= 0 for h in points for r in rows):
+                return self.intersect(window).excess_sq(other)
         d = self._escape(other._int_rows)
         if d is not None:
-            return POS_INF, d
+            return (POS_INF, d) if window is None else self.intersect(window).excess_sq(other)
         best, arg = ZERO, None
         for g in self.vform.gens:
             if g[-1]:

@@ -357,11 +357,14 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
     """sup over z in (a cut to window) of squared distance to b; exact for
     polyhedral representations with a convex ``b``, under any window.
 
-    It is the largest ``excess_sq`` value (its witness is not read here) of
-    a cut piece of ``a`` over ``b``: +inf when a recession direction of a cut
-    leaves ``b``, else the max over the cut's points.  The distance to a
-    union is a min of convex functions and may peak inside a piece, so ``b``
-    with several pieces is rejected.
+    It is the largest windowed ``excess_sq`` value (its witness is not read
+    here) of a piece of ``a`` over ``b``: +inf when a recession direction
+    of a cut leaves ``b``, else the max over the cut's points.  A piece
+    whose V-form points all lie in the window and none of whose recession
+    directions leaves ``b`` is read off its own V-form, with no cut built:
+    the cut could not change the sup.  The distance to a union is a min of
+    convex functions and may peak inside a piece, so ``b`` with several
+    pieces is rejected.
     """
     if a.pieces is None or b.pieces is None:
         raise ValueError("window Hausdorff requires polyhedral representations")
@@ -371,10 +374,15 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
         return ZERO
     if not b.pieces:
         return POS_INF
-    return max(pa.intersect(window).excess_sq(b.pieces[0])[0] for pa in a.pieces)
+    return max(pa.excess_sq(b.pieces[0], window)[0] for pa in a.pieces)
 
 
 def hausdorff_sq_window(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
+    """The windowed Hausdorff distance squared: the larger of sup over
+    a cut to ``window`` of dist(., b)^2 and sup over b cut to it of
+    dist(., a)^2, each by ``directed_hausdorff_sq``.  Each operand is then a
+    target, so both must be convex (at most one piece); +inf when exactly
+    one of them is empty."""
     return max(
         directed_hausdorff_sq(a, b, window), directed_hausdorff_sq(b, a, window)
     )

@@ -38,7 +38,7 @@ from upperset.linalg import (
     vec,
     zeros,
 )
-from upperset.sets import UpperSet, minkowski_sum, upper_closure
+from upperset.sets import UpperSet, hausdorff_sq_window, minkowski_sum, upper_closure
 from upperset.simplex import LPStatus, solve_lp
 
 from linalg_oracle import _row_reduce, nullspace, solve_affine
@@ -1060,7 +1060,9 @@ CUT_SIMPLEX = [((1, 1, 1), 1), ((-1, 0, 0), -4), ((0, -1, 0), -2), ((0, 0, -1), 
 
 class TestHullPassCounts:
     """A polyhedron that ``_hull`` returns reads its V-form without a second
-    pass; cones are built here, so no earlier test has warmed them."""
+    pass, and the window Hausdorff distance of two closures builds a cut's
+    V-form only where the window cuts a V-form point off; cones are built
+    here, so no earlier test has warmed them."""
 
     def test_closure_and_one_support_read(self, dd_passes):
         cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -1087,6 +1089,84 @@ class TestHullPassCounts:
         # {z1 >= 0, z2 >= -3, z1 + z2 <= 7}
         assert not q.is_empty and q.support((1, 1)) == 7
         assert [caller for caller, _, _ in dd_passes] == ["vform", "_hull"]
+
+    def _closures(self):
+        cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        # Closure vertices (0, 1, -1) and (4, 2, -5), (4, -6, 3), (-4, 2, 3).
+        a = upper_closure(Polyhedron.box([(0, 1), (1, 3), (-1, 2)]), cone)
+        b = upper_closure(Polyhedron(3, CUT_SIMPLEX), cone)
+        return a, b
+
+    @staticmethod
+    def cut_route(a, b, window):
+        return max(
+            pa.intersect(window).excess_sq(pb)[0]
+            for pa, pb in ((a.pieces[0], b.pieces[0]), (b.pieces[0], a.pieces[0]))
+        )
+
+    def test_window_holding_the_closures_runs_no_pass(self, dd_passes):
+        a, b = self._closures()
+        window = Polyhedron.box([(-10, 10)] * 3)
+        dd_passes.clear()
+        gap = hausdorff_sq_window(a, b, window)
+        assert dd_passes == []
+        # b's vertex (4, -6, 3) lies 7 below a's row z2 >= 1.
+        assert gap == self.cut_route(a, b, window) == 49
+
+    @pytest.mark.parametrize("low, cut_pieces", [(-2, 1), (0, 2)])
+    def test_window_cutting_a_vertex_runs_one_pass_per_cut_piece(self, dd_passes, low, cut_pieces):
+        # z3 >= -2 cuts b's vertex (4, 2, -5) off; z3 >= 0 also a's (0, 1, -1).
+        a, b = self._closures()
+        window = Polyhedron.box([(-10, 10), (-10, 10), (low, 10)])
+        dd_passes.clear()
+        gap = hausdorff_sq_window(a, b, window)
+        assert [caller for caller, _, _ in dd_passes] == ["vform"] * cut_pieces
+        assert gap == self.cut_route(a, b, window)
+
+
+class TestWindowedExcess:
+    """``excess_sq`` under a window answers as it does on the cut, and its
+    witness re-checks on the cut, whichever route it takes."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_cut(self, seed):
+        rng = random.Random(f"windowed-excess-{seed}")
+        seen = {"window holds every point": 0, "window cuts a point off": 0, "escape": 0,
+                "held, p escapes q": 0, "positive": 0, "zero": 0, "lineality": 0}
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            p = Polyhedron(dim, random_rows(rng, dim, den=2))
+            q = Polyhedron(dim, random_rows(rng, dim, den=2))
+            while q.is_empty:
+                q = Polyhedron(dim, random_rows(rng, dim, den=2))
+            if rng.random() < 0.6:
+                bounds = [(rng.randint(-6, 0), rng.randint(1, 6)) for _ in range(dim)]
+                window = Polyhedron.box(bounds)
+            else:
+                window = Polyhedron(dim, random_rows(rng, dim, den=2))
+            cut = p.intersect(window)
+            value, at = p.excess_sq(q, window)
+            assert value == cut.excess_sq(q)[0], (p.rows, q.rows, window.rows)
+            if value == POS_INF:
+                # A recession direction of the cut that leaves q.
+                assert all(dot(n, at) >= 0 for n, _ in cut.rows), at
+                assert any(dot(n, at) < 0 for n, _ in q.rows), at
+                seen["escape"] += 1
+            elif value:
+                assert cut.contains(at) and q.dist_sq(at) == value, at
+                seen["positive"] += 1
+            else:
+                assert at is None
+                seen["zero"] += 1
+            points = [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in p.vform.gens if g[-1]]
+            held = all(window.contains(z) for z in points)
+            seen["window holds every point" if held else "window cuts a point off"] += 1
+            # The window holds the points, but p recedes out of q: the cut answers.
+            seen["held, p escapes q"] += held and any(
+                dot(n, d) < 0 for d in recession_rays(p) for n, _ in q.rows
+            )
+            seen["lineality"] += bool(p.vform.lin)
+        assert min(seen.values()) >= 10, seen
 
 
 def support_contained_in(p, q):

@@ -342,6 +342,18 @@ class TestHausdorff:
         assert directed_hausdorff_sq(a, b, right) == 4
         assert directed_hausdorff_sq(b, a, strip) == 0
 
+    @pytest.mark.parametrize("window_dim", [1, 3])
+    def test_window_of_another_dimension_raises(self, window_dim):
+        # A box of the right dimension would hold the vertex (0, 0) and cut
+        # (9, 9) off, so both routes of the excess see the window.
+        b = translate_of_cone([2, -1])
+        window = Polyhedron.box([(-4, 4)] * window_dim)
+        for a in (translate_of_cone([0, 0]), translate_of_cone([9, 9])):
+            with pytest.raises(DimensionMismatch):
+                directed_hausdorff_sq(a, b, window)
+            with pytest.raises(DimensionMismatch):
+                hausdorff_sq_window(a, b, window)
+
 
 class TestMember:
     def test_trivial(self):
@@ -600,6 +612,11 @@ def face_point_excess(cut, pb):
     return max((pb.dist_sq(v) for v in cut.minimal_face_points), default=0)
 
 
+def vform_points(p):
+    """The points z / t of p's V-form generators (z, t) with t > 0."""
+    return [tuple(Fraction(x, g[-1]) for x in g[:-1]) for g in p.vform.gens if g[-1]]
+
+
 def escapes(cut, pb):
     """Whether a generator of the cut's recession cone leaves pb's
     halfspaces, read off ``_cone_rays``."""
@@ -634,10 +651,13 @@ def test_hausdorff_matches_the_face_point_route(m):
     direction escapes b, the face-point route's value otherwise, and its
     witness re-checks: a finite one is a point of the cut at that squared
     distance from b, an infinite one a recession direction of the cut that
-    leaves b.  The window Hausdorff excess is the largest of these values."""
+    leaves b.  The window Hausdorff excess is the largest of these values,
+    whether the window holds every V-form point of a piece (so that its own
+    V-form may answer) or cuts one off."""
     rng = random.Random(f"hausdorff-{m}")
     seen = {"multi-piece": 0, "empty cut": 0, "lineality": 0, "escape": 0,
-            "lineality escape": 0, "unbounded, finite": 0, "positive": 0}
+            "lineality escape": 0, "unbounded, finite": 0, "positive": 0,
+            "window holds every point": 0, "window cuts a point off": 0}
     for k in range(24):
         cone = HAUSDORFF_CONES["cylinder" if k % 3 == 2 else "orthant"](m)
         closures = [upper_closure(Polyhedron(m, rows), cone) for rows in _exactness_inputs(rng, m)]
@@ -671,6 +691,9 @@ def test_hausdorff_matches_the_face_point_route(m):
                 seen["empty cut"] += cut.is_empty
                 seen["positive"] += value > 0
             assert directed_hausdorff_sq(a, b, window) == max(values), (k, window.rows)
+            for pa in a.pieces:
+                held = all(window.contains(p) for p in vform_points(pa))
+                seen["window holds every point" if held else "window cuts a point off"] += 1
             seen["multi-piece"] += len(a.pieces) > 1
             seen["lineality"] += any(pa.vform.lin for pa in a.pieces + b.pieces)
     assert min(seen.values()) >= 5, seen
