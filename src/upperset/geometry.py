@@ -31,8 +31,15 @@ the eliminated coordinates dropped) are generator arithmetic on the V-forms
 followed by that one step, so both are exact in every dimension.  The
 same step hands over the V-form of its output when that is pointed and
 full-dimensional: the extreme generators are read off the dual pass's
-masks, so each V-form comes from one pass.  ``contained_in`` reads a
-support only for the rows of ``other`` that self does not carry itself.
+masks, so each V-form comes from one pass.  A sum of a pointed cone C and a
+nonempty, pointed, full-dimensional P (an upper closure cl(P + C)) runs no
+pass: ``_closure`` starts the dual cone from P's facet rows, whose masks
+P's own V-form holds, and adds only C's rows, one ``_cut`` step each (the
+row-insertion step of ``_double_description``), then hands over the V-form
+the same way; every other sum takes ``_hull``.  ``contained_in`` reads a
+support only for the rows of ``other`` that self does not carry itself,
+and ``recedes_along`` certifies P nonempty without a pass when every
+nonzero row is positive on a direction and no zero row fails.
 
 The hot queries run in Python ints.  Each polyhedron keeps its rows once as
 integer rows (a positive multiple of ``n + (b,)``), and the V-form keeps
@@ -66,8 +73,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import (
@@ -161,10 +168,11 @@ def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
     the rows in order.  A row nonzero on some lineality vector pivots it out:
     that vector, oriented into the row, becomes a ray, and the other
     lineality vectors and the rays are shifted onto the row's hyperplane.
-    Any other row keeps the rays it does not cut off and adds one ray on its
-    hyperplane for each adjacent pair of a ray it keeps strictly and one it
-    cuts off.  Adjacency is combinatorial: no third ray is tight on every row
-    that both rays are tight on.  The rays of K are the V-form's ``gens``.
+    Any other row is one ``_cut`` step: it keeps the rays it does not cut
+    off and adds one ray on its hyperplane for each adjacent pair of a ray
+    it keeps strictly and one it cuts off.  Adjacency is combinatorial: no
+    third ray is tight on every row that both rays are tight on.  The rays
+    of K are the V-form's ``gens``.
 
     Every vector is kept primitive (its entries divided by their gcd), which
     changes no ray's direction and keeps the arithmetic in Python ints.
@@ -199,47 +207,57 @@ def _double_description(rows: Sequence[tuple[int, ...]], dim: int) -> VForm:
             tight.append(bit - 1)
             continue
         # The first row pivots, so a ray is there from then on.
-        new_rays, new_tight, pos, neg = [], [], [], []
-        for r, m in zip(rays, tight):
-            v = sum(map(mul, a, r))
-            if v > 0:
-                new_rays.append(r)
-                new_tight.append(m)
-                pos.append((v, r, m))
-            elif v < 0:
-                neg.append((v, r, m))
-            else:
-                new_rays.append(r)
-                new_tight.append(m | bit)
-        if not neg:
-            tight = new_tight
-            continue
-        # Two rays are adjacent only if they share enough tight rows for
-        # their common face to be 2-dimensional modulo the lineality.
-        need = dim - 1 - len(lin)
-        for vp, rp, mp in pos:
-            for vq, rq, mq in neg:
-                common = mp & mq
-                if common.bit_count() < need:
-                    continue
-                # p and q contain their common rows; a third mask that does
-                # too makes them non-adjacent.
-                count = 0
-                for m in tight:
-                    if m & common == common:
-                        count += 1
-                        if count > 2:
-                            break
-                else:
-                    w = [vp * y - vq * x for x, y in zip(rp, rq)]
-                    g = gcd(*w)
-                    new_rays.append(tuple(x // g for x in w) if g > 1 else tuple(w))
-                    new_tight.append(common | bit)
-        rays, tight = new_rays, new_tight
+        rays, tight = _cut(rays, tight, a, bit, dim - 1 - len(lin))
         if not any(r[-1] for r in rays):
             # K lies in t = 0 from here on: P is empty.
             return VForm([], [], [])
     return VForm(rays, tight, lin)
+
+
+def _cut(
+    rays: list[tuple[int, ...]], tight: list[int], a: tuple[int, ...], bit: int, need: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """One row-insertion step of the double description on the pointed part
+    cone(rays): the row a.r >= 0, whose tight rays get ``bit``.  It keeps the
+    rays the row does not cut off and adds one ray on its hyperplane for
+    each adjacent pair of a ray it keeps strictly and one it cuts off.
+    Adjacency is combinatorial: the two rays share at least ``need`` tight
+    rows and no third ray is tight on every row that both are tight on.
+    Returns the new rays and their masks."""
+    gcd = math.gcd
+    new_rays, new_tight, pos, neg = [], [], [], []
+    for r, m in zip(rays, tight):
+        v = sum(map(mul, a, r))
+        if v > 0:
+            new_rays.append(r)
+            new_tight.append(m)
+            pos.append((v, r, m))
+        elif v < 0:
+            neg.append((v, r, m))
+        else:
+            new_rays.append(r)
+            new_tight.append(m | bit)
+    # Two rays are adjacent only if they share enough tight rows for
+    # their common face to be 2-dimensional modulo the lineality.
+    for vp, rp, mp in pos:
+        for vq, rq, mq in neg:
+            common = mp & mq
+            if common.bit_count() < need:
+                continue
+            # p and q contain their common rows; a third mask that does
+            # too makes them non-adjacent.
+            count = 0
+            for m in tight:
+                if m & common == common:
+                    count += 1
+                    if count > 2:
+                        break
+            else:
+                w = [vp * y - vq * x for x, y in zip(rp, rq)]
+                g = gcd(*w)
+                new_rays.append(tuple(x // g for x in w) if g > 1 else tuple(w))
+                new_tight.append(common | bit)
+    return new_rays, new_tight
 
 
 def _scaled(a: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -462,6 +480,11 @@ class Cone:
         """The cone as the polyhedron ``{z : n.z >= 0}`` of its halfspaces."""
         return Polyhedron(self.dim, [(n, ZERO) for n in self.halfspaces])
 
+    @cached_property
+    def generator_sum(self) -> tuple[int, ...]:
+        """The sum of the generators, each scaled to integers by ``_integer_row``."""
+        return tuple(map(sum, zip((0,) * self.dim, *map(_integer_row, self.generators))))
+
     @property
     def pointed(self) -> bool:
         return not self.polyhedron.vform.lin
@@ -580,6 +603,16 @@ class Polyhedron:
     @property
     def is_empty(self) -> bool:
         return not self.vform.gens
+
+    def recedes_along(self, c: Sequence[int]) -> bool:
+        """Whether every nonzero row n.z >= b has n.c > 0 and every zero row
+        has b <= 0, for an integer direction c.  Then z + t c lies in P for
+        every z and all large t, so P is nonempty, read without a pass."""
+        # zip stops at c's end, so _idot(r, c) is n.c.
+        return all(
+            (v := _idot(r, c)) > 0 or not v and r[-1] <= 0 and not any(r[:-1])
+            for r in self._int_rows
+        )
 
     def contains(self, z) -> bool:
         v = vec(z)
@@ -834,16 +867,31 @@ class Polyhedron:
 
     def __add__(self, other: "Polyhedron") -> "Polyhedron":
         """The Minkowski sum: each point p + q, the rays and the lineality of
-        both, read back as facets by ``_hull``."""
+        both, read back as facets.  When one operand is a cone (its V-form
+        the origin and rays, no lineality) and the other, P, is nonempty and
+        pointed with no row tight on every generator (so full-dimensional),
+        ``_closure`` adds the cone's rows to P's own facets by no pass; any
+        other pair runs the ``_hull`` pass on the generators.  Both give the
+        same rows as a set, and the same handed-over V-form."""
         if self.dim != other.dim:
             raise DimensionMismatch("Minkowski sum of unequal dimensions")
         a, b = self.vform, other.vform
+        rays = [g for g in a.gens + b.gens if not g[-1]]
+        origin = [(0,) * self.dim + (1,)]
+        for p, c in ((self, b), (other, a)):
+            v = p.vform
+            if (
+                not c.lin and [g for g in c.gens if g[-1]] == origin
+                and v.gens and not v.lin and not reduce(and_, v.tight) >> 1
+            ):
+                # Each point p + 0 is p's own.
+                points = [g for g in v.gens if g[-1]]
+                return _closure(p, [g for g in c.gens if not g[-1]], rays + points)
         points = [
             tuple(x * h[-1] + y * g[-1] for x, y in zip(g[:-1], h[:-1])) + (g[-1] * h[-1],)
             for g in a.gens if g[-1]
             for h in b.gens if h[-1]
         ]
-        rays = [g for g in a.gens + b.gens if not g[-1]]
         # Rays first: a cone's few rays cut the dual cone down early, which
         # keeps the pass over the many points smaller.
         return _hull(self.dim, rays + points, a.lin + b.lin)
@@ -943,10 +991,22 @@ def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ..
     vf = _double_description(rows, dim + 1)
     facets = [(g[:-1], m) for g, m in zip(vf.gens, vf.tight) if not g[-1]]
     facets += [(c, 0) for l in vf.lin for c in (l[:-1], tuple(-x for x in l[:-1]))]
+    # len(rows) == len(gens): no row came from ``lin``.
+    return _of_facets(dim, gens, facets, len(rows) == len(gens) and not vf.lin)
+
+
+def _of_facets(
+    dim: int, gens: list[tuple[int, ...]], facets: Iterable[tuple[tuple[int, ...], int]], pointed: bool
+) -> Polyhedron:
+    """The polyhedron of the facets (n, s), each the row n.z >= -s with the
+    mask of the generators tight on it (bit k + 1 for ``gens[k]``); n = 0
+    is dropped.  When ``pointed`` (the dual cone has no lineality and no
+    generator came from one) and no generator is tight on every row, the
+    V-form is handed over (see ``_hull``)."""
     out, int_rows = [], []
     # masks[k] is generator k's V-form mask over the output rows: bit 0 when
-    # t = 0, and bit j + 1 when row j is tight on it, which the dual pass
-    # records as bit k + 1 of facet j's mask.
+    # t = 0, and bit j + 1 when row j is tight on it, which is bit k + 1 of
+    # facet j's mask.
     masks = [0 if g[-1] else 1 for g in gens]
     for f, tight in facets:
         m = max((abs(x) for x in f[:-1]), default=0)
@@ -959,15 +1019,52 @@ def _hull(dim: int, gens: Iterable[tuple[int, ...]], lin: Iterable[tuple[int, ..
                 if k < len(gens):
                     masks[k] |= bit
     p = Polyhedron._of(dim, tuple(out), int_rows)
-    full = (2 << len(out)) - 1
-    # len(rows) == len(gens): no row came from ``lin``.
-    if len(rows) == len(gens) and not vf.lin and full not in masks:
+    if pointed and (2 << len(out)) - 1 not in masks:
         extreme = [
             k for k, mk in enumerate(masks)
             if not any(m & mk == mk and m != mk for m in masks)
         ]
         p.__dict__["vform"] = VForm([gens[k] for k in extreme], [masks[k] for k in extreme], [])
     return p
+
+
+def _closure(p: Polyhedron, cone_rays: list[tuple[int, ...]], gens: list[tuple[int, ...]]) -> Polyhedron:
+    """cl(P + C) for P pointed and full-dimensional and C = cone(cone_rays),
+    from P's own double description; ``gens`` are the sum's generators.
+
+    The valid inequalities n.z >= b of P, as vectors (n, -b), form the cone
+    D generated by P's facet rows and (0, 1), the row 0 >= -1 (the affine
+    Farkas lemma).  D is the dual of P's homogenized cone, so its tight
+    masks are P's V-form masks, transposed, and as P is full-dimensional a
+    row is a facet iff its tight set lies strictly inside no other row's.
+    The facets of P + C are the extreme rays of D left after one ``_cut``
+    step per generator g of C for the row n.g >= 0, the row that the dual
+    pass of ``_hull`` holds for g.  The steps start from the facet rows alone:
+    (0, 1) lies on every hyperplane n.g = 0, so no step cuts it or pairs
+    it, and it never alone keeps two rays from counting as adjacent (a face
+    in which they are not adjacent has at least two more extreme rays);
+    with n = 0 it is no row of the output.
+    """
+    gens = list(dict.fromkeys(gens))
+    bits = {g: 2 << k for k, g in enumerate(gens)}
+    # masks[i] is row i's; bit 0 is the dual pass's homogenizing row, tight
+    # on every facet.
+    masks = [1] * len(p._int_rows)
+    for g, m in zip(p.vform.gens, p.vform.tight):
+        for i in _bits(m >> 1):
+            masks[i] |= bits[g]
+    # Equal primitive rows have equal masks.
+    rows = {_primitive(r[:-1] + (-r[-1],)): m for r, m in zip(p._int_rows, masks)}
+    rays = [
+        f for f, m in rows.items()
+        if any(f[:-1]) and not any(o & m == m and o != m for o in rows.values())
+    ]
+    tight = [rows[f] for f in rays]
+    # The dual pass runs in dimension dim + 2, so a 2-face of its cone is
+    # tight on dim rows or more, bit 0 among them.
+    for g in cone_rays:
+        rays, tight = _cut(rays, tight, g, bits[g], p.dim)
+    return _of_facets(p.dim, gens, zip(rays, tight), True)
 
 
 def project_out(p: Polyhedron, coords: list[int]) -> Polyhedron:

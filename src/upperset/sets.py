@@ -10,7 +10,14 @@ The lattice is kept exactly for finite closed unions of H-polyhedra whose row
 normals n all satisfy n.g >= 0 for every generator g of C (so each piece is
 upper closed by construction).  Closed unions of finitely many closed
 polyhedra need no extra closure operator, which is why the infimum below is
-a plain union of pieces.  The order is exact on such unions too: a piece of
+a plain union of pieces.  An ``UpperSet`` keeps only nonempty pieces.  A
+piece whose nonzero rows are all positive on c, the sum of the cone's
+integer generators, and none of whose zero rows has b > 0 holds t c for
+large t, so it is kept without a double-description pass
+(``Polyhedron.recedes_along``).  Under a cone with interior, c lies in
+the interior, so this covers every piece upper closed by its rows, and
+``lattice_sup`` of closures runs no pass.  Any other piece is read by its
+pass.  The order is exact on such unions too: a piece of
 one set lies in the union of the other's pieces unless a cell of it cut by
 their rows violated strictly (a ``geometry.Region``) escapes every piece.
 
@@ -129,7 +136,10 @@ class UpperSet:
             for p in pieces:
                 if p.dim != cone.dim:
                     raise DimensionMismatch("piece dimension differs from cone")
-            self.pieces: Optional[tuple[Polyhedron, ...]] = tuple(p for p in pieces if not p.is_empty)
+            c = cone.generator_sum
+            self.pieces: Optional[tuple[Polyhedron, ...]] = tuple(
+                p for p in pieces if p.recedes_along(c) or not p.is_empty
+            )
             self.oracle = None
         else:
             self.pieces = None
@@ -214,7 +224,11 @@ class UpperSet:
 
 def upper_closure(p: Polyhedron, cone: Cone) -> UpperSet:
     """cl(P + C) as an exact polyhedral upper set: the Minkowski sum of P
-    and the cone's polyhedron."""
+    and the cone's polyhedron.  For a pointed cone and a nonempty, pointed,
+    full-dimensional P, the sum adds the cone's rows to P's facets by no
+    double-description pass; any other P (empty, lower-dimensional, with
+    lineality) or a cone with lineality takes one pass on the generators
+    of the sum (``Polyhedron.__add__``)."""
     if p.dim != cone.dim:
         raise DimensionMismatch("polyhedron and cone dimensions differ")
     return UpperSet(cone, pieces=[p + cone.polyhedron])
@@ -364,12 +378,15 @@ def directed_hausdorff_sq(a: UpperSet, b: UpperSet, window: Polyhedron) -> Ext:
     directions leaves ``b`` is read off its own V-form, with no cut built:
     the cut could not change the sup.  The distance to a union is a min of
     convex functions and may peak inside a piece, so ``b`` with several
-    pieces is rejected.
+    pieces is rejected.  A window of another dimension raises
+    ``DimensionMismatch``, an empty operand's too.
     """
     if a.pieces is None or b.pieces is None:
         raise ValueError("window Hausdorff requires polyhedral representations")
     if len(b.pieces) > 1:
         raise ValueError("window Hausdorff restricted to a convex target")
+    if window.dim != a.cone.dim:
+        raise DimensionMismatch("window of unequal dimension")
     if not a.pieces:
         return ZERO
     if not b.pieces:

@@ -18,6 +18,7 @@ from upperset.geometry import (
     _affine_point,
     _cone_rays,
     _double_description,
+    _hull,
     _idot,
     _integer_row,
     _kernel,
@@ -1053,6 +1054,93 @@ class TestHullHandsOverItsVForm:
         assert min(seen.values()) >= 25, seen
 
 
+def hull_route(p, q):
+    """p + q by one ``_hull`` pass on the generators: the pairwise sums of
+    the points, the rays and the lineality of both."""
+    a, b = p.vform, q.vform
+    points = [
+        tuple(x * h[-1] + y * g[-1] for x, y in zip(g[:-1], h[:-1])) + (g[-1] * h[-1],)
+        for g in a.gens if g[-1]
+        for h in b.gens if h[-1]
+    ]
+    rays = [g for g in a.gens + b.gens if not g[-1]]
+    return _hull(p.dim, rays + points, a.lin + b.lin)
+
+
+def pointed_cone(q):
+    """Whether q is a pointed cone with apex 0: its one minimal face is the
+    origin."""
+    return not q.vform.lin and q.minimal_face_points == [zeros(q.dim)]
+
+
+def full_pointed(q):
+    """Whether q is nonempty, pointed and full-dimensional, with no row
+    0 >= 0, which is tight on every point."""
+    trivial = (0,) * (q.dim + 1) in q._int_rows
+    return not q.is_empty and not q.vform.lin and q.affine_dim == q.dim and not trivial
+
+
+class TestClosureRoute:
+    """A cone plus a nonempty, pointed, full-dimensional polyhedron P reads
+    its facets off P's own double description, equal as a set to the
+    ``_hull`` route's, and hands over the V-form a fresh pass gives; every
+    other sum of a cone and a polyhedron takes the ``_hull`` route."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_the_hull_route(self, seed, monkeypatch):
+        rng = random.Random(f"closure-route-{seed}")
+        routes = []
+        for name in ("_closure", "_hull"):
+            real = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda *a, real=real, name=name: routes.append(name) or real(*a))
+        seen = {"closure": 0, "unbounded": 0, "redundant rows": 0, "duplicate rows": 0,
+                "empty": 0, "lower-dimensional": 0, "lineality": 0, "cone lineality": 0,
+                "row 0 >= 0": 0}
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            rows = random_rows(rng, dim, den=2)
+            if rng.random() < 0.5:
+                rows += Polyhedron.box([(-2, 2)] * dim).rows
+            p = Polyhedron(dim, rows)
+            gens = [random_vec(rng, dim, -1, 2) for _ in range(rng.randint(1, dim + 1))]
+            if rng.random() < 0.2:
+                e = (1,) + (0,) * (dim - 1)
+                gens += [e, vscale(-1, e)]
+            try:
+                cone = Cone.from_generators(gens)
+            except OrderConeError:
+                continue
+            # Either operand order; p itself may be the cone of the two.
+            pair = (p, cone.polyhedron) if rng.random() < 0.5 else (cone.polyhedron, p)
+            closure = any(pointed_cone(c) and full_pointed(q) for q, c in (pair, pair[::-1]))
+            routes.clear()
+            got = pair[0] + pair[1]
+            assert routes == ["_closure" if closure else "_hull"], (rows, gens)
+            assert set(got._int_rows) == set(hull_route(*pair)._int_rows), (rows, gens)
+            if closure:
+                p = pair[0] if pointed_cone(pair[1]) and full_pointed(pair[0]) else pair[1]
+                handed = got.__dict__.get("vform")
+                fresh = _double_description(got._int_rows, dim)
+                # Held back only when the sum has lineality.
+                assert (handed is None) == bool(fresh.lin), (rows, gens)
+                if handed is not None:
+                    assert set(zip(handed.gens, handed.tight)) == set(zip(fresh.gens, fresh.tight))
+                    assert len(handed.gens) == len(fresh.gens) and handed.lin == []
+                facets = _hull(dim, p.vform.gens, []).rows
+                seen["closure"] += 1
+                seen["unbounded"] += any(not g[-1] for g in p.vform.gens)
+                seen["redundant rows"] += len(facets) < len(set(p._int_rows))
+                seen["duplicate rows"] += len(set(p._int_rows)) < len(rows)
+            elif p.is_empty:
+                seen["empty"] += 1
+            else:
+                seen["lower-dimensional"] += p.affine_dim < dim
+                seen["lineality"] += bool(p.vform.lin)
+                seen["cone lineality"] += not cone.pointed
+                seen["row 0 >= 0"] += (0,) * (dim + 1) in p._int_rows
+        assert min(seen.values()) >= 10, seen
+
+
 # {z1 + z2 + z3 >= 1, z1 <= 4, z2 <= 2, z3 <= 3}, with vertices (4, 2, -5),
 # (-4, 2, 3) and (4, -6, 3).
 CUT_SIMPLEX = [((1, 1, 1), 1), ((-1, 0, 0), -4), ((0, -1, 0), -2), ((0, 0, -1), -3)]
@@ -1060,20 +1148,22 @@ CUT_SIMPLEX = [((1, 1, 1), 1), ((-1, 0, 0), -4), ((0, -1, 0), -2), ((0, 0, -1), 
 
 class TestHullPassCounts:
     """A polyhedron that ``_hull`` returns reads its V-form without a second
-    pass, and the window Hausdorff distance of two closures builds a cut's
-    V-form only where the window cuts a V-form point off; cones are built
-    here, so no earlier test has warmed them."""
+    pass, an upper closure runs no pass beyond its operands' own, and the
+    window Hausdorff distance of two closures builds a cut's V-form only
+    where the window cuts a V-form point off; cones are built here, so no
+    earlier test has warmed them."""
 
     def test_closure_and_one_support_read(self, dd_passes):
         cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         a = upper_closure(Polyhedron.box([(0, 1), (1, 3), (-1, 2)]), cone)
         assert a.support((-1, -1, -2)) == 1
-        # The cone's generators and polyhedron, the box, then the hull.
-        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays", "vform", "vform", "_hull"]
+        # The cone's generators, the box, then the cone's polyhedron; the
+        # closure adds the cone's rows to the box's facets by no pass.
+        assert [caller for caller, _, _ in dd_passes] == ["_cone_rays", "vform", "vform"]
         dd_passes.clear()
         b = upper_closure(Polyhedron(3, CUT_SIMPLEX), cone)
         assert b.support((-1, 0, 0)) == 4
-        assert [caller for caller, _, _ in dd_passes] == ["vform", "_hull"]
+        assert [caller for caller, _, _ in dd_passes] == ["vform"]
 
     def test_sum_of_two_closures_and_one_support_read(self, dd_passes):
         cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

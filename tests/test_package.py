@@ -241,9 +241,10 @@ def test_only_maps_and_corpus_name_the_leaf_kinds():
 
 
 # Every double-description pass goes through the routines that the kernel
-# oracle and the ``dd_passes`` fixture watch: only ``geometry`` runs the
-# kernel or reads generators back as facets.
-KERNEL_NAMES = {"_double_description", "_hull"}
+# oracle and the ``dd_passes`` fixture watch, and every row-insertion step
+# outside a pass through ``_closure``: only ``geometry`` runs the kernel or
+# reads generators back as facets.
+KERNEL_NAMES = {"_double_description", "_cut", "_hull", "_closure"}
 
 
 def test_only_geometry_names_the_kernel():

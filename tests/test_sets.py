@@ -354,6 +354,74 @@ class TestHausdorff:
             with pytest.raises(DimensionMismatch):
                 hausdorff_sq_window(a, b, window)
 
+    def test_empty_operand_and_window_of_another_dimension_raise(self):
+        # Checked before the empty operand's early return of 0 or +inf.
+        a, box = translate_of_cone([0, 0]), Polyhedron.box([(-4, 4)] * 3)
+        for pair in ((UpperSet.empty(ORTHANT), a), (a, UpperSet.empty(ORTHANT))):
+            with pytest.raises(DimensionMismatch):
+                directed_hausdorff_sq(*pair, box)
+            with pytest.raises(DimensionMismatch):
+                hausdorff_sq_window(*pair, box)
+
+
+class TestNonemptinessCertificate:
+    """A piece with every nonzero row positive on the sum c of the cone's
+    generators, and no zero row with b > 0, is kept without a pass: it holds
+    t c for large t.  Any other piece is read by its pass.  Cones are built
+    here, so no earlier test has warmed them."""
+
+    def test_sup_of_two_closures_runs_no_pass(self, dd_passes):
+        cone = Cone.from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        a = upper_closure(Polyhedron.box([(0, 1), (1, 3), (-1, 2)]), cone)
+        b = upper_closure(Polyhedron(3, [((1, 1, 1), 1), ((-1, 0, 0), -4), ((0, -1, 0), -2)]), cone)
+        dd_passes.clear()
+        sup = lattice_sup([a, b])
+        assert dd_passes == [] and len(sup.pieces) == 1
+        # {z >= (0, 1, -1), z1 + z2 + z3 >= 1}: its lowest point on (1, 1, 1).
+        assert -sup.support((-1, -1, -1)) == 1
+
+    def test_empty_polyhedron_is_dropped_by_its_pass(self, dd_passes):
+        cone = Cone.from_generators([[1, 0], [0, 1]])
+        dd_passes.clear()
+        assert UpperSet(cone, pieces=[Polyhedron.empty(2)]).pieces == ()
+        assert [caller for caller, _, _ in dd_passes] == ["vform"]
+
+    def test_row_negative_on_c_falls_back_to_the_pass(self, dd_passes):
+        # -z1 >= 0 is negative on c = (1, 1), so the piece is read by its
+        # pass, which finds it empty.
+        cone = Cone.from_generators([[1, 0], [0, 1]])
+        piece = Polyhedron(2, [((1, 0), 1), ((-1, 0), 0)])
+        assert cone.generator_sum == (1, 1) and not piece.recedes_along((1, 1))
+        dd_passes.clear()
+        assert UpperSet(cone, pieces=[piece]).pieces == ()
+        assert [caller for caller, _, _ in dd_passes] == ["vform"]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_certified_pieces_are_nonempty(self, seed):
+        # Sound on any piece, upper closed or not.
+        rng = random.Random(f"certificate-{seed}")
+        seen = {"certified": 0, "empty": 0, "nonempty, uncertified": 0}
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            rows = [
+                (tuple(Fraction(rng.randint(-1, 3), rng.randint(1, 2)) for _ in range(m)),
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                for _ in range(rng.randint(0, m + 3))
+            ]
+            gens = [[rng.randint(0, 2) for _ in range(m)] for _ in range(rng.randint(1, m + 1))]
+            if not any(map(any, gens)):
+                continue
+            cone = Cone.from_generators(gens)
+            piece = Polyhedron(m, rows)
+            kept = UpperSet(cone, pieces=[piece]).pieces
+            if piece.recedes_along(cone.generator_sum):
+                assert not piece.is_empty and kept == (piece,), rows
+                seen["certified"] += 1
+            else:
+                assert kept == (() if piece.is_empty else (piece,)), rows
+                seen["empty" if piece.is_empty else "nonempty, uncertified"] += 1
+        assert min(seen.values()) >= 20, seen
+
 
 class TestMember:
     def test_trivial(self):
