@@ -19,9 +19,13 @@ per affine or scaled body, whose ``geometry.Region`` holds the guard rows on
 its path, a false side negated and flagged strict.  The regions partition R^n
 (the critical regions of multiparametric LP).  Each leaf answers for its own
 kind, and no other module tells the kinds apart.  A constant-normal affine
-leaf's graph is one polyhedron (Robinson 1981), read three ways: projected for
-the domain, and row by row at its worst over an x-box or a product box for the
-box certificates; the closed-form scalarizations project it too.
+leaf's graph is one polyhedron (Robinson 1981), read two ways: projected for
+the domain, and row by row at its worst over an x-box for the box
+certificate; the closed-form scalarizations project it too.
+
+Near x0, f is given by the leaves at x0, L(x0) (``leaves_at``): those whose
+nonempty region has x0 in its closure.  The graph interior is read there
+exactly, as strict rows at x0 (``Leaf.interior_rows``).
 
 Every constructor instance evaluates to a value in the lattice; an affine
 value whose row normal leaves the positive dual cone is rejected when it is
@@ -165,13 +169,17 @@ class Leaf:
         if isinstance(b, ScaledBody):
             a = b.alpha(x)
             return UpperSet.empty(cone) if a < 0 else scale(b.base, a)
-        rows = b.rows_at(x)
+        return UpperSet(cone, pieces=[Polyhedron(cone.dim, self._rows_at(x, cone))])
+
+    def _rows_at(self, x: Vec, cone: Cone) -> list[Constraint]:
+        """The affine body's rows at x; a normal outside C^- raises."""
+        rows = self.body.rows_at(x)
         dual = dual_cone(cone)
         for n, _ in rows:
             if not dual.contains(tuple(-c for c in n)):
                 msg = f"value is not upper closed at this point: normal {n} leaves the positive dual cone"
                 raise MapError(msg)
-        return UpperSet(cone, pieces=[Polyhedron(cone.dim, rows)])
+        return rows
 
     def domain(self, n: int, m: int) -> Optional[Polyhedron]:
         """Where the value is nonempty in the region's closure, x in R^n and
@@ -205,36 +213,52 @@ class Leaf:
         k = len(x0)
         return Polyhedron(m, [(a[k:], q - dot(a[:k], x0) + r * norm1(a[:k])) for a, q in self.graph_rows])
 
-    def holds_box(self, x0: Vec, z0: Vec, r: Fraction) -> bool:
-        """Whether every value over the l-inf box of radius r around x0
-        contains the l-inf box of radius r around z0."""
+    def interior_rows(self, x0: Vec, cone: Cone) -> Optional[list[list[Constraint]]]:
+        """The ways z can make (x0, z) interior near x0, each a list of rows
+        n.z >= b at x0 to hold strictly: [] when values near x0 have no
+        interior, None when undecided.  A zero normal is no strict row: it
+        is dropped where b(x0) < 0 and leaves no way where b(x0) > 0; at
+        b(x0) = 0 a constant one leaves no way if b > 0 somewhere on the
+        region (empty values, which the segment to x0 brings close), else it
+        is dropped, and a tilting one is undecided.  A normal outside C^-
+        at x0 raises, as ``value`` does."""
         b = self.body
-        if self.graph_rows is not None:
-            xz = (*x0, *z0)
-            return all(dot(a, xz) - r * norm1(a) >= q for a, q in self.graph_rows)
         if isinstance(b, AffineBody):
-            # Conservative interval bound on the bilinear row terms.
-            for i in range(len(b.normals)):
-                margin = dot(b.normals[i], z0) - b.offsets[i] - dot(b.x_coeffs[i], x0)
-                slack = r * (norm1(b.normals[i]) + norm1(b.x_coeffs[i]))
-                for k, mv in enumerate(b.x_normals[i]):
-                    margin += x0[k] * dot(mv, z0)
-                    slack += r * (abs(x0[k]) * norm1(mv) + abs(dot(mv, z0)) + r * norm1(mv))
-                if margin < slack:
-                    return False
-            return True
-        # alpha is affine, so it spans [amin, amax] over the x-box.  For a
-        # convex A, {alpha >= 0 : z in alpha A} is an interval (0 A = C), so
-        # the z-box corners at both ends put the box in every alpha A
-        # between.  A union is not convex: one piece must hold every corner.
-        spread = r * norm1(b.alpha.coeffs)
-        amin, amax = b.alpha(x0) - spread, b.alpha(x0) + spread
-        if amin < 0:
-            return False
-        corners = list(itertools.product(*((c - r, c + r) for c in z0)))
-        base, ends = b.base, dict.fromkeys((amin, amax))
-        parts = [base] if base.is_convex else [UpperSet(base.cone, pieces=[p]) for p in base.pieces]
-        return any(all(member(scale(part, a), c) for a in ends for c in corners) for part in parts)
+            rows = []
+            for i, (n, q) in enumerate(self._rows_at(x0, cone)):
+                if any(n):
+                    rows.append((n, q))
+                elif q > 0:
+                    return []
+                elif q == 0:
+                    if b.x_normals is not None and any(map(any, b.x_normals[i])):
+                        return None
+                    if self._meets(b.x_coeffs[i], -b.offsets[i]):
+                        return []
+            return [rows]
+        a, coeffs = b.alpha(x0), b.alpha.coeffs
+        if a < 0:
+            return []
+        if a == 0:
+            # 0 . A = C; where alpha < 0 on the region, values are empty.
+            if not any(coeffs):
+                return [[(n, ZERO) for n in cone.halfspaces]]
+            return [] if self._meets(tuple(-c for c in coeffs), b.alpha.const) else None
+        if not b.base.is_polyhedral:
+            return None
+        # A zero row 0 >= a q of a piece holds for every z or for none.
+        return [
+            [(n, a * q) for n, q in p.rows if any(n)]
+            for p in b.base.pieces
+            if all(any(n) or q <= 0 for n, q in p.rows)
+        ]
+
+    def _meets(self, g: Vec, h: Fraction) -> bool:
+        """Whether the region holds a point x with g.x > h."""
+        if not any(g):
+            return h < 0 and not self.region.is_empty
+        cut = Region(Polyhedron(len(g), [(g, h)]), (True,))
+        return self.region.intersect(cut).point() is not None
 
 
 def _body_leaves(body: Body, region: Region) -> Iterator[Leaf]:
@@ -328,6 +352,11 @@ class SetValuedMap:
         pieces = [leaf.domain(self.domain_dim, self.cone.dim) for leaf in self.leaves]
         return [p for p in pieces if p is not None and not p.is_empty]
 
+    def leaves_at(self, x0: Vec) -> list[Leaf]:
+        """L(x0): the leaves whose nonempty region has x0 in its closure.
+        Near x0, f equals one of their bodies on that body's region."""
+        return [leaf for leaf in self.leaves if leaf.region.closure.contains(x0) and not leaf.region.is_empty]
+
     # -- exact box certificates (constant-normal affine branches) ------------
 
     def box_value_intersection(self, x0: Vec, radius: Fraction) -> Optional[Polyhedron]:
@@ -345,92 +374,58 @@ class SetValuedMap:
 # -- graph interior ------------------------------------------------------------
 
 
-def _box_in_graph(f: SetValuedMap, x0: Vec, z0: Vec, r: Fraction) -> bool:
-    """Exact check that box(x0, r) x box(z0, r) lies inside the graph of f:
-    every leaf of the guard tree whose region meets the x-box must contain
-    the box.  A leaf whose region misses the x-box cannot matter, even where
-    the box straddles one of its guards."""
-    box = Region.closed(Polyhedron.box([(c - r, c + r) for c in x0]))
-    return all(leaf.holds_box(x0, z0, r) for leaf in f.leaves if not leaf.region.intersect(box).is_empty)
-
-
 def graph_interior_witness(f: SetValuedMap, x0) -> Verdict:
-    """Searches for (z0, r), r = 2^-k for k = 0..8, with a product box around
-    (x0, z0) inside gr f."""
+    """Whether some (x0, z) is interior to gr f, read exactly at x0.
+
+    Near x0, gr f is the union of the graphs of the leaves at x0, each over
+    its own region, and each row n(x).z >= b(x) is continuous in (x, z).
+    Rows strict at (x0, z) stay strict near it, so (x0, z) is interior.
+    Conversely, if a z-ball lies in every value near x0, letting x approach
+    x0 inside each leaf's region puts the ball in the leaf's rows at x0, so
+    in one choice of base pieces' (finitely many closed sets that cover a
+    ball leave one with interior), and a row that holds on a ball is strict
+    inside it unless its normal vanishes, which ``Leaf.interior_rows``
+    reads apart.  So the entry holds iff one choice has a ``Region.point``,
+    the witness z.  Re-check it by evaluation: for some k, every f(x),
+    x = x0 and x0 +- 2^-k e_i, holds the corners of z's l-inf box of
+    radius 2^-k.  An oracle base has no rows: alone at x0, with
+    alpha(x0) > 0 under a cone with interior, alpha(x0) (a + c) is interior
+    for the first grid member a of the base and c = ``cone.generator_sum``;
+    elsewhere it is undecided.
+    """
     x0 = vec(x0)
-    radii = [Fraction(1, 2**k) for k in range(0, 9)]
     v0 = f.evaluate(x0)
     if v0.is_empty:
-        return Verdict.fails(
-            Witness(x=x0, detail="value at the point is empty"), note="x0 outside dom f"
-        )
-    if v0.is_polyhedral:
-        piece_dims = [p.affine_dim for p in v0.pieces]
-        if max(piece_dims) < f.cone.dim:
-            return Verdict.fails(
-                Witness(x=x0, detail="value has empty interior (low affine dimension)"),
-            )
-    # Exact failure: x0 lies in the closure of a nonempty region where the
-    # map is constant-empty, so every x-ball around x0 meets empty values.
-    for leaf in f.leaves:
-        if leaf.empty and leaf.region.closure.contains(x0) and not leaf.region.is_empty:
-            return Verdict.fails(
-                Witness(x=x0, detail="empty values on one side of the guard"),
-            )
-    candidates = _interior_candidates(f, x0, radii[0])
-    for z0 in candidates:
-        for r in radii:
-            if _box_in_graph(f, x0, z0, r):
-                return Verdict.holds(
-                    witness=Witness(x=x0, z=z0, radius=r),
-                    note="product box certified inside the graph",
-                )
-    return Verdict.inconclusive(
-        note="no interior witness found among candidates", resolution=len(radii)
-    )
+        return Verdict.fails(Witness(x=x0, detail="value at the point is empty"), note="x0 outside dom f")
+    if v0.is_polyhedral and max(p.affine_dim for p in v0.pieces) < f.cone.dim:
+        return Verdict.fails(Witness(x=x0, detail="value has empty interior (low affine dimension)"))
+    # x0 lies in the closure of a nonempty region where the map is
+    # constant-empty, so every x-ball around x0 meets empty values.
+    if any(leaf.empty and leaf.region.closure.contains(x0) and not leaf.region.is_empty for leaf in f.leaves):
+        return Verdict.fails(Witness(x=x0, detail="empty values on one side of the guard"))
+    leaves = f.leaves_at(x0)
+    ways = [leaf.interior_rows(x0, f.cone) for leaf in leaves]
+    if [] not in ways and None in ways:
+        z = _oracle_interior_point(f, leaves, x0)
+        if z is None:
+            return Verdict.inconclusive(note="a leaf at x0 has no strict rows to read")
+        return Verdict.holds(witness=Witness(x=x0, z=z), note="oracle base scaled at an interior cone point")
+    # Here a [] way leaves no choice, whatever an undecided leaf gives.
+    for choice in itertools.product(*(way or () for way in ways)):
+        rows = [row for way in choice for row in way]
+        z = Region(Polyhedron(f.cone.dim, rows), (True,) * len(rows)).point()
+        if z is not None:
+            return Verdict.holds(witness=Witness(x=x0, z=z), note="strict on every row at x0")
+    return Verdict.fails(Witness(x=x0, detail="no z is strict on the rows of every leaf at x0"))
 
 
-def _interior_candidates(f: SetValuedMap, x0: Vec, r: Fraction) -> list[Vec]:
-    out: list[Vec] = []
-    samples = [x0]
-    for i in range(f.domain_dim):
-        for s in (r, -r):
-            samples.append(tuple(x0[j] + (s if j == i else 0) for j in range(f.domain_dim)))
-    stacked: list[Constraint] = []
-    polyhedral = True
-    for x in samples:
-        v = f.evaluate(x)
-        if v.is_empty or not v.is_polyhedral:
-            polyhedral = False
-            break
-        for p in v.pieces:
-            stacked.extend(p.rows)
-    if polyhedral:
-        ip = _inner_point(Polyhedron(f.cone.dim, stacked))
-        if ip is not None:
-            out.append(ip)
-    v0 = f.evaluate(x0)
-    if not v0.is_polyhedral:
-        # Grid members of f(x0), each nudged up along an interior cone
-        # direction, when the cone has one.
-        bump = tuple(map(sum, zip(*f.cone.generators))) if f.cone.has_interior else None
-        grid = [Fraction(k) for k in (0, 1, 2, -1, -2, 4)]
-        for p in itertools.product(grid, repeat=f.cone.dim):
-            if member(v0, p):
-                out.append(p)
-                if bump is not None:
-                    out.append(tuple(a + b for a, b in zip(p, bump)))
-    elif not out:
-        out += [ip for ip in map(_inner_point, v0.pieces) if ip is not None]
-    return list(dict.fromkeys(out))
-
-
-def _inner_point(p: Polyhedron) -> Optional[Vec]:
-    """An interior point of p; the origin where p is the whole space, with
-    no nonzero row normal, and ``interior_point`` has no margin to grow."""
-    if any(any(n) for n, _ in p.rows):
-        return p.interior_point()
-    return None if p.is_empty else (ZERO,) * p.dim
+def _oracle_interior_point(f: SetValuedMap, leaves: list[Leaf], x0: Vec) -> Optional[Vec]:
+    """alpha(x0) (a + c) for an oracle base alone at x0, or None."""
+    b, grid = leaves[0].body, [Fraction(k) for k in (0, 1, 2, -1, -2, 4)]
+    if len(leaves) > 1 or not isinstance(b, ScaledBody) or (a := b.alpha(x0)) <= 0 or not f.cone.has_interior:
+        return None
+    p = next((p for p in itertools.product(grid, repeat=f.cone.dim) if member(b.base, p)), None)
+    return None if p is None else tuple(a * (c + g) for c, g in zip(p, f.cone.generator_sum))
 
 
 # -- JSON fixture schema --------------------------------------------------------

@@ -55,29 +55,29 @@ RANDOM_MAPS = {f"rand-affine-{seed}": seed for seed in (1, 2, 3)}
 # First 16 hex digits of sha256(json.dumps(matrix.to_json(), sort_keys=True)).
 LIGHT_DIGESTS = {
     ("orthant-halfline", 0): "dc4572550ab0d9e5",
-    ("tilted-halfplane", 0): "733c159182a8084f",
+    ("tilted-halfplane", 0): "1814929f7c6816c1",
     ("ray-translate", 0): "d54b9c75c1cfdfad",
     ("ray-translate", 1): "8cd50a91c4c67601",
     ("ray-translate", 2): "bd44f5cf7a1ee3a1",
-    ("parabola-dilation", 0): "01bb217256ee7935",
+    ("parabola-dilation", 0): "afa1726183e681ce",
     ("parabola-dilation", 1): "052e1a87ea76bb84",
-    ("rand-affine-1", 0): "a23d1b1696a9117b",
-    ("rand-affine-2", 0): "f4e3466be27c9611",
-    ("rand-affine-3", 0): "734c6b6fad99dab7",
+    ("rand-affine-1", 0): "b735fd9897aea8c5",
+    ("rand-affine-2", 0): "b3f0a47f08b8fc5a",
+    ("rand-affine-3", 0): "fc2d23115935aa73",
 }
 
 # Default-config matrices, same hash: the deeper grid reaches enlargement
 # witnesses that light() does not.
 DEFAULT_DIGESTS = {
     ("orthant-halfline", 0): "2b25c5a9462176bf",
-    ("tilted-halfplane", 0): "9760844e94d14b6b",
+    ("tilted-halfplane", 0): "594318ad0ab7c6c8",
 }
 
 # Light matrices whose pinned JSON shows a downgrade, hashed with the
 # implication diagram switched off: the raw verdicts it hides stay pinned.
 RAW_LIGHT_DIGESTS = {
-    ("tilted-halfplane", 0): "93657a2d42c9906e",
-    ("parabola-dilation", 0): "8ab64c485273b48e",
+    ("tilted-halfplane", 0): "993749becab52634",
+    ("parabola-dilation", 0): "8844d7347f98ee2e",
 }
 
 

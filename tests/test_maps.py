@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from upperset.continuity import IMPLICATIONS
-from upperset.corpus import RAY_CONE_2D, builtin_fixtures, parabola_dilation_fixture, random_convex_affine_maps
+from upperset.corpus import (
+    RAY_CONE_2D,
+    builtin_fixtures,
+    fixture_by_id,
+    parabola_dilation_fixture,
+    random_convex_affine_maps,
+)
 from upperset.duality import BivariateMap
 from upperset.geometry import Cone, Polyhedron, dual_cone
 from upperset.linalg import POS_INF, dot, norm1
@@ -21,7 +27,6 @@ from upperset.maps import (
     ScaledBody,
     SetValuedMap,
     constant_cone_body,
-    _box_in_graph,
     constant_empty_body,
     graph_interior_witness,
     map_from_json,
@@ -39,6 +44,7 @@ from upperset.sets import (
 )
 from upperset.verdict import Status, Verdict, Witness
 
+from graph_interior_oracle import box_in_graph, box_search
 from test_sets import CallableOracle, check_upper_closed
 
 ORTHANT = Cone.from_generators([[1, 0], [0, 1]])
@@ -472,15 +478,51 @@ class TestConvexity:
         assert convexity_check(tilted_halfplane_map()).status is Status.FAILS
 
 
+def recheck_interior(f: SetValuedMap, verdict: Verdict):
+    """The first k in 4..30 at which every f(x), x = x0 and x0 +- 2^-k
+    along each axis, holds every corner of the l-inf box of radius 2^-k
+    around the witness z; None when no k does.  An x where evaluation
+    raises (a tilting normal outside C^- there) has no value to check.
+    Small boxes first: some k must pass, and most pass by k = 4."""
+    x0, z = verdict.witness.x, verdict.witness.z
+    for k in range(4, 31):
+        r = Fraction(1, 2**k)
+        xs = [x0] + [tuple(c + s * r * (j == i) for j, c in enumerate(x0)) for i in range(len(x0)) for s in (1, -1)]
+        corners = list(itertools.product(*((c - r, c + r) for c in z)))
+        if all(member(v, c) for v in _values(f, xs) for c in corners):
+            return k
+    return None
+
+
+def _values(f: SetValuedMap, xs):
+    for x in xs:
+        try:
+            yield f.evaluate(x)
+        except MapError:
+            pass
+
+
+def _holds_at(f: SetValuedMap, x0) -> Verdict:
+    """The graph interior verdict at x0, asserted ``holds`` with a witness
+    that evaluation re-checks."""
+    v = graph_interior_witness(f, x0)
+    assert v.status is Status.HOLDS and v.witness.radius is None
+    assert recheck_interior(f, v) is not None
+    return v
+
+
+def _guarded(when_true, when_false, cone=ORTHANT):
+    """when_true for x >= 0 and when_false for x < 0."""
+    return SetValuedMap(1, cone, PiecewiseBody(((F(1),), F(0)), when_true, when_false))
+
+
 class TestGraphInterior:
     def test_halfline_map_fails_at_boundary(self):
         v = graph_interior_witness(halfline_domain_map(), [0])
         assert v.status is Status.FAILS
 
     def test_constant_map_holds(self):
-        v = graph_interior_witness(constant_map(), [7])
-        assert v.status is Status.HOLDS
-        assert v.witness is not None and v.witness.radius is not None
+        _holds_at(constant_map(), [7])
 
     def test_ray_values_have_no_interior(self):
         v = graph_interior_witness(ray_translate_map(), [0])
@@ -492,30 +534,38 @@ class TestGraphInterior:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_oracle_value_off_the_plane_holds(self, m):
-        # The value (1, ..., 1) + C given by an oracle: the grid member
-        # (1, ..., 1) lies on its boundary, and its bump (2, ..., 2) carries
-        # the unit box.
+        # The value (1, ..., 1) + C given by an oracle, alone at 0: its first
+        # grid member (1, ..., 1) lies on its boundary, and adding the sum of
+        # the cone's generators gives (2, ..., 2), an interior point.
         cone = Cone.from_generators([[int(i == j) for j in range(m)] for i in range(m)])
         shifted = UpperSet.from_oracle(
             cone,
             CallableOracle(lambda u: sum(u) if all(c <= 0 for c in u) else POS_INF, lambda z: min(z) >= 1),
         )
         f = SetValuedMap(1, cone, ScaledBody(shifted, AffineForm.of([0], 1)))
-        v = graph_interior_witness(f, [0])
-        assert v.status is Status.HOLDS
-        assert v.witness.z == (2,) * m and v.witness.radius == 1
+        v = _holds_at(f, [0])
+        assert v.witness.z == (2,) * m
 
     def test_whole_plane_values_hold_at_the_origin(self):
-        # f(x) = {z : 0.z >= -x}: the whole plane for x >= 0.  No row of a
-        # value has a nonzero normal, so no margin picks a point, and the
-        # origin is the candidate.
+        # f(x) = {z : 0.z >= -x}: the whole plane for x >= 0.  At x0 = 1 the
+        # zero row is dropped (b(x0) < 0), so no strict row is left and the
+        # origin is the point.
         f = SetValuedMap(1, ORTHANT, AffineBody(normals=((F(0), F(0)),), offsets=(F(0),), x_coeffs=((F(-1),),)))
-        v = graph_interior_witness(f, [1])
-        assert v.status is Status.HOLDS
-        assert (v.witness.z, v.witness.radius) == ((0, 0), 1)
+        v = _holds_at(f, [1])
+        assert v.witness.z == (0, 0)
         # Constant whole-plane values, with no row at all, read the same.
-        v = graph_interior_witness(SetValuedMap(1, ORTHANT, AffineBody((), (), ())), [0])
-        assert v.status is Status.HOLDS and v.witness.z == (0, 0)
+        v = _holds_at(SetValuedMap(1, ORTHANT, AffineBody((), (), ())), [0])
+        assert v.witness.z == (0, 0)
+
+    def test_whole_plane_values_fail_where_the_domain_ends(self):
+        # The same map at x0 = 0: the zero row is tight there, and every
+        # x < 0 has an empty value, so every ball around (0, z) leaves the
+        # graph.  The product-box search found no box and no failure here.
+        f = SetValuedMap(1, ORTHANT, AffineBody(normals=((F(0), F(0)),), offsets=(F(0),), x_coeffs=((F(-1),),)))
+        assert box_search(f, (F(0),)) is None
+        v = graph_interior_witness(f, [0])
+        assert v.status is Status.FAILS and v.witness.x == (0,)
+        assert f.evaluate([Fraction(-1, 2**20)]).is_empty
 
     def test_union_base_needs_one_piece_for_the_whole_box(self):
         # A = {z1 <= 0} u {z1 >= 1} over {0} x R+, alpha = 1.  Every corner
@@ -529,10 +579,14 @@ class TestGraphInterior:
         x0, z0, r = (F(0),), (F(1) / 2, F(0)), F(1)
         assert all(member(f.evaluate(x0), c) for c in itertools.product(*((c - r, c + r) for c in z0)))
         assert not member(f.evaluate(x0), z0)
-        assert not _box_in_graph(f, x0, z0, r)
+        assert not box_in_graph(f, x0, z0, r)
         # A box inside one piece is inside the graph.
-        assert _box_in_graph(f, x0, (F(3), F(0)), r)
-        assert _box_in_graph(f, x0, (F(-2), F(0)), r)
+        assert box_in_graph(f, x0, (F(3), F(0)), r)
+        assert box_in_graph(f, x0, (F(-2), F(0)), r)
+        # The exact read takes one piece's rows at a time: its point is
+        # strictly inside one piece.
+        (z1, _) = _holds_at(f, x0).witness.z
+        assert z1 < 0 or z1 > 1
 
     def test_scaled_box_holds_at_the_largest_alpha_too(self):
         # f(x) = (x + 1) A with A = (1, 1) + C given by an oracle.  A misses
@@ -547,18 +601,20 @@ class TestGraphInterior:
         v = graph_interior_witness(f, [1])
         assert v.status is not Status.FAILS
         if v.status is Status.HOLDS:
-            assert (v.witness.z, v.witness.radius) != ((2, 2), 1)
+            # alpha(1) ((1, 1) + (1, 1)), away from the boundary point (2, 2).
+            assert v.witness.z == (4, 4)
+            k = recheck_interior(f, v)
+            assert k is not None
             # alpha moves with x and A is convex, so the z-box corners at the
             # x-box ends decide the box.
-            (x0,), z0, r = v.witness.x, v.witness.z, v.witness.radius
+            (x0,), z0, r = v.witness.x, v.witness.z, Fraction(1, 2**k)
             for x in (x0 - r, x0 + r):
                 for corner in itertools.product(*((c - r, c + r) for c in z0)):
                     assert member(f.evaluate([x]), corner), (x, corner)
 
     def test_nested_guard_prunes_the_empty_branch(self):
         # C for x >= 0; for x < 0, C again when x >= -10 and empty below.
-        # The box around 0 straddles the outer guard but lies on the true
-        # side of the inner one, so the empty branch never matters.
+        # The leaves at 0 are both C, so the empty branch never matters.
         f = SetValuedMap(
             1,
             ORTHANT,
@@ -573,16 +629,14 @@ class TestGraphInterior:
             ),
             name="nested-guards",
         )
-        v = graph_interior_witness(f, [0])
-        assert v.status is Status.HOLDS
-        assert v.witness is not None and v.witness.radius is not None
+        _holds_at(f, [0])
         # At -10 every ball meets the nested empty branch's region x < -10.
         v = graph_interior_witness(f, [-10])
         assert v.status is Status.FAILS
 
     def test_empty_true_branch_holds_on_the_false_side(self):
-        # Empty for x >= 10, C below: points strictly below 10 have a product
-        # box inside the graph; only the boundary and beyond fail.
+        # Empty for x >= 10, C below: points strictly below 10 are interior
+        # points of the graph; only the boundary and beyond fail.
         f = SetValuedMap(
             1,
             ORTHANT,
@@ -594,9 +648,7 @@ class TestGraphInterior:
             name="empty-above-10",
         )
         for x0 in (F(0), F(9), Fraction(19, 2)):
-            v = graph_interior_witness(f, [x0])
-            assert v.status is Status.HOLDS, x0
-            assert v.witness is not None and v.witness.radius is not None
+            _holds_at(f, [x0])
         assert graph_interior_witness(f, [10]).status is Status.FAILS
 
     def test_empty_leaf_with_empty_region_does_not_fail(self):
@@ -616,10 +668,90 @@ class TestGraphInterior:
             ),
             name="unreachable-empty-leaf",
         )
-        # F(x) = C everywhere: a box straddling the inner guard never meets
-        # the empty leaf, whose region is empty.
+        # F(x) = C everywhere: the empty leaf is no leaf at 0.
         for x0 in (F(0), Fraction(1, 1000)):
             assert graph_interior_witness(f, [x0]).status is Status.HOLDS, x0
+        assert len(f.leaves_at((F(0),))) == 2
+
+
+class TestInteriorRows:
+    """One case per branch of ``Leaf.interior_rows``, each read at x0 = 0."""
+
+    X0 = (F(0),)
+
+    def test_tight_zero_row_with_empty_values_inside_the_region(self):
+        # {z : 0.z >= -x} for every x: empty values on x < 0.
+        f = SetValuedMap(1, ORTHANT, AffineBody(((F(0), F(0)),), (F(0),), ((F(-1),),)))
+        assert f.leaves[0].interior_rows(self.X0, ORTHANT) == []
+
+    def test_tight_zero_row_with_empty_values_outside_the_region(self):
+        # The same row only for x >= 0, C below: the row holds on its
+        # region, so it is dropped, and C's rows are strict at (1, 1).
+        f = _guarded(AffineBody(((F(0), F(0)),), (F(0),), ((F(-1),),)), constant_cone_body(ORTHANT, 1))
+        true_leaf, false_leaf = f.leaves_at(self.X0)
+        assert true_leaf.interior_rows(self.X0, ORTHANT) == [[]]
+        assert false_leaf.interior_rows(self.X0, ORTHANT) == [[(n, 0) for n in ORTHANT.halfspaces]]
+        _holds_at(f, self.X0)
+
+    def test_tilting_row_that_vanishes_at_x0(self):
+        # x z2 >= 0 for x >= 0, C below: the normal (0, x) is zero at 0.
+        tilt = AffineBody(((F(0), F(0)),), (F(0),), ((F(0),),), (((F(0), F(1)),),))
+        f = _guarded(tilt, constant_cone_body(ORTHANT, 1))
+        assert f.leaves[0].interior_rows(self.X0, ORTHANT) is None
+        assert graph_interior_witness(f, self.X0).status is Status.INCONCLUSIVE
+
+    def test_negative_scale(self):
+        # (x - 1) A for x < 0: empty values left of 0, where C holds.
+        f = _guarded(constant_cone_body(ORTHANT, 1), ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], -1)))
+        assert f.leaves[1].interior_rows(self.X0, ORTHANT) == []
+        assert box_search(f, self.X0) is None
+        assert graph_interior_witness(f, self.X0).status is Status.FAILS
+
+    def test_zero_scale_negative_on_the_region(self):
+        # x A for x < 0: alpha(0) = 0, and alpha < 0 on the whole region.
+        f = _guarded(constant_cone_body(ORTHANT, 1), ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], 0)))
+        assert f.leaves[1].interior_rows(self.X0, ORTHANT) == []
+        assert graph_interior_witness(f, self.X0).status is Status.FAILS
+
+    def test_zero_scale_everywhere(self):
+        # 0 A = C for every x: the cone's rows, strict only under a cone
+        # with interior.
+        body = ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([0], 0))
+        f = SetValuedMap(1, ORTHANT, body)
+        assert f.leaves[0].interior_rows(self.X0, ORTHANT) == [[(n, 0) for n in ORTHANT.halfspaces]]
+        _holds_at(f, self.X0)
+
+    def test_moving_scale_that_vanishes_at_x0(self):
+        # x A for x >= 0, C below: alpha(0) = 0 but alpha moves.
+        f = _guarded(ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], 0)), constant_cone_body(ORTHANT, 1))
+        assert f.leaves[0].interior_rows(self.X0, ORTHANT) is None
+        assert graph_interior_witness(f, self.X0).status is Status.INCONCLUSIVE
+
+    def test_union_base_gives_one_way_per_piece(self):
+        union = UpperSet(RAY_CONE_2D, pieces=[Polyhedron(2, [((-1, 0), 0)]), Polyhedron(2, [((1, 0), 1)])])
+        leaf = SetValuedMap(1, RAY_CONE_2D, ScaledBody(union, AffineForm.of([0], 2))).leaves[0]
+        assert leaf.interior_rows(self.X0, RAY_CONE_2D) == [[((-1, 0), 0)], [((1, 0), 2)]]
+
+    def test_oracle_leaf_next_to_a_live_leaf(self):
+        # The oracle base (1, 1) + C for x >= 0, C below: the oracle has no
+        # rows, and it is not alone at 0.
+        shifted = UpperSet.from_oracle(
+            ORTHANT,
+            CallableOracle(lambda u: sum(u) if all(c <= 0 for c in u) else POS_INF, lambda z: min(z) >= 1),
+        )
+        f = _guarded(ScaledBody(shifted, AffineForm.of([0], 1)), constant_cone_body(ORTHANT, 1))
+        assert f.leaves[0].interior_rows(self.X0, ORTHANT) is None
+        assert graph_interior_witness(f, self.X0).status is Status.INCONCLUSIVE
+        # Alone, right of 0, the same leaf holds.
+        _holds_at(f, (F(1),))
+
+    def test_normal_outside_the_dual_cone_raises(self):
+        # z1 - z2 >= 0 for x < 0: not upper closed, though f(0) = C is.
+        bad = AffineBody(((F(1), F(-1)),), (F(0),), ((F(0),),))
+        f = _guarded(constant_cone_body(ORTHANT, 1), bad)
+        assert member(f.evaluate(self.X0), (1, 1))
+        with pytest.raises(MapError):
+            graph_interior_witness(f, self.X0)
 
 
 def _has_empty_subtree(body) -> bool:
@@ -842,3 +974,99 @@ def ScaledBody_fixture():
     from upperset.sets import embed_point
 
     return ScaledBody(embed_point([1, 1], ORTHANT), AffineForm.of([1], 0))
+
+
+def _cross_check_points():
+    """(map, x0) pairs: seeded guard trees of depth 3 over R at the integer
+    points of [-3, 3] and over R^2 at those of [-2, 2]^2, where their guards
+    and zero rows are tight, the fixture maps at their labelled points and
+    at -1, 0 and 1, and 60 seeded convex affine maps at -1, 0 and 1."""
+    for seed in range(400):
+        f = SetValuedMap(1, ORTHANT, random_guard_body(random.Random(seed), 1, 3))
+        yield from ((f, (F(x),)) for x in range(-3, 4))
+    for seed in range(150):
+        f = SetValuedMap(2, ORTHANT, random_guard_body(random.Random(1000 + seed), 2, 3))
+        yield from ((f, x) for x in itertools.product(range(-2, 3), repeat=2))
+    for fx in builtin_fixtures():
+        if isinstance(fx.map, SetValuedMap):
+            yield from ((fx.map, x) for x in [p.at for p in fx.points] + [(F(k),) for k in (-1, 0, 1)])
+    for f in random_convex_affine_maps(37, 60):
+        yield from ((f, (F(k),)) for k in (-1, 0, 1))
+
+
+def _normal_leaves_dual_cone(f: SetValuedMap, x0) -> bool:
+    dual = dual_cone(f.cone)
+    return any(
+        isinstance(leaf.body, AffineBody) and not all(dual.contains(tuple(-c for c in n)) for n, _ in leaf.body.rows_at(x0))
+        for leaf in f.leaves_at(x0)
+    )
+
+
+def test_exact_read_agrees_with_every_decisive_box_search():
+    # The product-box search reads holds or inconclusive past the early
+    # failure checks, which the exact read shares.  So it runs only where
+    # the exact read fails past them or is inconclusive, and must find no
+    # box there; a holds witness is re-checked by evaluation instead.
+    counts = dict.fromkeys(("holds", "early fails", "new fails", "inconclusive", "raises", "search raises"), 0)
+    for f, x0 in _cross_check_points():
+        try:
+            v = graph_interior_witness(f, x0)
+        except MapError:
+            # f(x0) itself raises, or a leaf at x0 leaves C^- there.
+            counts["raises"] += 1
+            try:
+                f.evaluate(x0)
+            except MapError:
+                continue
+            assert _normal_leaves_dual_cone(f, x0), (f.name, x0)
+            continue
+        if v.status is Status.HOLDS:
+            assert recheck_interior(f, v) is not None, (f.name, x0)
+            counts["holds"] += 1
+            continue
+        if v.status is Status.FAILS and not v.witness.detail.startswith("no z"):
+            counts["early fails"] += 1
+            continue
+        try:
+            found = box_search(f, x0)
+        except MapError:
+            counts["search raises"] += 1
+            continue
+        assert found is None, (f.name, x0, v)
+        counts["new fails" if v.is_fails else "inconclusive"] += 1
+    # "new fails": decided here, where the search found no box.
+    assert counts["new fails"] >= 350 and counts["inconclusive"] <= 17, counts
+    assert counts["holds"] >= 3400 and counts["early fails"] >= 2500, counts
+
+
+# Double-description passes of the product-box search at each point, on
+# fresh maps and cold cones: (fixture id or random-map seed, x0) -> passes.
+BOX_SEARCH_PASSES = {
+    ("ray-translate", (0,)): 2,
+    ("ray-translate", (1,)): 1,
+    ("ray-translate", (Fraction(-3, 2),)): 1,
+    ("orthant-halfline", (0,)): 2,
+    ("parabola-dilation", (1,)): 11,
+    ("parabola-dilation", (0,)): 2,
+    ("tilted-halfplane", (0,)): 6,
+    **{(seed, (1,)): 3 for seed in (1, 2, 3)},
+    **{(seed, (0,)): 3 for seed in (1, 3)},
+    (2, (0,)): 11,
+    **{(seed, (-1,)): 3 for seed in (1, 3)},
+    (2, (-1,)): 1,
+}
+
+
+class TestGraphInteriorPasses:
+    def test_no_point_runs_more_passes_than_the_box_search(self, dd_passes):
+        total = 0
+        for (source, x0), passes in BOX_SEARCH_PASSES.items():
+            fx = None if isinstance(source, int) else fixture_by_id(source)
+            f = random_convex_affine_maps(source, 1)[0] if fx is None else fx.map
+            x0 = tuple(map(F, x0))
+            assert fx is None or x0 in [p.at for p in fx.points]
+            dd_passes.clear()
+            graph_interior_witness(f, x0)
+            assert len(dd_passes) <= passes, (source, x0, [c[0] for c in dd_passes])
+            total += len(dd_passes)
+        assert total < sum(BOX_SEARCH_PASSES.values())
