@@ -995,11 +995,13 @@ def _cross_check_points():
 
 
 def _normal_leaves_dual_cone(f: SetValuedMap, x0) -> bool:
-    dual = dual_cone(f.cone)
-    return any(
-        isinstance(leaf.body, AffineBody) and not all(dual.contains(tuple(-c for c in n)) for n, _ in leaf.body.rows_at(x0))
-        for leaf in f.leaves_at(x0)
-    )
+    """Whether a leaf at x0 has a normal outside C^- there."""
+    for leaf in f.leaves_at(x0):
+        try:
+            leaf.value(x0, f.cone)
+        except MapError:
+            return True
+    return False
 
 
 def test_exact_read_agrees_with_every_decisive_box_search():
