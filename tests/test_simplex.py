@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 import pytest
@@ -306,15 +307,20 @@ def _solve(objective, constraints, sense, want_dual) -> Solved:
 def _solve_both(monkeypatch, objective, constraints, sense, want_dual):
     """solve_lp on the sparse kernel and on the dense reference, with the
     (row, column) of every pivot each one made, the dual program's solve
-    included.  Every entry of the sparse tableau is a Fraction after each
-    pivot."""
+    included.  Every entry of the sparse tableau is a reduced pair of ints
+    (n, d), with d > 0 and gcd(n, d) = 1, after each pivot."""
     sparse_log, dense_log = [], []
     sparse_pivot = simplex._pivot
 
     def logged_pivot(tableau, basis, row, col):
         sparse_log.append((row, col))
         sparse_pivot(tableau, basis, row, col)
-        assert all(type(x) is Fraction for r in tableau for x in r)
+        assert all(
+            type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+            and x[1] > 0 and gcd(*x) == 1
+            for r in tableau
+            for x in r
+        )
 
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "_pivot", logged_pivot)
